@@ -26,6 +26,7 @@ module Query_engine = Lcsearch_index.Query_engine
 module Par = Lcsearch_index.Par
 module Shard = Lcsearch_index.Shard
 module Lsm = Lcsearch_index.Lsm
+module Snapshot_path = Lcsearch_index.Snapshot_path
 
 let structure_conv =
   let parse name =
@@ -41,12 +42,11 @@ let structure_conv =
   Arg.conv (parse, print)
 
 let workload_conv =
+  Arg.enum (List.map (fun k -> (Workloads.kind_name k, k)) Workloads.kinds)
+
+let policy_conv =
   Arg.enum
-    [
-      ("uniform", Workloads.Uniform);
-      ("clusters", Workloads.Clusters);
-      ("diagonal", Workloads.Diagonal);
-    ]
+    [ ("lru", Diskstore.Buffer_pool.Lru); ("clock", Diskstore.Buffer_pool.Clock) ]
 
 let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
 
@@ -165,25 +165,46 @@ let dim_arg =
     & opt (some int) None
     & info [ "d"; "dim" ] ~doc:"Dimension (default: structure's first).")
 
+(* Terms shared by several verbs, declared once; [doc] overrides the
+   help text where a verb gives the flag a narrower meaning. *)
+let seed_arg ?(doc = "Random seed.") () =
+  Arg.(value & opt int 42 & info [ "seed" ] ~doc)
+
+let block_size_arg =
+  Arg.(value & opt int 64 & info [ "b"; "block-size" ] ~doc:"Block size B.")
+
+let fraction_arg ?(doc = "Query selectivity.") () =
+  Arg.(value & opt float 0.02 & info [ "f"; "fraction" ] ~doc)
+
+let queries_arg ?(doc = "Query count.") () =
+  Arg.(value & opt int 20 & info [ "q"; "queries" ] ~doc)
+
+let workload_arg =
+  Arg.(
+    value
+    & opt workload_conv Workloads.Uniform
+    & info [ "w"; "workload" ] ~doc:"Workload: uniform, clusters, diagonal.")
+
+let check_arg doc = Arg.(value & flag & info [ "check" ] ~doc)
+
+let cache_pages_arg =
+  Arg.(
+    value & opt int 64
+    & info [ "cache-pages" ] ~doc:"Buffer-pool capacity in pages.")
+
+let policy_arg =
+  Arg.(
+    value
+    & opt policy_conv Diskstore.Buffer_pool.Lru
+    & info [ "policy" ] ~doc:"Buffer-pool eviction policy: lru or clock.")
+
 let run_cmd =
   let n = Arg.(value & opt int 16384 & info [ "n" ] ~doc:"Number of points.") in
-  let b = Arg.(value & opt int 64 & info [ "b"; "block-size" ] ~doc:"Block size B.") in
-  let fraction =
-    Arg.(value & opt float 0.02 & info [ "f"; "fraction" ] ~doc:"Query selectivity.")
-  in
-  let queries = Arg.(value & opt int 20 & info [ "q"; "queries" ] ~doc:"Query count.") in
-  let kind =
-    Arg.(
-      value
-      & opt workload_conv Workloads.Uniform
-      & info [ "w"; "workload" ] ~doc:"Workload: uniform, clusters, diagonal.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
   Cmd.v
     (Cmd.info "run" ~doc:"Build a structure and measure query I/Os")
     Term.(
-      const run_once $ structure_arg $ n $ b $ fraction $ queries $ kind $ seed
-      $ dim_arg $ domains_arg)
+      const run_once $ structure_arg $ n $ block_size_arg $ fraction_arg ()
+      $ queries_arg () $ workload_arg $ seed_arg () $ dim_arg $ domains_arg)
 
 let sweep_once (module M : Index.S) block_size fraction kind seed dim domains
     ns =
@@ -211,17 +232,6 @@ let sweep_once (module M : Index.S) block_size fraction kind seed dim domains
     ns
 
 let sweep_cmd =
-  let b = Arg.(value & opt int 64 & info [ "b"; "block-size" ] ~doc:"Block size B.") in
-  let fraction =
-    Arg.(value & opt float 0.02 & info [ "f"; "fraction" ] ~doc:"Query selectivity.")
-  in
-  let kind =
-    Arg.(
-      value
-      & opt workload_conv Workloads.Uniform
-      & info [ "w"; "workload" ] ~doc:"Workload.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
   let n_list =
     Arg.(
       value
@@ -235,8 +245,8 @@ let sweep_cmd =
   Cmd.v
     (Cmd.info "sweep" ~doc:"Sweep N and print I/O scaling")
     Term.(
-      const sweep_once $ structure_arg $ b $ fraction $ kind $ seed $ dim_arg
-      $ domains_arg $ n_list)
+      const sweep_once $ structure_arg $ block_size_arg $ fraction_arg ()
+      $ workload_arg $ seed_arg () $ dim_arg $ domains_arg $ n_list)
 
 (* ---------- knn / segments (structure-specific extensions) ---------- *)
 
@@ -259,14 +269,12 @@ let knn_once n block_size k qx qy seed =
 
 let knn_cmd =
   let n = Arg.(value & opt int 10000 & info [ "n" ] ~doc:"Number of points.") in
-  let b = Arg.(value & opt int 64 & info [ "b"; "block-size" ] ~doc:"Block size B.") in
   let k = Arg.(value & opt int 5 & info [ "k" ] ~doc:"Neighbors to report.") in
   let qx = Arg.(value & opt float 0. & info [ "x" ] ~doc:"Query x.") in
   let qy = Arg.(value & opt float 0. & info [ "y" ] ~doc:"Query y.") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
   Cmd.v
     (Cmd.info "knn" ~doc:"k-nearest-neighbor search via lifting (Thm 4.3)")
-    Term.(const knn_once $ n $ b $ k $ qx $ qy $ seed)
+    Term.(const knn_once $ n $ block_size_arg $ k $ qx $ qy $ seed_arg ())
 
 let segments_once n block_size seed =
   let rng = Workload.rng seed in
@@ -298,35 +306,21 @@ let segments_once n block_size seed =
 
 let segments_cmd =
   let n = Arg.(value & opt int 16384 & info [ "n" ] ~doc:"Number of segments.") in
-  let b = Arg.(value & opt int 64 & info [ "b"; "block-size" ] ~doc:"Block size B.") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
   Cmd.v
     (Cmd.info "segments"
        ~doc:"segment intersection searching (§7 open problem 2)")
-    Term.(const segments_once $ n $ b $ seed)
+    Term.(const segments_once $ n $ block_size_arg $ seed_arg ())
 
 (* ---------- persistence: build / query / inspect ---------- *)
 
-let workload_name = function
-  | Workloads.Uniform -> "uniform"
-  | Workloads.Clusters -> "clusters"
-  | Workloads.Diagonal -> "diagonal"
+let or_die path = function Ok v -> v | Error e -> die "%s: %s" path e
 
-(* The snapshot's meta string records the workload parameters, so
-   [query] can regenerate the exact point and query streams of the
-   process that built the file (same seed -> same Workload.rng). *)
-let meta_string ~name ~n ~block_size ~kind ~seed ~dim =
-  Printf.sprintf "s=%s;n=%d;b=%d;w=%s;seed=%d;d=%d" name n block_size
-    (workload_name kind) seed dim
-
-let meta_field meta key =
-  List.find_map
-    (fun kv ->
-      match String.index_opt kv '=' with
-      | Some i when String.sub kv 0 i = key ->
-          Some (String.sub kv (i + 1) (String.length kv - i - 1))
-      | _ -> None)
-    (String.split_on_char ';' meta)
+let lsm_of path = function
+  | Snapshot_path.Lsm m -> m
+  | _ ->
+      die "%s: not a dynamic (lsm) snapshot — write one with lcsearch build \
+           --dynamic"
+        path
 
 let build_once (module M0 : Index.S) n block_size kind seed out page_size dim
     shards partition dynamic memtable =
@@ -371,64 +365,47 @@ let build_once (module M0 : Index.S) n block_size kind seed out page_size dim
     Emio.Cost_ctx.with_ctx bctx (fun () ->
         M.build ~params:(params_of ~block_size) ~stats ds)
   in
+  (* The meta records the workload parameters, so [query] can
+     regenerate the exact point and query streams of this process. *)
   let meta =
-    let base = meta_string ~name:M0.name ~n ~block_size ~kind ~seed ~dim in
-    if shards = 1 then base
-    else
-      Printf.sprintf "%s;shards=%d;partition=%s" base shards
-        (Shard.partition_name partition)
+    Snapshot_path.meta_to_string
+      {
+        structure = M0.name;
+        n;
+        block_size;
+        kind;
+        seed;
+        dim;
+        shards = (if shards = 1 then None else Some (shards, partition));
+      }
   in
   (try ops.Index.save t ~path:out ~meta ~page_size
    with Invalid_argument msg -> die "cannot write %s: %s" out msg);
-  if dynamic then begin
-    match Lsm.read_manifest out with
-    | Error e ->
-        die "wrote %s but cannot read it back: %s" out
-          (Diskstore.Snapshot.error_to_string e)
-    | Ok m ->
-        Printf.printf
-          "%s: %s over %s  N=%d  B=%d  memtable %d/%d  levels %d  build=%d \
-           model I/Os\n"
-          out Lsm.lsm_kind m.Lsm.inner_kind n block_size
-          (Array.length m.Lsm.mem) m.Lsm.cap
-          (Array.length m.Lsm.levels)
-          (Emio.Cost_ctx.total bctx)
-  end
-  else if shards > 1 then begin
-    match Shard.read_manifest out with
-    | Error e ->
-        die "wrote %s but cannot read it back: %s" out
-          (Diskstore.Snapshot.error_to_string e)
-    | Ok m ->
-        Printf.printf
-          "%s: %s  %d %s shards of %s  N=%d  B=%d  build=%d model I/Os\n" out
-          Shard.sharded_kind m.Shard.shards
-          (Shard.partition_name m.Shard.partition)
-          m.Shard.inner_kind n block_size
-          (Emio.Cost_ctx.total bctx)
-  end
-  else
-    match Diskstore.Snapshot.read_info out with
-    | Error e ->
-        die "wrote %s but cannot read it back: %s" out
-          (Diskstore.Snapshot.error_to_string e)
-    | Ok info ->
-        Printf.printf
-          "%s: %s  N=%d  B=%d  build=%d model I/Os  %d pages of %d bytes\n" out
-          info.Diskstore.Snapshot.kind n block_size
-          (Emio.Cost_ctx.total bctx)
-          info.Diskstore.Snapshot.total_pages info.Diskstore.Snapshot.page_size
+  let build_ios = Emio.Cost_ctx.total bctx in
+  match Snapshot_path.read_layout out with
+  | Error e -> die "wrote %s but cannot read it back: %s" out e
+  | Ok (Snapshot_path.Lsm m) ->
+      Printf.printf
+        "%s: %s over %s  N=%d  B=%d  memtable %d/%d  levels %d  build=%d model \
+         I/Os\n"
+        out Lsm.lsm_kind m.Lsm.inner_kind n block_size (Array.length m.Lsm.mem)
+        m.Lsm.cap
+        (Array.length m.Lsm.levels)
+        build_ios
+  | Ok (Snapshot_path.Sharded m) ->
+      Printf.printf
+        "%s: %s  %d %s shards of %s  N=%d  B=%d  build=%d model I/Os\n" out
+        Shard.sharded_kind m.Shard.shards
+        (Shard.partition_name m.Shard.partition)
+        m.Shard.inner_kind n block_size build_ios
+  | Ok (Snapshot_path.File info) ->
+      Printf.printf
+        "%s: %s  N=%d  B=%d  build=%d model I/Os  %d pages of %d bytes\n" out
+        info.Diskstore.Snapshot.kind n block_size build_ios
+        info.Diskstore.Snapshot.total_pages info.Diskstore.Snapshot.page_size
 
 let build_cmd =
   let n = Arg.(value & opt int 16384 & info [ "n" ] ~doc:"Number of points.") in
-  let b = Arg.(value & opt int 64 & info [ "b"; "block-size" ] ~doc:"Block size B.") in
-  let kind =
-    Arg.(
-      value
-      & opt workload_conv Workloads.Uniform
-      & info [ "w"; "workload" ] ~doc:"Workload: uniform, clusters, diagonal.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
   let out =
     Arg.(
       required
@@ -480,40 +457,11 @@ let build_cmd =
   Cmd.v
     (Cmd.info "build" ~doc:"Build a structure and persist it to a snapshot")
     Term.(
-      const build_once $ structure_arg $ n $ b $ kind $ seed $ out $ page_size
-      $ dim_arg $ shards $ partition $ dynamic $ memtable)
-
-let policy_conv =
-  Arg.enum
-    [ ("lru", Diskstore.Buffer_pool.Lru); ("clock", Diskstore.Buffer_pool.Clock) ]
+      const build_once $ structure_arg $ n $ block_size_arg $ workload_arg
+      $ seed_arg () $ out $ page_size $ dim_arg $ shards $ partition $ dynamic
+      $ memtable)
 
 let sorted_rows l = List.sort compare (List.map Array.to_list l)
-
-(* Decode the builder meta string (see [meta_string]) so a fresh
-   process can replay the exact workload streams. *)
-let parse_meta path meta =
-  let field key =
-    match meta_field meta key with
-    | Some v -> v
-    | None -> die "%s: snapshot meta %S lacks %S" path meta key
-  in
-  let int_field key =
-    match int_of_string_opt (field key) with
-    | Some v -> v
-    | None -> die "%s: bad %S in snapshot meta" path key
-  in
-  let kind =
-    match field "w" with
-    | "uniform" -> Workloads.Uniform
-    | "clusters" -> Workloads.Clusters
-    | "diagonal" -> Workloads.Diagonal
-    | w -> die "%s: unknown workload %S in snapshot meta" path w
-  in
-  ( int_field "n",
-    int_field "b",
-    int_field "seed",
-    int_field "d",
-    kind )
 
 let dataset_of_rows (module M : Index.S) ~dim rows =
   match M.preferred ~dim with
@@ -522,205 +470,65 @@ let dataset_of_rows (module M : Index.S) ~dim rows =
       Index.Pts3 (Array.map (fun r -> Geom.Point3.make r.(0) r.(1) r.(2)) rows)
   | `PtsD -> Index.PtsD (Array.map Array.copy rows)
 
-(* The base registry module behind an Lsm manifest: the inner kind
-   itself, or — when the inner is the sharded wrapper — the kind its
-   shard manifests record.  Drives oracle rebuilds and workload
-   replay; the wrapper's [preferred] is a passthrough, so the base
-   module regenerates the exact dataset stream the builder consumed. *)
-let lsm_base_module path (m : Lsm.manifest) =
-  match Lsm.base_kind path m with
-  | Error e -> die "%s: %s" path (Diskstore.Snapshot.error_to_string e)
-  | Ok kind -> (
-      match Registry.find_by_snapshot_kind kind with
-      | Some base -> base
-      | None ->
-          die "%s: no registered structure owns snapshot kind %S" path kind)
-
-(* Reopen a dynamic (LSM) snapshot directory and query it.  [--check]
-   rebuilds the inner *static* structure in memory from the manifest's
-   live rows — the rebuild-from-live oracle — so the check gates
-   bit-equality of memtable + level fan-out + tombstone filtering
-   against a from-scratch build over exactly the surviving points. *)
-let lsm_query_once path fraction queries cache_pages policy check =
-  let stats = Emio.Io_stats.create () in
-  let inst, info, m =
-    match Lsm.open_snapshot ~policy ~cache_pages ~stats path with
-    | Ok v -> v
-    | Error e -> die "%s: %s" path (Diskstore.Snapshot.error_to_string e)
-  in
-  let meta = m.Lsm.meta in
-  let n, _block_size, seed, dim, kind = parse_meta path meta in
-  let (module M : Index.S) = lsm_base_module path m in
-  let rng = Workload.rng seed in
-  let ds = Workloads.dataset rng ~kind ~dim ~n (module M : Index.S) in
-  let live = Lsm.manifest_live_rows m in
-  let reference =
-    if not check then None
-    else begin
-      let rstats = Emio.Io_stats.create () in
-      let ods = dataset_of_rows (module M : Index.S) ~dim (Array.map snd live) in
-      Some
-        (Index.build (module M : Index.S) ~params:m.Lsm.params ~stats:rstats
-           ods)
-    end
-  in
-  Printf.printf
-    "%s: %s over %s  meta %s  %d levels, %d in memtable, %d live\n" path
-    info.Diskstore.Snapshot.kind m.Lsm.inner_kind meta
-    (Array.length m.Lsm.levels)
-    (Array.length m.Lsm.mem) (Array.length live);
-  Emio.Io_stats.reset stats (* drop the load-time verification sweep *);
-  let total_t = ref 0 and mismatches = ref 0 in
-  for _ = 1 to queries do
-    let q = Workloads.query rng ds ~fraction in
-    let result = Index.query inst q in
-    total_t := !total_t + List.length result;
-    match reference with
-    | Some r ->
-        if sorted_rows (Index.query r q) <> sorted_rows result then
-          incr mismatches
-    | None -> ()
-  done;
-  Printf.printf
-    "%d queries at selectivity %.3f: avg t=%d points, %d page faults, %d \
-     pool hits, %d evictions, %.1f KiB read\n"
-    queries fraction
-    (!total_t / max 1 queries)
-    (Emio.Io_stats.reads stats)
-    (Emio.Io_stats.cache_hits stats)
-    (Emio.Io_stats.evictions stats)
-    (float_of_int (Emio.Io_stats.bytes_read stats) /. 1024.);
-  if check then
-    if !mismatches = 0 then
-      Printf.printf
-        "check: all %d dynamized result sets identical to a static rebuild \
-         over the live points\n"
-        queries
-    else
-      die "check FAILED: %d of %d result sets differ from the static \
-           rebuild-from-live oracle"
-        !mismatches queries
-
-(* Reopen a sharded snapshot directory and scatter-gather queries over
-   its shards.  [--check] rebuilds the *unsharded* structure in memory
-   from the recorded workload, so the check gates bit-equality of the
-   sharded results against the unsharded oracle. *)
-let sharded_query_once path fraction queries cache_pages policy check =
-  let stats = Emio.Io_stats.create () in
-  let inst, info, m =
-    match Shard.open_snapshot ~policy ~cache_pages ~stats path with
-    | Ok v -> v
-    | Error e -> die "%s: %s" path (Diskstore.Snapshot.error_to_string e)
-  in
-  let meta = m.Shard.meta in
-  let n, block_size, seed, _dim, kind = parse_meta path meta in
-  let (module M : Index.S) =
-    match Registry.find_by_snapshot_kind m.Shard.inner_kind with
-    | Some m -> m
-    | None ->
-        die "%s: no registered structure owns snapshot kind %S" path
-          m.Shard.inner_kind
-  in
-  let rng = Workload.rng seed in
-  let ds = Workloads.dataset rng ~kind ~dim:m.Shard.dim ~n (module M : Index.S) in
-  let reference =
-    if not check then None
-    else begin
-      let rstats = Emio.Io_stats.create () in
-      Some
-        (Index.build
-           (module M : Index.S)
-           ~params:(params_of ~block_size) ~stats:rstats ds)
-    end
-  in
-  Printf.printf "%s: %s (%d %s shards of %s)  meta %s  %d pages of %d bytes\n"
-    path info.Diskstore.Snapshot.kind m.Shard.shards
-    (Shard.partition_name m.Shard.partition)
-    m.Shard.inner_kind meta info.Diskstore.Snapshot.total_pages
-    info.Diskstore.Snapshot.page_size;
-  Emio.Io_stats.reset stats (* drop the load-time verification sweep *);
-  let total_t = ref 0 and mismatches = ref 0 in
-  for _ = 1 to queries do
-    let q = Workloads.query rng ds ~fraction in
-    let result = Index.query inst q in
-    total_t := !total_t + List.length result;
-    match reference with
-    | Some r ->
-        if sorted_rows (Index.query r q) <> sorted_rows result then
-          incr mismatches
-    | None -> ()
-  done;
-  Printf.printf
-    "%d queries at selectivity %.3f: avg t=%d points, %d page faults, %d \
-     pool hits, %d evictions, %.1f KiB read\n"
-    queries fraction
-    (!total_t / max 1 queries)
-    (Emio.Io_stats.reads stats)
-    (Emio.Io_stats.cache_hits stats)
-    (Emio.Io_stats.evictions stats)
-    (float_of_int (Emio.Io_stats.bytes_read stats) /. 1024.);
-  if check then
-    if !mismatches = 0 then
-      Printf.printf
-        "check: all %d sharded result sets identical to the unsharded \
-         in-memory oracle\n"
-        queries
-    else
-      die "check FAILED: %d of %d result sets differ from unsharded oracle"
-        !mismatches queries
-
+(* Reopen any snapshot layout and run the builder's replayed query
+   stream against it.  [--check] compares every result set with the
+   base structure rebuilt in memory: from the manifest's live rows for
+   a dynamic (LSM) directory — the rebuild-from-live oracle, gating
+   memtable + level fan-out + tombstone filtering — and from the
+   replayed workload otherwise (for a sharded directory, the unsharded
+   oracle). *)
 let query_once path fraction queries cache_pages policy check =
-  if Lsm.is_lsm_path path then
-    lsm_query_once path fraction queries cache_pages policy check
-  else if Shard.is_sharded_path path then
-    sharded_query_once path fraction queries cache_pages policy check
-  else
-  let info =
-    match Diskstore.Snapshot.read_info path with
-    | Ok info -> info
-    | Error e -> die "%s: %s" path (Diskstore.Snapshot.error_to_string e)
-  in
-  let meta = info.Diskstore.Snapshot.meta in
-  let n, block_size, seed, dim, kind = parse_meta path meta in
-  (* generic dispatch: the header's kind tag names the module *)
-  let (module M : Index.S) =
-    match Registry.find_by_snapshot_kind info.Diskstore.Snapshot.kind with
-    | Some m -> m
-    | None ->
-        die "%s: no registered structure owns snapshot kind %S" path
-          info.Diskstore.Snapshot.kind
-  in
-  let ops = Option.get M.snapshot in
-  (* replay the builder's stream: points first, then queries *)
-  let rng = Workload.rng seed in
-  let ds = Workloads.dataset rng ~kind ~dim ~n (module M : Index.S) in
   let stats = Emio.Io_stats.create () in
-  let t =
-    match ops.Index.load ~stats ~policy ~cache_pages path with
-    | Ok (t, _) -> t
-    | Error e -> die "%s: %s" path (Diskstore.Snapshot.error_to_string e)
+  let inst, info, h =
+    or_die path (Snapshot_path.open_ ~policy ~cache_pages ~stats path)
   in
-  let reference =
-    if not check then None
-    else begin
-      let rstats = Emio.Io_stats.create () in
-      Some (M.build ~params:(params_of ~block_size) ~stats:rstats ds)
-    end
+  let (module B : Index.S) = h.Snapshot_path.base in
+  let meta = h.Snapshot_path.meta in
+  let rng, ds = Snapshot_path.replay h in
+  let rebuild params ds () =
+    Index.build (module B : Index.S) ~params ~stats:(Emio.Io_stats.create ())
+      ds
   in
-  Printf.printf "%s: %s  meta %s  %d pages of %d bytes\n" path
-    info.Diskstore.Snapshot.kind meta info.Diskstore.Snapshot.total_pages
-    info.Diskstore.Snapshot.page_size;
+  let pages =
+    Printf.sprintf "meta %s  %d pages of %d bytes" info.Diskstore.Snapshot.meta
+      info.Diskstore.Snapshot.total_pages info.Diskstore.Snapshot.page_size
+  in
+  let static_oracle = rebuild (params_of ~block_size:meta.block_size) ds in
+  let detail, oracle_name, oracle =
+    match h.Snapshot_path.layout with
+    | Snapshot_path.Lsm m ->
+        let live = Array.map snd (Lsm.manifest_live_rows m) in
+        ( Printf.sprintf "over %s  meta %s  %d levels, %d in memtable, %d live"
+            m.Lsm.inner_kind info.Diskstore.Snapshot.meta
+            (Array.length m.Lsm.levels)
+            (Array.length m.Lsm.mem) (Array.length live),
+          "the static rebuild-from-live oracle",
+          fun () ->
+            rebuild m.Lsm.params
+              (dataset_of_rows (module B : Index.S) ~dim:meta.dim live)
+              () )
+    | Snapshot_path.Sharded m ->
+        ( Printf.sprintf "(%d %s shards of %s)  %s" m.Shard.shards
+            (Shard.partition_name m.Shard.partition)
+            m.Shard.inner_kind pages,
+          "the unsharded in-memory oracle",
+          static_oracle )
+    | Snapshot_path.File _ -> (" " ^ pages, "an in-memory rebuild", static_oracle)
+  in
+  let reference = if check then Some (oracle ()) else None in
+  Printf.printf "%s: %s %s\n" path info.Diskstore.Snapshot.kind detail;
   Emio.Io_stats.reset stats (* drop the load-time verification sweep *);
   let total_t = ref 0 and mismatches = ref 0 in
-  for _ = 1 to queries do
-    let q = Workloads.query rng ds ~fraction in
-    let result = M.query t q in
-    total_t := !total_t + List.length result;
-    match reference with
-    | Some r ->
-        if sorted_rows (M.query r q) <> sorted_rows result then incr mismatches
-    | None -> ()
-  done;
+  List.iter
+    (fun q ->
+      let result = Index.query inst q in
+      total_t := !total_t + List.length result;
+      match reference with
+      | Some r ->
+          if sorted_rows (Index.query r q) <> sorted_rows result then
+            incr mismatches
+      | None -> ())
+    (Workloads.queries rng ds ~fraction ~count:queries);
   Printf.printf
     "%d queries at selectivity %.3f: avg t=%d points, %d page faults, %d \
      pool hits, %d evictions, %.1f KiB read\n"
@@ -732,100 +540,74 @@ let query_once path fraction queries cache_pages policy check =
     (float_of_int (Emio.Io_stats.bytes_read stats) /. 1024.);
   if check then
     if !mismatches = 0 then
-      Printf.printf
-        "check: all %d result sets identical to an in-memory rebuild\n" queries
+      Printf.printf "check: all %d result sets identical to %s\n" queries
+        oracle_name
     else
-      die "check FAILED: %d of %d result sets differ from in-memory rebuild"
-        !mismatches queries
+      die "check FAILED: %d of %d result sets differ from %s" !mismatches
+        queries oracle_name
+
+let snapshot_path_arg =
+  Arg.(
+    required
+    & pos 0 (some file) None
+    & info [] ~docv:"PATH"
+        ~doc:
+          "Snapshot written by $(b,lcsearch build): a file, or a sharded or \
+           dynamic directory.")
 
 let query_cmd =
-  let path =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"PATH" ~doc:"Snapshot file written by $(b,lcsearch build).")
-  in
-  let fraction =
-    Arg.(value & opt float 0.02 & info [ "f"; "fraction" ] ~doc:"Query selectivity.")
-  in
-  let queries = Arg.(value & opt int 20 & info [ "q"; "queries" ] ~doc:"Query count.") in
-  let cache_pages =
-    Arg.(
-      value & opt int 64
-      & info [ "cache-pages" ] ~doc:"Buffer-pool capacity in pages.")
-  in
-  let policy =
-    Arg.(
-      value
-      & opt policy_conv Diskstore.Buffer_pool.Lru
-      & info [ "policy" ] ~doc:"Buffer-pool eviction policy: lru or clock.")
-  in
-  let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Rebuild the structure in memory from the recorded workload and \
-             verify every result set matches the snapshot's.")
-  in
   Cmd.v
     (Cmd.info "query" ~doc:"Reopen a persisted snapshot and query it")
     Term.(
-      const query_once $ path $ fraction $ queries $ cache_pages $ policy
-      $ check)
+      const query_once $ snapshot_path_arg $ fraction_arg () $ queries_arg ()
+      $ cache_pages_arg $ policy_arg
+      $ check_arg
+          "Rebuild the structure in memory (from the recorded workload, or \
+           from the live points of a dynamic snapshot) and verify every \
+           result set matches the snapshot's.")
 
 let pp_corner a =
   String.concat ", "
     (List.map (Printf.sprintf "%g") (Array.to_list a))
 
 let inspect_once path =
-  if Lsm.is_lsm_path path then begin
-    match Lsm.read_manifest path with
-    | Error e -> die "%s: %s" path (Diskstore.Snapshot.error_to_string e)
-    | Ok m ->
-        Printf.printf
-          "%s:\n  kind        %s\n  inner kind  %s\n  dim         %d\n\
-          \  memtable    %d/%d entries\n  levels      %d\n  live        %d\n\
-          \  merges      %d\n  next handle %d\n  meta        %s\n"
-          path Lsm.lsm_kind m.Lsm.inner_kind m.Lsm.dim
-          (Array.length m.Lsm.mem)
-          m.Lsm.cap
-          (Array.length m.Lsm.levels)
-          (Array.length (Lsm.manifest_live_rows m))
-          m.Lsm.merges m.Lsm.next_handle m.Lsm.meta;
-        Array.iter
-          (fun (e : Lsm.level_entry) ->
-            Printf.printf
-              "  level %-16s slot %-2d crc %08x  %-8d points, %d dead\n"
-              e.Lsm.file e.Lsm.slot e.Lsm.crc
-              (Array.length e.Lsm.handles)
-              (Array.length e.Lsm.dead))
-          m.Lsm.levels
-  end
-  else if Shard.is_sharded_path path then begin
-    match Shard.read_manifest path with
-    | Error e -> die "%s: %s" path (Diskstore.Snapshot.error_to_string e)
-    | Ok m ->
-        Printf.printf
-          "%s:\n  kind        %s\n  inner kind  %s\n  partition   %s\n\
-          \  shards      %d\n  dim         %d\n  points      %d\n\
-          \  meta        %s\n"
-          path Shard.sharded_kind m.Shard.inner_kind
-          (Shard.partition_name m.Shard.partition)
-          m.Shard.shards m.Shard.dim m.Shard.total m.Shard.meta;
-        Array.iter
-          (fun (e : Shard.entry) ->
-            Printf.printf
-              "  shard %-16s crc %08x  ids %-8d tile [%s] .. [%s]\n"
-              e.Shard.file e.Shard.crc
-              (Array.length e.Shard.gids)
-              (pp_corner e.Shard.lo) (pp_corner e.Shard.hi))
-          m.Shard.entries
-  end
-  else
-  match Diskstore.Snapshot.read_info path with
-  | Error e -> die "%s: %s" path (Diskstore.Snapshot.error_to_string e)
-  | Ok i ->
+  match or_die path (Snapshot_path.read_layout path) with
+  | Snapshot_path.Lsm m ->
+      Printf.printf
+        "%s:\n  kind        %s\n  inner kind  %s\n  dim         %d\n\
+        \  memtable    %d/%d entries\n  levels      %d\n  live        %d\n\
+        \  merges      %d\n  next handle %d\n  meta        %s\n"
+        path Lsm.lsm_kind m.Lsm.inner_kind m.Lsm.dim
+        (Array.length m.Lsm.mem)
+        m.Lsm.cap
+        (Array.length m.Lsm.levels)
+        (Array.length (Lsm.manifest_live_rows m))
+        m.Lsm.merges m.Lsm.next_handle m.Lsm.meta;
+      Array.iter
+        (fun (e : Lsm.level_entry) ->
+          Printf.printf
+            "  level %-16s slot %-2d crc %08x  %-8d points, %d dead\n"
+            e.Lsm.file e.Lsm.slot e.Lsm.crc
+            (Array.length e.Lsm.handles)
+            (Array.length e.Lsm.dead))
+        m.Lsm.levels
+  | Snapshot_path.Sharded m ->
+      Printf.printf
+        "%s:\n  kind        %s\n  inner kind  %s\n  partition   %s\n\
+        \  shards      %d\n  dim         %d\n  points      %d\n\
+        \  meta        %s\n"
+        path Shard.sharded_kind m.Shard.inner_kind
+        (Shard.partition_name m.Shard.partition)
+        m.Shard.shards m.Shard.dim m.Shard.total m.Shard.meta;
+      Array.iter
+        (fun (e : Shard.entry) ->
+          Printf.printf
+            "  shard %-16s crc %08x  ids %-8d tile [%s] .. [%s]\n"
+            e.Shard.file e.Shard.crc
+            (Array.length e.Shard.gids)
+            (pp_corner e.Shard.lo) (pp_corner e.Shard.hi))
+        m.Shard.entries
+  | Snapshot_path.File i ->
       Printf.printf
         "%s:\n  kind        %s\n  meta        %s\n  version     %d\n\
         \  page size   %d bytes\n  block size  %d items\n  blocks      %d\n\
@@ -837,30 +619,27 @@ let inspect_once path =
         (i.Diskstore.Snapshot.total_pages * i.Diskstore.Snapshot.page_size)
 
 let inspect_cmd =
-  let path =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"PATH" ~doc:"Snapshot file.")
-  in
   Cmd.v
-    (Cmd.info "inspect" ~doc:"Print a snapshot file's header")
-    Term.(const inspect_once $ path)
+    (Cmd.info "inspect" ~doc:"Print a snapshot's header or manifest")
+    Term.(const inspect_once $ snapshot_path_arg)
 
 (* ---------- dynamic updates: insert / delete / churn ---------- *)
 
+let dynamic_path_arg =
+  Arg.(
+    required
+    & pos 0 (some file) None
+    & info [] ~docv:"PATH"
+        ~doc:"Dynamic snapshot written by $(b,lcsearch build --dynamic).")
+
 let open_lsm_for_update path =
-  if not (Lsm.is_lsm_path path) then
-    die "%s: not a dynamic (lsm) snapshot — write one with lcsearch build \
-         --dynamic"
-      path;
-  let stats = Emio.Io_stats.create () in
-  match Lsm.open_snapshot ~stats path with
-  | Error e -> die "%s: %s" path (Diskstore.Snapshot.error_to_string e)
-  | Ok (inst, info, m) -> (
-      match Index.updater inst with
-      | None -> die "%s: reopened snapshot is not updatable" path
-      | Some u -> (inst, info, m, u))
+  let inst, info, h =
+    or_die path (Snapshot_path.open_ ~stats:(Emio.Io_stats.create ()) path)
+  in
+  let m = lsm_of path h.Snapshot_path.layout in
+  match Index.updater inst with
+  | None -> die "%s: reopened snapshot is not updatable" path
+  | Some u -> (inst, info, m, u, h.Snapshot_path.base)
 
 (* The page size updated levels are rewritten at: keep the snapshot's
    own, falling back to the default when the manifest carries no level
@@ -904,7 +683,7 @@ let fresh_row rng ~dim ~lo ~hi =
 let insert_once path count seed =
   install_clean_exit ();
   if count < 1 then die "--count must be at least 1";
-  let inst, info, m, u = open_lsm_for_update path in
+  let inst, info, m, u, _ = open_lsm_for_update path in
   let dim = m.Lsm.dim in
   let live = Lsm.manifest_live_rows m in
   let lo, hi = live_bbox ~dim (Array.map snd live) in
@@ -924,29 +703,19 @@ let insert_once path count seed =
     (u.Index.u_live ())
 
 let insert_cmd =
-  let path =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"PATH"
-          ~doc:"Dynamic snapshot written by $(b,lcsearch build --dynamic).")
-  in
   let count =
     Arg.(value & opt int 1 & info [ "count" ] ~doc:"Points to insert.")
-  in
-  let seed =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~doc:"Random seed for the generated points.")
   in
   Cmd.v
     (Cmd.info "insert"
        ~doc:"Insert random points into a dynamic snapshot, in place")
-    Term.(const insert_once $ path $ count $ seed)
+    Term.(
+      const insert_once $ dynamic_path_arg $ count
+      $ seed_arg ~doc:"Random seed for the generated points." ())
 
 let delete_once path handles count seed =
   install_clean_exit ();
-  let inst, info, m, u = open_lsm_for_update path in
+  let inst, info, m, u, _ = open_lsm_for_update path in
   let live = Lsm.manifest_live_rows m in
   let targets =
     match handles with
@@ -985,13 +754,6 @@ let delete_once path handles count seed =
     (u.Index.u_live ())
 
 let delete_cmd =
-  let path =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"PATH"
-          ~doc:"Dynamic snapshot written by $(b,lcsearch build --dynamic).")
-  in
   let handles =
     Arg.(
       value
@@ -1007,11 +769,10 @@ let delete_cmd =
       & info [ "count" ]
           ~doc:"Random live points to delete when --handles is not given.")
   in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
   Cmd.v
     (Cmd.info "delete"
        ~doc:"Tombstone points in a dynamic snapshot, in place")
-    Term.(const delete_once $ path $ handles $ count $ seed)
+    Term.(const delete_once $ dynamic_path_arg $ handles $ count $ seed_arg ())
 
 (* Apply a mixed insert/delete stream while maintaining an exact
    (handle -> row) model, then — under [--check] — gate the dynamized
@@ -1023,9 +784,8 @@ let churn_once path ops insert_frac fraction queries seed check =
   if ops < 1 then die "--ops must be at least 1";
   if insert_frac < 0. || insert_frac > 1. then
     die "--insert-frac must be in [0,1]";
-  let inst, info, m, u = open_lsm_for_update path in
+  let inst, info, m, u, (module M : Index.S) = open_lsm_for_update path in
   let dim = m.Lsm.dim in
-  let (module M : Index.S) = lsm_base_module path m in
   let live0 = Lsm.manifest_live_rows m in
   let lo, hi = live_bbox ~dim (Array.map snd live0) in
   let rng = Workload.rng seed in
@@ -1087,31 +847,27 @@ let churn_once path ops insert_frac fraction queries seed check =
   if check then gate inst;
   Index.snapshot_save inst ~path ~meta:m.Lsm.meta
     ~page_size:(save_page_size info);
-  if check then begin
-    let stats2 = Emio.Io_stats.create () in
-    match Lsm.open_snapshot ~stats:stats2 path with
-    | Error e ->
-        die "%s: reopen after churn failed: %s" path
-          (Diskstore.Snapshot.error_to_string e)
-    | Ok (inst2, _, m2) ->
-        if Array.length (Lsm.manifest_live_rows m2) <> !len then
-          die "%s: reopened manifest has %d live rows, model has %d" path
-            (Array.length (Lsm.manifest_live_rows m2))
-            !len;
-        gate inst2
-  end;
-  (match Lsm.read_manifest path with
-  | Error e ->
-      die "wrote %s but cannot read it back: %s" path
-        (Diskstore.Snapshot.error_to_string e)
-  | Ok m' ->
-      Printf.printf
-        "%s: %d ops (%d inserts, %d deletes), %d live, %d levels, memtable \
-         %d/%d\n"
-        path ops !inserted !deleted !len
-        (Array.length m'.Lsm.levels)
-        (Array.length m'.Lsm.mem)
-        m'.Lsm.cap);
+  let m' =
+    if not check then lsm_of path (or_die path (Snapshot_path.read_layout path))
+    else begin
+      let inst2, _, h2 =
+        or_die path (Snapshot_path.open_ ~stats:(Emio.Io_stats.create ()) path)
+      in
+      let m2 = lsm_of path h2.Snapshot_path.layout in
+      let live2 = Array.length (Lsm.manifest_live_rows m2) in
+      if live2 <> !len then
+        die "%s: reopened manifest has %d live rows, model has %d" path live2
+          !len;
+      gate inst2;
+      m2
+    end
+  in
+  Printf.printf
+    "%s: %d ops (%d inserts, %d deletes), %d live, %d levels, memtable %d/%d\n"
+    path ops !inserted !deleted !len
+    (Array.length m'.Lsm.levels)
+    (Array.length m'.Lsm.mem)
+    m'.Lsm.cap;
   if check then
     if !mismatches = 0 then
       Printf.printf
@@ -1124,13 +880,6 @@ let churn_once path ops insert_frac fraction queries seed check =
         !mismatches (2 * queries)
 
 let churn_cmd =
-  let path =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"PATH"
-          ~doc:"Dynamic snapshot written by $(b,lcsearch build --dynamic).")
-  in
   let ops =
     Arg.(
       value & opt int 256 & info [ "ops" ] ~doc:"Update operations to apply.")
@@ -1141,32 +890,18 @@ let churn_cmd =
       & info [ "insert-frac" ]
           ~doc:"Fraction of operations that insert (the rest delete).")
   in
-  let fraction =
-    Arg.(
-      value & opt float 0.02
-      & info [ "f"; "fraction" ] ~doc:"Query selectivity for --check.")
-  in
-  let queries =
-    Arg.(
-      value & opt int 20
-      & info [ "q"; "queries" ] ~doc:"Query count for --check.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
-  let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Verify every query result against a static in-memory rebuild \
-             over the live points, save, reopen the snapshot, and verify \
-             again; exit nonzero on any mismatch.")
-  in
   Cmd.v
     (Cmd.info "churn"
        ~doc:"Apply a random update stream to a dynamic snapshot")
     Term.(
-      const churn_once $ path $ ops $ insert_frac $ fraction $ queries $ seed
-      $ check)
+      const churn_once $ dynamic_path_arg $ ops $ insert_frac
+      $ fraction_arg ~doc:"Query selectivity for --check." ()
+      $ queries_arg ~doc:"Query count for --check." ()
+      $ seed_arg ()
+      $ check_arg
+          "Verify every query result against a static in-memory rebuild \
+           over the live points, save, reopen the snapshot, and verify \
+           again; exit nonzero on any mismatch.")
 
 (* ---------- serve / loadgen ---------- *)
 
@@ -1181,7 +916,9 @@ let snapshots_arg =
     non_empty
     & pos_all file []
     & info [] ~docv:"SNAPSHOT"
-        ~doc:"Snapshot files written by $(b,lcsearch build), one per structure.")
+        ~doc:
+          "Snapshots written by $(b,lcsearch build) (files or directories), \
+           one per structure.")
 
 let serve_once host port snapshots queue batch dispatchers readers coalesce_us
     domains deadline_ms read_timeout cache_pages policy no_resident verbose =
@@ -1293,17 +1030,6 @@ let serve_cmd =
       value & opt float 30.
       & info [ "read-timeout" ] ~doc:"Per-connection idle timeout in seconds.")
   in
-  let cache_pages =
-    Arg.(
-      value & opt int 64
-      & info [ "cache-pages" ] ~doc:"Buffer-pool capacity in pages.")
-  in
-  let policy =
-    Arg.(
-      value
-      & opt policy_conv Diskstore.Buffer_pool.Lru
-      & info [ "policy" ] ~doc:"Buffer-pool eviction policy: lru or clock.")
-  in
   let no_resident =
     Arg.(
       value & flag
@@ -1320,7 +1046,7 @@ let serve_cmd =
     Term.(
       const serve_once $ host_arg $ port $ snapshots_arg $ queue $ batch
       $ dispatchers $ readers $ coalesce $ domains_arg $ deadline
-      $ read_timeout $ cache_pages $ policy $ no_resident $ verbose)
+      $ read_timeout $ cache_pages_arg $ policy_arg $ no_resident $ verbose)
 
 let loadgen_once host port snapshots mode_name concurrency qps duration warmup
     mix_name zipf_s pool fraction want_ids deadline_ms check seed writers
@@ -1410,9 +1136,6 @@ let loadgen_cmd =
       value & opt int 64
       & info [ "pool" ] ~doc:"Pregenerated queries per structure.")
   in
-  let fraction =
-    Arg.(value & opt float 0.02 & info [ "f"; "fraction" ] ~doc:"Query selectivity.")
-  in
   let want_ids =
     Arg.(
       value & flag
@@ -1423,16 +1146,6 @@ let loadgen_cmd =
       value & opt int 0
       & info [ "deadline-ms" ] ~doc:"Per-request deadline (0 = server default).")
   in
-  let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Reopen each snapshot in-process and verify every response's \
-             count, I/O cost words, and ids against the sequential \
-             single-query engine; exit nonzero on any mismatch.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
   let writers =
     Arg.(
       value & opt int 1
@@ -1462,8 +1175,13 @@ let loadgen_cmd =
        ~doc:"Drive a running lcsearch serve and measure tail latency")
     Term.(
       const loadgen_once $ host_arg $ port $ snapshots_arg $ mode $ concurrency
-      $ qps $ duration $ warmup $ mix $ zipf_s $ pool $ fraction $ want_ids
-      $ deadline $ check $ seed $ writers $ server_domains $ out $ verbose)
+      $ qps $ duration $ warmup $ mix $ zipf_s $ pool $ fraction_arg ()
+      $ want_ids $ deadline
+      $ check_arg
+          "Reopen each snapshot in-process and verify every response's \
+           count, I/O cost words, and ids against the sequential \
+           single-query engine; exit nonzero on any mismatch."
+      $ seed_arg () $ writers $ server_domains $ out $ verbose)
 
 let info_text () =
   print_string

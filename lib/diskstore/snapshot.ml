@@ -183,13 +183,19 @@ let map_read_error = function
   | Block_file.Bad_checksum { page } -> Bad_checksum { page }
 
 (* Parse the header without page-size knowledge: read the raw page-0
-   prefix, validate magic and CRC by hand, then decode the fields. *)
+   prefix, validate magic and CRC by hand, then decode the fields.  A
+   path that cannot be opened or sized as a file (missing, unreadable,
+   a directory) is a [Bad_header], never an exception. *)
 let parse_header path =
-  let ic = open_in_bin path in
+  match open_in_bin path with
+  | exception Sys_error msg -> Error (Bad_header msg)
+  | ic ->
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
-      let size = in_channel_length ic in
+      match in_channel_length ic with
+      | exception Sys_error msg -> Error (Bad_header msg)
+      | size ->
       if size < 16 then Error (Truncated { expected_bytes = 16; actual_bytes = size })
       else begin
         let prefix = Bytes.create (min size 65536) in

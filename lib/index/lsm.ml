@@ -94,7 +94,6 @@ let manifest_codec =
           (triple u32 params_codec string)
           (pair (array (pair int (array float))) (array entry_codec))))
 
-let is_lsm_path path = Manifest_dir.is_kind path ~kind:lsm_kind
 let read_manifest dir = Manifest_dir.read_manifest dir manifest_codec
 
 let rec rm_rf p =
@@ -758,53 +757,23 @@ let make ?(memtable_cap = default_memtable_cap) ?build_domains
             }
   end)
 
-(* The registry-owned kind at the bottom of the wrapper stack: the
-   inner kind itself, or — when the inner is the sharded wrapper — the
-   kind its shard manifests record.  Consumers that replay the build
-   workload (CLI oracles, the load generator's query pool) resolve
-   the base module through this. *)
-let base_kind path (m : manifest) =
-  if not (String.equal m.inner_kind Shard.sharded_kind) then Ok m.inner_kind
-  else if Array.length m.levels = 0 then
-    Error
-      (Diskstore.Snapshot.Bad_header
-         "lsm over a sharded inner needs at least one level to reopen")
-  else
-    Result.map
-      (fun sm -> sm.Shard.inner_kind)
-      (Shard.read_manifest (Filename.concat path m.levels.(0).file))
-
 let open_snapshot ?(policy = Diskstore.Buffer_pool.Lru) ?(cache_pages = 64)
     ?build_domains ~stats path =
   let ( let* ) = Result.bind in
   let* m = read_manifest path in
-  let registered kind =
-    match Registry.find_by_snapshot_kind kind with
-    | Some im -> Ok im
-    | None ->
-        Error
-          (Diskstore.Snapshot.Bad_header
-             (Printf.sprintf "no registered structure owns snapshot kind %S"
-                kind))
-  in
   let* (module Inner : Index.S) =
     (* An Lsm over a sharded structure stores one sharded directory per
        level; recover the shard configuration from the first level's
        own manifest, since the Shard wrapper is not registry-owned. *)
-    if String.equal m.inner_kind Shard.sharded_kind then
-      if Array.length m.levels = 0 then
-        Error
-          (Diskstore.Snapshot.Bad_header
-             "lsm over a sharded inner needs at least one level to reopen")
-      else
-        let* sm =
-          Shard.read_manifest (Filename.concat path m.levels.(0).file)
-        in
-        let* (module I : Index.S) = registered sm.Shard.inner_kind in
-        Ok
-          (Shard.make ~inner:(module I) ~shards:sm.Shard.shards
-             ~partition:sm.Shard.partition ())
-    else registered m.inner_kind
+    if not (String.equal m.inner_kind Shard.sharded_kind) then
+      Registry.find_by_snapshot_kind m.inner_kind
+    else if Array.length m.levels = 0 then
+      Error
+        (Diskstore.Snapshot.Bad_header
+           "lsm over a sharded inner needs at least one level to reopen")
+    else
+      let* sm = Shard.read_manifest (Filename.concat path m.levels.(0).file) in
+      Shard.of_manifest sm
   in
   let (module L : Index.S) =
     make ~memtable_cap:m.cap ?build_domains ~inner:(module Inner) ()

@@ -80,23 +80,12 @@ type manifest = {
   levels : level_entry array;
 }
 
-val is_lsm_path : string -> bool
-(** Whether [path] is a directory whose MANIFEST carries the Lsm
-    magic (cheap peek; no CRC verification). *)
-
 val read_manifest : string -> (manifest, Diskstore.Snapshot.error) result
 
 val manifest_live_rows : manifest -> (int * float array) array
 (** Live (handle, row) pairs recorded by a manifest, ascending by
     handle: what a rebuild-from-live conformance oracle is built
     from. *)
-
-val base_kind : string -> manifest -> (string, Diskstore.Snapshot.error) result
-(** The registry-owned snapshot kind at the bottom of the wrapper
-    stack rooted at the directory [path]: [inner_kind] itself, or —
-    when the inner is the sharded wrapper — the kind recorded by the
-    first level's shard manifest.  Workload replay resolves its module
-    through this (the wrappers' [preferred] is a passthrough). *)
 
 val open_snapshot :
   ?policy:Diskstore.Buffer_pool.policy ->

@@ -1,9 +1,9 @@
 (* Shared plumbing for directory snapshots (Shard, Lsm): a MANIFEST
    file holding a CRC-prefixed [Emio.Codec.versioned] payload next to
    the inner snapshot files it describes.  The versioned magic string
-   doubles as the directory's format tag, so [Shard.is_sharded_path]
-   and [Lsm.is_lsm_path] can tell each other's directories apart by
-   peeking at the first few bytes instead of decoding a manifest. *)
+   doubles as the directory's format tag, so [Snapshot_path] can tell
+   Shard and Lsm directories apart by peeking at the first few bytes
+   instead of decoding a manifest. *)
 
 let manifest_file = "MANIFEST"
 
@@ -76,7 +76,3 @@ let magic dir =
     with
     | m -> Some m
     | exception (End_of_file | Sys_error _) -> None
-
-let is_kind dir ~kind =
-  Sys.file_exists dir && Sys.is_directory dir
-  && (match magic dir with Some m -> String.equal m kind | None -> false)

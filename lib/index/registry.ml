@@ -51,9 +51,17 @@ let capabilities (module M : Index.S) =
 
 (* The module owning a snapshot [kind] tag, for generic reopening. *)
 let find_by_snapshot_kind kind =
-  List.find_opt
-    (fun (module M : Index.S) ->
-      match M.snapshot with
-      | Some ops -> String.equal ops.Index.snapshot_kind kind
-      | None -> false)
-    (all ())
+  match
+    List.find_opt
+      (fun (module M : Index.S) ->
+        match M.snapshot with
+        | Some ops -> String.equal ops.Index.snapshot_kind kind
+        | None -> false)
+      (all ())
+  with
+  | Some m -> Ok m
+  | None ->
+      Error
+        (Diskstore.Snapshot.Bad_header
+           (Printf.sprintf "no registered structure owns snapshot kind %S"
+              kind))

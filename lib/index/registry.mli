@@ -14,8 +14,11 @@ val find_exn : string -> (module Index.S)
 val all : unit -> (module Index.S) list
 val for_dim : int -> (module Index.S) list
 
-val find_by_snapshot_kind : string -> (module Index.S) option
-(** The registered module whose snapshot capability owns [kind]. *)
+val find_by_snapshot_kind :
+  string -> ((module Index.S), Diskstore.Snapshot.error) result
+(** The registered module whose snapshot capability owns [kind]; an
+    unowned kind is [Bad_header "no registered structure owns snapshot
+    kind ..."]. *)
 
 type capability = {
   cap_snapshot : string option;  (** snapshot kind, if persistable *)

@@ -186,18 +186,6 @@ let manifest_codec =
 let file_crc = Manifest_dir.file_crc
 let write_manifest dir m = Manifest_dir.write_manifest dir manifest_codec m
 
-(* A sharded directory is one whose MANIFEST carries the sharded
-   magic; an Lsm directory (same MANIFEST layout, different magic) is
-   not.  A MANIFEST too damaged to expose a magic still counts as
-   sharded here so the CLI routes it to [read_manifest], which then
-   reports the precise corruption instead of "no such structure". *)
-let is_sharded_path path =
-  Manifest_dir.is_kind path ~kind:sharded_kind
-  || Sys.file_exists path
-     && Sys.is_directory path
-     && Sys.file_exists (Filename.concat path Manifest_dir.manifest_file)
-     && Manifest_dir.magic path = None
-
 let read_manifest dir = Manifest_dir.read_manifest dir manifest_codec
 
 (* ------------------------------------------------------------------ *)
@@ -504,22 +492,16 @@ let make ?build_domains ~inner:(module M : Index.S) ~shards ~partition () :
             }
   end)
 
+let of_manifest m =
+  Result.map
+    (fun inner -> make ~inner ~shards:m.shards ~partition:m.partition ())
+    (Registry.find_by_snapshot_kind m.inner_kind)
+
 let open_snapshot ?(policy = Diskstore.Buffer_pool.Lru) ?(cache_pages = 64)
     ~stats path =
   let ( let* ) = Result.bind in
   let* m = read_manifest path in
-  let* (module Inner : Index.S) =
-    match Registry.find_by_snapshot_kind m.inner_kind with
-    | Some im -> Ok im
-    | None ->
-        Error
-          (Diskstore.Snapshot.Bad_header
-             (Printf.sprintf "no registered structure owns snapshot kind %S"
-                m.inner_kind))
-  in
-  let (module Sh : Index.S) =
-    make ~inner:(module Inner) ~shards:m.shards ~partition:m.partition ()
-  in
+  let* (module Sh : Index.S) = of_manifest m in
   let ops = Option.get Sh.snapshot in
   let* t, info = ops.Index.load ~stats ~policy ~cache_pages path in
   Ok (Index.Instance ((module Sh), t), info, m)

@@ -85,17 +85,17 @@ type manifest = {
   entries : entry array;
 }
 
-val is_sharded_path : string -> bool
-(** Does [path] look like a sharded snapshot (a directory containing a
-    [MANIFEST])?  The CLI and the serve layer use this to dispatch
-    between single-file and sharded snapshots. *)
-
 val read_manifest : string -> (manifest, Diskstore.Snapshot.error) result
 (** Read and verify (CRC, magic, version) the manifest of a sharded
     snapshot directory.  Damage maps onto the standard snapshot
     errors: a missing or short manifest is [Bad_header]/[Truncated], a
     CRC mismatch is [Bad_section_crc], undecodable bytes are
     [Bad_payload]. *)
+
+val of_manifest :
+  manifest -> ((module Index.S), Diskstore.Snapshot.error) result
+(** The sharded wrapper a manifest describes: {!make} with its K and
+    partitioner over the registry owner of its inner kind. *)
 
 val open_snapshot :
   ?policy:Diskstore.Buffer_pool.policy ->

@@ -6,6 +6,8 @@
 
 type kind = Uniform | Clusters | Diagonal
 
+let kinds = [ Uniform; Clusters; Diagonal ]
+
 let kind_name = function
   | Uniform -> "uniform"
   | Clusters -> "clusters"

@@ -1,5 +1,4 @@
 module Index = Lcsearch_index.Index
-module Registry = Lcsearch_index.Registry
 module Workloads = Lcsearch_index.Workloads
 module Query_engine = Lcsearch_index.Query_engine
 module Histogram = Lcsearch_index.Histogram
@@ -96,51 +95,16 @@ let oracle_of path (module M : Index.S) queries =
       })
     queries
 
-module Lshard = Lcsearch_index.Shard
-
-module Llsm = Lcsearch_index.Lsm
-
+(* The pool is typed by the *base* structure: the wrappers share its
+   name/dims, so the server-side lookup agrees. *)
 let target_of cfg path =
-  (* For sharded and dynamic (LSM) directories the workload meta lives
-     in the MANIFEST and the query pool is typed by the *base*
-     structure (the wrappers share its name/dims, so the server-side
-     lookup agrees). *)
-  let meta, kind =
-    if Llsm.is_lsm_path path then
-      match Llsm.read_manifest path with
-      | Ok m -> (
-          match Llsm.base_kind path m with
-          | Ok kind -> (m.Llsm.meta, kind)
-          | Error e ->
-              failwith (path ^ ": " ^ Diskstore.Snapshot.error_to_string e))
-      | Error e -> failwith (path ^ ": " ^ Diskstore.Snapshot.error_to_string e)
-    else if Lshard.is_sharded_path path then
-      match Lshard.read_manifest path with
-      | Ok m -> (m.Lshard.meta, m.Lshard.inner_kind)
-      | Error e -> failwith (path ^ ": " ^ Diskstore.Snapshot.error_to_string e)
-    else
-      match Diskstore.Snapshot.read_info path with
-      | Ok info -> (info.Diskstore.Snapshot.meta, info.Diskstore.Snapshot.kind)
-      | Error e -> failwith (path ^ ": " ^ Diskstore.Snapshot.error_to_string e)
+  let h =
+    match Lcsearch_index.Snapshot_path.read_header path with
+    | Ok h -> h
+    | Error e -> failwith (path ^ ": " ^ e)
   in
-  let w =
-    match Meta.workload_of_meta meta with
-    | Ok w -> w
-    | Error m -> failwith (path ^ ": " ^ m)
-  in
-  let (module M : Index.S) =
-    match Registry.find_by_snapshot_kind kind with
-    | Some m -> m
-    | None ->
-        failwith
-          (Printf.sprintf "%s: no registered structure owns snapshot kind %S"
-             path kind)
-  in
-  let rng = Workload.rng w.Meta.seed in
-  let ds =
-    Workloads.dataset rng ~kind:w.Meta.kind ~dim:w.Meta.dim ~n:w.Meta.n
-      (module M : Index.S)
-  in
+  let (module M : Index.S) = h.base in
+  let rng, ds = Lcsearch_index.Snapshot_path.replay h in
   let queries =
     Array.of_list (Workloads.queries rng ds ~fraction:cfg.fraction ~count:cfg.pool)
   in

@@ -1,55 +1,16 @@
 module Index = Lcsearch_index.Index
-module Registry = Lcsearch_index.Registry
+module Snapshot_path = Lcsearch_index.Snapshot_path
 module Workloads = Lcsearch_index.Workloads
-module Shard = Lcsearch_index.Shard
-module Lsm = Lcsearch_index.Lsm
 
-type workload = {
+type workload = Snapshot_path.meta = {
   structure : string;
   n : int;
   block_size : int;
   kind : Workloads.kind;
   seed : int;
   dim : int;
+  shards : (int * Lcsearch_index.Shard.partition) option;
 }
-
-(* Same key=value;... format as bin/lcsearch.ml's meta_string. *)
-let field meta key =
-  List.find_map
-    (fun kv ->
-      match String.index_opt kv '=' with
-      | Some i when String.sub kv 0 i = key ->
-          Some (String.sub kv (i + 1) (String.length kv - i - 1))
-      | _ -> None)
-    (String.split_on_char ';' meta)
-
-let workload_of_meta meta =
-  let ( let* ) = Result.bind in
-  let str key =
-    match field meta key with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "snapshot meta %S lacks %S" meta key)
-  in
-  let int key =
-    let* v = str key in
-    match int_of_string_opt v with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "bad %S in snapshot meta %S" key meta)
-  in
-  let* structure = str "s" in
-  let* n = int "n" in
-  let* block_size = int "b" in
-  let* w = str "w" in
-  let* kind =
-    match w with
-    | "uniform" -> Ok Workloads.Uniform
-    | "clusters" -> Ok Workloads.Clusters
-    | "diagonal" -> Ok Workloads.Diagonal
-    | w -> Error (Printf.sprintf "unknown workload %S in snapshot meta" w)
-  in
-  let* seed = int "seed" in
-  let* dim = int "d" in
-  Ok { structure; n; block_size; kind; seed; dim }
 
 type loaded = {
   name : string;
@@ -58,102 +19,28 @@ type loaded = {
   inst : Index.instance;
   info : Diskstore.Snapshot.info;
   meta_workload : workload;
+  header : Snapshot_path.header;
 }
 
-(* A sharded snapshot directory reopens through [Shard.open_snapshot]
-   (manifest-driven: inner kind, K, partitioner); queries fan out over
-   the shards behind the same [Index.instance] surface, so the server
-   needs no further dispatch. *)
-let load_sharded ~policy ~cache_pages path =
-  let ( let* ) = Result.bind in
-  let snap_err e = path ^ ": " ^ Diskstore.Snapshot.error_to_string e in
+let load ?policy ?cache_pages path =
   let stats = Emio.Io_stats.create () in
-  let* inst, info, m =
-    Result.map_error snap_err
-      (Shard.open_snapshot ~policy ~cache_pages ~stats path)
-  in
-  let* meta_workload =
-    Result.map_error (fun e -> path ^ ": " ^ e) (workload_of_meta m.Shard.meta)
-  in
-  let (module M : Index.S) = Index.structure inst in
-  Ok
-    {
-      name = M.name;
-      dim = meta_workload.dim;
-      reports_ids = M.reports_ids;
-      inst;
-      info;
-      meta_workload;
-    }
-
-(* A dynamic (LSM) snapshot directory reopens through
-   [Lsm.open_snapshot]: each level reloads through the registry, the
-   memtable log replays, and the resulting instance answers queries
-   behind the same [Index.instance] surface as any static snapshot. *)
-let load_lsm ~policy ~cache_pages path =
-  let ( let* ) = Result.bind in
-  let snap_err e = path ^ ": " ^ Diskstore.Snapshot.error_to_string e in
-  let stats = Emio.Io_stats.create () in
-  let* inst, info, m =
-    Result.map_error snap_err
-      (Lsm.open_snapshot ~policy ~cache_pages ~stats path)
-  in
-  let* meta_workload =
-    Result.map_error (fun e -> path ^ ": " ^ e) (workload_of_meta m.Lsm.meta)
-  in
-  let (module M : Index.S) = Index.structure inst in
-  Ok
-    {
-      name = M.name;
-      dim = meta_workload.dim;
-      reports_ids = M.reports_ids;
-      inst;
-      info;
-      meta_workload;
-    }
-
-let load ?(policy = Diskstore.Buffer_pool.Lru) ?(cache_pages = 64) path =
-  if Lsm.is_lsm_path path then load_lsm ~policy ~cache_pages path
-  else if Shard.is_sharded_path path then load_sharded ~policy ~cache_pages path
-  else
-  let ( let* ) = Result.bind in
-  let snap_err e = path ^ ": " ^ Diskstore.Snapshot.error_to_string e in
-  let* info =
-    Result.map_error snap_err (Diskstore.Snapshot.read_info path)
-  in
-  let* meta_workload =
-    Result.map_error (fun m -> path ^ ": " ^ m)
-      (workload_of_meta info.Diskstore.Snapshot.meta)
-  in
-  let* (module M : Index.S) =
-    match Registry.find_by_snapshot_kind info.Diskstore.Snapshot.kind with
-    | Some m -> Ok m
-    | None ->
-        Error
-          (Printf.sprintf "%s: no registered structure owns snapshot kind %S"
-             path info.Diskstore.Snapshot.kind)
-  in
-  let ops = Option.get M.snapshot in
-  let stats = Emio.Io_stats.create () in
-  let* t =
-    Result.map_error snap_err (ops.Index.load ~stats ~policy ~cache_pages path)
-  in
-  let t = fst t in
-  Ok
-    {
-      name = M.name;
-      dim = meta_workload.dim;
-      reports_ids = M.reports_ids;
-      inst = Index.Instance ((module M), t);
-      info;
-      meta_workload;
-    }
+  match Snapshot_path.open_ ?policy ?cache_pages ~stats path with
+  | Error e -> Error (path ^ ": " ^ e)
+  | Ok (inst, info, header) ->
+      (* the wrappers keep their inner structure's name, so every
+         layout serves under its base structure's registry name *)
+      let (module M : Index.S) = Index.structure inst in
+      Ok
+        {
+          name = M.name;
+          dim = header.meta.dim;
+          reports_ids = M.reports_ids;
+          inst;
+          info;
+          meta_workload = header.meta;
+          header;
+        }
 
 let replay_queries loaded ~fraction ~count =
-  let w = loaded.meta_workload in
-  let (module M : Index.S) = Index.structure loaded.inst in
-  let rng = Workload.rng w.seed in
-  let ds =
-    Workloads.dataset rng ~kind:w.kind ~dim:w.dim ~n:w.n (module M : Index.S)
-  in
+  let rng, ds = Snapshot_path.replay loaded.header in
   Array.of_list (Workloads.queries rng ds ~fraction ~count)

@@ -1,20 +1,18 @@
-(** Snapshot-meta plumbing shared by {!Server} and {!Loadgen}: parse
-    the [s=...;n=...;b=...;w=...;seed=...;d=...] meta string written by
-    [lcsearch build], reopen a snapshot through the registry by its
-    header kind, and replay the builder's workload stream (the same
-    seed positions the same {!Workload.rng}, so the dataset — and any
-    query stream drawn after it — reproduces the build process's). *)
+(** Snapshot plumbing shared by {!Server} and {!Loadgen}: reopen any
+    snapshot layout through {!Lcsearch_index.Snapshot_path.open_} and
+    replay the builder's workload stream (the same seed positions the
+    same {!Workload.rng}, so the dataset — and any query stream drawn
+    after it — reproduces the build process's). *)
 
-type workload = {
+type workload = Lcsearch_index.Snapshot_path.meta = {
   structure : string;
   n : int;
   block_size : int;
   kind : Lcsearch_index.Workloads.kind;
   seed : int;
   dim : int;
+  shards : (int * Lcsearch_index.Shard.partition) option;
 }
-
-val workload_of_meta : string -> (workload, string) result
 
 type loaded = {
   name : string;  (** serving name = the structure's registry name *)
@@ -23,6 +21,7 @@ type loaded = {
   inst : Lcsearch_index.Index.instance;
   info : Diskstore.Snapshot.info;
   meta_workload : workload;
+  header : Lcsearch_index.Snapshot_path.header;
 }
 
 val load :
@@ -30,8 +29,7 @@ val load :
   ?cache_pages:int ->
   string ->
   (loaded, string) result
-(** Reopen [path], dispatching on the snapshot kind through
-    {!Lcsearch_index.Registry.find_by_snapshot_kind}.  Load-time
+(** Reopen [path] (single file, sharded or LSM directory).  Load-time
     verification I/O is charged to a throwaway stats sink.  Honors
     {!Diskstore.File_backend.set_resident_on_reopen}. *)
 

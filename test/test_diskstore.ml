@@ -562,7 +562,21 @@ let snapshot_corpus_case (module M : Index.S) () =
           match load stub with
           | Error _ -> ()
           | Ok _ -> Alcotest.failf "%s: flipped byte at %d accepted" M.name off)
-        [ 0; 9; 40; 257; 300; 512; n / 2; (3 * n) / 4; n - 10 ]
+        [ 0; 9; 40; 257; 300; 512; n / 2; (3 * n) / 4; n - 10 ];
+      (* paths that are no snapshot file at all — a directory, a path
+         that cannot be opened — are typed errors too, never exceptions *)
+      List.iter
+        (fun p ->
+          (match load p with
+          | Error (Diskstore.Snapshot.Bad_header _) -> ()
+          | Ok _ -> Alcotest.failf "%s: %s accepted" M.name p
+          | Error e ->
+              Alcotest.failf "%s: %s: wrong error %a" M.name p
+                Diskstore.Snapshot.pp_error e);
+          match Diskstore.Snapshot.read_info p with
+          | Error (Diskstore.Snapshot.Bad_header _) -> ()
+          | _ -> Alcotest.failf "read_info %s: expected Bad_header" p)
+        [ Filename.get_temp_dir_name (); path ^ ".missing" ]
 
 let snapshot_corpus_tests =
   List.filter_map

@@ -10,6 +10,7 @@ module Registry = Lcsearch_index.Registry
 module Workloads = Lcsearch_index.Workloads
 module Lsm = Lcsearch_index.Lsm
 module Shard = Lcsearch_index.Shard
+module Snapshot_path = Lcsearch_index.Snapshot_path
 
 let sorted_rows rows = List.sort compare (List.map Array.to_list rows)
 
@@ -243,7 +244,17 @@ let test_level_invariant () =
 
 (* ---- snapshots ---- *)
 
-let meta = "s=h2;n=256;b=64;w=uniform;seed=3;d=2"
+let meta =
+  Snapshot_path.meta_to_string
+    {
+      structure = "h2";
+      n = 256;
+      block_size = 64;
+      kind = Workloads.Uniform;
+      seed = 3;
+      dim = 2;
+      shards = None;
+    }
 
 let save_lsm (type a) (module L : Index.S with type t = a) (t : a) path =
   let ops = Option.get L.snapshot in
@@ -274,10 +285,11 @@ let test_roundtrip ~inner ~dim () =
   in
   let path = temp_dir () in
   save_lsm (module L) t path;
-  Alcotest.(check bool) "is_lsm_path" true (Lsm.is_lsm_path path);
   Alcotest.(check bool)
-    "lsm dir is not a sharded dir" false
-    (Shard.is_sharded_path path);
+    "opener sees an lsm layout, not a sharded one" true
+    (match Snapshot_path.read_layout path with
+    | Ok (Snapshot_path.Lsm _) -> true
+    | _ -> false);
   (match Lsm.read_manifest path with
   | Error e ->
       Alcotest.failf "manifest unreadable: %s"
@@ -434,10 +446,13 @@ let test_missing_level_file () =
     | _ -> false)
 
 let test_not_lsm_paths () =
-  Alcotest.(check bool) "regular file" false (Lsm.is_lsm_path "dune");
-  Alcotest.(check bool)
-    "missing path" false
-    (Lsm.is_lsm_path "/nonexistent/lcsearch");
+  let lsm p =
+    match Snapshot_path.read_layout p with
+    | Ok (Snapshot_path.Lsm _) -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "regular file" false (lsm "dune");
+  Alcotest.(check bool) "missing path" false (lsm "/nonexistent/lcsearch");
   match Lsm.read_manifest (Filename.get_temp_dir_name ()) with
   | Error (Diskstore.Snapshot.Bad_header _) -> ()
   | Error e ->

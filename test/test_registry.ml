@@ -71,7 +71,7 @@ let test_snapshot_kinds () =
   let owner kind =
     Option.map
       (fun (module M : Index.S) -> M.name)
-      (Registry.find_by_snapshot_kind kind)
+      (Result.to_option (Registry.find_by_snapshot_kind kind))
   in
   Alcotest.(check (option string)) "h2 kind" (Some "h2") (owner "lcsearch.h2");
   Alcotest.(check (option string))

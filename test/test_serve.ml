@@ -14,6 +14,9 @@ module Index = Lcsearch_index.Index
 module Workloads = Lcsearch_index.Workloads
 module Query_engine = Lcsearch_index.Query_engine
 module Registry = Lcsearch_index.Registry
+module Shard = Lcsearch_index.Shard
+module Lsm = Lcsearch_index.Lsm
+module Snapshot_path = Lcsearch_index.Snapshot_path
 
 let check = Alcotest.(check int)
 
@@ -482,14 +485,23 @@ let temp_dir =
       with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
      d)
 
-(* Build a snapshot exactly like `lcsearch build`: same meta string,
+(* The wrapper stack `lcsearch build` assembles: [shards] > 1 wraps
+   the registry structure in the sharded layer (STR tiles), [dynamic]
+   wraps the result in the LSM layer. *)
+let layout_module ?(shards = 1) ?(dynamic = false) name =
+  let m = Registry.find_exn name in
+  let m =
+    if shards = 1 then m else Shard.make ~inner:m ~shards ~partition:Shard.Str ()
+  in
+  if dynamic then Lsm.make ~inner:m () else m
+
+(* Build a snapshot exactly like `lcsearch build`: same meta encoder,
    same rng consumption, so Meta.replay_queries reproduces the build
    process's query stream. *)
-let build_snapshot name ~n ~seed =
-  let module M = (val Registry.find_exn name : Index.S) in
+let build_snapshot ?(shards = 1) ?(dynamic = false) name ~n ~seed =
+  let module M = (val layout_module ~shards ~dynamic name : Index.S) in
   let ops = Option.get M.snapshot in
   let dim = List.hd M.dims in
-  let block_size = Index.default_params.Index.block_size in
   let rng = Workload.rng seed in
   let ds = Workloads.dataset rng ~kind:Workloads.Uniform ~dim ~n (module M : Index.S) in
   let stats = Emio.Io_stats.create () in
@@ -498,10 +510,22 @@ let build_snapshot name ~n ~seed =
     Emio.Cost_ctx.with_ctx bctx (fun () ->
         M.build ~params:Index.default_params ~stats ds)
   in
-  let path = Filename.concat (Lazy.force temp_dir) (name ^ ".snap") in
+  let path =
+    Filename.concat (Lazy.force temp_dir)
+      (Printf.sprintf "%s-k%d%s.snap" name shards
+         (if dynamic then "-lsm" else ""))
+  in
   let meta =
-    Printf.sprintf "s=%s;n=%d;b=%d;w=uniform;seed=%d;d=%d" name n block_size
-      seed dim
+    Snapshot_path.meta_to_string
+      {
+        structure = name;
+        n;
+        block_size = Index.default_params.Index.block_size;
+        kind = Workloads.Uniform;
+        seed;
+        dim;
+        shards = (if shards = 1 then None else Some (shards, Shard.Str));
+      }
   in
   ops.Index.save t ~path ~meta ~page_size:None;
   path
@@ -603,6 +627,84 @@ let test_e2e_oracle () =
       check "all requests served" 24 st.Server.served;
       check "no sheds" 0 (st.Server.shed_full + st.Server.shed_deadline);
       check "no errors" 0 st.Server.errors)
+
+(* One workload, four layouts — single file, sharded (K=4, STR), LSM,
+   and LSM over sharded — all reopened through Meta.load.  Each must
+   report its layout and base structure, round-trip its meta, replay
+   the same query stream, answer with the counts of the base structure
+   rebuilt in memory (from the live rows for LSM layouts), and charge
+   exactly the costs of the same wrapper stack built in memory. *)
+let test_every_layout () =
+  let n = 384 and seed = 71 in
+  let layouts =
+    [
+      ("file", 1, false);
+      ("sharded", 4, false);
+      ("lsm", 1, true);
+      ("lsm over sharded", 4, true);
+    ]
+  in
+  let replayed = ref None in
+  List.iter
+    (fun (label, shards, dynamic) ->
+      let path = build_snapshot ~shards ~dynamic "h2" ~n ~seed in
+      let l = load_resident path in
+      let h = l.Meta.header in
+      let label f = Printf.sprintf "%s: %s" label f in
+      let layout_ok =
+        match h.Snapshot_path.layout with
+        | Snapshot_path.File _ -> shards = 1 && not dynamic
+        | Snapshot_path.Sharded m -> shards = m.Shard.shards && not dynamic
+        | Snapshot_path.Lsm m ->
+            dynamic
+            && String.equal m.Lsm.inner_kind
+                 (if shards = 1 then "lcsearch.h2" else Shard.sharded_kind)
+      in
+      Alcotest.(check bool) (label "layout") true layout_ok;
+      let (module B : Index.S) = h.Snapshot_path.base in
+      Alcotest.(check string) (label "base") "h2" B.name;
+      Alcotest.(check string) (label "serving name") "h2" l.Meta.name;
+      let meta = Snapshot_path.meta_to_string l.Meta.meta_workload in
+      Alcotest.(check string)
+        (label "meta bytes") l.Meta.info.Diskstore.Snapshot.meta meta;
+      Alcotest.(check bool)
+        (label "meta round-trip") true
+        (Snapshot_path.meta_of_string meta = Ok l.Meta.meta_workload);
+      let qs = Meta.replay_queries l ~fraction:0.05 ~count:10 in
+      (match !replayed with
+      | None -> replayed := Some qs
+      | Some first ->
+          Alcotest.(check bool) (label "same replayed queries") true (qs = first));
+      let _, ds = Snapshot_path.replay h in
+      let build (module M : Index.S) ds =
+        Index.build (module M) ~params:Index.default_params
+          ~stats:(Emio.Io_stats.create ()) ds
+      in
+      let oracle_ds =
+        match h.Snapshot_path.layout with
+        | Snapshot_path.Lsm m ->
+            Index.Pts2
+              (Array.map
+                 (fun (_, r) -> Geom.Point2.make r.(0) r.(1))
+                 (Lsm.manifest_live_rows m))
+        | _ -> ds
+      in
+      let oracle = build (module B) oracle_ds in
+      let same_stack = build (layout_module ~shards ~dynamic "h2") ds in
+      Array.iteri
+        (fun i q ->
+          let got = Query_engine.run_one l.Meta.inst q in
+          let want = Query_engine.run_one same_stack q in
+          let label f = label (Printf.sprintf "query %d %s" i f) in
+          check (label "count vs base oracle")
+            (Query_engine.run_one oracle q).Query_engine.result
+            got.Query_engine.result;
+          check (label "count") want.Query_engine.result got.Query_engine.result;
+          check (label "reads") want.Query_engine.reads got.Query_engine.reads;
+          check (label "writes") want.Query_engine.writes got.Query_engine.writes;
+          check (label "hits") want.Query_engine.hits got.Query_engine.hits)
+        qs)
+    layouts
 
 (* Invalid requests get typed Error responses and the connection
    survives; a torn stream gets one Error and a hangup. *)
@@ -1020,5 +1122,7 @@ let () =
           Alcotest.test_case "graceful drain" `Quick test_e2e_drain;
           Alcotest.test_case "shed while draining" `Quick
             test_e2e_shed_while_draining;
+          Alcotest.test_case "every snapshot layout reopens" `Quick
+            test_every_layout;
         ] );
     ]

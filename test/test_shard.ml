@@ -8,6 +8,7 @@ module Index = Lcsearch_index.Index
 module Registry = Lcsearch_index.Registry
 module Workloads = Lcsearch_index.Workloads
 module Shard = Lcsearch_index.Shard
+module Snapshot_path = Lcsearch_index.Snapshot_path
 module Query_engine = Lcsearch_index.Query_engine
 
 let sorted_rows rows = List.sort compare (List.map Array.to_list rows)
@@ -161,8 +162,19 @@ let test_str_pruning () =
 
 let save_sharded (type a) (module Sh : Index.S with type t = a) (t : a) path =
   let ops = Option.get Sh.snapshot in
-  ops.Index.save t ~path ~meta:"s=test;n=512;b=64;w=uniform;seed=0;d=2"
-    ~page_size:None;
+  let meta =
+    Snapshot_path.meta_to_string
+      {
+        structure = "test";
+        n = 512;
+        block_size = 64;
+        kind = Workloads.Uniform;
+        seed = 0;
+        dim = 2;
+        shards = None;
+      }
+  in
+  ops.Index.save t ~path ~meta ~page_size:None;
   ops
 
 let roundtrip_case ~inner ~dim ~partition () =
@@ -175,7 +187,11 @@ let roundtrip_case ~inner ~dim ~partition () =
   let t = Sh.build ~params:build_params ~stats:(Emio.Io_stats.create ()) ds in
   let path = temp_dir () in
   ignore (save_sharded (module Sh) t path : _ Index.snapshot_ops);
-  Alcotest.(check bool) "is_sharded_path" true (Shard.is_sharded_path path);
+  Alcotest.(check bool)
+    "opener sees a sharded layout" true
+    (match Snapshot_path.read_layout path with
+    | Ok (Snapshot_path.Sharded _) -> true
+    | _ -> false);
   (match Shard.read_manifest path with
   | Error e ->
       Alcotest.failf "manifest unreadable: %s"
@@ -280,12 +296,15 @@ let test_corrupted_shard_file () =
     | _ -> false)
 
 let test_non_sharded_path () =
-  Alcotest.(check bool)
-    "regular file is not sharded" false
-    (Shard.is_sharded_path "dune");
+  let sharded p =
+    match Snapshot_path.read_layout p with
+    | Ok (Snapshot_path.Sharded _) -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "regular file is not sharded" false (sharded "dune");
   Alcotest.(check bool)
     "missing path is not sharded" false
-    (Shard.is_sharded_path "/nonexistent/lcsearch");
+    (sharded "/nonexistent/lcsearch");
   match Shard.read_manifest (Filename.get_temp_dir_name ()) with
   | Error (Diskstore.Snapshot.Bad_header _) -> ()
   | Error e ->
