@@ -11,16 +11,16 @@ type t = {
   mutable n_blocks : int;
   mutable next_page : int; (* next free page, relative to base *)
   mutable resident : bytes array option;
-      (* preloaded payloads (see [preload]): reads are served from this
-         immutable array without touching the pool, charging one model
-         read per page of the block's span *)
+      (* payloads handed over at reopen (see [of_table]), held only
+         until a store takes them ([take_resident]) *)
 }
 
-(* When set, [of_table] (the snapshot-reopen path) preloads every
-   payload immediately — the switch `lcsearch serve` flips before
-   reopening snapshots so queries can fan out across domains. *)
-let resident_on_reopen = ref false
-let set_resident_on_reopen b = resident_on_reopen := b
+(* When set, every snapshot reopen ([Snapshot.load]) hands the payload
+   bytes it verified to [of_table] — the switch `lcsearch serve` flips
+   before reopening snapshots so queries can fan out across domains. *)
+let resident_switch = ref false
+let set_resident_on_reopen b = resident_switch := b
+let resident_on_reopen () = !resident_switch
 
 let capacity t = Block_file.payload_capacity (Buffer_pool.file t.pool)
 
@@ -87,39 +87,32 @@ let read_via_pool t id =
   done;
   out
 
-(* Pull every payload span into memory once (through the pool, so the
-   sweep is CRC-checked and recorded like any other load-time I/O).
-   After this, [read] never touches the pool or the file again: it
-   copies out of an array that is immutable while the structure is
-   read-only, which is what makes concurrent query fan-out across
-   domains safe over a reopened snapshot — the buffer pool and its
-   LRU/CLOCK bookkeeping are single-owner mutable state, the resident
-   array is not.  Each resident read still charges one read per page
-   of the block's span to the backend's Io_stats (exactly what a cold
-   pool would fault), so per-query cost words stay meaningful — and,
-   because no cache state is involved, deterministic regardless of
-   concurrency or arrival order. *)
-let preload t =
-  match t.resident with
-  | Some _ -> ()
-  | None -> t.resident <- Some (Array.init t.n_blocks (read_via_pool t))
+let check_id t op id =
+  if id < 0 || id >= t.n_blocks then
+    invalid_arg ("File_backend." ^ op ^ ": bad block id")
 
-let is_resident t = t.resident <> None
+(* What a cold pool fetch of block [id] faults: one read per page of
+   its span.  A resident read charges exactly this and touches no
+   cache state, so per-query cost words stay deterministic regardless
+   of concurrency or arrival order. *)
+let charge_read t id =
+  check_id t "charge_read" id;
+  let _, len = t.table.(id) in
+  let stats = Buffer_pool.stats t.pool in
+  for _ = 1 to span_pages t len do
+    Emio.Io_stats.record_read stats
+  done
 
 let read t id =
-  if id < 0 || id >= t.n_blocks then
-    invalid_arg "File_backend.read: bad block id";
-  match t.resident with
-  | None -> read_via_pool t id
-  | Some payloads ->
-      let _, len = t.table.(id) in
-      let stats = Buffer_pool.stats t.pool in
-      for _ = 1 to span_pages t len do
-        Emio.Io_stats.record_read stats
-      done;
-      Bytes.copy payloads.(id)
+  check_id t "read" id;
+  read_via_pool t id
 
-let of_table ?(base_page = 0) ~table pool =
+let take_resident t =
+  let payloads = t.resident in
+  t.resident <- None;
+  payloads
+
+let of_table ?(base_page = 0) ?payloads ~table pool =
   let b =
     {
       pool;
@@ -127,19 +120,17 @@ let of_table ?(base_page = 0) ~table pool =
       table = (if Array.length table = 0 then Array.make 16 (0, 0) else Array.copy table);
       n_blocks = Array.length table;
       next_page = 0;
-      resident = None;
+      resident = payloads;
     }
   in
   Array.iter
     (fun (first, len) ->
       b.next_page <- max b.next_page (first + span_pages b len))
     table;
-  if !resident_on_reopen then preload b;
   b
 
 let write t id data =
-  if id < 0 || id >= t.n_blocks then
-    invalid_arg "File_backend.write: bad block id";
+  check_id t "write" id;
   let first, old_len = t.table.(id) in
   let len = Bytes.length data in
   if span_pages t len <= span_pages t old_len then begin
@@ -156,9 +147,8 @@ let write t id data =
     t.table.(id) <- (first, len);
     t.next_page <- first + span_pages t len
   end;
-  match t.resident with
-  | None -> ()
-  | Some payloads -> payloads.(id) <- Bytes.copy data
+  (* the handed-over payloads no longer match the file *)
+  t.resident <- None
 
 let drop_cache t = Buffer_pool.drop t.pool
 let flush t = Buffer_pool.flush t.pool
@@ -174,6 +164,8 @@ module Backend_impl = struct
   let alloc = alloc
   let read = read
   let write = write
+  let take_resident = take_resident
+  let charge_read = charge_read
   let blocks_used = blocks_used
   let drop_cache = drop_cache
   let flush = flush

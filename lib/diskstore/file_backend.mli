@@ -19,26 +19,36 @@ val create : ?base_page:int -> Buffer_pool.t -> t
 (** Fresh backend with an empty block table, allocating pages from
     [base_page] (default 0) upward. *)
 
-val of_table : ?base_page:int -> table:(int * int) array -> Buffer_pool.t -> t
+val of_table :
+  ?base_page:int -> ?payloads:bytes array -> table:(int * int) array ->
+  Buffer_pool.t -> t
 (** Reopen over an existing page layout (used by {!Snapshot.load}).
-    Preloads immediately when {!set_resident_on_reopen} is on. *)
-
-val preload : t -> unit
-(** Pull every block payload into an in-memory resident array (read
-    once through the pool, CRC-checked).  Afterwards [read] copies out
-    of the array without touching the pool or the file, charging one
-    model read per page of the block's span to the backend's
-    {!Emio.Io_stats} — deterministic per-query cost words with no
-    cache state, and safe to call from concurrent read-only queries
-    across domains.  Idempotent. *)
-
-val is_resident : t -> bool
+    [payloads], one per table entry, are the block bytes the caller
+    has already read and verified; the backend holds them only until
+    a store opened over it ({!Emio.Store.of_backend}) takes them with
+    {!take_resident} and decodes each block once.  {!read} always goes
+    through the buffer pool. *)
 
 val set_resident_on_reopen : bool -> unit
-(** Process-wide switch: when [true], every subsequent {!of_table}
-    (i.e. every snapshot reopen) preloads immediately.  Flipped by
-    [lcsearch serve] before loading the structures it will query
-    concurrently. *)
+(** Process-wide switch: when [true], every subsequent
+    {!Snapshot.load} reopens its backend resident, handing it the
+    payload bytes its checksum pass read.  Flipped by [lcsearch serve]
+    before loading the structures it will query concurrently. *)
+
+val resident_on_reopen : unit -> bool
+(** The current value of the {!set_resident_on_reopen} switch. *)
+
+val charge_read : t -> int -> unit
+(** Charge the block's [span_pages] model reads to the backend's
+    {!Emio.Io_stats} — what a cold pool fetch of it faults — without
+    fetching anything.  This is what a resident read costs.
+    @raise Invalid_argument on a bad block id. *)
+
+val take_resident : t -> bytes array option
+(** Hand the payloads given to {!of_table} to the caller and forget
+    them ([None] if there were none, or if a {!write} made them
+    stale).  The caller becomes their only holder and serves reads
+    itself, charging each through {!charge_read}. *)
 
 val backend : t -> Emio.Store_intf.backend
 (** First-class module wrapper to pass to [Emio.Store.create ~backend]

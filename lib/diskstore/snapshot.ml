@@ -320,16 +320,12 @@ let load ~path ~stats ?(policy = Buffer_pool.Lru) ?(cache_pages = 64)
     Block_file.open_existing ~stats ~path ~page_size:info.page_size ()
   in
   let result =
-    (* integrity sweep: verify every page's checksum up front so
-       corruption is a typed load error, not a mid-query exception *)
-    let rec sweep page =
-      if page >= info.total_pages then Ok ()
-      else
-        match Block_file.read_page file page with
-        | Ok _ -> sweep (page + 1)
-        | Error e -> Error (map_read_error e)
-    in
-    let* () = sweep 1 in
+    (* Integrity: the table, payload and skeleton reads below cover
+       pages 1 .. total_pages-1 exactly once, in ascending order (the
+       layout check proves the sections tile the file), and every page
+       read verifies its checksum — so corruption is a typed load
+       error, reported at its lowest damaged page, never a mid-query
+       exception. *)
     let read page = Block_file.read_page file page in
     let read_span ~first len =
       match read_span ~page_size:info.page_size ~read ~first len with
@@ -350,8 +346,29 @@ let load ~path ~stats ?(policy = Buffer_pool.Lru) ?(cache_pages = 64)
                (get_u32 raw (8 * i), get_u32 raw ((8 * i) + 4))))
     in
     let payload_base = 1 + table_pages in
+    let* () =
+      let span len = pages_for ~page_size:info.page_size len in
+      let table_fits =
+        table_pages = if info.n_blocks = 0 then 0 else span (8 * info.n_blocks)
+      in
+      (* payload spans follow one another in id order *)
+      let tiled =
+        Array.fold_left
+          (fun next (first, len) -> if next = first then next + span len else -1)
+          0 table
+      in
+      if table_fits && tiled = payload_pages then Ok ()
+      else Error (Bad_header "sections do not tile the file")
+    in
     (* section CRC over the payload blocks' bytes, in id order — this
-       also proves every block span decodes from its pages *)
+       also proves every block span decodes from its pages.  A
+       resident reopen keeps the bytes: they become the backend's
+       in-memory payloads, with no second pass over the file. *)
+    let payloads =
+      if File_backend.resident_on_reopen () then
+        Some (Array.make info.n_blocks Bytes.empty)
+      else None
+    in
     let* got_payload_crc =
       let n = Array.length table in
       let rec go i acc =
@@ -359,6 +376,7 @@ let load ~path ~stats ?(policy = Buffer_pool.Lru) ?(cache_pages = 64)
         else
           let first, len = table.(i) in
           let* raw = read_span ~first:(payload_base + first) len in
+          Option.iter (fun p -> p.(i) <- raw) payloads;
           go (i + 1) (Crc32.update acc raw ~pos:0 ~len:(Bytes.length raw))
       in
       go 0 0
@@ -375,7 +393,7 @@ let load ~path ~stats ?(policy = Buffer_pool.Lru) ?(cache_pages = 64)
       else Ok ()
     in
     let pool = Buffer_pool.create ~file ~policy ~capacity:cache_pages in
-    let fb = File_backend.of_table ~base_page:payload_base ~table pool in
+    let fb = File_backend.of_table ~base_page:payload_base ?payloads ~table pool in
     Ok { info; skeleton; backend = File_backend.backend fb; pool }
   in
   (match result with Error _ -> Block_file.close file | Ok _ -> ());

@@ -1,6 +1,14 @@
 type 'a mem = { mutable blocks : 'a array array; mutable used : int }
 
-type 'a ext = { backend : Store_intf.backend; mutable allocated : int }
+type 'a ext = {
+  backend : Store_intf.backend;
+  mutable allocated : int;
+  resident : 'a mem option;
+      (* over a resident backend: every block, decoded once by
+         [of_backend].  Immutable while the structure is read-only, so
+         domains share it; a read returns the block itself and charges
+         what the backend's own read would. *)
+}
 
 type 'a state = Mem of 'a mem | Ext of 'a ext
 
@@ -60,7 +68,7 @@ let create ~stats ~block_size ?(cache_blocks = 0) ?codec ?backend () =
     | Some backend ->
         if codec = None then
           invalid_arg "Store.create: an external backend requires a codec";
-        Ext { backend; allocated = 0 }
+        Ext { backend; allocated = 0; resident = None }
   in
   let dcache =
     if cache_blocks = 0 then
@@ -115,10 +123,32 @@ let alloc t data =
       if traced then Cost_ctx.emit (Block_write { id; hit });
       id
   | Ext ({ backend = Store_intf.Backend ((module B), b); _ } as e) ->
-      let id = B.alloc b (Codec.encode (block_codec t "alloc") data) in
+      let codec = block_codec t "alloc" in
+      let bytes = Codec.encode codec data in
+      let id = B.alloc b bytes in
       e.allocated <- e.allocated + 1;
+      (match e.resident with
+      | Some m ->
+          (* store the decoded bytes, as a non-resident read would
+             return them — never the caller's array *)
+          assert (id = m.used);
+          grow m;
+          m.blocks.(id) <- Codec.decode codec bytes;
+          m.used <- m.used + 1
+      | None -> ());
       if Cost_ctx.tracing () then Cost_ctx.emit (Block_write { id; hit = false });
       id
+
+(* The charged fetch behind an external read (a miss): the resident
+   block itself, or the backend's bytes decoded. *)
+let fetch t e id =
+  let (Store_intf.Backend ((module B), b)) = e.backend in
+  match e.resident with
+  | Some m ->
+      if id < 0 || id >= m.used then invalid_arg "Store.read: bad block id";
+      B.charge_read b id;
+      m.blocks.(id)
+  | None -> Codec.decode (block_codec t "read") (B.read b id)
 
 let read (t : 'a t) id : 'a array =
   match t.state with
@@ -131,12 +161,11 @@ let read (t : 'a t) id : 'a array =
       in
       if traced then Cost_ctx.emit (Block_read { id; hit });
       m.blocks.(id)
-  | Ext { backend = Store_intf.Backend ((module B), b); _ } ->
-      let codec = block_codec t "read" in
+  | Ext e ->
       if t.cache_capacity = 0 then begin
         if Cost_ctx.tracing () then
           Cost_ctx.emit (Block_read { id; hit = false });
-        Codec.decode codec (B.read b id)
+        fetch t e id
       end
       else begin
         let dc = Tls.get t.dcache in
@@ -152,7 +181,7 @@ let read (t : 'a t) id : 'a array =
         | None ->
             if Cost_ctx.tracing () then
               Cost_ctx.emit (Block_read { id; hit = false });
-            let data = Codec.decode codec (B.read b id) in
+            let data = fetch t e id in
             Hashtbl.replace dc.decoded id data;
             data
       end
@@ -169,7 +198,7 @@ let write t id data =
         else Io_stats.record_write_traced t.stats
       in
       if traced then Cost_ctx.emit (Block_write { id; hit })
-  | Ext { backend = Store_intf.Backend ((module B), b); _ } ->
+  | Ext ({ backend = Store_intf.Backend ((module B), b); _ } as e) ->
       if Cost_ctx.tracing () then Cost_ctx.emit (Block_write { id; hit = false });
       (* invalidate rather than update: caching the caller's array
          would alias memory the caller may mutate after the write.
@@ -178,7 +207,12 @@ let write t id data =
          stale while another domain is querying. *)
       if t.cache_capacity > 0 then
         Hashtbl.remove (Tls.get t.dcache).decoded id;
-      B.write b id (Codec.encode (block_codec t "write") data)
+      let codec = block_codec t "write" in
+      let bytes = Codec.encode codec data in
+      B.write b id bytes;
+      match e.resident with
+      | Some m -> m.blocks.(id) <- Codec.decode codec bytes
+      | None -> ()
 
 let drop_cache t =
   (* the calling domain's cache; worker domains drop theirs when they
@@ -231,11 +265,19 @@ let of_blocks ~stats ~block_size ?(cache_blocks = 0) ?codec blocks =
 
 let of_backend ~stats ~block_size ?(cache_blocks = 0) ~codec backend =
   let t = create ~stats ~block_size ~cache_blocks ~codec ~backend () in
-  (match t.state with
-  | Ext e ->
-      let (Store_intf.Backend ((module B), b)) = e.backend in
-      e.allocated <- B.blocks_used b
-  | Mem _ -> assert false);
-  t
+  let (Store_intf.Backend ((module B), b)) = backend in
+  (* decode a resident backend's blocks here, once, before any query
+     (or domain fan-out) can read them *)
+  let resident =
+    Option.map
+      (fun payloads ->
+        let blocks = Array.map (Codec.decode (block_codec t "of_backend")) payloads in
+        {
+          blocks = (if Array.length blocks = 0 then Array.make 16 [||] else blocks);
+          used = Array.length blocks;
+        })
+      (B.take_resident b)
+  in
+  { t with state = Ext { backend; allocated = B.blocks_used b; resident } }
 
 let set_stats t stats = t.stats <- stats

@@ -37,10 +37,9 @@ val create :
     On the simulator backend it models main memory: resident blocks
     cost nothing.  On an external backend it sizes a decoded-block
     cache: the most recently read [cache_blocks] blocks keep their
-    decoded payloads in memory, so re-reading them skips both the
-    backend page read and the decode (the backend's physical counters
-    simply see fewer reads — model-level accounting is still never
-    charged in external mode).  [backend] defaults to the in-memory
+    decoded payloads in memory, so re-reading them skips the charged
+    fetch (the backend's counters simply see fewer reads — model-level
+    accounting is still never charged in external mode).  [backend] defaults to the in-memory
     simulator.
 
     [codec] is the {e element} codec; the store derives the per-block
@@ -78,7 +77,9 @@ val alloc : 'a t -> 'a array -> int
 
 val read : 'a t -> int -> 'a array
 (** Fetch a block; charges one read on a cache miss.  The returned
-    array is the store's own copy and must not be mutated.
+    array is the store's own copy and must not be mutated: in
+    simulator mode and over a resident backend (see {!of_backend}) it
+    is the stored block itself, shared by every reader.
     @raise Invalid_argument on a bad block id (simulator mode).
     @raise Codec.Decode if an external block's bytes are corrupt. *)
 
@@ -140,7 +141,18 @@ val of_backend :
   Store_intf.backend ->
   'a t
 (** External-mode store over an already-populated backend; block ids
-    [0 .. blocks_used - 1] are readable immediately. *)
+    [0 .. blocks_used - 1] are readable immediately.
+
+    If the backend is resident ({!Store_intf.BACKEND.take_resident}
+    returns its payloads), the store takes the bytes over and decodes
+    every block here, once, into an array that is immutable while the
+    structure is read-only — so concurrent readers on several domains
+    share it.  A read then returns the decoded block and charges
+    {!Store_intf.BACKEND.charge_read}, exactly what the backend's own
+    read would have charged, with the same {!Cost_ctx} events;
+    {!write} and {!alloc} keep the decoded array current (with a fresh
+    decode of the written bytes, never the caller's array).
+    @raise Codec.Decode if a resident block's bytes are corrupt. *)
 
 val set_stats : 'a t -> Io_stats.t -> unit
 (** Repoint the store's accounting at a fresh sink.  Needed when a

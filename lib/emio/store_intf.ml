@@ -27,6 +27,18 @@ module type BACKEND = sig
   (** Overwrite an existing block payload (the new payload may have a
       different length). *)
 
+  val take_resident : t -> bytes array option
+  (** [Some payloads] (indexed by block id) if the backend holds every
+      payload in memory.  The caller becomes their only holder: the
+      backend drops its own reference, and from then on the caller
+      serves reads itself, charging each through {!charge_read}.
+      [None] for a backend whose reads must go through {!read}. *)
+
+  val charge_read : t -> int -> unit
+  (** Record what [read] of this block would charge, without fetching
+      it: the accounting half of a read whose payload the caller
+      already holds (see {!take_resident}). *)
+
   val blocks_used : t -> int
   (** Number of blocks allocated through this backend. *)
 

@@ -662,7 +662,10 @@ let make ?(memtable_cap = default_memtable_cap) ?build_domains
                            })
                   in
                   let k = Array.length m.levels in
-                  let per_pages = max 1 (cache_pages / max 1 k) in
+                  (* a disabled pool (0 pages) stays disabled per level *)
+                  let per_pages =
+                    if cache_pages = 0 then 0 else max 1 (cache_pages / max 1 k)
+                  in
                   let rec load_levels i acc =
                     if i = k then Ok (List.rev acc)
                     else begin

@@ -432,7 +432,10 @@ let make ?build_domains ~inner:(module M : Index.S) ~shards ~partition () :
                              got = m.inner_kind;
                            })
                   in
-                  let per_pages = max 1 (cache_pages / m.shards) in
+                  (* a disabled pool (0 pages) stays disabled per shard *)
+                  let per_pages =
+                    if cache_pages = 0 then 0 else max 1 (cache_pages / m.shards)
+                  in
                   let rec load_shards s acc =
                     if s = m.shards then Ok (List.rev acc)
                     else begin

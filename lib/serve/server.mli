@@ -29,7 +29,8 @@
     pool the lease holder drives), which is what makes the engine's
     domain-local scratch state safe.  Concurrent fan-out over a
     reopened snapshot additionally requires resident payloads
-    ({!Diskstore.File_backend.preload}); with [resident = false] the
+    ({!Diskstore.File_backend.set_resident_on_reopen}); with
+    [resident = false] the
     server forces [domains = 1] {e and} a single dispatcher. *)
 
 type config = {
@@ -52,7 +53,9 @@ type config = {
       (** drain grace for flushing response outboxes at stop *)
   cache_pages : int;
   policy : Diskstore.Buffer_pool.policy;
-  resident : bool;  (** preload payloads; required for any fan-out *)
+  resident : bool;
+      (** hold payloads in memory, decoded once at reopen; required for
+          any fan-out *)
   max_frame : int;
   dispatch_delay_s : float;
       (** test hook: sleep this long before executing each batch, to

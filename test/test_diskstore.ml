@@ -432,6 +432,101 @@ let test_snapshot_flipped_byte_corpus () =
       | Ok _ -> Alcotest.failf "flipped byte at %d accepted" off)
     offsets
 
+(* Load reads every page after the header exactly once (table, then
+   payload, then skeleton, ascending) and verifies each as it goes: a
+   flipped byte in a table page, a payload page or the last skeleton
+   page is reported as that page's checksum failure, on a plain and on
+   a resident reopen alike. *)
+let with_resident resident f =
+  Diskstore.File_backend.set_resident_on_reopen resident;
+  Fun.protect
+    ~finally:(fun () -> Diskstore.File_backend.set_resident_on_reopen false)
+    f
+
+let test_snapshot_pages_verified_once () =
+  let path = saved_h2_snapshot () in
+  let info =
+    match Diskstore.Snapshot.read_info path with
+    | Ok info -> info
+    | Error e -> Alcotest.failf "read_info: %a" Diskstore.Snapshot.pp_error e
+  in
+  let psz = info.Diskstore.Snapshot.page_size in
+  let cap = psz - Diskstore.Block_file.header_bytes in
+  let table_pages = ((8 * info.Diskstore.Snapshot.n_blocks) + cap - 1) / cap in
+  let last = info.Diskstore.Snapshot.total_pages - 1 in
+  List.iter
+    (fun resident ->
+      let mode = if resident then "resident" else "plain" in
+      with_resident resident (fun () ->
+          let stats = Emio.Io_stats.create () in
+          (match
+             Diskstore.Snapshot.load ~path ~stats ~cache_pages:0 ()
+           with
+          | Ok opened -> Diskstore.Snapshot.close opened
+          | Error e ->
+              Alcotest.failf "%s load: %a" mode Diskstore.Snapshot.pp_error e);
+          check (mode ^ ": one read per page after the header") last
+            (Emio.Io_stats.reads stats);
+          List.iter
+            (fun (section, page) ->
+              let corrupt = Bytes.of_string (read_file path) in
+              let off = (page * psz) + 20 in
+              Bytes.set corrupt off
+                (Char.chr (Char.code (Bytes.get corrupt off) lxor 0x01));
+              let stub = temp_path () in
+              write_file stub (Bytes.to_string corrupt);
+              match load_h2 stub with
+              | Error (Diskstore.Snapshot.Bad_checksum { page = got }) ->
+                  check (Printf.sprintf "%s: %s page" mode section) page got
+              | Ok _ -> Alcotest.failf "%s: flipped %s page accepted" mode section
+              | Error e ->
+                  Alcotest.failf "%s: flipped %s page: wrong error %a" mode
+                    section Diskstore.Snapshot.pp_error e)
+            [ ("table", 1); ("payload", 1 + table_pages); ("last skeleton", last) ]))
+    [ false; true ]
+
+(* Re-seal page [page]'s CRC (over the length field and the body) so
+   only the checks behind the page checksums can fire. *)
+let reseal raw ~psz page =
+  let base = page * psz in
+  let crc =
+    Diskstore.Crc32.update
+      (Diskstore.Crc32.update 0 raw ~pos:base ~len:4)
+      raw ~pos:(base + 8) ~len:(psz - 8)
+  in
+  Bytes.set_int32_le raw (base + 4) (Int32.of_int crc)
+
+(* Because load reads only the sections, it must prove they tile the
+   file: a block table whose spans leave a page out is rejected even
+   when every page and section checksum holds. *)
+let test_snapshot_untiled_table_rejected () =
+  let path = saved_h2_snapshot () in
+  let raw = Bytes.of_string (read_file path) in
+  let psz = 256 in
+  let table_pages =
+    let n = Int32.to_int (Bytes.get_int32_le raw (8 + 20)) in
+    ((8 * n) + psz - 9) / (psz - 8)
+  in
+  (* block 0 now claims to start one page in, skipping page 0 of the
+     payload section *)
+  Bytes.set_int32_le raw (psz + 8) 1l;
+  reseal raw ~psz 1;
+  let table = Buffer.create 256 in
+  for p = 1 to table_pages do
+    let len = Int32.to_int (Bytes.get_int32_le raw (p * psz)) in
+    Buffer.add_subbytes table raw ((p * psz) + 8) len
+  done;
+  (* the header's table CRC sits at payload offset 36 *)
+  Bytes.set_int32_le raw (8 + 36)
+    (Int32.of_int (Diskstore.Crc32.digest_string (Buffer.contents table)));
+  reseal raw ~psz 0;
+  let stub = temp_path () in
+  write_file stub (Bytes.to_string raw);
+  match load_h2 stub with
+  | Error (Diskstore.Snapshot.Bad_header _) -> ()
+  | Ok _ -> Alcotest.fail "untiled block table accepted"
+  | Error e -> Alcotest.failf "wrong error: %a" Diskstore.Snapshot.pp_error e
+
 (* a v1 (closure-marshalled) snapshot must be rejected with the typed
    Unsupported_version error, not misparsed *)
 let test_snapshot_v1_rejected () =
@@ -627,6 +722,10 @@ let () =
           Alcotest.test_case "flipped-byte corpus" `Quick
             test_snapshot_flipped_byte_corpus;
           Alcotest.test_case "v1 rejected" `Quick test_snapshot_v1_rejected;
+          Alcotest.test_case "each page verified once" `Quick
+            test_snapshot_pages_verified_once;
+          Alcotest.test_case "untiled block table" `Quick
+            test_snapshot_untiled_table_rejected;
           Alcotest.test_case "cold reopen" `Quick
             test_snapshot_load_is_cold_process_safe;
         ] );

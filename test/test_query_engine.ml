@@ -64,12 +64,16 @@ let test_reporter_mark_truncate_rewrite () =
 
 (* A byte backend that stores payloads in memory and counts the
    physical reads it serves, so tests can observe exactly when the
-   Store's decoded cache short-circuits the backend. *)
+   Store's decoded cache short-circuits the backend.  In resident mode
+   it hands every payload to a store opened over it ([take_resident]),
+   which then only charges reads ([charged]) instead of fetching. *)
 module Counting_backend = struct
   type t = {
     blocks : (int, bytes) Hashtbl.t;
     mutable next : int;
     mutable phys_reads : int;
+    mutable charged : int;
+    mutable resident : bool;
   }
 
   let name _ = "test:counting"
@@ -87,16 +91,30 @@ module Counting_backend = struct
     | None -> failwith "Counting_backend: unknown block"
 
   let write t id payload = Hashtbl.replace t.blocks id (Bytes.copy payload)
+
+  let take_resident t =
+    if t.resident then
+      Some (Array.init t.next (fun id -> Bytes.copy (Hashtbl.find t.blocks id)))
+    else None
+
+  let charge_read t _ = t.charged <- t.charged + 1
   let blocks_used t = Hashtbl.length t.blocks
   let drop_cache _ = ()
   let flush _ = ()
   let close _ = ()
 end
 
+let counting_backend () =
+  {
+    Counting_backend.blocks = Hashtbl.create 16;
+    next = 0;
+    phys_reads = 0;
+    charged = 0;
+    resident = false;
+  }
+
 let counting_store ~cache_blocks =
-  let b =
-    { Counting_backend.blocks = Hashtbl.create 16; next = 0; phys_reads = 0 }
-  in
+  let b = counting_backend () in
   let store =
     Emio.Store.create
       ~stats:(Emio.Io_stats.create ())
@@ -177,13 +195,110 @@ let test_decoded_cache_disabled () =
   check "cold cache: one backend read per Store.read" 3
     b.Counting_backend.phys_reads
 
+(* ---- resident backends: every block decoded once, at of_backend ---- *)
+
+(* [blocks] written through an ordinary store, then reopened over the
+   same backend switched to resident mode. *)
+let resident_store ~cache_blocks blocks =
+  let store, b = counting_store ~cache_blocks:0 in
+  List.iter (fun data -> ignore (Emio.Store.alloc store data)) blocks;
+  b.Counting_backend.resident <- true;
+  let store =
+    Emio.Store.of_backend
+      ~stats:(Emio.Io_stats.create ())
+      ~block_size:4 ~cache_blocks ~codec:Emio.Codec.int
+      (Emio.Store_intf.Backend ((module Counting_backend), b))
+  in
+  (store, b)
+
+let test_resident_reads () =
+  let store, b = resident_store ~cache_blocks:0 [ [| 1; 2 |]; [| 3; 4 |] ] in
+  let events = ref [] in
+  let ctx = Emio.Cost_ctx.create ~trace:(fun e -> events := e :: !events) () in
+  let first, again =
+    Emio.Cost_ctx.with_ctx ctx (fun () ->
+        let first = Emio.Store.read store 1 in
+        (first, Emio.Store.read store 1))
+  in
+  Alcotest.(check (array int)) "decoded payload" [| 3; 4 |] first;
+  Alcotest.(check bool) "the same array every time" true (first == again);
+  check "no backend read" 0 b.Counting_backend.phys_reads;
+  check "each read still charged" 2 b.Counting_backend.charged;
+  Alcotest.(check bool)
+    "a charged miss is traced like a backend read" true
+    (!events
+    = [
+        Emio.Cost_ctx.Block_read { id = 1; hit = false };
+        Emio.Cost_ctx.Block_read { id = 1; hit = false };
+      ]);
+  (match Emio.Store.read store 2 with
+  | _ -> Alcotest.fail "reading past the last block must raise"
+  | exception Invalid_argument _ -> ());
+  check "a bad id charges nothing" 2 b.Counting_backend.charged
+
+let test_resident_write () =
+  let store, b = resident_store ~cache_blocks:0 [ [| 1; 2 |] ] in
+  let a = [| 5; 6 |] in
+  Emio.Store.write store 0 a;
+  Alcotest.(check (array int)) "write shows on the next read" [| 5; 6 |]
+    (Emio.Store.read store 0);
+  a.(0) <- 42;
+  Alcotest.(check (array int)) "the caller's array is not aliased" [| 5; 6 |]
+    (Emio.Store.read store 0);
+  Alcotest.(check (array int)) "the write reached the backend" [| 5; 6 |]
+    (Emio.Codec.decode (Emio.Codec.array Emio.Codec.int)
+       (Hashtbl.find b.Counting_backend.blocks 0));
+  check "still no backend read" 0 b.Counting_backend.phys_reads
+
+let test_resident_alloc () =
+  let store, b = resident_store ~cache_blocks:0 [ [| 1 |] ] in
+  (* enough fresh blocks to outgrow the decoded array several times *)
+  let fresh = Array.init 40 (fun i -> [| i; -i |]) in
+  let ids = Array.map (Emio.Store.alloc store) fresh in
+  Array.iteri (fun i a -> a.(0) <- 1000 + i) fresh;
+  Array.iteri
+    (fun i id ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "allocated block %d reads back" id)
+        [| i; -i |] (Emio.Store.read store id))
+    ids;
+  Alcotest.(check (array int)) "the reopened block is intact" [| 1 |]
+    (Emio.Store.read store 0);
+  check "blocks used" 41 (Emio.Store.blocks_used store);
+  check "no backend read" 0 b.Counting_backend.phys_reads
+
+(* With an LRU in front, a resident store charges exactly what the
+   same store over the non-resident backend fetches: one charge per
+   LRU miss, nothing on a hit. *)
+let test_resident_lru_charges () =
+  let blocks = [ [| 1 |]; [| 2 |]; [| 3 |] ] in
+  let pattern = [ 0; 0; 1; 0; 2; 1; 1; 0; 2; 2 ] in
+  let misses (store, count) =
+    List.map
+      (fun id ->
+        let before = count () in
+        ignore (Emio.Store.read store id);
+        count () - before)
+      pattern
+  in
+  let cold_store, cold = counting_store ~cache_blocks:2 in
+  List.iter (fun data -> ignore (Emio.Store.alloc cold_store data)) blocks;
+  let cold_misses =
+    misses (cold_store, fun () -> cold.Counting_backend.phys_reads)
+  in
+  let store, b = resident_store ~cache_blocks:2 blocks in
+  let resident_misses = misses (store, fun () -> b.Counting_backend.charged) in
+  Alcotest.(check (list int)) "charged exactly on LRU misses" cold_misses
+    resident_misses;
+  Alcotest.(check (list int)) "hits are free"
+    [ 1; 0; 1; 0; 1; 1; 0; 1; 1; 0 ] resident_misses;
+  check "no backend read" 0 b.Counting_backend.phys_reads
+
 (* ---- codec requirements: anything that touches bytes needs the
    element codec; the pure simulator path never does ---- *)
 
 let test_backend_requires_codec () =
-  let b =
-    { Counting_backend.blocks = Hashtbl.create 16; next = 0; phys_reads = 0 }
-  in
+  let b = counting_backend () in
   match
     Emio.Store.create
       ~stats:(Emio.Io_stats.create ())
@@ -497,6 +612,14 @@ let () =
           Alcotest.test_case "drop_cache" `Quick test_decoded_cache_drop;
           Alcotest.test_case "disabled at 0" `Quick
             test_decoded_cache_disabled;
+        ] );
+      ( "resident",
+        [
+          Alcotest.test_case "reads share one decoded array" `Quick
+            test_resident_reads;
+          Alcotest.test_case "write" `Quick test_resident_write;
+          Alcotest.test_case "alloc" `Quick test_resident_alloc;
+          Alcotest.test_case "LRU charges" `Quick test_resident_lru_charges;
         ] );
       ( "codec guard",
         [

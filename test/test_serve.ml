@@ -706,6 +706,58 @@ let test_every_layout () =
         qs)
     layouts
 
+(* A resident reopen — every block decoded once, shared by all reads —
+   answers and charges exactly like a non-resident reopen with the
+   buffer pool disabled, where every read is a cold fetch: for every
+   registered structure, a sharded layout and an LSM layout.  And
+   because a resident read returns the decoded block itself, a query
+   allocates no per-block payload copies. *)
+let test_resident_charges_cold_fetch () =
+  let n = 1024 and words_per_query = 1024. in
+  let cases =
+    List.map
+      (fun (module M : Index.S) -> (M.name, 1, false))
+      (Registry.all ())
+    @ [ ("ptree", 4, false); ("ptree", 1, true) ]
+  in
+  List.iteri
+    (fun i (name, shards, dynamic) ->
+      let path = build_snapshot ~shards ~dynamic name ~n ~seed:(300 + i) in
+      let label f =
+        Printf.sprintf "%s%s%s: %s" name
+          (if shards = 1 then "" else Printf.sprintf " K=%d" shards)
+          (if dynamic then " lsm" else "")
+          f
+      in
+      let resident = load_resident path in
+      let cold =
+        match Meta.load ~cache_pages:0 path with
+        | Ok l -> l
+        | Error e -> Alcotest.failf "cold reopen of %s: %s" path e
+      in
+      let qs = Meta.replay_queries resident ~fraction:0.05 ~count:16 in
+      Array.iteri
+        (fun i q ->
+          let got = Query_engine.run_one resident.Meta.inst q in
+          let want = Query_engine.run_one cold.Meta.inst q in
+          let label f = label (Printf.sprintf "query %d %s" i f) in
+          check (label "count") want.Query_engine.result got.Query_engine.result;
+          check (label "reads") want.Query_engine.reads got.Query_engine.reads;
+          check (label "writes") want.Query_engine.writes got.Query_engine.writes;
+          check (label "hits") want.Query_engine.hits got.Query_engine.hits)
+        qs;
+      (* the pass above warmed every per-domain scratch buffer *)
+      let before = Gc.minor_words () in
+      Array.iter (fun q -> ignore (Query_engine.run_one resident.Meta.inst q)) qs;
+      let per_query =
+        (Gc.minor_words () -. before) /. float_of_int (Array.length qs)
+      in
+      if per_query > words_per_query then
+        Alcotest.failf "%s" (label (Printf.sprintf
+          "%.0f minor words per resident query, ceiling %.0f" per_query
+          words_per_query)))
+    cases
+
 (* Invalid requests get typed Error responses and the connection
    survives; a torn stream gets one Error and a hangup. *)
 let test_e2e_rejections () =
@@ -1124,5 +1176,7 @@ let () =
             test_e2e_shed_while_draining;
           Alcotest.test_case "every snapshot layout reopens" `Quick
             test_every_layout;
+          Alcotest.test_case "resident reads charge a cold fetch" `Quick
+            test_resident_charges_cold_fetch;
         ] );
     ]
