@@ -11,6 +11,7 @@ type t = {
 
 let side t = t.side
 let length t = t.length
+let block_size t = Emio.Store.block_size (Emio.Run.store t.buckets)
 
 let space_blocks t =
   Emio.Run.block_count t.directory + Emio.Run.block_count t.buckets
@@ -198,39 +199,9 @@ let portable_codec =
        (pair int int)
        (triple int int int))
 
-let snapshot_kind = "lcsearch.gridfile"
-
-let skeleton_codec =
-  Emio.Codec.versioned ~magic:snapshot_kind ~version:1 portable_codec
-
-let save_snapshot t ~path ?meta ?page_size () =
-  let bstore = Emio.Run.store t.buckets in
-  Diskstore.Snapshot.save ~path ~kind:snapshot_kind ?meta ?page_size
-    ~block_size:(Emio.Store.block_size bstore)
-    ~payload:(Emio.Store.export_bytes bstore)
-    ~skeleton:(Emio.Codec.encode skeleton_codec (to_portable t))
-    ()
-
-let of_snapshot ~stats ?policy ?cache_pages path =
-  match
-    Diskstore.Snapshot.load ~path ~stats ?policy ?cache_pages
-      ~expect_kind:snapshot_kind ()
-  with
-  | Error _ as e -> e
-  | Ok opened ->
-      let result =
-        match
-          Diskstore.Snapshot.decode_skeleton skeleton_codec
-            opened.Diskstore.Snapshot.skeleton
-        with
-        | Error _ as e -> e
-        | Ok p ->
-            Diskstore.Snapshot.reconstruct (fun () ->
-                ( of_portable ~stats
-                    ~backend:opened.Diskstore.Snapshot.backend p,
-                  opened.Diskstore.Snapshot.info ))
-      in
-      (match result with
-      | Error _ -> Diskstore.Snapshot.close opened
-      | Ok _ -> ());
-      result
+let snapshot =
+  Diskstore.Snapshot.format ~kind:"lcsearch.gridfile" ~version:1
+    ~codec:portable_codec
+    ~payload:(fun t ->
+      (block_size t, Emio.Store.export_bytes (Emio.Run.store t.buckets)))
+    ~to_skeleton:to_portable ~of_skeleton:of_portable

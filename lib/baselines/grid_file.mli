@@ -23,19 +23,11 @@ val query_window : t -> Rect.t -> Geom.Point2.t list
 
 val space_blocks : t -> int
 val length : t -> int
+val block_size : t -> int
 val side : t -> int
 
 (** {2 Persistence} *)
 
-val snapshot_kind : string
-(** ["lcsearch.gridfile"]. *)
-
-val save_snapshot :
-  t -> path:string -> ?meta:string -> ?page_size:int -> unit -> unit
-
-val of_snapshot :
-  stats:Emio.Io_stats.t ->
-  ?policy:Diskstore.Buffer_pool.policy ->
-  ?cache_pages:int ->
-  string ->
-  (t * Diskstore.Snapshot.info, Diskstore.Snapshot.error) result
+val snapshot : t Diskstore.Snapshot.format
+(** The ["lcsearch.gridfile"] snapshot format: bucket blocks are
+    the payload; the directory rides in the skeleton. *)

@@ -30,6 +30,7 @@ let query_count t ~slope ~icept =
 
 let space_blocks t = Emio.Run.block_count t.run
 let length t = t.length
+let block_size t = Emio.Store.block_size (Emio.Run.store t.run)
 
 (* The d-dimensional variant: the same Θ(n)-I/O scan over coordinate
    rows.  It is the conformance oracle for every structure the 2-D
@@ -78,6 +79,7 @@ let query_count_d t ~a0 ~a =
 
 let dim_d t = t.ddim
 let length_d t = t.dlength
+let block_size_d t = Emio.Store.block_size (Emio.Run.store t.drun)
 let space_blocks_d t = Emio.Run.block_count t.drun
 
 (* -- persistence: one snapshot kind covers both the 2-D and the
@@ -109,44 +111,26 @@ let portable_codec =
       | Scand_p { run; dim; len; bs; cb } -> (1, run, (dim, len, bs, cb)))
     (triple u8 Emio.Run.portable_codec (quad int int int int))
 
-let snapshot_kind = "lcsearch.scan"
-
-let skeleton_codec =
-  Emio.Codec.versioned ~magic:snapshot_kind ~version:1 portable_codec
-
-let save_with ~path ?meta ?page_size ~store ~portable () =
-  Diskstore.Snapshot.save ~path ~kind:snapshot_kind ?meta ?page_size
-    ~block_size:(Emio.Store.block_size store)
-    ~payload:(Emio.Store.export_bytes store)
-    ~skeleton:(Emio.Codec.encode skeleton_codec portable)
-    ()
-
-let save_snapshot t ~path ?meta ?page_size () =
-  let store = Emio.Run.store t.run in
-  save_with ~path ?meta ?page_size ~store
-    ~portable:
-      (Scan2_p
-         {
-           run = Emio.Run.to_portable t.run;
-           len = t.length;
-           bs = Emio.Store.block_size store;
-           cb = Emio.Store.cache_blocks store;
-         })
-    ()
-
-let save_snapshot_d t ~path ?meta ?page_size () =
-  let store = Emio.Run.store t.drun in
-  save_with ~path ?meta ?page_size ~store
-    ~portable:
-      (Scand_p
-         {
-           run = Emio.Run.to_portable t.drun;
-           dim = t.ddim;
-           len = t.dlength;
-           bs = Emio.Store.block_size store;
-           cb = Emio.Store.cache_blocks store;
-         })
-    ()
+let to_portable = function
+  | T2 t ->
+      let store = Emio.Run.store t.run in
+      Scan2_p
+        {
+          run = Emio.Run.to_portable t.run;
+          len = t.length;
+          bs = Emio.Store.block_size store;
+          cb = Emio.Store.cache_blocks store;
+        }
+  | Td t ->
+      let store = Emio.Run.store t.drun in
+      Scand_p
+        {
+          run = Emio.Run.to_portable t.drun;
+          dim = t.ddim;
+          len = t.dlength;
+          bs = Emio.Store.block_size store;
+          cb = Emio.Store.cache_blocks store;
+        }
 
 let of_portable ~stats ~backend = function
   | Scan2_p { run; len; bs; cb } ->
@@ -162,26 +146,13 @@ let of_portable ~stats ~backend = function
       in
       Td { drun = Emio.Run.of_portable store run; ddim = dim; dlength = len }
 
-let of_snapshot ~stats ?policy ?cache_pages path =
-  match
-    Diskstore.Snapshot.load ~path ~stats ?policy ?cache_pages
-      ~expect_kind:snapshot_kind ()
-  with
-  | Error _ as e -> e
-  | Ok opened ->
-      let result =
-        match
-          Diskstore.Snapshot.decode_skeleton skeleton_codec
-            opened.Diskstore.Snapshot.skeleton
-        with
-        | Error _ as e -> e
-        | Ok p ->
-            Diskstore.Snapshot.reconstruct (fun () ->
-                ( of_portable ~stats
-                    ~backend:opened.Diskstore.Snapshot.backend p,
-                  opened.Diskstore.Snapshot.info ))
-      in
-      (match result with
-      | Error _ -> Diskstore.Snapshot.close opened
-      | Ok _ -> ());
-      result
+let snapshot =
+  let export store =
+    (Emio.Store.block_size store, Emio.Store.export_bytes store)
+  in
+  Diskstore.Snapshot.format ~kind:"lcsearch.scan" ~version:1
+    ~codec:portable_codec
+    ~payload:(function
+      | T2 t -> export (Emio.Run.store t.run)
+      | Td t -> export (Emio.Run.store t.drun))
+    ~to_skeleton:to_portable ~of_skeleton:of_portable

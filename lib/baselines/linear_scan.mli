@@ -20,6 +20,7 @@ val query_iter :
 
 val space_blocks : t -> int
 val length : t -> int
+val block_size : t -> int
 
 (** {1 The d-dimensional scan}
 
@@ -49,28 +50,13 @@ val query_iter_d :
 
 val dim_d : d -> int
 val length_d : d -> int
+val block_size_d : d -> int
 val space_blocks_d : d -> int
 
-(** {1 Persistence}
-
-    One snapshot kind, ["lcsearch.scan"], covers both variants: the
-    skeleton records which one was saved and {!of_snapshot} returns the
-    corresponding arm of {!any}. *)
+(** {1 Persistence} *)
 
 type any = T2 of t | Td of d
 
-val snapshot_kind : string
-
-val save_snapshot :
-  t -> path:string -> ?meta:string -> ?page_size:int -> unit -> unit
-
-val save_snapshot_d :
-  d -> path:string -> ?meta:string -> ?page_size:int -> unit -> unit
-
-val of_snapshot :
-  stats:Emio.Io_stats.t ->
-  ?policy:Diskstore.Buffer_pool.policy ->
-  ?cache_pages:int ->
-  string ->
-  (any * Diskstore.Snapshot.info, Diskstore.Snapshot.error) result
-(** See {!Core.Halfspace2d.of_snapshot}; same snapshot contract. *)
+val snapshot : any Diskstore.Snapshot.format
+(** One kind, ["lcsearch.scan"], covers both variants: the skeleton
+    records which one was saved, and reopening returns that arm. *)

@@ -23,19 +23,11 @@ val query_iter :
 
 val space_blocks : t -> int
 val length : t -> int
+val block_size : t -> int
 val depth : t -> int
 
 (** {2 Persistence} *)
 
-val snapshot_kind : string
-(** ["lcsearch.quadtree"]. *)
-
-val save_snapshot :
-  t -> path:string -> ?meta:string -> ?page_size:int -> unit -> unit
-
-val of_snapshot :
-  stats:Emio.Io_stats.t ->
-  ?policy:Diskstore.Buffer_pool.policy ->
-  ?cache_pages:int ->
-  string ->
-  (t * Diskstore.Snapshot.info, Diskstore.Snapshot.error) result
+val snapshot : t Diskstore.Snapshot.format
+(** The ["lcsearch.quadtree"] snapshot format: leaf buckets are
+    the payload; internal nodes ride in the skeleton. *)

@@ -14,6 +14,7 @@ type t = {
 }
 
 let length t = t.length
+let block_size t = Emio.Store.block_size t.leaves
 let height t = t.height
 
 let space_blocks t =
@@ -363,38 +364,7 @@ let portable_codec =
        (triple (array (array entry_codec)) (option node_ref_codec) Rect.codec)
        (pair int int) (pair int int))
 
-let snapshot_kind = "lcsearch.rtree"
-
-let skeleton_codec ~kind =
-  Emio.Codec.versioned ~magic:kind ~version:1 portable_codec
-
-let save_snapshot t ~path ?(kind = snapshot_kind) ?meta ?page_size () =
-  Diskstore.Snapshot.save ~path ~kind ?meta ?page_size
-    ~block_size:(Emio.Store.block_size t.leaves)
-    ~payload:(Emio.Store.export_bytes t.leaves)
-    ~skeleton:(Emio.Codec.encode (skeleton_codec ~kind) (to_portable t))
-    ()
-
-let of_snapshot ~stats ?policy ?cache_pages ?(kind = snapshot_kind) path =
-  match
-    Diskstore.Snapshot.load ~path ~stats ?policy ?cache_pages
-      ~expect_kind:kind ()
-  with
-  | Error _ as e -> e
-  | Ok opened ->
-      let result =
-        match
-          Diskstore.Snapshot.decode_skeleton (skeleton_codec ~kind)
-            opened.Diskstore.Snapshot.skeleton
-        with
-        | Error _ as e -> e
-        | Ok p ->
-            Diskstore.Snapshot.reconstruct (fun () ->
-                ( of_portable ~stats
-                    ~backend:opened.Diskstore.Snapshot.backend p,
-                  opened.Diskstore.Snapshot.info ))
-      in
-      (match result with
-      | Error _ -> Diskstore.Snapshot.close opened
-      | Ok _ -> ());
-      result
+let snapshot_format ~kind =
+  Diskstore.Snapshot.format ~kind ~version:1 ~codec:portable_codec
+    ~payload:(fun t -> (block_size t, Emio.Store.export_bytes t.leaves))
+    ~to_skeleton:to_portable ~of_skeleton:of_portable

@@ -33,30 +33,11 @@ val query_window : t -> Rect.t -> Geom.Point2.t list
 
 val space_blocks : t -> int
 val length : t -> int
+val block_size : t -> int
 val height : t -> int
 
-val snapshot_kind : string
-(** ["lcsearch.rtree"], the default [kind] below. *)
-
-val save_snapshot :
-  t ->
-  path:string ->
-  ?kind:string ->
-  ?meta:string ->
-  ?page_size:int ->
-  unit ->
-  unit
+val snapshot_format : kind:string -> t Diskstore.Snapshot.format
 (** Leaf blocks become payload pages; internal levels ride in the
-    skeleton (pinned in memory when reopened).  [kind] lets packing
-    variants stamp their own snapshot kind (e.g.
+    skeleton (pinned in memory when reopened).  [kind] is the header
+    tag, so each packing stamps its own (["lcsearch.rtree"],
     ["lcsearch.rtree-hilbert"]). *)
-
-val of_snapshot :
-  stats:Emio.Io_stats.t ->
-  ?policy:Diskstore.Buffer_pool.policy ->
-  ?cache_pages:int ->
-  ?kind:string ->
-  string ->
-  (t * Diskstore.Snapshot.info, Diskstore.Snapshot.error) result
-(** See {!Core.Halfspace2d.of_snapshot}; same snapshot contract.
-    [kind] must match the kind the file was saved with. *)

@@ -39,6 +39,7 @@ type t = {
 }
 
 let length t = t.length
+let block_size t = Emio.Store.block_size t.leaves
 let last_visited_nodes t = t.visited
 let certificate_items t = t.cert_items
 
@@ -381,41 +382,11 @@ let portable_codec =
        (triple (option node_ref_codec) int int)
        (pair int int))
 
-let snapshot_kind = "lcsearch.cert"
-
 (* v2: the certificate run went flat (stride-3 floats in 3B-float
    blocks) — the stored blocks changed element type, so v1 skeletons
    are rejected with a clear version error rather than misdecoded. *)
-let skeleton_codec =
-  Emio.Codec.versioned ~magic:snapshot_kind ~version:2 portable_codec
-
-let save_snapshot t ~path ?meta ?page_size () =
-  Diskstore.Snapshot.save ~path ~kind:snapshot_kind ?meta ?page_size
-    ~block_size:(Emio.Store.block_size t.leaves)
-    ~payload:(Emio.Store.export_bytes t.leaves)
-    ~skeleton:(Emio.Codec.encode skeleton_codec (to_portable t))
-    ()
-
-let of_snapshot ~stats ?policy ?cache_pages path =
-  match
-    Diskstore.Snapshot.load ~path ~stats ?policy ?cache_pages
-      ~expect_kind:snapshot_kind ()
-  with
-  | Error _ as e -> e
-  | Ok opened ->
-      let result =
-        match
-          Diskstore.Snapshot.decode_skeleton skeleton_codec
-            opened.Diskstore.Snapshot.skeleton
-        with
-        | Error _ as e -> e
-        | Ok p ->
-            Diskstore.Snapshot.reconstruct (fun () ->
-                ( of_portable ~stats
-                    ~backend:opened.Diskstore.Snapshot.backend p,
-                  opened.Diskstore.Snapshot.info ))
-      in
-      (match result with
-      | Error _ -> Diskstore.Snapshot.close opened
-      | Ok _ -> ());
-      result
+let snapshot =
+  Diskstore.Snapshot.format ~kind:"lcsearch.cert" ~version:2
+    ~codec:portable_codec
+    ~payload:(fun t -> (block_size t, Emio.Store.export_bytes t.leaves))
+    ~to_skeleton:to_portable ~of_skeleton:of_portable

@@ -46,6 +46,7 @@ val query_ids_into : t -> a0:float -> a:float array -> Emio.Reporter.t -> unit
 (** Same traversal, appending ids to a reusable {!Emio.Reporter}. *)
 
 val length : t -> int
+val block_size : t -> int
 val space_blocks : t -> int
 
 val last_visited_nodes : t -> int
@@ -61,15 +62,7 @@ val points : t -> Geom.Point3.t array
 
 (** {2 Persistence} *)
 
-val snapshot_kind : string
-(** ["lcsearch.cert"]. *)
-
-val save_snapshot :
-  t -> path:string -> ?meta:string -> ?page_size:int -> unit -> unit
-
-val of_snapshot :
-  stats:Emio.Io_stats.t ->
-  ?policy:Diskstore.Buffer_pool.policy ->
-  ?cache_pages:int ->
-  string ->
-  (t * Diskstore.Snapshot.info, Diskstore.Snapshot.error) result
+val snapshot : t Diskstore.Snapshot.format
+(** The ["lcsearch.cert"] snapshot format: leaf blocks are the
+    payload; internal nodes and the certificate run ride in the
+    skeleton. *)

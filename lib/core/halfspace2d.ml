@@ -294,8 +294,6 @@ let query_count t ~slope ~icept =
    closure-free record (runs become block ids, B-trees their portable
    form — the key comparator is [compare], reapplied at load). *)
 
-let snapshot_kind = "lcsearch.h2"
-
 type layer_p =
   | Clustered_p of {
       cp_lambda : int;
@@ -336,17 +334,16 @@ let skeleton_codec =
         | 1 -> Scan_p (read Emio.Run.portable_codec b pos)
         | t -> raise (Decode (Printf.sprintf "bad h2 layer tag %d" t)))
   in
-  versioned ~magic:snapshot_kind ~version:1
-    (map
-       ~decode:(fun (sk_layers, (sk_length, sk_block_size, sk_cache_blocks),
-                     (sk_beta, sk_scratch)) ->
-         { sk_layers; sk_length; sk_block_size; sk_cache_blocks; sk_beta;
-           sk_scratch })
-       ~encode:(fun sk ->
-         ( sk.sk_layers,
-           (sk.sk_length, sk.sk_block_size, sk.sk_cache_blocks),
-           (sk.sk_beta, sk.sk_scratch) ))
-       (triple (array layer_codec) (triple int int int) (pair int int)))
+  map
+    ~decode:(fun (sk_layers, (sk_length, sk_block_size, sk_cache_blocks),
+                  (sk_beta, sk_scratch)) ->
+      { sk_layers; sk_length; sk_block_size; sk_cache_blocks; sk_beta;
+        sk_scratch })
+    ~encode:(fun sk ->
+      ( sk.sk_layers,
+        (sk.sk_length, sk.sk_block_size, sk.sk_cache_blocks),
+        (sk.sk_beta, sk.sk_scratch) ))
+    (triple (array layer_codec) (triple int int int) (pair int int))
 
 let to_skeleton t =
   {
@@ -398,35 +395,7 @@ let of_skeleton ~stats ~backend sk =
     distinct = max 1 sk.sk_scratch;
   }
 
-let save_snapshot t ~path ?meta ?page_size () =
-  Diskstore.Snapshot.save ~path ~kind:snapshot_kind ?meta ?page_size
-    ~block_size:t.block_size
-    ~payload:(Emio.Store.export_bytes t.store)
-    ~skeleton:(Emio.Codec.encode skeleton_codec (to_skeleton t))
-    ()
-
-let of_snapshot ~stats ?policy ?cache_pages path =
-  match
-    Diskstore.Snapshot.load ~path ~stats ?policy ?cache_pages
-      ~expect_kind:snapshot_kind ()
-  with
-  | Error _ as e -> e
-  | Ok opened ->
-      let result =
-        match
-          Diskstore.Snapshot.decode_skeleton skeleton_codec
-            opened.Diskstore.Snapshot.skeleton
-        with
-        | Error _ as e -> e
-        | Ok sk ->
-            Diskstore.Snapshot.reconstruct (fun () ->
-                let t =
-                  of_skeleton ~stats ~backend:opened.Diskstore.Snapshot.backend
-                    sk
-                in
-                (t, opened.Diskstore.Snapshot.info))
-      in
-      (match result with
-      | Error _ -> Diskstore.Snapshot.close opened
-      | Ok _ -> ());
-      result
+let snapshot =
+  Diskstore.Snapshot.format ~kind:"lcsearch.h2" ~version:1 ~codec:skeleton_codec
+    ~payload:(fun t -> (t.block_size, Emio.Store.export_bytes t.store))
+    ~to_skeleton ~of_skeleton

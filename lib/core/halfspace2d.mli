@@ -67,21 +67,7 @@ val last_clusters_visited : t -> int
 val last_layers_visited : t -> int
 (** Layers the most recent query visited before halting. *)
 
-val snapshot_kind : string
-(** Kind tag stored in this structure's snapshot headers. *)
-
-val save_snapshot :
-  t -> path:string -> ?meta:string -> ?page_size:int -> unit -> unit
-(** Persist the structure: entry blocks become checksummed payload
-    pages, layers and boundary B-trees become the skeleton.  See
-    {!Diskstore.Snapshot}. *)
-
-val of_snapshot :
-  stats:Emio.Io_stats.t ->
-  ?policy:Diskstore.Buffer_pool.policy ->
-  ?cache_pages:int ->
-  string ->
-  (t * Diskstore.Snapshot.info, Diskstore.Snapshot.error) result
-(** Reopen a snapshot for querying: entry blocks are served from the
-    file through a buffer pool; corruption (bad magic, bad CRC,
-    truncation) is returned as a typed error. *)
+val snapshot : t Diskstore.Snapshot.format
+(** The ["lcsearch.h2"] snapshot format: entry blocks become
+    checksummed payload pages, layers and boundary B-trees the
+    skeleton.  See {!Diskstore.Snapshot}. *)

@@ -7,6 +7,7 @@ type t = {
 }
 
 let length t = Array.length t.points
+let block_size t = Lowest_planes.block_size t.lp
 let space_blocks t = Lowest_planes.space_blocks t.lp
 let fallbacks t = Lowest_planes.fallbacks t.lp
 
@@ -105,39 +106,8 @@ let portable_codec =
     Emio.Codec.(
       triple Lowest_planes.portable_codec (array Point3.codec) int)
 
-let snapshot_kind = "lcsearch.h3"
-
-let skeleton_codec =
-  Emio.Codec.versioned ~magic:snapshot_kind ~version:2 portable_codec
-
-let save_snapshot t ~path ?meta ?page_size () =
-  Diskstore.Snapshot.save ~path ~kind:snapshot_kind ?meta ?page_size
-    ~block_size:(Lowest_planes.payload_block_size t.lp)
-    ~payload:(Lowest_planes.export_payload t.lp)
-    ~skeleton:
-      (Emio.Codec.encode skeleton_codec (to_portable ~embed_payload:false t))
-    ()
-
-let of_snapshot ~stats ?policy ?cache_pages path =
-  match
-    Diskstore.Snapshot.load ~path ~stats ?policy ?cache_pages
-      ~expect_kind:snapshot_kind ()
-  with
-  | Error _ as e -> e
-  | Ok opened ->
-      let result =
-        match
-          Diskstore.Snapshot.decode_skeleton skeleton_codec
-            opened.Diskstore.Snapshot.skeleton
-        with
-        | Error _ as e -> e
-        | Ok p ->
-            Diskstore.Snapshot.reconstruct (fun () ->
-                ( of_portable ~stats
-                    ~backend:opened.Diskstore.Snapshot.backend p,
-                  opened.Diskstore.Snapshot.info ))
-      in
-      (match result with
-      | Error _ -> Diskstore.Snapshot.close opened
-      | Ok _ -> ());
-      result
+let snapshot =
+  Diskstore.Snapshot.format ~kind:"lcsearch.h3" ~version:2 ~codec:portable_codec
+    ~payload:(fun t -> Lowest_planes.payload t.lp)
+    ~to_skeleton:(to_portable ~embed_payload:false)
+    ~of_skeleton:(fun ~stats ~backend -> of_portable ~stats ~backend)

@@ -39,6 +39,7 @@ val query_ids_into : t -> a:float -> b:float -> c:float -> Emio.Reporter.t -> un
     no intermediate lists. *)
 
 val length : t -> int
+val block_size : t -> int
 val space_blocks : t -> int
 
 val fallbacks : t -> int
@@ -64,15 +65,6 @@ val of_portable :
 
 val portable_codec : portable Emio.Codec.t
 
-val snapshot_kind : string
-(** ["lcsearch.h3"]. *)
-
-val save_snapshot :
-  t -> path:string -> ?meta:string -> ?page_size:int -> unit -> unit
-
-val of_snapshot :
-  stats:Emio.Io_stats.t ->
-  ?policy:Diskstore.Buffer_pool.policy ->
-  ?cache_pages:int ->
-  string ->
-  (t * Diskstore.Snapshot.info, Diskstore.Snapshot.error) result
+val snapshot : t Diskstore.Snapshot.format
+(** The ["lcsearch.h3"] snapshot format: the all-planes store is
+    the payload; the k-lowest-planes layers ride in the skeleton. *)

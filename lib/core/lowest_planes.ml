@@ -641,5 +641,8 @@ let portable_codec =
        (pair (array (array (option layer_codec))) Emio.Run.portable_codec)
        (triple (option (array (array float))) int int))
 
-let export_payload t = Emio.Store.export_bytes (Emio.Run.store t.all_planes)
-let payload_block_size t = Emio.Store.block_size (Emio.Run.store t.all_planes)
+let payload t =
+  let store = Emio.Run.store t.all_planes in
+  (Emio.Store.block_size store, Emio.Store.export_bytes store)
+
+let block_size t = Emio.Store.block_size (Emio.Run.store t.all_planes) / stride

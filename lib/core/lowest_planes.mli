@@ -85,7 +85,7 @@ val fallbacks : t -> int
     locator, conflict lists, and (optionally) the all-planes run's
     blocks.  When this structure is itself the snapshot's root (the h3
     index), the all-planes store becomes the snapshot payload instead:
-    pass [~embed_payload:false] and write {!export_payload} as the
+    pass [~embed_payload:false] and write {!payload} as the
     payload section, then revive with [?backend]. *)
 
 type portable
@@ -103,8 +103,10 @@ val of_portable :
 
 val portable_codec : portable Emio.Codec.t
 
-val export_payload : t -> bytes array
-(** The all-planes store's blocks, codec-encoded — a snapshot payload
-    section. *)
+val payload : t -> int * bytes array
+(** The all-planes store's block size and blocks, codec-encoded — a
+    snapshot payload section. *)
 
-val payload_block_size : t -> int
+val block_size : t -> int
+(** The build-time block size B (the payload store packs 4B floats
+    per block). *)

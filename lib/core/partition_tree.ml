@@ -18,6 +18,7 @@ type t = {
 }
 
 let length t = t.length
+let block_size t = Emio.Store.block_size t.leaves
 let dim t = t.dim
 let last_visited_nodes t = t.visited
 
@@ -286,39 +287,9 @@ let portable_codec =
        (triple int int int)
        (pair int (option (array (array item_codec)))))
 
-let snapshot_kind = "lcsearch.ptree"
-
-let skeleton_codec =
-  Emio.Codec.versioned ~magic:snapshot_kind ~version:1 portable_codec
-
-let save_snapshot t ~path ?meta ?page_size () =
-  Diskstore.Snapshot.save ~path ~kind:snapshot_kind ?meta ?page_size
-    ~block_size:(Emio.Store.block_size t.leaves)
-    ~payload:(Emio.Store.export_bytes t.leaves)
-    ~skeleton:
-      (Emio.Codec.encode skeleton_codec (to_portable ~embed_payload:false t))
-    ()
-
-let of_snapshot ~stats ?policy ?cache_pages path =
-  match
-    Diskstore.Snapshot.load ~path ~stats ?policy ?cache_pages
-      ~expect_kind:snapshot_kind ()
-  with
-  | Error _ as e -> e
-  | Ok opened ->
-      let result =
-        match
-          Diskstore.Snapshot.decode_skeleton skeleton_codec
-            opened.Diskstore.Snapshot.skeleton
-        with
-        | Error _ as e -> e
-        | Ok p ->
-            Diskstore.Snapshot.reconstruct (fun () ->
-                ( of_portable ~stats
-                    ~backend:opened.Diskstore.Snapshot.backend p,
-                  opened.Diskstore.Snapshot.info ))
-      in
-      (match result with
-      | Error _ -> Diskstore.Snapshot.close opened
-      | Ok _ -> ());
-      result
+let snapshot =
+  Diskstore.Snapshot.format ~kind:"lcsearch.ptree" ~version:1
+    ~codec:portable_codec
+    ~payload:(fun t -> (block_size t, Emio.Store.export_bytes t.leaves))
+    ~to_skeleton:(to_portable ~embed_payload:false)
+    ~of_skeleton:(fun ~stats ~backend -> of_portable ~stats ~backend)

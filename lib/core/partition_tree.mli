@@ -56,6 +56,7 @@ val query_halfspace_iter : t -> a0:float -> a:float array -> (int -> unit) -> un
 val query_simplex_iter : t -> Partition.Cells.constr list -> (int -> unit) -> unit
 
 val length : t -> int
+val block_size : t -> int
 val dim : t -> int
 val space_blocks : t -> int
 
@@ -86,15 +87,6 @@ val of_portable :
 
 val portable_codec : portable Emio.Codec.t
 
-val snapshot_kind : string
-(** ["lcsearch.ptree"]. *)
-
-val save_snapshot :
-  t -> path:string -> ?meta:string -> ?page_size:int -> unit -> unit
-
-val of_snapshot :
-  stats:Emio.Io_stats.t ->
-  ?policy:Diskstore.Buffer_pool.policy ->
-  ?cache_pages:int ->
-  string ->
-  (t * Diskstore.Snapshot.info, Diskstore.Snapshot.error) result
+val snapshot : t Diskstore.Snapshot.format
+(** The ["lcsearch.ptree"] snapshot format: leaf blocks are the
+    payload; internal nodes ride in the skeleton. *)

@@ -19,6 +19,7 @@ type t = {
 }
 
 let length t = t.length
+let block_size t = Emio.Store.block_size t.leaves
 let dim t = t.dim
 let last_secondary_uses t = t.secondary_uses
 
@@ -247,55 +248,26 @@ let of_portable ~stats ~backend p =
     secondary_uses = 0;
   }
 
-let snapshot_kind = "lcsearch.shallow"
-
-let skeleton_codec =
+let portable_codec =
   let open Emio.Codec in
-  versioned ~magic:snapshot_kind ~version:1
-    (map
-       ~decode:(fun ((ib, secs), (root, len, dim), (sf, bs, cb)) ->
-         { sp_internal_blocks = ib; sp_secondaries = secs; sp_root = root;
-           sp_length = len; sp_dim = dim; sp_shallow_factor = sf;
-           sp_block_size = bs; sp_cache_blocks = cb })
-       ~encode:(fun p ->
-         ( (p.sp_internal_blocks, p.sp_secondaries),
-           (p.sp_root, p.sp_length, p.sp_dim),
-           (p.sp_shallow_factor, p.sp_block_size, p.sp_cache_blocks) ))
-       (triple
-          (pair
-             (array (array child_codec))
-             (array
-                (pair int (pair Partition_tree.portable_codec (array int)))))
-          (triple (option node_ref_codec) int int)
-          (triple float int int)))
+  map
+    ~decode:(fun ((ib, secs), (root, len, dim), (sf, bs, cb)) ->
+      { sp_internal_blocks = ib; sp_secondaries = secs; sp_root = root;
+        sp_length = len; sp_dim = dim; sp_shallow_factor = sf;
+        sp_block_size = bs; sp_cache_blocks = cb })
+    ~encode:(fun p ->
+      ( (p.sp_internal_blocks, p.sp_secondaries),
+        (p.sp_root, p.sp_length, p.sp_dim),
+        (p.sp_shallow_factor, p.sp_block_size, p.sp_cache_blocks) ))
+    (triple
+       (pair
+          (array (array child_codec))
+          (array (pair int (pair Partition_tree.portable_codec (array int)))))
+       (triple (option node_ref_codec) int int)
+       (triple float int int))
 
-let save_snapshot t ~path ?meta ?page_size () =
-  Diskstore.Snapshot.save ~path ~kind:snapshot_kind ?meta ?page_size
-    ~block_size:(Emio.Store.block_size t.leaves)
-    ~payload:(Emio.Store.export_bytes t.leaves)
-    ~skeleton:(Emio.Codec.encode skeleton_codec (to_portable t))
-    ()
-
-let of_snapshot ~stats ?policy ?cache_pages path =
-  match
-    Diskstore.Snapshot.load ~path ~stats ?policy ?cache_pages
-      ~expect_kind:snapshot_kind ()
-  with
-  | Error _ as e -> e
-  | Ok opened ->
-      let result =
-        match
-          Diskstore.Snapshot.decode_skeleton skeleton_codec
-            opened.Diskstore.Snapshot.skeleton
-        with
-        | Error _ as e -> e
-        | Ok p ->
-            Diskstore.Snapshot.reconstruct (fun () ->
-                ( of_portable ~stats
-                    ~backend:opened.Diskstore.Snapshot.backend p,
-                  opened.Diskstore.Snapshot.info ))
-      in
-      (match result with
-      | Error _ -> Diskstore.Snapshot.close opened
-      | Ok _ -> ());
-      result
+let snapshot =
+  Diskstore.Snapshot.format ~kind:"lcsearch.shallow" ~version:1
+    ~codec:portable_codec
+    ~payload:(fun t -> (block_size t, Emio.Store.export_bytes t.leaves))
+    ~to_skeleton:to_portable ~of_skeleton:of_portable

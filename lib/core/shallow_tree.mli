@@ -41,6 +41,7 @@ val query_halfspace_iter :
 (** Visitor form underlying the variants above. *)
 
 val length : t -> int
+val block_size : t -> int
 val dim : t -> int
 val space_blocks : t -> int
 
@@ -54,15 +55,7 @@ val points : t -> Partition.Cells.point array
 
 (** {2 Persistence} *)
 
-val snapshot_kind : string
-(** ["lcsearch.shallow"]. *)
-
-val save_snapshot :
-  t -> path:string -> ?meta:string -> ?page_size:int -> unit -> unit
-
-val of_snapshot :
-  stats:Emio.Io_stats.t ->
-  ?policy:Diskstore.Buffer_pool.policy ->
-  ?cache_pages:int ->
-  string ->
-  (t * Diskstore.Snapshot.info, Diskstore.Snapshot.error) result
+val snapshot : t Diskstore.Snapshot.format
+(** The ["lcsearch.shallow"] snapshot format: leaf blocks are the
+    payload; internal nodes and the secondary partition trees ride
+    in the skeleton. *)

@@ -28,6 +28,7 @@ type t = {
 }
 
 let length t = t.length
+let block_size t = Emio.Store.block_size t.pid_store
 let leaf_capacity t = t.leaf_capacity
 let exponent t = t.exponent
 let last_secondary_queries t = t.secondary_queries
@@ -281,38 +282,8 @@ let portable_codec =
        (triple (option node_ref_codec) int int)
        (triple float int int))
 
-let snapshot_kind = "lcsearch.tradeoff"
-
-let skeleton_codec =
-  Emio.Codec.versioned ~magic:snapshot_kind ~version:2 portable_codec
-
-let save_snapshot t ~path ?meta ?page_size () =
-  Diskstore.Snapshot.save ~path ~kind:snapshot_kind ?meta ?page_size
-    ~block_size:(Emio.Store.block_size t.pid_store)
-    ~payload:(Emio.Store.export_bytes t.pid_store)
-    ~skeleton:(Emio.Codec.encode skeleton_codec (to_portable t))
-    ()
-
-let of_snapshot ~stats ?policy ?cache_pages path =
-  match
-    Diskstore.Snapshot.load ~path ~stats ?policy ?cache_pages
-      ~expect_kind:snapshot_kind ()
-  with
-  | Error _ as e -> e
-  | Ok opened ->
-      let result =
-        match
-          Diskstore.Snapshot.decode_skeleton skeleton_codec
-            opened.Diskstore.Snapshot.skeleton
-        with
-        | Error _ as e -> e
-        | Ok p ->
-            Diskstore.Snapshot.reconstruct (fun () ->
-                ( of_portable ~stats
-                    ~backend:opened.Diskstore.Snapshot.backend p,
-                  opened.Diskstore.Snapshot.info ))
-      in
-      (match result with
-      | Error _ -> Diskstore.Snapshot.close opened
-      | Ok _ -> ());
-      result
+let snapshot =
+  Diskstore.Snapshot.format ~kind:"lcsearch.tradeoff" ~version:2
+    ~codec:portable_codec
+    ~payload:(fun t -> (block_size t, Emio.Store.export_bytes t.pid_store))
+    ~to_skeleton:to_portable ~of_skeleton:of_portable

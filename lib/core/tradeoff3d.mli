@@ -36,6 +36,7 @@ val query_ids_into :
     ids in place via {!Emio.Reporter.rewrite_from}. *)
 
 val length : t -> int
+val block_size : t -> int
 val leaf_capacity : t -> int
 val space_blocks : t -> int
 
@@ -51,15 +52,7 @@ val exponent : t -> float
 
 (** {2 Persistence} *)
 
-val snapshot_kind : string
-(** ["lcsearch.tradeoff"]. *)
-
-val save_snapshot :
-  t -> path:string -> ?meta:string -> ?page_size:int -> unit -> unit
-
-val of_snapshot :
-  stats:Emio.Io_stats.t ->
-  ?policy:Diskstore.Buffer_pool.policy ->
-  ?cache_pages:int ->
-  string ->
-  (t * Diskstore.Snapshot.info, Diskstore.Snapshot.error) result
+val snapshot : t Diskstore.Snapshot.format
+(** The ["lcsearch.tradeoff"] snapshot format: the leaf point-id
+    store is the payload; the tree and the per-leaf h3 structures
+    ride in the skeleton. *)

@@ -151,3 +151,23 @@ let close t =
     t.closed <- true;
     Unix.close t.fd
   end
+
+let fsync_path path =
+  let fd = Unix.openfile path [ O_RDONLY; O_CLOEXEC ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
+
+let replace_atomically ~path write =
+  let tmp = path ^ ".tmp" in
+  (match
+     write tmp;
+     fsync_path tmp
+   with
+  | () -> ()
+  | exception e ->
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e);
+  Unix.rename tmp path;
+  (* make the rename itself durable; a filesystem that cannot fsync a
+     directory still gets the atomic rename *)
+  try fsync_path (Filename.dirname path)
+  with Unix.Unix_error (EINVAL, _, _) -> ()

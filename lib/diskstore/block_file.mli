@@ -63,3 +63,11 @@ val flush : t -> unit
 
 val close : t -> unit
 (** Close the descriptor; idempotent. *)
+
+val replace_atomically : path:string -> (string -> unit) -> unit
+(** [replace_atomically ~path write] runs [write tmp] with
+    [tmp = path ^ ".tmp"], fsyncs [tmp], renames it over [path] and
+    fsyncs [path]'s directory.  A crash leaves either the old [path] or
+    the new one, and a reader that already has the old file open keeps
+    reading the old bytes.  If [write] raises, [tmp] is removed and
+    the exception re-raised. *)

@@ -15,7 +15,7 @@ type t = {
          until a store takes them ([take_resident]) *)
 }
 
-(* When set, every snapshot reopen ([Snapshot.load]) hands the payload
+(* When set, every snapshot reopen ([Snapshot.open_as]) hands the payload
    bytes it verified to [of_table] — the switch `lcsearch serve` flips
    before reopening snapshots so queries can fan out across domains. *)
 let resident_switch = ref false

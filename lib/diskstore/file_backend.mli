@@ -22,7 +22,7 @@ val create : ?base_page:int -> Buffer_pool.t -> t
 val of_table :
   ?base_page:int -> ?payloads:bytes array -> table:(int * int) array ->
   Buffer_pool.t -> t
-(** Reopen over an existing page layout (used by {!Snapshot.load}).
+(** Reopen over an existing page layout (used by {!Snapshot.open_as}).
     [payloads], one per table entry, are the block bytes the caller
     has already read and verified; the backend holds them only until
     a store opened over it ({!Emio.Store.of_backend}) takes them with
@@ -31,7 +31,7 @@ val of_table :
 
 val set_resident_on_reopen : bool -> unit
 (** Process-wide switch: when [true], every subsequent
-    {!Snapshot.load} reopens its backend resident, handing it the
+    {!Snapshot.open_as} reopens its backend resident, handing it the
     payload bytes its checksum pass read.  Flipped by [lcsearch serve]
     before loading the structures it will query concurrently. *)
 

@@ -142,22 +142,24 @@ let save ~path ~kind ?(meta = "") ?(page_size = default_page_size) ~block_size
   Buffer.add_string header meta;
   if Buffer.length header > cap then
     invalid_arg "Snapshot.save: kind/meta too large for one header page";
-  let file =
-    Block_file.create ~stats:(Emio.Io_stats.create ()) ~path ~page_size
-  in
-  Fun.protect
-    ~finally:(fun () -> Block_file.close file)
-    (fun () ->
-      Block_file.write_page file 0 (Buffer.to_bytes header);
-      if table_pages > 0 then ignore (chunked_writes file ~first:1 table);
-      let payload_base = 1 + table_pages in
-      Array.iteri
-        (fun i block ->
-          ignore (chunked_writes file ~first:(payload_base + spans.(i)) block))
-        blocks;
-      ignore
-        (chunked_writes file ~first:(payload_base + !payload_pages) skeleton);
-      Block_file.flush file)
+  Block_file.replace_atomically ~path (fun tmp ->
+      let file =
+        Block_file.create ~stats:(Emio.Io_stats.create ()) ~path:tmp ~page_size
+      in
+      Fun.protect
+        ~finally:(fun () -> Block_file.close file)
+        (fun () ->
+          Block_file.write_page file 0 (Buffer.to_bytes header);
+          if table_pages > 0 then ignore (chunked_writes file ~first:1 table);
+          let payload_base = 1 + table_pages in
+          Array.iteri
+            (fun i block ->
+              ignore
+                (chunked_writes file ~first:(payload_base + spans.(i)) block))
+            blocks;
+          ignore
+            (chunked_writes file ~first:(payload_base + !payload_pages)
+               skeleton)))
 
 (* Read [len] bytes spanning pages [first ..] through [read]; the pages
    were laid out by [chunked_writes]. *)
@@ -299,7 +301,7 @@ let read_info path =
 let ( let* ) r f = match r with Error _ as e -> e | Ok v -> f v
 
 let load ~path ~stats ?(policy = Buffer_pool.Lru) ?(cache_pages = 64)
-    ?expect_kind () =
+    ~expect_kind () =
   let* info, (table_pages, payload_pages, skel_len), crcs, size =
     parse_header path
   in
@@ -311,10 +313,9 @@ let load ~path ~stats ?(policy = Buffer_pool.Lru) ?(cache_pages = 64)
     else Ok ()
   in
   let* () =
-    match expect_kind with
-    | Some expected when expected <> info.kind ->
-        Error (Kind_mismatch { expected; got = info.kind })
-    | _ -> Ok ()
+    if expect_kind <> info.kind then
+      Error (Kind_mismatch { expected = expect_kind; got = info.kind })
+    else Ok ()
   in
   let file =
     Block_file.open_existing ~stats ~path ~page_size:info.page_size ()
@@ -399,18 +400,47 @@ let load ~path ~stats ?(policy = Buffer_pool.Lru) ?(cache_pages = 64)
   (match result with Error _ -> Block_file.close file | Ok _ -> ());
   result
 
-(* -- structure-side helpers --------------------------------------- *)
+(* -- typed formats ------------------------------------------------ *)
 
-let close opened = Block_file.close (Buffer_pool.file opened.pool)
+type 'a format =
+  | Fmt : {
+      kind : string;
+      codec : 's Emio.Codec.t;
+      payload : 'a -> int * bytes array;
+      to_skeleton : 'a -> 's;
+      of_skeleton :
+        stats:Emio.Io_stats.t -> backend:Emio.Store_intf.backend -> 's -> 'a;
+    }
+      -> 'a format
 
-let decode_skeleton codec skeleton =
-  match Emio.Codec.decode codec skeleton with
-  | v -> Ok v
-  | exception Emio.Codec.Decode msg -> Error (Bad_payload msg)
+(* The skeleton section names its own kind and version, so a skeleton
+   decoded under the wrong format or an older layout is a clean
+   [Codec.Decode]. *)
+let format ~kind ~version ~codec ~payload ~to_skeleton ~of_skeleton =
+  let codec = Emio.Codec.versioned ~magic:kind ~version codec in
+  Fmt { kind; codec; payload; to_skeleton; of_skeleton }
 
-let reconstruct f =
-  match f () with
-  | v -> Ok v
-  | exception Emio.Codec.Decode msg -> Error (Bad_payload msg)
-  | exception Invalid_argument msg -> Error (Bad_payload msg)
-  | exception Failure msg -> Error (Bad_payload msg)
+let kind (Fmt f) = f.kind
+
+let save_as (Fmt f) t ~path ?meta ?page_size () =
+  let block_size, payload = f.payload t in
+  save ~path ~kind:f.kind ?meta ?page_size ~block_size ~payload
+    ~skeleton:(Emio.Codec.encode f.codec (f.to_skeleton t))
+    ()
+
+(* The one place a loaded file becomes a structure.  Decoding and
+   reconstruction run on checksummed but untrusted bytes, so the
+   exceptions they can raise on a corrupt-yet-CRC-valid skeleton become
+   [Bad_payload]; on any error the file is closed here (a loaded
+   structure's lifetime otherwise owns it). *)
+let open_as (Fmt f) ~stats ?policy ?cache_pages path =
+  let* o = load ~path ~stats ?policy ?cache_pages ~expect_kind:f.kind () in
+  match
+    f.of_skeleton ~stats ~backend:o.backend
+      (Emio.Codec.decode f.codec o.skeleton)
+  with
+  | t -> Ok (t, o.info)
+  | exception
+      (Emio.Codec.Decode msg | Invalid_argument msg | Failure msg) ->
+      Block_file.close (Buffer_pool.file o.pool);
+      Error (Bad_payload msg)

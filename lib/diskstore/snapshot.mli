@@ -18,13 +18,13 @@
     constructor of {!error}, never an escaping exception.  A v1
     (closure-marshalled) file is rejected with [Unsupported_version 1].
 
-    Structures wrap this module with their own [save_snapshot] /
-    [of_snapshot] (e.g. {!Core.Halfspace2d.of_snapshot}): save exports
-    the primary store's blocks ({!Emio.Store.export_bytes}) and
-    codec-encodes a plain-data skeleton record; load decodes the
-    skeleton ({!decode_skeleton}) and rebuilds stores from [backend]
-    via {!Emio.Store.of_backend}, reconstructing comparators and
-    splitters from the persisted parameters. *)
+    A structure persists by exporting one {!format} value: its kind,
+    its payload blocks ({!Emio.Store.export_bytes}), and a codec for a
+    plain-data skeleton with the conversions to and from it.
+    {!save_as} and {!open_as} run the whole protocol for any format;
+    reconstruction rebuilds stores from the file's backend via
+    {!Emio.Store.of_backend}, recreating comparators and splitters
+    from the persisted parameters. *)
 
 type error =
   | Bad_magic
@@ -51,16 +51,6 @@ type info = {
   total_pages : int;
 }
 
-type opened = {
-  info : info;
-  skeleton : bytes;
-      (** the skeleton section, verified but not yet decoded — the
-          caller picks the codec from [info.kind] (guarded by
-          [expect_kind]) and runs {!decode_skeleton}. *)
-  backend : Emio.Store_intf.backend;
-  pool : Buffer_pool.t;
-}
-
 val default_page_size : int
 (** 4096. *)
 
@@ -77,41 +67,62 @@ val save :
 (** Write a snapshot: [payload] (one [bytes] per store block, in id
     order — from {!Emio.Store.export_bytes}) becomes the payload
     pages, [skeleton] the skeleton section, and [block_size] is
-    recorded in the header for the reopening side.  Fsyncs before
-    returning. *)
+    recorded in the header for the reopening side.  The file is
+    written beside [path] and renamed over it
+    ({!Block_file.replace_atomically}), so a crash or a live reader of
+    the old file sees the old snapshot or the new one, never a mix. *)
 
 val read_info : string -> (info, error) result
 (** Header-only probe (no CRC sweep of the body, but the header page
     itself is verified) — cheap kind/meta dispatch for the CLI. *)
 
-val load :
+(** {2 Typed formats} *)
+
+type 'a format
+(** How a structure of type ['a] becomes a snapshot and back.  The
+    skeleton's type is hidden inside. *)
+
+val format :
+  kind:string ->
+  version:int ->
+  codec:'s Emio.Codec.t ->
+  payload:('a -> int * bytes array) ->
+  to_skeleton:('a -> 's) ->
+  of_skeleton:
+    (stats:Emio.Io_stats.t -> backend:Emio.Store_intf.backend -> 's -> 'a) ->
+  'a format
+(** [payload t] is the block size and the store blocks written as the
+    payload pages; [codec] encodes [to_skeleton t] into the skeleton
+    section, framed by {!Emio.Codec.versioned} with [kind] as its
+    magic and [version] (bump it when the skeleton or the payload
+    blocks change layout); [of_skeleton] rebuilds the structure over
+    the reopened file's backend, charging its I/O to [stats]. *)
+
+val kind : 'a format -> string
+(** Header tag of the format's files, e.g. ["lcsearch.h2"]. *)
+
+val save_as :
+  'a format ->
+  'a ->
   path:string ->
+  ?meta:string ->
+  ?page_size:int ->
+  unit ->
+  unit
+(** {!save} a structure through its format. *)
+
+val open_as :
+  'a format ->
   stats:Emio.Io_stats.t ->
   ?policy:Buffer_pool.policy ->
   ?cache_pages:int ->
-  ?expect_kind:string ->
-  unit ->
-  (opened, error) result
-(** Open a snapshot: verify every page and every section CRC, rebuild
-    the block table, and return the raw skeleton plus a file backend
-    (buffer pool of [cache_pages] pages, default 64, eviction [policy]
-    default LRU) ready for {!Emio.Store.of_backend}.  All verification
-    I/O is recorded in [stats]; reset it afterwards to measure queries
-    alone. *)
-
-(** {2 Structure-side helpers} *)
-
-val close : opened -> unit
-(** Close the underlying file — call when skeleton decoding fails
-    after a successful {!load} (a loaded structure's lifetime
-    otherwise owns the file). *)
-
-val decode_skeleton : 'a Emio.Codec.t -> bytes -> ('a, error) result
-(** Decode a verified skeleton section; {!Emio.Codec.Decode} becomes
-    [Bad_payload]. *)
-
-val reconstruct : (unit -> 'a) -> ('a, error) result
-(** Run structure-reconstruction code, mapping the exceptions it can
-    legitimately raise on corrupt-but-checksummed input
-    ([Codec.Decode], [Invalid_argument], [Failure]) to [Bad_payload],
-    so [of_snapshot] never lets one escape. *)
+  string ->
+  ('a * info, error) result
+(** Open a snapshot for querying: verify every page and every section
+    CRC, check the kind, decode the skeleton and rebuild the structure
+    over a file backend (buffer pool of [cache_pages] pages, default
+    64, eviction [policy] default LRU).  Every way the file can be
+    damaged is an {!error} — a skeleton that decodes or reconstructs
+    badly is [Bad_payload] — and on error the file is closed.
+    Verification I/O is recorded in [stats]; reset it afterwards to
+    measure queries alone. *)

@@ -92,7 +92,7 @@ let eps = 0.1
 (* The ε of the n^{..+ε} Table-1 bounds, as the estimates realize it. *)
 
 module H2 = struct
-  type t = { s : Core.Halfspace2d.t; n : int; bs : int }
+  type t = Core.Halfspace2d.t
 
   let name = "h2"
   let description = "§3 layered 2-d halfspace structure (Theorem 3.5)"
@@ -104,62 +104,42 @@ module H2 = struct
 
   let build ~(params : Index.build_params) ~stats ds =
     ignore (Index.extra_lookup ~name ~allowed:[] params : string -> float option);
-    let pts = as_pts2 ~name ds in
-    let s =
-      Core.Halfspace2d.build ~stats ~block_size:params.block_size
-        ~cache_blocks:params.cache_blocks ~seed:params.seed pts
-    in
-    { s; n = Array.length pts; bs = params.block_size }
+    Core.Halfspace2d.build ~stats ~block_size:params.block_size
+      ~cache_blocks:params.cache_blocks ~seed:params.seed (as_pts2 ~name ds)
 
   let query t q =
     let slope, icept = q2 ~name q in
-    List.map pt2_row (Core.Halfspace2d.query t.s ~slope ~icept)
+    List.map pt2_row (Core.Halfspace2d.query t ~slope ~icept)
 
   let query_count t q =
     let slope, icept = q2 ~name q in
-    Core.Halfspace2d.query_count t.s ~slope ~icept
+    Core.Halfspace2d.query_count t ~slope ~icept
 
   let reports_ids = false
   let batch_plane_sorted = false
   let query_into t q _r = query_count t q
-  let estimate t _q = logb ~bs:t.bs (blocks_of ~n:t.n ~bs:t.bs)
-  let space_blocks t = Core.Halfspace2d.space_blocks t.s
+
+  let estimate t _q =
+    let bs = Core.Halfspace2d.block_size t in
+    logb ~bs (blocks_of ~n:(Core.Halfspace2d.length t) ~bs)
+
+  let space_blocks = Core.Halfspace2d.space_blocks
 
   let counters t =
     [
-      ("layers", Core.Halfspace2d.layers t.s);
-      ("last_clusters_visited", Core.Halfspace2d.last_clusters_visited t.s);
-      ("last_layers_visited", Core.Halfspace2d.last_layers_visited t.s);
+      ("layers", Core.Halfspace2d.layers t);
+      ("last_clusters_visited", Core.Halfspace2d.last_clusters_visited t);
+      ("last_layers_visited", Core.Halfspace2d.last_layers_visited t);
     ]
 
   let update = None
 
   let snapshot =
-    Some
-      {
-        Index.snapshot_kind = Core.Halfspace2d.snapshot_kind;
-        save =
-          (fun t ~path ~meta ~page_size ->
-            Core.Halfspace2d.save_snapshot t.s ~path ~meta ?page_size ());
-        load =
-          (fun ~stats ~policy ~cache_pages path ->
-            match
-              Core.Halfspace2d.of_snapshot ~stats ~policy ~cache_pages path
-            with
-            | Error _ as e -> e
-            | Ok (s, info) ->
-                Ok
-                  ( {
-                      s;
-                      n = Core.Halfspace2d.length s;
-                      bs = info.Diskstore.Snapshot.block_size;
-                    },
-                    info ));
-      }
+    Index.snapshot_of Core.Halfspace2d.snapshot ~wrap:Fun.id ~unwrap:Fun.id
 end
 
 module H3 = struct
-  type t = { s : Core.Halfspace3d.t; n : int; bs : int }
+  type t = Core.Halfspace3d.t
 
   let name = "h3"
   let description = "§4.2 3-d halfspace structure over k-lowest-planes"
@@ -172,21 +152,17 @@ module H3 = struct
   let build ~(params : Index.build_params) ~stats ds =
     let lookup = Index.extra_lookup ~name ~allowed:[ "copies" ] params in
     let copies = extra_int ~name ~key:"copies" lookup in
-    let pts = as_pts3 ~name ds in
-    let s =
-      Core.Halfspace3d.build ~stats ~block_size:params.block_size
-        ~cache_blocks:params.cache_blocks ~seed:params.seed ?copies ~clip:clip3
-        pts
-    in
-    { s; n = Array.length pts; bs = params.block_size }
+    Core.Halfspace3d.build ~stats ~block_size:params.block_size
+      ~cache_blocks:params.cache_blocks ~seed:params.seed ?copies ~clip:clip3
+      (as_pts3 ~name ds)
 
   let query t q =
     let a, b, c = q3 ~name q in
-    List.map pt3_row (Core.Halfspace3d.query t.s ~a ~b ~c)
+    List.map pt3_row (Core.Halfspace3d.query t ~a ~b ~c)
 
   let query_count t q =
     let a, b, c = q3 ~name q in
-    Core.Halfspace3d.query_count t.s ~a ~b ~c
+    Core.Halfspace3d.query_count t ~a ~b ~c
 
   let reports_ids = true
   let batch_plane_sorted = true
@@ -194,45 +170,23 @@ module H3 = struct
   let query_into t q r =
     let a, b, c = q3 ~name q in
     let m = Emio.Reporter.mark r in
-    Core.Halfspace3d.query_ids_into t.s ~a ~b ~c r;
+    Core.Halfspace3d.query_ids_into t ~a ~b ~c r;
     Emio.Reporter.length r - m
 
-  let estimate t _q = logb ~bs:t.bs (blocks_of ~n:t.n ~bs:t.bs)
-  let space_blocks t = Core.Halfspace3d.space_blocks t.s
-  let counters t = [ ("fallbacks", Core.Halfspace3d.fallbacks t.s) ]
+  let estimate t _q =
+    let bs = Core.Halfspace3d.block_size t in
+    logb ~bs (blocks_of ~n:(Core.Halfspace3d.length t) ~bs)
 
+  let space_blocks = Core.Halfspace3d.space_blocks
+  let counters t = [ ("fallbacks", Core.Halfspace3d.fallbacks t) ]
   let update = None
 
   let snapshot =
-    Some
-      {
-        Index.snapshot_kind = Core.Halfspace3d.snapshot_kind;
-        save =
-          (fun t ~path ~meta ~page_size ->
-            Core.Halfspace3d.save_snapshot t.s ~path ~meta ?page_size ());
-        load =
-          (fun ~stats ~policy ~cache_pages path ->
-            match
-              Core.Halfspace3d.of_snapshot ~stats ~policy ~cache_pages path
-            with
-            | Error _ as e -> e
-            | Ok (s, info) ->
-                Ok
-                  ( {
-                      s;
-                      n = Core.Halfspace3d.length s;
-                      bs = info.Diskstore.Snapshot.block_size;
-                    },
-                    info ));
-      }
+    Index.snapshot_of Core.Halfspace3d.snapshot ~wrap:Fun.id ~unwrap:Fun.id
 end
 
 module Ptree = struct
-  type t = {
-    s : Core.Partition_tree.t;
-    pts : Partition.Cells.point array;
-    bs : int;
-  }
+  type t = { s : Core.Partition_tree.t; pts : Partition.Cells.point array }
 
   let name = "ptree"
   let description = "§5 linear-size d-dimensional partition tree"
@@ -250,7 +204,7 @@ module Ptree = struct
       Core.Partition_tree.build ~stats ~block_size:params.block_size
         ~cache_blocks:params.cache_blocks ~dim pts
     in
-    { s; pts; bs = params.block_size }
+    { s; pts }
 
   let ids t q =
     let a0, a = qd ~name ~dim:(Core.Partition_tree.dim t.s) q in
@@ -273,7 +227,8 @@ module Ptree = struct
 
   let estimate t _q =
     let d = float_of_int (Core.Partition_tree.dim t.s) in
-    let n = blocks_of ~n:(Array.length t.pts) ~bs:t.bs in
+    let bs = Core.Partition_tree.block_size t.s in
+    let n = blocks_of ~n:(Array.length t.pts) ~bs in
     float_of_int n ** (1. -. (1. /. d) +. eps)
 
   let space_blocks t = Core.Partition_tree.space_blocks t.s
@@ -284,35 +239,12 @@ module Ptree = struct
   let update = None
 
   let snapshot =
-    Some
-      {
-        Index.snapshot_kind = Core.Partition_tree.snapshot_kind;
-        save =
-          (fun t ~path ~meta ~page_size ->
-            Core.Partition_tree.save_snapshot t.s ~path ~meta ?page_size ());
-        load =
-          (fun ~stats ~policy ~cache_pages path ->
-            match
-              Core.Partition_tree.of_snapshot ~stats ~policy ~cache_pages path
-            with
-            | Error _ as e -> e
-            | Ok (s, info) ->
-                Ok
-                  ( {
-                      s;
-                      pts = Core.Partition_tree.points s;
-                      bs = info.Diskstore.Snapshot.block_size;
-                    },
-                    info ));
-      }
+    Index.snapshot_of Core.Partition_tree.snapshot ~unwrap:(fun t -> t.s)
+      ~wrap:(fun s -> { s; pts = Core.Partition_tree.points s })
 end
 
 module Shallow = struct
-  type t = {
-    s : Core.Shallow_tree.t;
-    pts : Partition.Cells.point array;
-    bs : int;
-  }
+  type t = { s : Core.Shallow_tree.t; pts : Partition.Cells.point array }
 
   let name = "shallow"
   let description = "§6 shallow partition tree (Theorem 6.3)"
@@ -336,7 +268,7 @@ module Shallow = struct
       Core.Shallow_tree.build ~stats ~block_size:params.block_size
         ~cache_blocks:params.cache_blocks ?shallow_factor ~dim pts
     in
-    { s; pts; bs = params.block_size }
+    { s; pts }
 
   let ids t q =
     let a0, a = qd ~name ~dim:(Core.Shallow_tree.dim t.s) q in
@@ -359,7 +291,8 @@ module Shallow = struct
 
   let estimate t _q =
     let d = Core.Shallow_tree.dim t.s in
-    let n = blocks_of ~n:(Array.length t.pts) ~bs:t.bs in
+    let bs = Core.Shallow_tree.block_size t.s in
+    let n = blocks_of ~n:(Array.length t.pts) ~bs in
     let expo = 1. -. (1. /. float_of_int (max 1 (d / 2))) +. eps in
     float_of_int n ** Stdlib.max eps expo
 
@@ -371,36 +304,12 @@ module Shallow = struct
   let update = None
 
   let snapshot =
-    Some
-      {
-        Index.snapshot_kind = Core.Shallow_tree.snapshot_kind;
-        save =
-          (fun t ~path ~meta ~page_size ->
-            Core.Shallow_tree.save_snapshot t.s ~path ~meta ?page_size ());
-        load =
-          (fun ~stats ~policy ~cache_pages path ->
-            match
-              Core.Shallow_tree.of_snapshot ~stats ~policy ~cache_pages path
-            with
-            | Error _ as e -> e
-            | Ok (s, info) ->
-                Ok
-                  ( {
-                      s;
-                      pts = Core.Shallow_tree.points s;
-                      bs = info.Diskstore.Snapshot.block_size;
-                    },
-                    info ));
-      }
+    Index.snapshot_of Core.Shallow_tree.snapshot ~unwrap:(fun t -> t.s)
+      ~wrap:(fun s -> { s; pts = Core.Shallow_tree.points s })
 end
 
 module Tradeoff = struct
-  type t = {
-    s : Core.Tradeoff3d.t;
-    pts : Point3.t array;
-    bs : int;
-    a : float;
-  }
+  type t = { s : Core.Tradeoff3d.t; pts : Point3.t array }
 
   let name = "tradeoff"
   let description = "§6 space/query tradeoff (Theorem 6.1), B^a leaves"
@@ -419,7 +328,7 @@ module Tradeoff = struct
       Core.Tradeoff3d.build ~stats ~block_size:params.block_size
         ~cache_blocks:params.cache_blocks ~seed:params.seed ~a ~clip:clip3 pts
     in
-    { s; pts; bs = params.block_size; a }
+    { s; pts }
 
   let query t q =
     let a, b, c = q3 ~name q in
@@ -441,9 +350,11 @@ module Tradeoff = struct
     Emio.Reporter.length r - m
 
   let estimate t _q =
-    let n = float_of_int (blocks_of ~n:(Array.length t.pts) ~bs:t.bs) in
-    let b = float_of_int (max 2 t.bs) in
-    Stdlib.max 1. ((n /. (b ** (t.a -. 1.))) ** ((2. /. 3.) +. eps))
+    let bs = Core.Tradeoff3d.block_size t.s in
+    let n = float_of_int (blocks_of ~n:(Array.length t.pts) ~bs) in
+    let b = float_of_int (max 2 bs) in
+    let a = Core.Tradeoff3d.exponent t.s in
+    Stdlib.max 1. ((n /. (b ** (a -. 1.))) ** ((2. /. 3.) +. eps))
 
   let space_blocks t = Core.Tradeoff3d.space_blocks t.s
 
@@ -456,32 +367,12 @@ module Tradeoff = struct
   let update = None
 
   let snapshot =
-    Some
-      {
-        Index.snapshot_kind = Core.Tradeoff3d.snapshot_kind;
-        save =
-          (fun t ~path ~meta ~page_size ->
-            Core.Tradeoff3d.save_snapshot t.s ~path ~meta ?page_size ());
-        load =
-          (fun ~stats ~policy ~cache_pages path ->
-            match
-              Core.Tradeoff3d.of_snapshot ~stats ~policy ~cache_pages path
-            with
-            | Error _ as e -> e
-            | Ok (s, info) ->
-                Ok
-                  ( {
-                      s;
-                      pts = Core.Tradeoff3d.points s;
-                      bs = info.Diskstore.Snapshot.block_size;
-                      a = Core.Tradeoff3d.exponent s;
-                    },
-                    info ));
-      }
+    Index.snapshot_of Core.Tradeoff3d.snapshot ~unwrap:(fun t -> t.s)
+      ~wrap:(fun s -> { s; pts = Core.Tradeoff3d.points s })
 end
 
 module Cert = struct
-  type t = { s : Core.Cert_tree.t; pts : Point3.t array; bs : int }
+  type t = { s : Core.Cert_tree.t; pts : Point3.t array }
 
   let name = "cert"
   let description = "certificate-enhanced 3-d partition tree (DESIGN.md §7)"
@@ -499,7 +390,7 @@ module Cert = struct
       Core.Cert_tree.build ~stats ~block_size:params.block_size
         ~cache_blocks:params.cache_blocks ?cert_cap pts
     in
-    { s; pts; bs = params.block_size }
+    { s; pts }
 
   let qc ~name (q : Index.query) =
     if Index.query_dim q <> 3 then
@@ -523,7 +414,10 @@ module Cert = struct
     Core.Cert_tree.query_ids_into t.s ~a0 ~a r;
     Emio.Reporter.length r - m
 
-  let estimate t _q = logb ~bs:t.bs (blocks_of ~n:(Array.length t.pts) ~bs:t.bs)
+  let estimate t _q =
+    let bs = Core.Cert_tree.block_size t.s in
+    logb ~bs (blocks_of ~n:(Array.length t.pts) ~bs)
+
   let space_blocks t = Core.Cert_tree.space_blocks t.s
 
   let counters t =
@@ -535,27 +429,8 @@ module Cert = struct
   let update = None
 
   let snapshot =
-    Some
-      {
-        Index.snapshot_kind = Core.Cert_tree.snapshot_kind;
-        save =
-          (fun t ~path ~meta ~page_size ->
-            Core.Cert_tree.save_snapshot t.s ~path ~meta ?page_size ());
-        load =
-          (fun ~stats ~policy ~cache_pages path ->
-            match
-              Core.Cert_tree.of_snapshot ~stats ~policy ~cache_pages path
-            with
-            | Error _ as e -> e
-            | Ok (s, info) ->
-                Ok
-                  ( {
-                      s;
-                      pts = Core.Cert_tree.points s;
-                      bs = info.Diskstore.Snapshot.block_size;
-                    },
-                    info ));
-      }
+    Index.snapshot_of Core.Cert_tree.snapshot ~unwrap:(fun t -> t.s)
+      ~wrap:(fun s -> { s; pts = Core.Cert_tree.points s })
 end
 
 (* The two R-tree packings share everything but the name and the
@@ -569,7 +444,7 @@ module type RTREE_VARIANT = sig
 end
 
 module Make_rtree (V : RTREE_VARIANT) = struct
-  type t = { s : Baselines.Rtree.t; n : int; bs : int }
+  type t = Baselines.Rtree.t
 
   let name = V.name
   let description = V.description
@@ -581,54 +456,33 @@ module Make_rtree (V : RTREE_VARIANT) = struct
 
   let build ~(params : Index.build_params) ~stats ds =
     ignore (Index.extra_lookup ~name ~allowed:[] params : string -> float option);
-    let pts = as_pts2 ~name ds in
-    let s =
-      Baselines.Rtree.build ~stats ~block_size:params.block_size
-        ~cache_blocks:params.cache_blocks ~packing:V.packing pts
-    in
-    { s; n = Array.length pts; bs = params.block_size }
+    Baselines.Rtree.build ~stats ~block_size:params.block_size
+      ~cache_blocks:params.cache_blocks ~packing:V.packing (as_pts2 ~name ds)
 
   let query t q =
     let slope, icept = q2 ~name q in
-    List.map pt2_row (Baselines.Rtree.query_halfplane t.s ~slope ~icept)
+    List.map pt2_row (Baselines.Rtree.query_halfplane t ~slope ~icept)
 
   let query_count t q =
     let slope, icept = q2 ~name q in
-    Baselines.Rtree.query_count t.s ~slope ~icept
+    Baselines.Rtree.query_count t ~slope ~icept
 
   let reports_ids = false
   let batch_plane_sorted = false
   let query_into t q _r = query_count t q
-  let estimate t _q = sqrt (float_of_int (blocks_of ~n:t.n ~bs:t.bs))
-  let space_blocks t = Baselines.Rtree.space_blocks t.s
-  let counters t = [ ("height", Baselines.Rtree.height t.s) ]
 
+  let estimate t _q =
+    let bs = Baselines.Rtree.block_size t in
+    sqrt (float_of_int (blocks_of ~n:(Baselines.Rtree.length t) ~bs))
+
+  let space_blocks = Baselines.Rtree.space_blocks
+  let counters t = [ ("height", Baselines.Rtree.height t) ]
   let update = None
 
   let snapshot =
-    let kind = "lcsearch." ^ V.name in
-    Some
-      {
-        Index.snapshot_kind = kind;
-        save =
-          (fun t ~path ~meta ~page_size ->
-            Baselines.Rtree.save_snapshot t.s ~path ~kind ~meta ?page_size ());
-        load =
-          (fun ~stats ~policy ~cache_pages path ->
-            match
-              Baselines.Rtree.of_snapshot ~stats ~policy ~cache_pages ~kind
-                path
-            with
-            | Error _ as e -> e
-            | Ok (s, info) ->
-                Ok
-                  ( {
-                      s;
-                      n = Baselines.Rtree.length s;
-                      bs = info.Diskstore.Snapshot.block_size;
-                    },
-                    info ));
-      }
+    Index.snapshot_of
+      (Baselines.Rtree.snapshot_format ~kind:("lcsearch." ^ V.name))
+      ~wrap:Fun.id ~unwrap:Fun.id
 end
 
 module Rtree = Make_rtree (struct
@@ -644,7 +498,7 @@ module Rtree_hilbert = Make_rtree (struct
 end)
 
 module Quadtree = struct
-  type t = { s : Baselines.Quadtree.t; n : int; bs : int }
+  type t = Baselines.Quadtree.t
 
   let name = "quadtree"
   let description = "bucket PR quadtree baseline (§1.2 refs 46, 47)"
@@ -657,56 +511,35 @@ module Quadtree = struct
   let build ~(params : Index.build_params) ~stats ds =
     let lookup = Index.extra_lookup ~name ~allowed:[ "max_depth" ] params in
     let max_depth = extra_int ~name ~key:"max_depth" lookup in
-    let pts = as_pts2 ~name ds in
-    let s =
-      Baselines.Quadtree.build ~stats ~block_size:params.block_size
-        ~cache_blocks:params.cache_blocks ?max_depth pts
-    in
-    { s; n = Array.length pts; bs = params.block_size }
+    Baselines.Quadtree.build ~stats ~block_size:params.block_size
+      ~cache_blocks:params.cache_blocks ?max_depth (as_pts2 ~name ds)
 
   let query t q =
     let slope, icept = q2 ~name q in
-    List.map pt2_row (Baselines.Quadtree.query_halfplane t.s ~slope ~icept)
+    List.map pt2_row (Baselines.Quadtree.query_halfplane t ~slope ~icept)
 
   let query_count t q =
     let slope, icept = q2 ~name q in
-    Baselines.Quadtree.query_count t.s ~slope ~icept
+    Baselines.Quadtree.query_count t ~slope ~icept
 
   let reports_ids = false
   let batch_plane_sorted = false
   let query_into t q _r = query_count t q
-  let estimate t _q = sqrt (float_of_int (blocks_of ~n:t.n ~bs:t.bs))
-  let space_blocks t = Baselines.Quadtree.space_blocks t.s
-  let counters t = [ ("depth", Baselines.Quadtree.depth t.s) ]
 
+  let estimate t _q =
+    let bs = Baselines.Quadtree.block_size t in
+    sqrt (float_of_int (blocks_of ~n:(Baselines.Quadtree.length t) ~bs))
+
+  let space_blocks = Baselines.Quadtree.space_blocks
+  let counters t = [ ("depth", Baselines.Quadtree.depth t) ]
   let update = None
 
   let snapshot =
-    Some
-      {
-        Index.snapshot_kind = Baselines.Quadtree.snapshot_kind;
-        save =
-          (fun t ~path ~meta ~page_size ->
-            Baselines.Quadtree.save_snapshot t.s ~path ~meta ?page_size ());
-        load =
-          (fun ~stats ~policy ~cache_pages path ->
-            match
-              Baselines.Quadtree.of_snapshot ~stats ~policy ~cache_pages path
-            with
-            | Error _ as e -> e
-            | Ok (s, info) ->
-                Ok
-                  ( {
-                      s;
-                      n = Baselines.Quadtree.length s;
-                      bs = info.Diskstore.Snapshot.block_size;
-                    },
-                    info ));
-      }
+    Index.snapshot_of Baselines.Quadtree.snapshot ~wrap:Fun.id ~unwrap:Fun.id
 end
 
 module Gridfile = struct
-  type t = { s : Baselines.Grid_file.t; n : int; bs : int }
+  type t = Baselines.Grid_file.t
 
   let name = "gridfile"
   let description = "grid file baseline (§1.2 ref 41)"
@@ -718,57 +551,37 @@ module Gridfile = struct
 
   let build ~(params : Index.build_params) ~stats ds =
     ignore (Index.extra_lookup ~name ~allowed:[] params : string -> float option);
-    let pts = as_pts2 ~name ds in
-    let s =
-      Baselines.Grid_file.build ~stats ~block_size:params.block_size
-        ~cache_blocks:params.cache_blocks pts
-    in
-    { s; n = Array.length pts; bs = params.block_size }
+    Baselines.Grid_file.build ~stats ~block_size:params.block_size
+      ~cache_blocks:params.cache_blocks (as_pts2 ~name ds)
 
   let query t q =
     let slope, icept = q2 ~name q in
-    List.map pt2_row (Baselines.Grid_file.query_halfplane t.s ~slope ~icept)
+    List.map pt2_row (Baselines.Grid_file.query_halfplane t ~slope ~icept)
 
   let query_count t q =
     let slope, icept = q2 ~name q in
-    Baselines.Grid_file.query_count t.s ~slope ~icept
+    Baselines.Grid_file.query_count t ~slope ~icept
 
   let reports_ids = false
   let batch_plane_sorted = false
   let query_into t q _r = query_count t q
-  let estimate t _q = sqrt (float_of_int (blocks_of ~n:t.n ~bs:t.bs))
-  let space_blocks t = Baselines.Grid_file.space_blocks t.s
-  let counters t = [ ("side", Baselines.Grid_file.side t.s) ]
 
+  let estimate t _q =
+    let bs = Baselines.Grid_file.block_size t in
+    sqrt (float_of_int (blocks_of ~n:(Baselines.Grid_file.length t) ~bs))
+
+  let space_blocks = Baselines.Grid_file.space_blocks
+  let counters t = [ ("side", Baselines.Grid_file.side t) ]
   let update = None
 
   let snapshot =
-    Some
-      {
-        Index.snapshot_kind = Baselines.Grid_file.snapshot_kind;
-        save =
-          (fun t ~path ~meta ~page_size ->
-            Baselines.Grid_file.save_snapshot t.s ~path ~meta ?page_size ());
-        load =
-          (fun ~stats ~policy ~cache_pages path ->
-            match
-              Baselines.Grid_file.of_snapshot ~stats ~policy ~cache_pages path
-            with
-            | Error _ as e -> e
-            | Ok (s, info) ->
-                Ok
-                  ( {
-                      s;
-                      n = Baselines.Grid_file.length s;
-                      bs = info.Diskstore.Snapshot.block_size;
-                    },
-                    info ));
-      }
+    Index.snapshot_of Baselines.Grid_file.snapshot ~wrap:Fun.id ~unwrap:Fun.id
 end
 
 module Scan = struct
-  type which = S2 of Baselines.Linear_scan.t | Sd of Baselines.Linear_scan.d
-  type t = { s : which; n : int; bs : int }
+  module L = Baselines.Linear_scan
+
+  type t = L.any
 
   let name = "scan"
   let description = "linear scan oracle: Θ(n) I/Os, always exact"
@@ -781,82 +594,50 @@ module Scan = struct
   let build ~(params : Index.build_params) ~stats ds =
     ignore (Index.extra_lookup ~name ~allowed:[] params : string -> float option);
     let dim = check_dims ~name ~dims ds in
-    let s =
-      match ds with
-      | Index.Pts2 pts ->
-          S2
-            (Baselines.Linear_scan.build ~stats ~block_size:params.block_size
-               ~cache_blocks:params.cache_blocks pts)
-      | _ ->
-          Sd
-            (Baselines.Linear_scan.build_d ~stats
-               ~block_size:params.block_size
-               ~cache_blocks:params.cache_blocks ~dim (rows_of_dataset ds))
-    in
-    { s; n = Index.dataset_length ds; bs = params.block_size }
+    let block_size = params.block_size and cache_blocks = params.cache_blocks in
+    match ds with
+    | Index.Pts2 pts -> L.T2 (L.build ~stats ~block_size ~cache_blocks pts)
+    | _ ->
+        L.Td
+          (L.build_d ~stats ~block_size ~cache_blocks ~dim (rows_of_dataset ds))
 
   let query t q =
-    match t.s with
-    | S2 s ->
+    match t with
+    | L.T2 s ->
         let slope, icept = q2 ~name q in
-        List.map pt2_row (Baselines.Linear_scan.query_halfplane s ~slope ~icept)
-    | Sd s ->
-        let a0, a = qd ~name ~dim:(Baselines.Linear_scan.dim_d s) q in
-        Baselines.Linear_scan.query_halfspace_d s ~a0 ~a
+        List.map pt2_row (L.query_halfplane s ~slope ~icept)
+    | L.Td s ->
+        let a0, a = qd ~name ~dim:(L.dim_d s) q in
+        L.query_halfspace_d s ~a0 ~a
 
   let query_count t q =
-    match t.s with
-    | S2 s ->
+    match t with
+    | L.T2 s ->
         let slope, icept = q2 ~name q in
-        Baselines.Linear_scan.query_count s ~slope ~icept
-    | Sd s ->
-        let a0, a = qd ~name ~dim:(Baselines.Linear_scan.dim_d s) q in
-        Baselines.Linear_scan.query_count_d s ~a0 ~a
+        L.query_count s ~slope ~icept
+    | L.Td s ->
+        let a0, a = qd ~name ~dim:(L.dim_d s) q in
+        L.query_count_d s ~a0 ~a
 
   let reports_ids = false
   let batch_plane_sorted = false
   let query_into t q _r = query_count t q
-  let estimate t _q = float_of_int (blocks_of ~n:t.n ~bs:t.bs)
 
-  let space_blocks t =
-    match t.s with
-    | S2 s -> Baselines.Linear_scan.space_blocks s
-    | Sd s -> Baselines.Linear_scan.space_blocks_d s
+  let estimate t _q =
+    let n, bs =
+      match t with
+      | L.T2 s -> (L.length s, L.block_size s)
+      | L.Td s -> (L.length_d s, L.block_size_d s)
+    in
+    float_of_int (blocks_of ~n ~bs)
+
+  let space_blocks = function
+    | L.T2 s -> L.space_blocks s
+    | L.Td s -> L.space_blocks_d s
 
   let counters _t = []
-
   let update = None
-
-  let snapshot =
-    Some
-      {
-        Index.snapshot_kind = Baselines.Linear_scan.snapshot_kind;
-        save =
-          (fun t ~path ~meta ~page_size ->
-            match t.s with
-            | S2 s ->
-                Baselines.Linear_scan.save_snapshot s ~path ~meta ?page_size ()
-            | Sd s ->
-                Baselines.Linear_scan.save_snapshot_d s ~path ~meta ?page_size
-                  ());
-        load =
-          (fun ~stats ~policy ~cache_pages path ->
-            match
-              Baselines.Linear_scan.of_snapshot ~stats ~policy ~cache_pages
-                path
-            with
-            | Error _ as e -> e
-            | Ok (any, info) ->
-                let s, n =
-                  match any with
-                  | Baselines.Linear_scan.T2 s ->
-                      (S2 s, Baselines.Linear_scan.length s)
-                  | Baselines.Linear_scan.Td s ->
-                      (Sd s, Baselines.Linear_scan.length_d s)
-                in
-                Ok
-                  ({ s; n; bs = info.Diskstore.Snapshot.block_size }, info));
-      }
+  let snapshot = Index.snapshot_of L.snapshot ~wrap:Fun.id ~unwrap:Fun.id
 end
 
 (* The registry seeds itself from this list (a static reference, so no

@@ -67,6 +67,22 @@ type 'a snapshot_ops = {
     ('a * Diskstore.Snapshot.info, Diskstore.Snapshot.error) result;
 }
 
+(* The snapshot capability of an adapter over a native structure with
+   a snapshot format: [unwrap] reaches the native value to save,
+   [wrap] rebuilds the adapter around a reopened one. *)
+let snapshot_of fmt ~wrap ~unwrap =
+  Some
+    {
+      snapshot_kind = Diskstore.Snapshot.kind fmt;
+      save =
+        (fun t ~path ~meta ~page_size ->
+          Diskstore.Snapshot.save_as fmt (unwrap t) ~path ~meta ?page_size ());
+      load =
+        (fun ~stats ~policy ~cache_pages path ->
+          Diskstore.Snapshot.open_as fmt ~stats ~policy ~cache_pages path
+          |> Result.map (fun (s, info) -> (wrap s, info)));
+    }
+
 (* Optional dynamic-update capability.  Static structures leave it
    [None]; the Lsm wrapper provides it for any inner structure via the
    logarithmic method.  Handles are monotonically increasing ints,

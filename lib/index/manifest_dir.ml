@@ -3,7 +3,10 @@
    the inner snapshot files it describes.  The versioned magic string
    doubles as the directory's format tag, so [Snapshot_path] can tell
    Shard and Lsm directories apart by peeking at the first few bytes
-   instead of decoding a manifest. *)
+   instead of decoding a manifest.  A MANIFEST is replaced atomically
+   (temp file, fsync, rename), so a save that dies midway never leaves
+   a half-written one; the files it names are rewritten before it and
+   are not part of that commit. *)
 
 let manifest_file = "MANIFEST"
 
@@ -24,11 +27,10 @@ let write_manifest dir codec m =
   let buf = Buffer.create (Bytes.length payload + 4) in
   Emio.Codec.write_u32 buf (Diskstore.Crc32.digest payload);
   Buffer.add_bytes buf payload;
-  let path = Filename.concat dir manifest_file in
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Buffer.output_buffer oc buf)
+  Diskstore.Block_file.replace_atomically
+    ~path:(Filename.concat dir manifest_file)
+    (fun tmp ->
+      Out_channel.with_open_bin tmp (fun oc -> Buffer.output_buffer oc buf))
 
 let read_manifest dir codec =
   let path = Filename.concat dir manifest_file in

@@ -128,7 +128,7 @@ let test_query_engine_batch () =
       check "no writes" 0 c.Query_engine.writes)
     costs
 
-(* The set_stats regression: after of_snapshot with a fresh stats sink,
+(* The set_stats regression: after a snapshot reopen with a fresh stats sink,
    query I/O must be charged to the reopening process (observable both
    through the fresh ambient sink and through a scoped context), not
    leak into the marshalled copy of the builder's stats. *)

@@ -268,6 +268,10 @@ let build_points seed n =
 let sorted_pts l =
   List.sort compare (List.map (fun p -> (Geom.Point2.x p, Geom.Point2.y p)) l)
 
+let h2_format = Core.Halfspace2d.snapshot
+let save_h2 = Diskstore.Snapshot.save_as h2_format
+let open_h2 = Diskstore.Snapshot.open_as h2_format
+
 let expect_loaded = function
   | Ok v -> v
   | Error e -> Alcotest.failf "load failed: %a" Diskstore.Snapshot.pp_error e
@@ -277,12 +281,12 @@ let test_snapshot_h2_roundtrip () =
   let stats = Emio.Io_stats.create () in
   let h2 = Core.Halfspace2d.build ~stats ~block_size:16 points in
   let path = temp_path () in
-  Core.Halfspace2d.save_snapshot h2 ~path ~meta:"n=600" ~page_size:512 ();
+  save_h2 h2 ~path ~meta:"n=600" ~page_size:512 ();
   let stats2 = Emio.Io_stats.create () in
   let loaded, info =
-    expect_loaded (Core.Halfspace2d.of_snapshot ~stats:stats2 ~cache_pages:8 path)
+    expect_loaded (open_h2 ~stats:stats2 ~cache_pages:8 path)
   in
-  Alcotest.(check string) "kind" Core.Halfspace2d.snapshot_kind
+  Alcotest.(check string) "kind" "lcsearch.h2"
     info.Diskstore.Snapshot.kind;
   Alcotest.(check string) "meta" "n=600" info.Diskstore.Snapshot.meta;
   check "block size" 16 info.Diskstore.Snapshot.block_size;
@@ -313,13 +317,15 @@ let prop_snapshot_h2_queries =
       let stats = Emio.Io_stats.create () in
       let h2 = Core.Halfspace2d.build ~stats ~block_size:8 points in
       let path = temp_path () in
-      Core.Halfspace2d.save_snapshot h2 ~path ~page_size:256 ();
+      save_h2 h2 ~path ~page_size:256 ();
       let stats2 = Emio.Io_stats.create () in
-      match Core.Halfspace2d.of_snapshot ~stats:stats2 ~cache_pages:4 path with
+      match open_h2 ~stats:stats2 ~cache_pages:4 path with
       | Error _ -> false
       | Ok (loaded, _) ->
           sorted_pts (Core.Halfspace2d.query h2 ~slope ~icept)
           = sorted_pts (Core.Halfspace2d.query loaded ~slope ~icept))
+
+let rtree_format = Baselines.Rtree.snapshot_format ~kind:"lcsearch.rtree"
 
 let test_snapshot_rtree_and_scan () =
   let points = build_points 99 500 in
@@ -327,12 +333,17 @@ let test_snapshot_rtree_and_scan () =
   let rt = Baselines.Rtree.build ~stats ~block_size:16 points in
   let sc = Baselines.Linear_scan.build ~stats ~block_size:16 points in
   let rt_path = temp_path () and sc_path = temp_path () in
-  Baselines.Rtree.save_snapshot rt ~path:rt_path ();
-  Baselines.Linear_scan.save_snapshot sc ~path:sc_path ();
+  Diskstore.Snapshot.save_as rtree_format rt ~path:rt_path ();
+  Diskstore.Snapshot.save_as Baselines.Linear_scan.snapshot
+    (Baselines.Linear_scan.T2 sc) ~path:sc_path ();
   let s2 = Emio.Io_stats.create () in
-  let rt', _ = expect_loaded (Baselines.Rtree.of_snapshot ~stats:s2 rt_path) in
+  let rt', _ =
+    expect_loaded (Diskstore.Snapshot.open_as rtree_format ~stats:s2 rt_path)
+  in
   let sc_any, _ =
-    expect_loaded (Baselines.Linear_scan.of_snapshot ~stats:s2 sc_path)
+    expect_loaded
+      (Diskstore.Snapshot.open_as Baselines.Linear_scan.snapshot ~stats:s2
+         sc_path)
   in
   let sc' =
     match sc_any with
@@ -357,11 +368,12 @@ let test_snapshot_kind_mismatch () =
   let stats = Emio.Io_stats.create () in
   let sc = Baselines.Linear_scan.build ~stats ~block_size:8 points in
   let path = temp_path () in
-  Baselines.Linear_scan.save_snapshot sc ~path ();
-  match Core.Halfspace2d.of_snapshot ~stats path with
+  Diskstore.Snapshot.save_as Baselines.Linear_scan.snapshot
+    (Baselines.Linear_scan.T2 sc) ~path ();
+  match Diskstore.Snapshot.open_as Core.Halfspace2d.snapshot ~stats path with
   | Error (Diskstore.Snapshot.Kind_mismatch { expected; got }) ->
-      Alcotest.(check string) "expected" Core.Halfspace2d.snapshot_kind expected;
-      Alcotest.(check string) "got" Baselines.Linear_scan.snapshot_kind got
+      Alcotest.(check string) "expected" "lcsearch.h2" expected;
+      Alcotest.(check string) "got" "lcsearch.scan" got
   | Ok _ -> Alcotest.fail "kind mismatch not detected"
   | Error e -> Alcotest.failf "wrong error: %a" Diskstore.Snapshot.pp_error e
 
@@ -370,11 +382,11 @@ let saved_h2_snapshot () =
   let stats = Emio.Io_stats.create () in
   let h2 = Core.Halfspace2d.build ~stats ~block_size:16 points in
   let path = temp_path () in
-  Core.Halfspace2d.save_snapshot h2 ~path ~page_size:256 ();
+  save_h2 h2 ~path ~page_size:256 ();
   path
 
 let load_h2 path =
-  Core.Halfspace2d.of_snapshot ~stats:(Emio.Io_stats.create ()) path
+  open_h2 ~stats:(Emio.Io_stats.create ()) path
 
 let test_snapshot_bad_magic () =
   let path = temp_path () in
@@ -460,9 +472,9 @@ let test_snapshot_pages_verified_once () =
       with_resident resident (fun () ->
           let stats = Emio.Io_stats.create () in
           (match
-             Diskstore.Snapshot.load ~path ~stats ~cache_pages:0 ()
+             open_h2 ~stats ~cache_pages:0 path
            with
-          | Ok opened -> Diskstore.Snapshot.close opened
+          | Ok _ -> ()
           | Error e ->
               Alcotest.failf "%s load: %a" mode Diskstore.Snapshot.pp_error e);
           check (mode ^ ": one read per page after the header") last
@@ -574,6 +586,45 @@ let test_snapshot_load_is_cold_process_safe () =
       (Core.Halfspace2d.query_count loaded ~slope ~icept)
   done
 
+(* A save replaces the file atomically: an instance already reading
+   the old file from disk (pool disabled, so every query goes to the
+   file) keeps answering from the old bytes after the path is
+   overwritten (a save that truncated the file in place would break
+   every one of its reads), and a fresh open sees the new structure. *)
+let test_snapshot_save_under_live_reader () =
+  let build n =
+    let points = build_points (5000 + n) n in
+    let stats = Emio.Io_stats.create () in
+    (points, Core.Halfspace2d.build ~stats ~block_size:16 points)
+  in
+  let points, old_h2 = build 600 in
+  let path = temp_path () in
+  save_h2 old_h2 ~path ();
+  let live, _ =
+    expect_loaded (open_h2 ~stats:(Emio.Io_stats.create ()) ~cache_pages:0 path)
+  in
+  let rng = Workload.rng 2024 in
+  let queries =
+    List.init 20 (fun i ->
+        Workload.halfplane_with_selectivity rng points
+          ~fraction:(float_of_int (i + 1) /. 21.))
+  in
+  let counts t =
+    List.map
+      (fun (slope, icept) -> Core.Halfspace2d.query_count t ~slope ~icept)
+      queries
+  in
+  let before = counts live in
+  Alcotest.(check (list int)) "reopened = built" (counts old_h2) before;
+  let _, new_h2 = build 900 in
+  save_h2 new_h2 ~path ();
+  Alcotest.(check (list int)) "live reader unaffected" before (counts live);
+  let fresh, _ =
+    expect_loaded (open_h2 ~stats:(Emio.Io_stats.create ()) path)
+  in
+  check "fresh open sees the new snapshot" 900 (Core.Halfspace2d.length fresh);
+  check_bool "no temp file left" false (Sys.file_exists (path ^ ".tmp"))
+
 (* ---------- corruption corpora across every snapshot kind ----------
 
    For each registered snapshot-capable structure: save a small
@@ -624,7 +675,10 @@ let snapshot_corpus_case (module M : Index.S) () =
                 (Printf.sprintf "%s query %d: reopened = oracle" M.name i)
                 true
                 (sorted_rows (M.query loaded q)
-                = sorted_rows (Oracle.query oracle q)))
+                = sorted_rows (Oracle.query oracle q));
+              Alcotest.(check (float 0.))
+                (Printf.sprintf "%s query %d: reopened estimate" M.name i)
+                (M.estimate t q) (M.estimate loaded q))
             qs);
       let whole = read_file path in
       let n = String.length whole in
@@ -672,6 +726,38 @@ let snapshot_corpus_case (module M : Index.S) () =
           | Error (Diskstore.Snapshot.Bad_header _) -> ()
           | _ -> Alcotest.failf "read_info %s: expected Bad_header" p)
         [ Filename.get_temp_dir_name (); path ^ ".missing" ]
+
+(* A file that passes every CRC but whose skeleton is junk fails in
+   skeleton decoding, after the file is open: the open must report
+   [Bad_payload] and close the file again, for every kind.  The
+   descriptor count of this process must not grow over many such
+   opens. *)
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+let test_junk_skeleton_closes_file () =
+  let path = temp_path () in
+  let fds = open_fds () in
+  List.iter
+    (fun (module M : Index.S) ->
+      match M.snapshot with
+      | None -> ()
+      | Some ops ->
+          Diskstore.Snapshot.save ~path ~kind:ops.Index.snapshot_kind
+            ~block_size:16 ~payload:[||]
+            ~skeleton:(Bytes.of_string "not a skeleton") ();
+          for _ = 1 to 200 do
+            match
+              ops.Index.load ~stats:(Emio.Io_stats.create ())
+                ~policy:Diskstore.Buffer_pool.Lru ~cache_pages:4 path
+            with
+            | Error (Diskstore.Snapshot.Bad_payload _) -> ()
+            | Ok _ -> Alcotest.failf "%s: junk skeleton accepted" M.name
+            | Error e ->
+                Alcotest.failf "%s: wrong error %a" M.name
+                  Diskstore.Snapshot.pp_error e
+          done)
+    (Registry.all ());
+  check "no descriptor leaked" fds (open_fds ())
 
 let snapshot_corpus_tests =
   List.filter_map
@@ -728,6 +814,11 @@ let () =
             test_snapshot_untiled_table_rejected;
           Alcotest.test_case "cold reopen" `Quick
             test_snapshot_load_is_cold_process_safe;
+          Alcotest.test_case "save under a live reader" `Quick
+            test_snapshot_save_under_live_reader;
         ] );
-      ("snapshot corpora", snapshot_corpus_tests);
+      ( "snapshot corpora",
+        Alcotest.test_case "junk skeleton closes the file" `Quick
+          test_junk_skeleton_closes_file
+        :: snapshot_corpus_tests );
     ]

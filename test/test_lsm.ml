@@ -460,6 +460,52 @@ let test_not_lsm_paths () =
         (Diskstore.Snapshot.error_to_string e)
   | Ok _ -> Alcotest.fail "read_manifest on a plain directory must fail"
 
+(* Directory saves commit their MANIFEST through a temp file and a
+   rename: a save leaves no *.tmp behind, and a stale MANIFEST.tmp (a
+   save that died before its rename) changes nothing a reopen sees. *)
+let rec tmp_files p =
+  if Sys.is_directory p then
+    List.concat_map
+      (fun f -> tmp_files (Filename.concat p f))
+      (Array.to_list (Sys.readdir p))
+  else if Filename.check_suffix p ".tmp" then [ p ]
+  else []
+
+let test_manifest_commit () =
+  let (module M : Index.S) = Registry.find_exn "h2" in
+  let rng = Workload.rng 77 in
+  let ds =
+    Workloads.dataset rng ~kind:Workloads.Uniform ~dim:2 ~n:300
+      (module M : Index.S)
+  in
+  let qs = Workloads.queries rng ds ~fraction:0.1 ~count:4 in
+  let sharded =
+    Shard.make ~inner:(module M) ~shards:4 ~partition:Shard.Str ()
+  in
+  List.iter
+    (fun (label, (module W : Index.S)) ->
+      let stats = Emio.Io_stats.create () in
+      let t = W.build ~params:build_params ~stats ds in
+      let path = temp_dir () in
+      (Option.get W.snapshot).Index.save t ~path ~meta ~page_size:None;
+      Alcotest.(check (list string))
+        (label ^ ": no temp file left") [] (tmp_files path);
+      let observe () =
+        match Snapshot_path.open_ ~stats:(Emio.Io_stats.create ()) path with
+        | Error m -> Alcotest.failf "%s: reopen failed: %s" label m
+        | Ok (inst, info, _) -> (info, List.map (Index.query_count inst) qs)
+      in
+      let clean = observe () in
+      Out_channel.with_open_bin (Filename.concat path "MANIFEST.tmp") (fun oc ->
+          output_string oc "half-written manifest");
+      Alcotest.(check bool)
+        (label ^ ": stale MANIFEST.tmp ignored") true (observe () = clean))
+    [
+      ("shard", sharded);
+      ("lsm", Lsm.make ~memtable_cap:16 ~inner:(module M) ());
+      ("lsm over shard", Lsm.make ~memtable_cap:16 ~inner:sharded ());
+    ]
+
 (* ---- composition: Lsm over the sharded wrapper ---- *)
 
 let test_over_shard () =
@@ -559,5 +605,6 @@ let () =
             test_corrupted_level_file;
           Alcotest.test_case "missing level file" `Quick test_missing_level_file;
           Alcotest.test_case "non-lsm paths" `Quick test_not_lsm_paths;
+          Alcotest.test_case "manifest commit" `Quick test_manifest_commit;
         ] );
     ]
