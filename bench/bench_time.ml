@@ -62,7 +62,7 @@ let run () =
      LCSEARCH_BENCH_QUERIES  batch size             (default 256)
      LCSEARCH_BENCH_DOMAINS  parallel fan-out       (default: the Par
                              pool's recommendation — cores minus one,
-                             clamped; 1 on OCaml < 5.0)
+                             clamped to [1, 8])
      LCSEARCH_BENCH_OUT      output path            (default BENCH_TIME.json) *)
 
 module Query_engine = Lcsearch_index.Query_engine
@@ -74,7 +74,7 @@ type batch_row = {
   br_queries : int;
   br_domains : int;
   br_seq_qps : float;
-  br_par_qps : float; (* 0. when the parallel path is unavailable *)
+  br_par_qps : float; (* 0. when [br_domains = 1]: no parallel run *)
   br_words_per_query : float;
   br_results_total : int;
   br_par_matches : bool; (* parallel costs bit-equal to sequential *)

@@ -51,23 +51,6 @@ let json_path () =
   | Some p when p <> "" -> p
   | _ -> "BENCH_CHURN.json"
 
-let rows_of_dataset ds =
-  Array.init (Index.dataset_length ds) (fun i ->
-      match ds with
-      | Index.Pts2 pts -> [| Geom.Point2.x pts.(i); Geom.Point2.y pts.(i) |]
-      | Index.Pts3 pts ->
-          [|
-            Geom.Point3.x pts.(i); Geom.Point3.y pts.(i); Geom.Point3.z pts.(i);
-          |]
-      | Index.PtsD pts -> Array.copy pts.(i))
-
-let dataset_of_rows (module M : Index.S) ~dim rows =
-  match M.preferred ~dim with
-  | `Pts2 -> Index.Pts2 (Array.map (fun r -> Geom.Point2.make r.(0) r.(1)) rows)
-  | `Pts3 ->
-      Index.Pts3 (Array.map (fun r -> Geom.Point3.make r.(0) r.(1) r.(2)) rows)
-  | `PtsD -> Index.PtsD (Array.map Array.copy rows)
-
 let live_bbox ~dim rows =
   let lo = Array.make dim infinity and hi = Array.make dim neg_infinity in
   Array.iter
@@ -120,7 +103,7 @@ let measure_one (module M : Index.S) ~n ~ops ~memtable_cap ~queries ~fraction
   let rng = Workload.rng (seed + n) in
   let ds = Workloads.dataset rng ~kind:Workloads.Uniform ~dim ~n (module M : Index.S) in
   let qs = Array.of_list (Workloads.queries rng ds ~fraction ~count:queries) in
-  let base = rows_of_dataset ds in
+  let base = Index.rows_of_dataset ds in
   (* The dynamized side: bulk build, then the churn stream (spills,
      merges, tombstones) against an exact (handle -> row) model. *)
   let (module L : Index.S) =
@@ -169,7 +152,7 @@ let measure_one (module M : Index.S) ~n ~ops ~memtable_cap ~queries ~fraction
   let counter k = Option.value ~default:0 (List.assoc_opt k counters) in
   (* The static side, rebuilt from exactly the surviving points. *)
   let live_rows = Array.init !len (fun i -> Hashtbl.find model !vec.(i)) in
-  let ods = dataset_of_rows (module M : Index.S) ~dim live_rows in
+  let ods = Index.dataset_of_rows (module M : Index.S) ~dim live_rows in
   let rstats = Emio.Io_stats.create () in
   let oracle =
     Index.build (module M : Index.S) ~params:Index.default_params ~stats:rstats

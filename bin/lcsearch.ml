@@ -141,8 +141,7 @@ let run_once (module M : Index.S) n block_size fraction queries kind seed dim
     (Index.counters inst)
 
 (* Parallel fan-out for query batches.  Defaults to the Par pool's
-   recommendation (cores - 1, clamped; 1 on OCaml < 5.0, where the
-   pool is a sequential fallback). *)
+   recommendation (cores - 1, clamped to [1, 8]). *)
 let domains_arg =
   Arg.(
     value
@@ -463,13 +462,6 @@ let build_cmd =
 
 let sorted_rows l = List.sort compare (List.map Array.to_list l)
 
-let dataset_of_rows (module M : Index.S) ~dim rows =
-  match M.preferred ~dim with
-  | `Pts2 -> Index.Pts2 (Array.map (fun r -> Geom.Point2.make r.(0) r.(1)) rows)
-  | `Pts3 ->
-      Index.Pts3 (Array.map (fun r -> Geom.Point3.make r.(0) r.(1) r.(2)) rows)
-  | `PtsD -> Index.PtsD (Array.map Array.copy rows)
-
 (* Reopen any snapshot layout and run the builder's replayed query
    stream against it.  [--check] compares every result set with the
    base structure rebuilt in memory: from the manifest's live rows for
@@ -505,7 +497,7 @@ let query_once path fraction queries cache_pages policy check =
           "the static rebuild-from-live oracle",
           fun () ->
             rebuild m.Lsm.params
-              (dataset_of_rows (module B : Index.S) ~dim:meta.dim live)
+              (Index.dataset_of_rows (module B : Index.S) ~dim:meta.dim live)
               () )
     | Snapshot_path.Sharded m ->
         ( Printf.sprintf "(%d %s shards of %s)  %s" m.Shard.shards
@@ -826,7 +818,7 @@ let churn_once path ops insert_frac fraction queries seed check =
     die "%s: instance reports %d live, model has %d" path (u.Index.u_live ())
       !len;
   let live_rows = Array.init !len (fun i -> Hashtbl.find model !vec.(i)) in
-  let ods = dataset_of_rows (module M : Index.S) ~dim live_rows in
+  let ods = Index.dataset_of_rows (module M : Index.S) ~dim live_rows in
   let qs = ref [] in
   for _ = 1 to queries do
     qs := Workloads.query rng ods ~fraction :: !qs
@@ -999,7 +991,7 @@ let serve_cmd =
           ~doc:
             "Dispatcher shards, each draining its own admission ring \
              (structures are hashed onto shards by name).  Clamped to 1 \
-             with $(b,--no-resident) or on OCaml < 5.0 builds.")
+             with $(b,--no-resident).")
   in
   let readers =
     Arg.(

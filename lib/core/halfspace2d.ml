@@ -34,7 +34,7 @@ type t = {
 (* Query-time dedup scratch, one slot per distinct dual line: a line
    is "marked" when its slot holds the current epoch, so resetting a
    mark set is one counter bump, and the hot loops never hash or
-   allocate.  The scratch lives in domain-local storage ({!Emio.Tls}),
+   allocate.  The scratch lives in domain-local storage ([Domain.DLS]),
    not in [t]: the batch engine fans queries against one shared [t]
    out across domains, and epoch marks are exactly the state that
    must not be shared between concurrently running queries.  One
@@ -45,12 +45,12 @@ type scratch = {
   mutable epoch : int;
 }
 
-let scratch_key : scratch Emio.Tls.key =
-  Emio.Tls.new_key (fun () ->
+let scratch_key : scratch Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
       { reported_at = [||]; above_at = [||]; epoch = 0 })
 
 let scratch_for t =
-  let sc = Emio.Tls.get scratch_key in
+  let sc = Domain.DLS.get scratch_key in
   if Array.length sc.reported_at < t.distinct then begin
     (* fresh zeroed arrays: epoch restarts above 0, so no stale marks *)
     sc.reported_at <- Array.make t.distinct 0;

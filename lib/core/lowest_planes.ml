@@ -220,7 +220,7 @@ let build ~stats ~block_size ?(cache_blocks = 0) ?(seed = 0) ?(copies = 3)
    (id, height) tuple array because float array elements stay unboxed —
    a tuple would cost five words per candidate, which at N = 8192 was
    the bulk of the 39k words/query the old pipeline allocated.
-   Domain-local ({!Emio.Tls}) so parallel batches never share or race
+   Domain-local ([Domain.DLS]) so parallel batches never share or race
    on a buffer. *)
 type scratch = {
   mutable sids : int array;
@@ -228,8 +228,8 @@ type scratch = {
   mutable slen : int;
 }
 
-let scratch_key : scratch Emio.Tls.key =
-  Emio.Tls.new_key (fun () ->
+let scratch_key : scratch Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
       { sids = Array.make 256 0; shts = Array.make 256 0.; slen = 0 })
 
 (* Growth never blits: the buffer is refilled from scratch on every
@@ -449,7 +449,7 @@ let k_lowest_arr t ~x ~y ~k =
   if k <= 0 then [||]
   else begin
     let k = min k t.n in
-    let sc = Emio.Tls.get scratch_key in
+    let sc = Domain.DLS.get scratch_key in
     let k_ret = select t sc ~x ~y ~k ~ids:true in
     let withh = Array.init sc.slen (fun i -> (sc.sids.(i), sc.shts.(i))) in
     Array.sort (fun (_, a) (_, b) -> Float.compare a b) withh;
@@ -482,7 +482,7 @@ let count_below sc ~threshold =
 let k_lowest_into t ~x ~y ~k ~threshold r =
   if k <= 0 then (0, 0)
   else begin
-    let sc = Emio.Tls.get scratch_key in
+    let sc = Domain.DLS.get scratch_key in
     let k_ret = select t sc ~x ~y ~k ~ids:true in
     let pushed = min (count_below sc ~threshold) k_ret in
     let left = ref pushed in
@@ -502,7 +502,7 @@ let k_lowest_into t ~x ~y ~k ~threshold r =
 let k_lowest_count t ~x ~y ~k ~threshold =
   if k <= 0 then (0, 0)
   else begin
-    let sc = Emio.Tls.get scratch_key in
+    let sc = Domain.DLS.get scratch_key in
     let k_ret = select t sc ~x ~y ~k ~ids:false in
     (min (count_below sc ~threshold) k_ret, k_ret)
   end

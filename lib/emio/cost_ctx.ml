@@ -51,19 +51,19 @@ let evictions t = t.evictions
 let bytes_read t = t.bytes_read
 let bytes_written t = t.bytes_written
 
-(* The installed-context stack lives in thread-local storage (a
-   {!Tls} key: Domain.DLS on OCaml 5, a plain ref on 4.14), so each
-   domain of a parallel batch charges exactly the contexts its own
-   queries installed — no cross-domain bleed, no locking. *)
-let stack : t list Tls.key = Tls.new_key (fun () -> [])
+(* The installed-context stack lives in domain-local storage (a
+   [Domain.DLS] key), so each domain of a parallel batch charges
+   exactly the contexts its own queries installed — no cross-domain
+   bleed, no locking. *)
+let stack : t list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
 
 let uninstall ctx =
-  match Tls.get stack with
-  | top :: rest when top == ctx -> Tls.set stack rest
-  | l -> Tls.set stack (List.filter (fun c -> c != ctx) l)
+  match Domain.DLS.get stack with
+  | top :: rest when top == ctx -> Domain.DLS.set stack rest
+  | l -> Domain.DLS.set stack (List.filter (fun c -> c != ctx) l)
 
 let with_ctx ctx f =
-  Tls.set stack (ctx :: Tls.get stack);
+  Domain.DLS.set stack (ctx :: Domain.DLS.get stack);
   match f () with
   | v ->
       uninstall ctx;
@@ -79,17 +79,17 @@ let with_ctx ctx f =
    whether the work happened on this domain or on workers (whose
    thread-local stacks are empty anyway). *)
 let unscoped f =
-  let saved = Tls.get stack in
-  Tls.set stack [];
+  let saved = Domain.DLS.get stack in
+  Domain.DLS.set stack [];
   match f () with
   | v ->
-      Tls.set stack saved;
+      Domain.DLS.set stack saved;
       v
   | exception e ->
-      Tls.set stack saved;
+      Domain.DLS.set stack saved;
       raise e
 
-let active () = match Tls.get stack with [] -> false | _ :: _ -> true
+let active () = match Domain.DLS.get stack with [] -> false | _ :: _ -> true
 
 let has_trace c = match c.trace with None -> false | Some _ -> true
 
@@ -101,16 +101,16 @@ let tracing () =
     | [] -> false
     | c :: rest -> has_trace c || any rest
   in
-  any (Tls.get stack)
+  any (Domain.DLS.get stack)
 
 let note_read () =
-  List.iter (fun c -> c.reads <- c.reads + 1) (Tls.get stack)
+  List.iter (fun c -> c.reads <- c.reads + 1) (Domain.DLS.get stack)
 
 let note_write () =
-  List.iter (fun c -> c.writes <- c.writes + 1) (Tls.get stack)
+  List.iter (fun c -> c.writes <- c.writes + 1) (Domain.DLS.get stack)
 
 let note_hit () =
-  List.iter (fun c -> c.hits <- c.hits + 1) (Tls.get stack)
+  List.iter (fun c -> c.hits <- c.hits + 1) (Domain.DLS.get stack)
 
 (* Fused note-and-tracing-test variants for the Store block paths: one
    thread-local fetch and one stack walk per block access, instead of a
@@ -124,7 +124,7 @@ let note_read_traced () =
         c.reads <- c.reads + 1;
         go (traced || has_trace c) rest
   in
-  go false (Tls.get stack)
+  go false (Domain.DLS.get stack)
 
 let note_write_traced () =
   let rec go traced = function
@@ -133,7 +133,7 @@ let note_write_traced () =
         c.writes <- c.writes + 1;
         go (traced || has_trace c) rest
   in
-  go false (Tls.get stack)
+  go false (Domain.DLS.get stack)
 
 let note_hit_traced () =
   let rec go traced = function
@@ -142,10 +142,10 @@ let note_hit_traced () =
         c.hits <- c.hits + 1;
         go (traced || has_trace c) rest
   in
-  go false (Tls.get stack)
+  go false (Domain.DLS.get stack)
 
 (* Bulk mirror for delegating layers (the shard layer) that run work
-   under private stats/contexts — e.g. on worker domains whose Tls
+   under private stats/contexts — e.g. on worker domains whose DLS
    never saw the caller's stack — and afterwards replay the totals
    into whatever contexts the caller has installed. *)
 let note_bulk ~reads ~writes ~hits ~evictions ~bytes_read ~bytes_written =
@@ -157,21 +157,23 @@ let note_bulk ~reads ~writes ~hits ~evictions ~bytes_read ~bytes_written =
       c.evictions <- c.evictions + evictions;
       c.bytes_read <- c.bytes_read + bytes_read;
       c.bytes_written <- c.bytes_written + bytes_written)
-    (Tls.get stack)
+    (Domain.DLS.get stack)
 
 let note_eviction () =
-  List.iter (fun c -> c.evictions <- c.evictions + 1) (Tls.get stack)
+  List.iter (fun c -> c.evictions <- c.evictions + 1) (Domain.DLS.get stack)
 
 let note_bytes_read n =
-  List.iter (fun c -> c.bytes_read <- c.bytes_read + n) (Tls.get stack)
+  List.iter (fun c -> c.bytes_read <- c.bytes_read + n) (Domain.DLS.get stack)
 
 let note_bytes_written n =
-  List.iter (fun c -> c.bytes_written <- c.bytes_written + n) (Tls.get stack)
+  List.iter
+    (fun c -> c.bytes_written <- c.bytes_written + n)
+    (Domain.DLS.get stack)
 
 let emit ev =
   List.iter
     (fun c -> match c.trace with None -> () | Some sink -> sink ev)
-    (Tls.get stack)
+    (Domain.DLS.get stack)
 
 let pp_event ppf = function
   | Block_read { id; hit } ->

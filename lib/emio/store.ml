@@ -14,7 +14,7 @@ type 'a state = Mem of 'a mem | Ext of 'a ext
 
 (* Block caches are per-domain: each domain of a parallel batch owns a
    private LRU (plus, for external stores, the decoded-payload table
-   keyed by the ids resident in that LRU), living behind a {!Tls} key.
+   keyed by the ids resident in that LRU), living behind a [Domain.DLS] key.
    A single-domain process sees exactly the old shared-cache
    behaviour — the main domain's cache IS the store's cache — while
    parallel batches stop serializing (and racing) on one Lru/Hashtbl.
@@ -29,7 +29,7 @@ type 'a t = {
   block_size : int;
   mutable state : 'a state;
   cache_capacity : int;  (* configured cache_blocks, pre-split *)
-  dcache : 'a cache Tls.key;
+  dcache : 'a cache Domain.DLS.key;
   (* block codec = Codec.array of the element codec: the wire format of
      one payload block.  Required in external mode; in simulator mode
      it is only consulted by {!export_bytes}. *)
@@ -48,7 +48,7 @@ let with_cache_split ?(shards = 1) ~domains f =
   Fun.protect ~finally:(fun () -> Atomic.set cache_split prev) f
 
 let domain_cache_key capacity =
-  Tls.new_key (fun () ->
+  Domain.DLS.new_key (fun () ->
       let capacity = max 1 (capacity / Atomic.get cache_split) in
       { lru = Lru.create ~capacity; decoded = Hashtbl.create 16 })
 
@@ -74,7 +74,7 @@ let create ~stats ~block_size ?(cache_blocks = 0) ?codec ?backend () =
     if cache_blocks = 0 then
       (* never consulted (every cache probe is guarded by the
          capacity); one shared empty cache keeps the key total down *)
-      Tls.new_key (fun () ->
+      Domain.DLS.new_key (fun () ->
           { lru = Lru.create ~capacity:0; decoded = Hashtbl.create 1 })
     else domain_cache_key cache_blocks
   in
@@ -105,7 +105,7 @@ let check_block t data =
 (* This domain's LRU-touch: false (a charged miss) when caching is
    disabled, without ever resolving the domain-local slot. *)
 let touch_cache t id =
-  t.cache_capacity > 0 && Lru.touch (Tls.get t.dcache).lru id
+  t.cache_capacity > 0 && Lru.touch (Domain.DLS.get t.dcache).lru id
 
 let alloc t data =
   check_block t data;
@@ -168,7 +168,7 @@ let read (t : 'a t) id : 'a array =
         fetch t e id
       end
       else begin
-        let dc = Tls.get t.dcache in
+        let dc = Domain.DLS.get t.dcache in
         let in_lru, evicted = Lru.touch_report dc.lru id in
         (match evicted with
         | Some victim -> Hashtbl.remove dc.decoded victim
@@ -206,7 +206,7 @@ let write t id data =
          are read-only by contract, so cross-domain copies cannot be
          stale while another domain is querying. *)
       if t.cache_capacity > 0 then
-        Hashtbl.remove (Tls.get t.dcache).decoded id;
+        Hashtbl.remove (Domain.DLS.get t.dcache).decoded id;
       let codec = block_codec t "write" in
       let bytes = Codec.encode codec data in
       B.write b id bytes;
@@ -218,7 +218,7 @@ let drop_cache t =
   (* the calling domain's cache; worker domains drop theirs when they
      next split (their caches die with the pool, not the store) *)
   if t.cache_capacity > 0 then begin
-    let dc = Tls.get t.dcache in
+    let dc = Domain.DLS.get t.dcache in
     Lru.clear dc.lru;
     Hashtbl.reset dc.decoded
   end;

@@ -190,6 +190,26 @@ type instance = Instance : (module S with type t = 'a) * 'a -> instance
 let build (module M : S) ~params ~stats ds =
   Instance ((module M), M.build ~params ~stats ds)
 
+(* Coordinate rows in and out of a dataset: Lsm's level rows, and the
+   rebuild-from-live oracles built from them. *)
+let row ds i =
+  match ds with
+  | Pts2 pts -> [| Geom.Point2.x pts.(i); Geom.Point2.y pts.(i) |]
+  | Pts3 pts ->
+      [|
+        Geom.Point3.x pts.(i); Geom.Point3.y pts.(i); Geom.Point3.z pts.(i);
+      |]
+  | PtsD pts -> Array.copy pts.(i)
+
+let rows_of_dataset ds = Array.init (dataset_length ds) (row ds)
+
+let dataset_of_rows (module M : S) ~dim rows =
+  match M.preferred ~dim with
+  | `Pts2 -> Pts2 (Array.map (fun r -> Geom.Point2.make r.(0) r.(1)) rows)
+  | `Pts3 ->
+      Pts3 (Array.map (fun r -> Geom.Point3.make r.(0) r.(1) r.(2)) rows)
+  | `PtsD -> PtsD (Array.map Array.copy rows)
+
 let structure (Instance ((module M), _)) = (module M : S)
 let name (Instance ((module M), _)) = M.name
 let query (Instance ((module M), t)) q = M.query t q

@@ -13,10 +13,10 @@
      times over its lifetime (the logarithmic method's amortized
      charge);
 
-   - deterministic accounting: every level (re)build runs as a task on
-     the PR-5 domain pool under a private Io_stats sink that is folded
-     into the caller's exactly once, after the pool joins — so summed
-     I/O totals are bit-equal whatever the pool's domain count. *)
+   - deterministic accounting: every level (re)build runs under a
+     private Io_stats sink, outside the caller's query contexts, that
+     is folded into the caller's exactly once — so summed I/O totals
+     are bit-equal to the inner structure's own build charges. *)
 
 let lsm_kind = "lcsearch.lsm"
 let default_memtable_cap = 64
@@ -133,7 +133,7 @@ let manifest_live_rows m =
 (* ------------------------------------------------------------------ *)
 (* The Index.S wrapper *)
 
-let make ?(memtable_cap = default_memtable_cap) ?build_domains
+let make ?(memtable_cap = default_memtable_cap) ?build_domains:_
     ~inner:(module M : Index.S) () : (module Index.S) =
   if memtable_cap < 1 then invalid_arg "Lsm.make: memtable_cap must be >= 1";
   (module struct
@@ -179,24 +179,6 @@ let make ?(memtable_cap = default_memtable_cap) ?build_domains
     let reports_ids = M.reports_ids
     let batch_plane_sorted = M.batch_plane_sorted
 
-    let row_of ds i =
-      match ds with
-      | Index.Pts2 pts ->
-          [| Geom.Point2.x pts.(i); Geom.Point2.y pts.(i) |]
-      | Index.Pts3 pts ->
-          [|
-            Geom.Point3.x pts.(i); Geom.Point3.y pts.(i); Geom.Point3.z pts.(i);
-          |]
-      | Index.PtsD pts -> Array.copy pts.(i)
-
-    let dataset_of_rows ~dim rows =
-      match M.preferred ~dim with
-      | `Pts2 -> Index.Pts2 (Array.map (fun r -> Geom.Point2.make r.(0) r.(1)) rows)
-      | `Pts3 ->
-          Index.Pts3
-            (Array.map (fun r -> Geom.Point3.make r.(0) r.(1) r.(2)) rows)
-      | `PtsD -> Index.PtsD (Array.map Array.copy rows)
-
     (* The keep predicate f(p) = p_d - a0 - sum_i a_i p_i <= eps, the
        same threshold form (and the same eps = 1e-9) every structure in
        the repo tests, so memtable scans and tombstone subtraction
@@ -219,24 +201,21 @@ let make ?(memtable_cap = default_memtable_cap) ?build_domains
       let rec go i = if cap * (1 lsl i) >= n then i else go (i + 1) in
       go 0
 
-    (* Build one level's inner structure as a task on the domain pool,
-       charging a private sink folded into [t.stats] after the pool
-       joins — exactly once, so accounting is deterministic across
-       domain counts. *)
+    (* Build one level's inner structure outside the caller's query
+       contexts, charging a private sink folded into [t.stats] exactly
+       once — so build I/O never leaks into a query's cost and the
+       summed totals match a direct build. *)
     let build_level t handles rows =
       t.merges <- t.merges + 1;
-      let ds = dataset_of_rows ~dim:t.dim rows in
+      let ds = Index.dataset_of_rows (module M) ~dim:t.dim rows in
       let per = Emio.Io_stats.create () in
-      let built = ref None in
-      let domains = match build_domains with Some d -> max 1 d | None -> 1 in
-      Emio.Cost_ctx.unscoped (fun () ->
-          Par.run ~domains ~n:1 ~chunk:1 (fun lo hi ->
-              for _ = lo to hi - 1 do
-                built := Some (M.build ~params:t.params ~stats:per ds)
-              done));
+      let inner =
+        Emio.Cost_ctx.unscoped (fun () ->
+            M.build ~params:t.params ~stats:per ds)
+      in
       Emio.Io_stats.merge_into ~src:per t.stats;
       {
-        inner = Option.get !built;
+        inner;
         handles;
         rows;
         dead = Bytes.make (Array.length handles) '\000';
@@ -386,7 +365,7 @@ let make ?(memtable_cap = default_memtable_cap) ?build_domains
       in
       if n > 0 then begin
         let handles = Array.init n (fun i -> i) in
-        let rows = Array.init n (row_of ds) in
+        let rows = Array.init n (Index.row ds) in
         install t (slot_for memtable_cap n) (build_level t handles rows)
       end;
       t
@@ -396,13 +375,13 @@ let make ?(memtable_cap = default_memtable_cap) ?build_domains
 
     (* Per-domain scratch reporter for censoring an id-reporting
        inner's answers on the count-only paths. *)
-    let scratch : Emio.Reporter.t Emio.Tls.key =
-      Emio.Tls.new_key (fun () -> Emio.Reporter.create ())
+    let scratch : Emio.Reporter.t Domain.DLS.key =
+      Domain.DLS.new_key (fun () -> Emio.Reporter.create ())
 
     let level_count lvl q =
       if lvl.dead_count = 0 then M.query_count lvl.inner q
       else if M.reports_ids then begin
-        let r = Emio.Tls.get scratch in
+        let r = Domain.DLS.get scratch in
         Emio.Reporter.clear r;
         ignore (M.query_into lvl.inner q r);
         Emio.Reporter.fold
@@ -448,7 +427,7 @@ let make ?(memtable_cap = default_memtable_cap) ?build_domains
         | None -> ()
         | Some lvl ->
             if M.reports_ids then begin
-              let r = Emio.Tls.get scratch in
+              let r = Domain.DLS.get scratch in
               Emio.Reporter.clear r;
               ignore (M.query_into lvl.inner q r);
               out :=
@@ -761,7 +740,7 @@ let make ?(memtable_cap = default_memtable_cap) ?build_domains
   end)
 
 let open_snapshot ?(policy = Diskstore.Buffer_pool.Lru) ?(cache_pages = 64)
-    ?build_domains ~stats path =
+    ?build_domains:_ ~stats path =
   let ( let* ) = Result.bind in
   let* m = read_manifest path in
   let* (module Inner : Index.S) =
@@ -779,7 +758,7 @@ let open_snapshot ?(policy = Diskstore.Buffer_pool.Lru) ?(cache_pages = 64)
       Shard.of_manifest sm
   in
   let (module L : Index.S) =
-    make ~memtable_cap:m.cap ?build_domains ~inner:(module Inner) ()
+    make ~memtable_cap:m.cap ~inner:(module Inner) ()
   in
   let ops = Option.get L.snapshot in
   let* t, info = ops.Index.load ~stats ~policy ~cache_pages path in

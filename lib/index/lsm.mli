@@ -52,9 +52,10 @@ val make :
   (module Index.S)
 (** Dynamize [inner].  [memtable_cap] (default
     {!default_memtable_cap}) bounds the memtable; smaller caps mean
-    more, smaller levels.  [build_domains] sizes the pool used for
-    level rebuilds (accounting is identical for any value).  Raises
-    [Invalid_argument] if [memtable_cap < 1]. *)
+    more, smaller levels.  [build_domains] is accepted for
+    compatibility and ignored: each level rebuild is one inner build
+    on the calling domain.  Raises [Invalid_argument] if
+    [memtable_cap < 1]. *)
 
 (** {2 Directory snapshots} *)
 
@@ -99,4 +100,5 @@ val open_snapshot :
 (** Reopen an Lsm directory: read the manifest, resolve the inner
     structure by snapshot kind through {!Registry}, CRC-check and load
     each level, and replay the memtable log.  Handles (and therefore
-    future [insert] handles) are stable across save/reopen. *)
+    future [insert] handles) are stable across save/reopen.
+    [build_domains] is ignored, as in {!make}. *)

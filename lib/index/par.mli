@@ -1,9 +1,8 @@
-(** Build-time-selected parallel execution: OCaml 5 runs work on a
-    persistent pool of [Domain]s, 4.14 falls back to sequential loops.
-    The {!Query_engine} batch runner is the only intended caller —
-    queries against the registered structures are read-only and keep
-    their per-query accounting in domain-local {!Emio.Cost_ctx}s,
-    which is what makes the fan-out safe.
+(** Parallel execution on a persistent pool of [Domain]s.  The
+    {!Query_engine} batch runner is the main caller — queries against
+    the registered structures are read-only and keep their per-query
+    accounting in domain-local {!Emio.Cost_ctx}s, which is what makes
+    the fan-out safe.
 
     The pool is lazily created on the first parallel {!run}: worker
     domains are spawned once per process, parked on a condition
@@ -14,17 +13,19 @@
     [domains] ever requested and is joined by an [at_exit] hook (or an
     explicit {!shutdown}).
 
-    Not re-entrant: {!run} and {!map} must be called from the main
-    domain only, never from inside a running job. *)
-
-val available : bool
-(** [true] iff this build can actually run on multiple domains. *)
+    Calling rule: the pool has one job slot, so at most one parallel
+    {!run}/{!map} (one with [domains > 1]) may be in flight at a time.
+    The caller may be any domain.  Callers that can overlap — serve
+    dispatcher domains — arbitrate through the lease ({!try_acquire} /
+    {!release}); a loser runs with [~domains:1], which never touches
+    the pool and is safe from anywhere, including inside a job body.
+    A parallel call made while another is in flight raises
+    [Invalid_argument] rather than corrupting the slot. *)
 
 val default_domains : unit -> int
 (** The fan-out to use when the caller expressed no preference:
     [Domain.recommended_domain_count () - 1] (leaving a core for the
-    main domain's share of the work), clamped to [\[1, 8\]].  Always
-    [1] on 4.14 builds. *)
+    calling domain's share of the work), clamped to [\[1, 8\]]. *)
 
 val run : domains:int -> n:int -> ?chunk:int -> (int -> int -> unit) -> unit
 (** [run ~domains ~n ~chunk body] executes [body lo hi] over disjoint
@@ -34,21 +35,19 @@ val run : domains:int -> n:int -> ?chunk:int -> (int -> int -> unit) -> unit
     domains without paying one fetch-and-add per item.  At most
     [domains] domains participate; the calling domain is one of them.
     The first exception any worker raises is re-raised after the job
-    completes.  With [domains <= 1] (or on 4.14 builds) this is
-    exactly [body 0 n] on the calling domain. *)
+    completes.  With [min domains n <= 1] this is exactly [body 0 n]
+    on the calling domain. *)
 
 val map : domains:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map ~domains f xs] applies [f] to every element, preserving
     order — the boxed convenience wrapper over {!run} (chunk size 1,
     per-element claiming) used by the trace-mode batch path, where
-    per-query cost dwarfs claim traffic.  With [domains <= 1], on
-    empty input, or when {!available} is [false], this is
-    [Array.map f xs]. *)
+    per-query cost dwarfs claim traffic.  With [domains <= 1] or on
+    empty input this is [Array.map f xs]. *)
 
 val pool_size : unit -> int
 (** Worker domains currently parked in the pool (0 before the first
-    parallel {!run} and always 0 on 4.14 builds).  The calling domain
-    is not counted. *)
+    parallel {!run}).  The calling domain is not counted. *)
 
 val shutdown : unit -> unit
 (** Join every pooled worker domain.  Idempotent; registered
@@ -56,12 +55,11 @@ val shutdown : unit -> unit
     safe to call between batches (tests do, to pin pool reuse). *)
 
 val try_acquire : unit -> bool
-(** Claim the pool lease.  The pool has a single job slot, so {!run}
-    with [domains > 1] must only ever have one caller at a time; a
-    concurrent caller (a serve dispatcher) that fails to win the
-    lease must run its batch with [~domains:1] instead — same
-    answers, same per-query costs, just no fan-out.  Non-blocking;
-    returns [false] when another holder has it. *)
+(** Claim the pool lease.  Non-blocking; returns [false] when another
+    holder has it.  The winner may call {!run}/{!map} with
+    [domains > 1] until it calls {!release}; a loser must run its
+    work with [~domains:1] instead — same answers, same per-query
+    costs, just no fan-out. *)
 
 val release : unit -> unit
 (** Give the lease back.  Only the holder may call this. *)

@@ -37,21 +37,21 @@ let run_query ?(trace = false) inst q =
    charges one long-lived scratch context — resolved from domain-local
    storage once per claimed chunk, installed once per chunk, and
    [reset] between queries, which reports exactly what a fresh context
-   would.  The scratch keys below are per-domain ({!Emio.Tls}:
-   [Domain.DLS] on OCaml 5, a plain ref on 4.14), so the steady-state
-   engine overhead per query is four int stores and a context reset —
-   no allocation, no per-query DLS traffic, no context-stack churn. *)
+   would.  The scratch keys below are per-domain ([Domain.DLS]), so
+   the steady-state engine overhead per query is four int stores and a
+   context reset — no allocation, no per-query DLS traffic, no
+   context-stack churn. *)
 
 type scratch = { ctx : Emio.Cost_ctx.t; reporter : Emio.Reporter.t }
 
-let scratch_key : scratch Emio.Tls.key =
-  Emio.Tls.new_key (fun () ->
+let scratch_key : scratch Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
       { ctx = Emio.Cost_ctx.create (); reporter = Emio.Reporter.create () })
 
-let domain_reporter () = (Emio.Tls.get scratch_key).reporter
+let domain_reporter () = (Domain.DLS.get scratch_key).reporter
 
 let run_cost_chunk inst qs ~reads ~writes ~hits ~results lo hi =
-  let ctx = (Emio.Tls.get scratch_key).ctx in
+  let ctx = (Domain.DLS.get scratch_key).ctx in
   Emio.Cost_ctx.with_ctx ctx (fun () ->
       for i = lo to hi - 1 do
         Emio.Cost_ctx.reset ctx;
@@ -62,20 +62,16 @@ let run_cost_chunk inst qs ~reads ~writes ~hits ~results lo hi =
       done)
 
 (* Batch execution.  [domains > 1] fans the queries out over the
-   persistent OCaml 5 domain pool (Par.run; a no-op request on 4.14
-   builds, where Par.available is false) in chunks of
-   ~n/(8*domains) queries, so a microsecond-scale query is not
-   dominated by claim traffic.  Safe because queries are read-only,
+   persistent domain pool (Par.run) in chunks of ~n/(8*domains)
+   queries, so a microsecond-scale query is not dominated by claim
+   traffic.  Safe because queries are read-only,
    per-query accounting lives in domain-local scratch contexts, and
    block caches are per-domain (Emio.Store) — the ambient Io_stats
    totals may interleave across domains but per-query costs stay
    exact.  Tracing callers take the boxed per-query path: event lists
    are inherently per-query allocations. *)
 let run_batch_array ?(trace = false) ?(domains = 1) inst qs =
-  if trace then
-    if domains <= 1 || not Par.available then
-      Array.map (run_query ~trace inst) qs
-    else Par.map ~domains (run_query ~trace inst) qs
+  if trace then Par.map ~domains (run_query ~trace inst) qs
   else begin
     let n = Array.length qs in
     let reads = Array.make n 0 in
@@ -83,7 +79,7 @@ let run_batch_array ?(trace = false) ?(domains = 1) inst qs =
     let hits = Array.make n 0 in
     let results = Array.make n 0 in
     let body = run_cost_chunk inst qs ~reads ~writes ~hits ~results in
-    if domains <= 1 || not Par.available then body 0 n
+    if domains <= 1 then body 0 n
     else
       Emio.Store.with_cache_split ~domains (fun () ->
           Par.run ~domains ~n body);
@@ -176,7 +172,7 @@ let run_batch_sorted ?(trace = false) ?(domains = 1) inst qs =
     let results = Array.make n 0 in
     let reports_ids = Index.reports_ids inst in
     let run_groups glo ghi =
-      let sc = Emio.Tls.get scratch_key in
+      let sc = Domain.DLS.get scratch_key in
       Emio.Cost_ctx.with_ctx sc.ctx (fun () ->
           for g = glo to ghi - 1 do
             let s = starts.(g) and e = starts.(g + 1) in
@@ -209,7 +205,7 @@ let run_batch_sorted ?(trace = false) ?(domains = 1) inst qs =
             done
           done)
     in
-    if domains <= 1 || not Par.available then run_groups 0 ngroups
+    if domains <= 1 then run_groups 0 ngroups
     else
       Emio.Store.with_cache_split ~domains (fun () ->
           Par.run ~domains ~n:ngroups run_groups);
@@ -237,7 +233,7 @@ let run_batch_sorted ?(trace = false) ?(domains = 1) inst qs =
    domain: the scratch context is domain-local, exactly like the batch
    path. *)
 let run_one ?reporter inst q =
-  let ctx = (Emio.Tls.get scratch_key).ctx in
+  let ctx = (Domain.DLS.get scratch_key).ctx in
   Emio.Cost_ctx.reset ctx;
   let result =
     Emio.Cost_ctx.with_ctx ctx (fun () ->

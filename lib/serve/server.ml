@@ -96,7 +96,7 @@ type t = {
   mutable stopped : bool;
   mutable reactors : Reactor.t array;
   mutable acceptor : Thread.t option;
-  mutable workers : Worker.t array; (* the dispatcher shards *)
+  mutable workers : unit Domain.t array; (* the dispatcher shards *)
 }
 
 let locked t f =
@@ -258,8 +258,8 @@ let execute_group t entry jobs =
     with_ids
 
 let execute_batch t d jobs =
-  (* Unix.sleepf, not Thread.delay: dispatcher shards are domains on
-     OCaml 5 and need no thread machinery for the test-hook sleep *)
+  (* Unix.sleepf, not Thread.delay: dispatcher shards are domains and
+     need no thread machinery for the test-hook sleep *)
   if t.cfg.dispatch_delay_s > 0. then Unix.sleepf t.cfg.dispatch_delay_s;
   let now = now_ns () in
   let live, expired = List.partition (fun j -> j.deadline_ns >= now) jobs in
@@ -428,8 +428,8 @@ let load_entries cfg ~dispatchers =
 let start cfg =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  (* None of these are silent clamps: the user who asked for fan-out
-     should hear at startup why they are not getting it. *)
+  (* Not silent clamps: the user who asked for fan-out should hear at
+     startup why they are not getting it. *)
   if (not cfg.resident) && cfg.domains > 1 then
     Printf.eprintf
       "serve: --no-resident forces sequential dispatch; requested %d \
@@ -438,7 +438,8 @@ let start cfg =
       cfg.domains;
   let requested_dispatchers = max 1 cfg.dispatchers in
   let dispatchers =
-    if not cfg.resident then begin
+    if cfg.resident then requested_dispatchers
+    else begin
       if requested_dispatchers > 1 then
         Printf.eprintf
           "serve: --no-resident forces a single dispatcher; requested %d, \
@@ -447,16 +448,6 @@ let start cfg =
           requested_dispatchers;
       1
     end
-    else if not Worker.parallel then begin
-      if requested_dispatchers > 1 then
-        Printf.eprintf
-          "serve: this build has no domains (OCaml < 5.0); requested %d \
-           dispatchers, using 1\n\
-           %!"
-          requested_dispatchers;
-      1
-    end
-    else requested_dispatchers
   in
   let readers = max 1 cfg.readers in
   let entries = load_entries cfg ~dispatchers in
@@ -512,7 +503,8 @@ let start cfg =
           ~log:(fun m -> log t "%s" m)
           ());
   t.workers <-
-    Array.init dispatchers (fun d -> Worker.spawn (fun () -> dispatcher_loop t d));
+    Array.init dispatchers (fun d ->
+        Domain.spawn (fun () -> dispatcher_loop t d));
   t.acceptor <- Some (Thread.create acceptor_loop t);
   t
 
@@ -538,7 +530,7 @@ let stop t =
     (* 2. each dispatcher shard finishes its backlog, then sees
        Drained; their responses land in the conn outboxes while the
        reactors are still flushing *)
-    Array.iter Worker.join t.workers;
+    Array.iter Domain.join t.workers;
     (* 3. tear down the edges: acceptor, then reactors (which flush
        remaining outboxes bounded by the write grace), then the fds *)
     (match t.acceptor with Some th -> Thread.join th | None -> ());

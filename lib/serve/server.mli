@@ -8,8 +8,9 @@
       {!Protocol.Query} frames and push jobs onto the admission rings;
       response frames written by dispatchers flush opportunistically,
       with partial-write residue resumed on writability.
-    - K dispatcher shards (domains on OCaml 5, see {!Worker}) each
-      drain their own bounded {!Admission} ring.  Structures are
+    - K dispatcher shards, each its own [Domain] (so each has its own
+      domain-local engine scratch), drain their own bounded
+      {!Admission} ring.  Structures are
       hashed onto rings by name, so one structure's requests stay FIFO
       on one shard and query initiation no longer serializes behind a
       single dispatcher.
@@ -40,8 +41,8 @@ type config = {
   queue_capacity : int;  (** per-dispatcher admission ring capacity *)
   batch_max : int;  (** dispatcher batch size *)
   dispatchers : int;
-      (** dispatcher shards; clamped to 1 without resident payloads or
-          on OCaml < 5.0 (no domains), warned at startup *)
+      (** dispatcher shards; clamped to 1 without resident payloads,
+          warned at startup *)
   readers : int;  (** reactor event-loop threads, at least 1 *)
   coalesce_us : int;
       (** cross-request coalescing window in microseconds; 0 disables
@@ -95,8 +96,8 @@ val effective_domains : t -> int
     (the clamp is also warned about at startup). *)
 
 val effective_dispatchers : t -> int
-(** Dispatcher shards actually running — [config.dispatchers] clamped
-    to 1 without resident payloads or on a domain-less build. *)
+(** Dispatcher shards actually running — [config.dispatchers] (at
+    least 1), clamped to 1 without resident payloads. *)
 
 val effective_readers : t -> int
 (** Reactor event-loop threads (at least 1). *)

@@ -30,23 +30,6 @@ let temp_dir () =
 
 let build_params = Index.default_params
 
-let rows_of_dataset ds =
-  Array.init (Index.dataset_length ds) (fun i ->
-      match ds with
-      | Index.Pts2 pts -> [| Geom.Point2.x pts.(i); Geom.Point2.y pts.(i) |]
-      | Index.Pts3 pts ->
-          [|
-            Geom.Point3.x pts.(i); Geom.Point3.y pts.(i); Geom.Point3.z pts.(i);
-          |]
-      | Index.PtsD pts -> Array.copy pts.(i))
-
-let dataset_of_rows (module M : Index.S) ~dim rows =
-  match M.preferred ~dim with
-  | `Pts2 -> Index.Pts2 (Array.map (fun r -> Geom.Point2.make r.(0) r.(1)) rows)
-  | `Pts3 ->
-      Index.Pts3 (Array.map (fun r -> Geom.Point3.make r.(0) r.(1) r.(2)) rows)
-  | `PtsD -> Index.PtsD (Array.map Array.copy rows)
-
 (* A churn script shared by the dynamized instance and a (handle ->
    row) model: [`Ins i] inserts fresh row i of a pre-generated pool,
    [`Del k] deletes the k-th oldest live handle. *)
@@ -103,9 +86,9 @@ let conformance_case ~inner ~dim ~kind ~domains ~interleaving () =
   let rng = Workload.rng (9000 + (13 * dim) + (Hashtbl.hash inner mod 97)) in
   let n = 300 in
   let ds = Workloads.dataset rng ~kind ~dim ~n (module M : Index.S) in
-  let base = rows_of_dataset ds in
+  let base = Index.rows_of_dataset ds in
   let extra = Workloads.dataset rng ~kind ~dim ~n:150 (module M : Index.S) in
-  let pool = rows_of_dataset extra in
+  let pool = Index.rows_of_dataset extra in
   let qs = Workloads.queries rng ds ~fraction:0.05 ~count:5 in
   let (module L : Index.S) =
     Lsm.make ~memtable_cap:16 ~build_domains:domains ~inner:(module M) ()
@@ -120,7 +103,7 @@ let conformance_case ~inner ~dim ~kind ~domains ~interleaving () =
   let u = Option.get L.update in
   Alcotest.(check int) "live count" (List.length model) (u.Index.live t);
   (* the oracle: the same static structure rebuilt from the live rows *)
-  let ods = dataset_of_rows (module M) ~dim (Array.of_list live) in
+  let ods = Index.dataset_of_rows (module M) ~dim (Array.of_list live) in
   let oracle =
     M.build ~params:build_params ~stats:(Emio.Io_stats.create ()) ods
   in
@@ -163,7 +146,7 @@ let test_cost_determinism () =
   let (module M : Index.S) = Registry.find_exn "ptree" in
   let rng = Workload.rng 777 in
   let ds = Workloads.dataset rng ~kind:Workloads.Uniform ~dim:2 ~n:300 (module M : Index.S) in
-  let pool = rows_of_dataset (Workloads.dataset rng ~kind:Workloads.Uniform ~dim:2 ~n:100 (module M : Index.S)) in
+  let pool = Index.rows_of_dataset (Workloads.dataset rng ~kind:Workloads.Uniform ~dim:2 ~n:100 (module M : Index.S)) in
   let qs = Workloads.queries rng ds ~fraction:0.05 ~count:4 in
   let runs =
     List.map
@@ -216,7 +199,7 @@ let test_level_invariant () =
   let (module M : Index.S) = Registry.find_exn "h2" in
   let rng = Workload.rng 31 in
   let pool =
-    rows_of_dataset
+    Index.rows_of_dataset
       (Workloads.dataset rng ~kind:Workloads.Uniform ~dim:2 ~n:500
          (module M : Index.S))
   in
@@ -268,9 +251,9 @@ let test_roundtrip ~inner ~dim () =
     Workloads.dataset rng ~kind:Workloads.Uniform ~dim ~n:256
       (module M : Index.S)
   in
-  let base = rows_of_dataset ds in
+  let base = Index.rows_of_dataset ds in
   let pool =
-    rows_of_dataset
+    Index.rows_of_dataset
       (Workloads.dataset rng ~kind:Workloads.Uniform ~dim ~n:60
          (module M : Index.S))
   in
@@ -516,7 +499,7 @@ let test_over_shard () =
       (module M : Index.S)
   in
   let pool =
-    rows_of_dataset
+    Index.rows_of_dataset
       (Workloads.dataset rng ~kind:Workloads.Uniform ~dim:2 ~n:80
          (module M : Index.S))
   in
@@ -528,7 +511,7 @@ let test_over_shard () =
     Lsm.make ~memtable_cap:32 ~inner:(module Sh) ()
   in
   let t = L.build ~params:build_params ~stats:(Emio.Io_stats.create ()) ds in
-  let base = rows_of_dataset ds in
+  let base = Index.rows_of_dataset ds in
   let model =
     apply_churn (module L) t ~pool
       (List.concat (List.init 60 (fun i -> [ `Ins i; `Del 0 ])))
@@ -536,7 +519,7 @@ let test_over_shard () =
   let live = Array.of_list (model_rows base model) in
   let oracle =
     M.build ~params:build_params ~stats:(Emio.Io_stats.create ())
-      (dataset_of_rows (module M) ~dim:2 live)
+      (Index.dataset_of_rows (module M) ~dim:2 live)
   in
   List.iteri
     (fun i q ->

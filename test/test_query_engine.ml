@@ -409,19 +409,60 @@ let test_pool_covers_range () =
       (8, 64, Some 64); (3, 0, None) ]
 
 let test_pool_reuse () =
-  if Par.available then begin
-    Par.shutdown ();
-    check "shutdown empties the pool" 0 (Par.pool_size ());
-    Alcotest.(check bool) "first batch after shutdown" true
-      (count_covered ~domains:4 64);
-    let size = Par.pool_size () in
-    check "run ~domains:4 spawns three helpers" 3 size;
-    Alcotest.(check bool) "second batch" true (count_covered ~domains:4 64);
-    check "consecutive batch reuses the pool" size (Par.pool_size ());
-    Alcotest.(check bool) "smaller fan-out reuses too" true
-      (count_covered ~domains:2 64);
-    check "no shrink on smaller fan-out" size (Par.pool_size ())
-  end
+  Par.shutdown ();
+  check "shutdown empties the pool" 0 (Par.pool_size ());
+  Alcotest.(check bool) "first batch after shutdown" true
+    (count_covered ~domains:4 64);
+  let size = Par.pool_size () in
+  check "run ~domains:4 spawns three helpers" 3 size;
+  Alcotest.(check bool) "second batch" true (count_covered ~domains:4 64);
+  check "consecutive batch reuses the pool" size (Par.pool_size ());
+  Alcotest.(check bool) "smaller fan-out reuses too" true
+    (count_covered ~domains:2 64);
+  check "no shrink on smaller fan-out" size (Par.pool_size ())
+
+(* Par's calling rule: one parallel caller at a time, from any domain,
+   arbitrated by the lease.  Two spawned domains race for it and hold
+   their outcome until both have tried, so exactly one wins; the
+   winner fans out over the pool while the loser runs inline. *)
+let test_pool_lease_race () =
+  let go = Atomic.make false and tried = Atomic.make 0 in
+  let contender () =
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    let won = Par.try_acquire () in
+    Atomic.incr tried;
+    while Atomic.get tried < 2 do
+      Domain.cpu_relax ()
+    done;
+    Fun.protect
+      ~finally:(fun () -> if won then Par.release ())
+      (fun () -> (won, count_covered ~domains:(if won then 2 else 1) 64))
+  in
+  let a = Domain.spawn contender in
+  let b = Domain.spawn contender in
+  Atomic.set go true;
+  let won_a, covered_a = Domain.join a in
+  let won_b, covered_b = Domain.join b in
+  Alcotest.(check bool) "exactly one domain wins the lease" true
+    (won_a <> won_b);
+  Alcotest.(check bool) "winner covers every index once" true
+    (if won_a then covered_a else covered_b);
+  Alcotest.(check bool) "loser covers every index once" true
+    (if won_a then covered_b else covered_a);
+  Alcotest.(check bool) "lease is free afterwards" true (Par.try_acquire ());
+  Par.release ()
+
+let test_pool_busy () =
+  (match
+     Par.run ~domains:2 ~n:2 ~chunk:1 (fun _ _ ->
+         Par.run ~domains:2 ~n:2 (fun _ _ -> ()))
+   with
+  | () -> Alcotest.fail "a second parallel caller must be refused"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "pool usable after a refused caller" true
+    (count_covered ~domains:2 64)
 
 exception Poisoned of int
 
@@ -470,25 +511,15 @@ let batch_equivalence_case (module M : Index.S) () =
   let t = Index.build (module M) ~params:Index.default_params ~stats ds in
   let seq = Query_engine.run_batch_array t qs in
   check "one cost record per query" (Array.length qs) (Array.length seq);
-  if not Par.available then
-    (* 4.14 build: ~domains is a documented no-op; just make sure the
-       request is accepted. *)
-    Alcotest.(check bool)
-      "domains request accepted on a sequential build" true
-      (Query_engine.run_batch_array ~domains:4 t qs = seq)
-  else begin
-    let par = Query_engine.run_batch_array ~domains:4 t qs in
-    Array.iteri
-      (fun i (c : Query_engine.cost) ->
-        let p = par.(i) in
-        check (Printf.sprintf "%s query %d: reads" M.name i) c.reads p.reads;
-        check (Printf.sprintf "%s query %d: writes" M.name i) c.writes
-          p.writes;
-        check (Printf.sprintf "%s query %d: hits" M.name i) c.hits p.hits;
-        check (Printf.sprintf "%s query %d: result" M.name i) c.result
-          p.result)
-      seq
-  end
+  let par = Query_engine.run_batch_array ~domains:4 t qs in
+  Array.iteri
+    (fun i (c : Query_engine.cost) ->
+      let p = par.(i) in
+      check (Printf.sprintf "%s query %d: reads" M.name i) c.reads p.reads;
+      check (Printf.sprintf "%s query %d: writes" M.name i) c.writes p.writes;
+      check (Printf.sprintf "%s query %d: hits" M.name i) c.hits p.hits;
+      check (Printf.sprintf "%s query %d: result" M.name i) c.result p.result)
+    seq
 
 (* Fan-out sweep on the three structures the perf work targets: every
    domain count must reproduce the sequential costs bit-for-bit. *)
@@ -647,6 +678,10 @@ let () =
             test_pool_exception;
           Alcotest.test_case "poisoned query in a batch" `Quick
             test_batch_poisoned_query;
+          Alcotest.test_case "lease race between two domains" `Quick
+            test_pool_lease_race;
+          Alcotest.test_case "second parallel caller refused" `Quick
+            test_pool_busy;
         ] );
       ("batch", batch_equivalence_tests);
       ("run_one", run_one_tests);

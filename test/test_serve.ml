@@ -1050,6 +1050,34 @@ let test_e2e_stats_query () =
           Alcotest.failf "expected Stats, got %s"
             (Format.asprintf "%a" Protocol.pp m))
 
+(* The one remaining dispatcher clamp: without resident payloads the
+   server runs a single dispatcher (and no domain fan-out); resident,
+   it runs what was asked for. *)
+let test_e2e_dispatcher_clamp () =
+  let h2 = build_snapshot "h2" ~n:256 ~seed:83 in
+  List.iter
+    (fun (resident, want_dispatchers, want_domains) ->
+      let cfg =
+        {
+          Server.default_config with
+          port = 0;
+          snapshots = [ h2 ];
+          dispatchers = 3;
+          domains = 2;
+          resident;
+        }
+      in
+      with_server cfg (fun srv ->
+          check
+            (Printf.sprintf "resident=%b: effective dispatchers" resident)
+            want_dispatchers
+            (Server.effective_dispatchers srv);
+          check
+            (Printf.sprintf "resident=%b: effective domains" resident)
+            want_domains
+            (Server.effective_domains srv)))
+    [ (true, 3, 2); (false, 1, 1) ]
+
 (* stop() must drain: the queued backlog is executed and answered
    before connections close. *)
 let test_e2e_drain () =
@@ -1178,5 +1206,7 @@ let () =
             test_every_layout;
           Alcotest.test_case "resident reads charge a cold fetch" `Quick
             test_resident_charges_cold_fetch;
+          Alcotest.test_case "dispatcher clamp without resident payloads"
+            `Quick test_e2e_dispatcher_clamp;
         ] );
     ]
