@@ -1131,7 +1131,7 @@ let loadgen_cmd =
   let want_ids =
     Arg.(
       value & flag
-      & info [ "ids" ] ~doc:"Request answer ids (id-reporting structures).")
+      & info [ "ids" ] ~doc:"Request answer ids.")
   in
   let deadline =
     Arg.(

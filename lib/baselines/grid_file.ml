@@ -2,7 +2,8 @@ open Geom
 
 type t = {
   directory : (int * int) Emio.Run.t; (* cell -> (start, len) *)
-  buckets : Point2.t Emio.Run.t;
+  buckets : (Point2.t * int) Emio.Run.t;
+      (* (point, build-time index), bucket by bucket *)
   bbox : Rect.t;
   side : int;
   dir_block : int;
@@ -45,7 +46,9 @@ let build ~stats ~block_size ?(cache_blocks = 0) ?backend points =
     and cy = min (side - 1) (max 0 (int_of_float (fy *. float_of_int side))) in
     (cy * side) + cx
   in
-  Array.iter (fun p -> cells.(cell_of p) <- p :: cells.(cell_of p)) points;
+  Array.iteri
+    (fun i p -> cells.(cell_of p) <- (p, i) :: cells.(cell_of p))
+    points;
   let dir = Array.make (side * side) (0, 0) in
   let flat = ref [] in
   let pos = ref 0 in
@@ -61,8 +64,8 @@ let build ~stats ~block_size ?(cache_blocks = 0) ?backend points =
     cells;
   let store_dir = Emio.Store.create ~stats ~block_size ~cache_blocks () in
   let store_b =
-    Emio.Store.create ~stats ~block_size ~cache_blocks ~codec:Point2.codec
-      ?backend ()
+    Emio.Store.create ~stats ~block_size ~cache_blocks
+      ~codec:Point2.indexed_codec ?backend ()
   in
   {
     directory = Emio.Run.of_array store_dir dir;
@@ -92,12 +95,13 @@ let read_bucket t c f =
      materializing read_range, but no per-bucket copy is built *)
   if len > 0 then Emio.Run.iter_range f t.buckets ~pos:start ~len
 
-(* The shared traversal: list and counting callers run the identical
-   (I/O-identical) directory-and-bucket scan through this visitor. *)
+(* The shared traversal: list, id-sink and counting callers run the
+   identical (I/O-identical) directory-and-bucket scan through this
+   visitor; [f] sees each answering (point, id) item. *)
 let query_visit t ~classify ~keep f =
   (* one filtering closure for the whole sweep, not one per crossing
      cell *)
-  let filtered p = if keep p then f p in
+  let filtered ((p, _) as item) = if keep p then f item in
   for c = 0 to (t.side * t.side) - 1 do
     match classify (cell_rect t c) with
     | Rect.Outside -> ()
@@ -107,7 +111,7 @@ let query_visit t ~classify ~keep f =
 
 let query_fold t ~classify ~keep =
   let acc = ref [] in
-  query_visit t ~classify ~keep (fun p -> acc := p :: !acc);
+  query_visit t ~classify ~keep (fun (p, _) -> acc := p :: !acc);
   !acc
 
 let halfplane_classify ~slope ~icept r = Rect.classify r ~slope ~icept
@@ -115,10 +119,13 @@ let halfplane_classify ~slope ~icept r = Rect.classify r ~slope ~icept
 let halfplane_keep ~slope ~icept p =
   p.Point2.y <= (slope *. p.Point2.x) +. icept +. Eps.eps
 
-let query_iter t ~slope ~icept f =
+let halfplane_visit t ~slope ~icept f =
   query_visit t
     ~classify:(halfplane_classify ~slope ~icept)
     ~keep:(halfplane_keep ~slope ~icept) f
+
+let query_ids_into t ~slope ~icept r =
+  halfplane_visit t ~slope ~icept (fun (_, id) -> Emio.Reporter.add r id)
 
 let query_halfplane t ~slope ~icept =
   query_fold t
@@ -127,7 +134,7 @@ let query_halfplane t ~slope ~icept =
 
 let query_count t ~slope ~icept =
   let n = ref 0 in
-  query_iter t ~slope ~icept (fun _ -> incr n);
+  halfplane_visit t ~slope ~icept (fun _ -> incr n);
   !n
 
 let query_window t w =
@@ -170,7 +177,7 @@ let to_portable t =
 let of_portable ~stats ~backend p =
   let bstore =
     Emio.Store.of_backend ~stats ~block_size:p.gp_block_size
-      ~cache_blocks:p.gp_cache_blocks ~codec:Point2.codec backend
+      ~cache_blocks:p.gp_cache_blocks ~codec:Point2.indexed_codec backend
   in
   {
     directory = Emio.Run.of_stored ~stats p.gp_directory;
@@ -200,7 +207,7 @@ let portable_codec =
        (triple int int int))
 
 let snapshot =
-  Diskstore.Snapshot.format ~kind:"lcsearch.gridfile" ~version:1
+  Diskstore.Snapshot.format ~kind:"lcsearch.gridfile" ~version:2
     ~codec:portable_codec
     ~payload:(fun t ->
       (block_size t, Emio.Store.export_bytes (Emio.Run.store t.buckets)))

@@ -15,8 +15,17 @@ let build ~stats ~block_size ?(cache_blocks = 0) ?backend points =
 let below ~slope ~icept (p : Point2.t) =
   p.Point2.y <= (slope *. p.Point2.x) +. icept +. Eps.eps
 
-let query_iter t ~slope ~icept f =
-  Emio.Run.iter (fun p -> if below ~slope ~icept p then f p) t.run
+(* Run.of_array fills blocks in build order, so the scan position of
+   a point is its build-time index: no stored id is needed. *)
+let iter_ids run keep r =
+  let i = ref 0 in
+  Emio.Run.iter
+    (fun p ->
+      if keep p then Emio.Reporter.add r !i;
+      incr i)
+    run
+
+let query_ids_into t ~slope ~icept r = iter_ids t.run (below ~slope ~icept) r
 
 let query_halfplane t ~slope ~icept =
   Emio.Run.fold
@@ -60,9 +69,9 @@ let build_d ~stats ~block_size ?(cache_blocks = 0) ?backend ~dim points =
     dlength = Array.length points;
   }
 
-let query_iter_d t ~a0 ~a f =
+let query_ids_into_d t ~a0 ~a r =
   let c = Partition.Cells.constr_of_halfspace ~dim:t.ddim ~a0 ~a in
-  Emio.Run.iter (fun p -> if Partition.Cells.satisfies c p then f p) t.drun
+  iter_ids t.drun (Partition.Cells.satisfies c) r
 
 let query_halfspace_d t ~a0 ~a =
   let c = Partition.Cells.constr_of_halfspace ~dim:t.ddim ~a0 ~a in

@@ -14,9 +14,10 @@ val query_halfplane : t -> slope:float -> icept:float -> Geom.Point2.t list
 
 val query_count : t -> slope:float -> icept:float -> int
 
-val query_iter :
-  t -> slope:float -> icept:float -> (Geom.Point2.t -> unit) -> unit
-(** Visitor form of {!query_halfplane}: same scan, no list. *)
+val query_ids_into :
+  t -> slope:float -> icept:float -> Emio.Reporter.t -> unit
+(** Id form of {!query_halfplane}: same scan, appending each answering
+    point's build-time index (its scan position), no list. *)
 
 val space_blocks : t -> int
 val length : t -> int
@@ -44,9 +45,10 @@ val query_halfspace_d :
 
 val query_count_d : d -> a0:float -> a:float array -> int
 
-val query_iter_d :
-  d -> a0:float -> a:float array -> (Partition.Cells.point -> unit) -> unit
-(** Visitor form of {!query_halfspace_d}: same scan, no list. *)
+val query_ids_into_d :
+  d -> a0:float -> a:float array -> Emio.Reporter.t -> unit
+(** Id form of {!query_halfspace_d}: same scan, appending each
+    answering row's build-time index, no list. *)
 
 val dim_d : d -> int
 val length_d : d -> int

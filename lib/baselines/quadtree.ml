@@ -5,8 +5,10 @@ type node_ref = Leaf of int | Node of int
 (* an internal node block stores its four children: NW NE SW SE *)
 type child = { quadrant : Rect.t; sub : node_ref option }
 
+(* Leaf items carry the point's build-time index: the quadrant split
+   permutes the input. *)
 type t = {
-  leaves : Point2.t Emio.Store.t;
+  leaves : (Point2.t * int) Emio.Store.t;
   internals : child Emio.Store.t;
   root : node_ref option;
   bbox : Rect.t;
@@ -34,8 +36,8 @@ let build ~stats ~block_size ?(cache_blocks = 0) ?backend ?(max_depth = 40)
     points =
   if max_depth < 1 then invalid_arg "Quadtree.build: need max_depth >= 1";
   let leaves =
-    Emio.Store.create ~stats ~block_size ~cache_blocks ~codec:Point2.codec
-      ?backend ()
+    Emio.Store.create ~stats ~block_size ~cache_blocks
+      ~codec:Point2.indexed_codec ?backend ()
   in
   let internals = Emio.Store.create ~stats ~block_size ~cache_blocks () in
   let n = Array.length points in
@@ -55,7 +57,7 @@ let build ~stats ~block_size ?(cache_blocks = 0) ?backend ?(max_depth = 40)
       let qs = quadrants rect in
       let mx = (rect.Rect.x0 +. rect.Rect.x1) /. 2.
       and my = (rect.Rect.y0 +. rect.Rect.y1) /. 2. in
-      let pick p =
+      let pick (p, _) =
         let east = Point2.x p >= mx and north = Point2.y p >= my in
         match (north, east) with
         | true, false -> 0
@@ -75,7 +77,7 @@ let build ~stats ~block_size ?(cache_blocks = 0) ?backend ?(max_depth = 40)
       Some (Node (Emio.Store.alloc internals children))
     end
   in
-  let root = build_node points bbox 0 in
+  let root = build_node (Array.mapi (fun i p -> (p, i)) points) bbox 0 in
   { t with root }
 
 let rec report_all t f = function
@@ -85,15 +87,18 @@ let rec report_all t f = function
         (fun ch -> match ch.sub with None -> () | Some s -> report_all t f s)
         (Emio.Store.read t.internals id)
 
-(* The shared traversal: list and counting callers run the identical
-   (I/O-identical) walk through this visitor. *)
-let query_iter t ~slope ~icept f =
+(* The shared traversal: list, id-sink and counting callers run the
+   identical (I/O-identical) walk; [f] sees each answering (point, id)
+   item. *)
+let query_visit t ~slope ~icept f =
   let keep (p : Point2.t) =
     p.Point2.y <= (slope *. p.Point2.x) +. icept +. Eps.eps
   in
   let rec go = function
     | Leaf id ->
-        Array.iter (fun p -> if keep p then f p) (Emio.Store.read t.leaves id)
+        Array.iter
+          (fun ((p, _) as item) -> if keep p then f item)
+          (Emio.Store.read t.leaves id)
     | Node id ->
         Array.iter
           (fun ch ->
@@ -114,14 +119,17 @@ let query_iter t ~slope ~icept f =
       | Rect.Outside -> ()
       | Rect.Crossing -> go root)
 
+let query_ids_into t ~slope ~icept r =
+  query_visit t ~slope ~icept (fun (_, id) -> Emio.Reporter.add r id)
+
 let query_halfplane t ~slope ~icept =
   let acc = ref [] in
-  query_iter t ~slope ~icept (fun p -> acc := p :: !acc);
+  query_visit t ~slope ~icept (fun (p, _) -> acc := p :: !acc);
   !acc
 
 let query_count t ~slope ~icept =
   let n = ref 0 in
-  query_iter t ~slope ~icept (fun _ -> incr n);
+  query_visit t ~slope ~icept (fun _ -> incr n);
   !n
 
 (* -- persistence: leaves are the payload; the quadrant blocks ride in
@@ -169,7 +177,7 @@ let of_portable ~stats ~backend p =
   {
     leaves =
       Emio.Store.of_backend ~stats ~block_size ~cache_blocks
-        ~codec:Point2.codec backend;
+        ~codec:Point2.indexed_codec backend;
     internals =
       Emio.Store.of_blocks ~stats ~block_size ~cache_blocks
         p.qp_internal_blocks;
@@ -195,7 +203,7 @@ let portable_codec =
        (pair int int) (pair int int))
 
 let snapshot =
-  Diskstore.Snapshot.format ~kind:"lcsearch.quadtree" ~version:1
+  Diskstore.Snapshot.format ~kind:"lcsearch.quadtree" ~version:2
     ~codec:portable_codec
     ~payload:(fun t -> (block_size t, Emio.Store.export_bytes t.leaves))
     ~to_skeleton:to_portable ~of_skeleton:of_portable

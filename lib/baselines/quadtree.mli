@@ -16,10 +16,10 @@ val build :
 val query_halfplane : t -> slope:float -> icept:float -> Geom.Point2.t list
 val query_count : t -> slope:float -> icept:float -> int
 
-val query_iter :
-  t -> slope:float -> icept:float -> (Geom.Point2.t -> unit) -> unit
-(** Visitor form of {!query_halfplane}: same traversal (I/O-identical),
-    one callback per answering point, no list. *)
+val query_ids_into :
+  t -> slope:float -> icept:float -> Emio.Reporter.t -> unit
+(** Id form of {!query_halfplane}: same traversal (I/O-identical),
+    appending each answering point's build-time index, no list. *)
 
 val space_blocks : t -> int
 val length : t -> int

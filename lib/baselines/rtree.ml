@@ -4,8 +4,10 @@ type node_ref = Leaf of int | Node of int
 
 type entry = { mbr : Rect.t; sub : node_ref }
 
+(* Leaf items carry the point's build-time index: packing permutes
+   the input, so the position in a leaf says nothing about it. *)
 type t = {
-  leaves : Point2.t Emio.Store.t;
+  leaves : (Point2.t * int) Emio.Store.t;
   internals : entry Emio.Store.t;
   root : node_ref option;
   root_mbr : Rect.t;
@@ -49,7 +51,7 @@ let hilbert_index ~order x y =
    coordinates and chop into blocks of B. *)
 let hilbert_pack ~block_size points =
   let n = Array.length points in
-  let bbox = Rect.of_points points in
+  let bbox = Rect.of_points (Array.map fst points) in
   let order = 16 in
   let side = float_of_int ((1 lsl order) - 1) in
   let quantize v lo hi =
@@ -58,11 +60,11 @@ let hilbert_pack ~block_size points =
   in
   let keyed =
     Array.map
-      (fun p ->
+      (fun ((p, _) as item) ->
         ( hilbert_index ~order
             (quantize (Point2.x p) bbox.Rect.x0 bbox.Rect.x1)
             (quantize (Point2.y p) bbox.Rect.y0 bbox.Rect.y1),
-          p ))
+          item ))
       points
   in
   Array.sort (fun (a, _) (b, _) -> compare a b) keyed;
@@ -77,7 +79,7 @@ let hilbert_pack ~block_size points =
 let str_pack ~block_size points =
   let n = Array.length points in
   let pts = Array.copy points in
-  Array.sort (fun p q -> Float.compare (Point2.x p) (Point2.x q)) pts;
+  Array.sort (fun (p, _) (q, _) -> Float.compare (Point2.x p) (Point2.x q)) pts;
   let n_leaves = (n + block_size - 1) / block_size in
   let slices = max 1 (int_of_float (ceil (sqrt (float_of_int n_leaves)))) in
   let slice_size = ((n_leaves + slices - 1) / slices) * block_size in
@@ -86,7 +88,8 @@ let str_pack ~block_size points =
   while !i < n do
     let len = min slice_size (n - !i) in
     let slice = Array.sub pts !i len in
-    Array.sort (fun p q -> Float.compare (Point2.y p) (Point2.y q)) slice;
+    Array.sort (fun (p, _) (q, _) -> Float.compare (Point2.y p) (Point2.y q))
+      slice;
     let j = ref 0 in
     while !j < len do
       let blen = min block_size (len - !j) in
@@ -100,8 +103,8 @@ let str_pack ~block_size points =
 let build ~stats ~block_size ?(cache_blocks = 0) ?backend ?(packing = Str)
     points =
   let leaves =
-    Emio.Store.create ~stats ~block_size ~cache_blocks ~codec:Point2.codec
-      ?backend ()
+    Emio.Store.create ~stats ~block_size ~cache_blocks
+      ~codec:Point2.indexed_codec ?backend ()
   in
   let internals = Emio.Store.create ~stats ~block_size ~cache_blocks () in
   if Array.length points = 0 then
@@ -114,16 +117,20 @@ let build ~stats ~block_size ?(cache_blocks = 0) ?backend ?(packing = Str)
       height = 0;
     }
   else begin
+    let items = Array.mapi (fun i p -> (p, i)) points in
     let leaf_groups =
       match packing with
-      | Str -> str_pack ~block_size points
-      | Hilbert -> hilbert_pack ~block_size points
+      | Str -> str_pack ~block_size items
+      | Hilbert -> hilbert_pack ~block_size items
     in
     let level =
       ref
         (Array.map
            (fun group ->
-             { mbr = Rect.of_points group; sub = Leaf (Emio.Store.alloc leaves group) })
+             {
+               mbr = Rect.of_points (Array.map fst group);
+               sub = Leaf (Emio.Store.alloc leaves group);
+             })
            leaf_groups)
     in
     let height = ref 1 in
@@ -180,12 +187,14 @@ let rec report_all t f = function
         (fun e -> report_all t f e.sub)
         (Emio.Store.read t.internals id)
 
-(* The shared traversal: list, visitor and counting callers all run
-   the identical (I/O-identical) walk. *)
+(* The shared traversal: list and id-sink callers run the identical
+   (I/O-identical) walk; [f] sees each answering (point, id) item. *)
 let query_visit t ~classify ~keep f =
   let rec go = function
     | Leaf id ->
-        Array.iter (fun p -> if keep p then f p) (Emio.Store.read t.leaves id)
+        Array.iter
+          (fun ((p, _) as item) -> if keep p then f item)
+          (Emio.Store.read t.leaves id)
     | Node id ->
         Array.iter
           (fun e ->
@@ -203,9 +212,9 @@ let query_visit t ~classify ~keep f =
       | Rect.Inside -> report_all t f root
       | Rect.Crossing -> go root)
 
-let query_fold t ~classify ~keep acc0 =
-  let acc = ref acc0 in
-  query_visit t ~classify ~keep (fun p -> acc := p :: !acc);
+let query_fold t ~classify ~keep =
+  let acc = ref [] in
+  query_visit t ~classify ~keep (fun (p, _) -> acc := p :: !acc);
   !acc
 
 let halfplane_classify ~slope ~icept r = Rect.classify r ~slope ~icept
@@ -213,15 +222,16 @@ let halfplane_classify ~slope ~icept r = Rect.classify r ~slope ~icept
 let halfplane_keep ~slope ~icept (p : Point2.t) =
   p.Point2.y <= (slope *. p.Point2.x) +. icept +. Eps.eps
 
-let query_iter t ~slope ~icept f =
+let query_ids_into t ~slope ~icept r =
   query_visit t
     ~classify:(halfplane_classify ~slope ~icept)
-    ~keep:(halfplane_keep ~slope ~icept) f
+    ~keep:(halfplane_keep ~slope ~icept)
+    (fun (_, id) -> Emio.Reporter.add r id)
 
 let query_halfplane t ~slope ~icept =
   query_fold t
     ~classify:(halfplane_classify ~slope ~icept)
-    ~keep:(halfplane_keep ~slope ~icept) []
+    ~keep:(halfplane_keep ~slope ~icept)
 
 (* Counting fast path: the same traversal (identical Store.read
    sequence) as [query_visit] with the classify/keep closures unrolled
@@ -248,7 +258,7 @@ let query_count t ~slope ~icept =
         let pts = Emio.Store.read t.leaves id in
         let n = ref 0 in
         for i = 0 to Array.length pts - 1 do
-          let p = pts.(i) in
+          let p, _ = pts.(i) in
           if p.Point2.y <= (slope *. p.Point2.x) +. icept +. Eps.eps then
             incr n
         done;
@@ -289,7 +299,6 @@ let query_window t w =
       else if Rect.intersects r w then Rect.Crossing
       else Rect.Outside)
     ~keep:(fun p -> Rect.contains w p)
-    []
 
 (* Persistence: the leaf store is the snapshot payload; the internal
    levels (O(n/B) entries) ride in the skeleton and stay in memory,
@@ -339,7 +348,7 @@ let of_portable ~stats ~backend p =
   {
     leaves =
       Emio.Store.of_backend ~stats ~block_size ~cache_blocks
-        ~codec:Point2.codec backend;
+        ~codec:Point2.indexed_codec backend;
     internals =
       Emio.Store.of_blocks ~stats ~block_size ~cache_blocks
         p.rp_internal_blocks;
@@ -365,6 +374,6 @@ let portable_codec =
        (pair int int) (pair int int))
 
 let snapshot_format ~kind =
-  Diskstore.Snapshot.format ~kind ~version:1 ~codec:portable_codec
+  Diskstore.Snapshot.format ~kind ~version:2 ~codec:portable_codec
     ~payload:(fun t -> (block_size t, Emio.Store.export_bytes t.leaves))
     ~to_skeleton:to_portable ~of_skeleton:of_portable

@@ -1,11 +1,12 @@
 open Geom
 
-(* One dual line with the data points it represents (duplicates of the
-   same point share an entry).  [id] is the line's index in the initial
-   deduplicated arrangement — dense in [0, distinct), stable across
-   layers — so query-time dedup is an array stamp instead of hashing
-   the (slope, icept) key. *)
-type entry = { id : int; slope : float; icept : float; points : Point2.t array }
+(* One dual line with the build-time ids of the data points it
+   represents (duplicates of the same point share an entry; that point
+   is exactly (-. slope, icept)).  [line] is the line's index in the
+   initial deduplicated arrangement — dense in [0, distinct), stable
+   across layers — so query-time dedup is an array stamp instead of
+   hashing the (slope, icept) key. *)
+type entry = { line : int; slope : float; icept : float; ids : int array }
 
 type layer =
   | Clustered of {
@@ -88,34 +89,28 @@ let compute_beta ~block_size n_points =
 
 let dedupe points =
   let tbl = Hashtbl.create (2 * Array.length points) in
-  Array.iter
-    (fun p ->
+  Array.iteri
+    (fun i p ->
       let key = (Point2.x p, Point2.y p) in
       match Hashtbl.find_opt tbl key with
-      | Some l -> Hashtbl.replace tbl key (p :: l)
-      | None -> Hashtbl.add tbl key [ p ])
+      | Some l -> Hashtbl.replace tbl key (i :: l)
+      | None -> Hashtbl.add tbl key [ i ])
     points;
   Hashtbl.fold
-    (fun _ ps acc ->
-      match ps with
-      | [] -> acc
-      | first :: _ ->
-          {
-            id = 0;
-            slope = Line2.slope (Dual2.line_of_point first);
-            icept = Line2.icept (Dual2.line_of_point first);
-            points = Array.of_list ps;
-          }
-          :: acc)
+    (fun _ ids acc ->
+      let l = Dual2.line_of_point points.(List.hd ids) in
+      { line = 0; slope = Line2.slope l; icept = Line2.icept l;
+        ids = Array.of_list ids }
+      :: acc)
     tbl []
   |> Array.of_list
-  |> Array.mapi (fun id e -> { e with id })
+  |> Array.mapi (fun line e -> { e with line })
 
 let entry_codec =
   Emio.Codec.map
-    ~decode:(fun ((id, slope, icept), points) -> { id; slope; icept; points })
-    ~encode:(fun e -> ((e.id, e.slope, e.icept), e.points))
-    Emio.Codec.(pair (triple int float float) (array Point2.codec))
+    ~decode:(fun ((line, slope, icept), ids) -> { line; slope; icept; ids })
+    ~encode:(fun e -> ((e.line, e.slope, e.icept), e.ids))
+    Emio.Codec.(pair (triple int float float) (array int))
 
 let build ~stats ~block_size ?(cache_blocks = 0) ?backend ?(seed = 0) points =
   let store =
@@ -203,8 +198,8 @@ let query_clustered sc ~px ~py ~lambda ~clusters ~btree ~report =
   in
   let reported_at = sc.reported_at and qe = sc.epoch in
   let report e =
-    if reported_at.(e.id) <> qe then begin
-      reported_at.(e.id) <- qe;
+    if reported_at.(e.line) <> qe then begin
+      reported_at.(e.line) <- qe;
       report e
     end
   in
@@ -233,8 +228,8 @@ let query_clustered sc ~px ~py ~lambda ~clusters ~btree ~report =
         Emio.Run.iter
           (fun e ->
             if below_query ~px ~py e then report e
-            else if above_at.(e.id) <> we then begin
-              above_at.(e.id) <- we;
+            else if above_at.(e.line) <> we then begin
+              above_at.(e.line) <- we;
               incr above
             end)
           clusters.(!k);
@@ -247,8 +242,8 @@ let query_clustered sc ~px ~py ~lambda ~clusters ~btree ~report =
   end
 
 (* The shared traversal: every distinct answering entry goes through
-   [report], so list, point-visitor and counting callers run the
-   identical (I/O-identical) layer walk. *)
+   [report], so list, id-sink and counting callers run the identical
+   (I/O-identical) layer walk. *)
 let iter_entries t ~slope ~icept report =
   let px = slope and py = icept in
   let halted = ref false in
@@ -275,18 +270,22 @@ let iter_entries t ~slope ~icept report =
   done;
   t.last_layers_visited <- !i
 
-let query_iter t ~slope ~icept f =
-  iter_entries t ~slope ~icept (fun e -> Array.iter f e.points)
+let query_ids_into t ~slope ~icept r =
+  iter_entries t ~slope ~icept (fun e ->
+      for k = 0 to Array.length e.ids - 1 do
+        Emio.Reporter.add r e.ids.(k)
+      done)
 
 let query t ~slope ~icept =
   let acc = ref [] in
   iter_entries t ~slope ~icept (fun e ->
-      Array.iter (fun p -> acc := p :: !acc) e.points);
+      let p = Point2.make (-.e.slope) e.icept in
+      Array.iter (fun _ -> acc := p :: !acc) e.ids);
   !acc
 
 let query_count t ~slope ~icept =
   let n = ref 0 in
-  iter_entries t ~slope ~icept (fun e -> n := !n + Array.length e.points);
+  iter_entries t ~slope ~icept (fun e -> n := !n + Array.length e.ids);
   !n
 
 (* Persistence: the entry store is the snapshot payload; layer lists
@@ -396,6 +395,6 @@ let of_skeleton ~stats ~backend sk =
   }
 
 let snapshot =
-  Diskstore.Snapshot.format ~kind:"lcsearch.h2" ~version:1 ~codec:skeleton_codec
+  Diskstore.Snapshot.format ~kind:"lcsearch.h2" ~version:2 ~codec:skeleton_codec
     ~payload:(fun t -> (t.block_size, Emio.Store.export_bytes t.store))
     ~to_skeleton ~of_skeleton

@@ -37,12 +37,11 @@ val query : t -> slope:float -> icept:float -> Geom.Point2.t list
 val query_count : t -> slope:float -> icept:float -> int
 (** [List.length (query ...)], without materializing the list. *)
 
-val query_iter :
-  t -> slope:float -> icept:float -> (Geom.Point2.t -> unit) -> unit
-(** Visitor form: calls the callback once per answering point (with
-    multiplicity), running the identical layer walk as {!query} without
-    materializing results — the structure reports points, not ids, so
-    the zero-allocation sink here is a point callback. *)
+val query_ids_into :
+  t -> slope:float -> icept:float -> Emio.Reporter.t -> unit
+(** Append the build-time index of every answering point (with
+    multiplicity) to the reporter, running the identical layer walk as
+    {!query} without materializing results. *)
 
 val length : t -> int
 (** Number of points stored. *)

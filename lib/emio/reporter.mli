@@ -1,10 +1,10 @@
 (** A reusable, growable buffer of reported point ids: the
     zero-allocation reporting sink for the query hot paths.
 
-    Every id-reporting structure ([Core.Partition_tree],
-    [Core.Cert_tree], [Core.Tradeoff3d], ...) exposes a [*_into]
-    query variant that appends its answers to a reporter instead of
-    materializing an [int list].  A caller that runs many queries
+    Every structure ([Core.Partition_tree], [Core.Halfspace2d],
+    [Baselines.Rtree], ...) exposes a [*_into] query variant that
+    appends its answers' build-time ids to a reporter instead of
+    materializing a list.  A caller that runs many queries
     reuses one reporter across them ({!clear} between queries), so the
     steady-state reporting cost is a bounds check and an array store
     per id — no per-point consing, no [List.rev], no intermediate

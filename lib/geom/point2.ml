@@ -42,3 +42,5 @@ let codec =
     ~decode:(fun (x, y) -> { x; y })
     ~encode:(fun p -> (p.x, p.y))
     Emio.Codec.(pair float float)
+
+let indexed_codec = Emio.Codec.(pair codec int)

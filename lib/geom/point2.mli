@@ -35,3 +35,7 @@ val pp : Format.formatter -> t -> unit
 
 val codec : t Emio.Codec.t
 (** Two IEEE-754 floats — the on-disk form of a point. *)
+
+val indexed_codec : (t * int) Emio.Codec.t
+(** A point and its build-time index: the leaf item of every 2-d
+    baseline whose layout permutes the input. *)

@@ -5,11 +5,12 @@
    Conventions shared by every adapter:
    - malformed build parameters raise [Invalid_argument] with a
      "name.build: reason" message (the Index signature's contract);
-   - [query]/[query_count] accept the unified {a0; a} form and check
-     its dimension;
-   - id-returning natives keep the build-time coordinate rows so
-     [query] can report points, while [query_count] stays on the
-     native counting path (same I/O pattern as the native API). *)
+   - [query]/[query_count]/[query_into] accept the unified {a0; a}
+     form and check its dimension;
+   - every native reports build-time ids on its [*_into] path; the
+     natives that answer in ids alone keep the build-time coordinate
+     rows for [query], and [query_count] stays on the native counting
+     path (same I/O pattern as the native API). *)
 
 open Geom
 
@@ -80,6 +81,12 @@ let extra_int ~name ~key lookup =
           (Printf.sprintf "%s.build: %s must be a positive integer" name key)
       else Some i
 
+(* Run a native id sink and return how many ids it appended. *)
+let appended r run =
+  let m = Emio.Reporter.mark r in
+  run r;
+  Emio.Reporter.length r - m
+
 let blocks_of ~n ~bs = max 1 ((n + bs - 1) / bs)
 
 (* log_B n for the Table-1 estimates; clamped away from the degenerate
@@ -115,9 +122,11 @@ module H2 = struct
     let slope, icept = q2 ~name q in
     Core.Halfspace2d.query_count t ~slope ~icept
 
-  let reports_ids = false
   let batch_plane_sorted = false
-  let query_into t q _r = query_count t q
+
+  let query_into t q r =
+    let slope, icept = q2 ~name q in
+    appended r (Core.Halfspace2d.query_ids_into t ~slope ~icept)
 
   let estimate t _q =
     let bs = Core.Halfspace2d.block_size t in
@@ -164,14 +173,11 @@ module H3 = struct
     let a, b, c = q3 ~name q in
     Core.Halfspace3d.query_count t ~a ~b ~c
 
-  let reports_ids = true
   let batch_plane_sorted = true
 
   let query_into t q r =
     let a, b, c = q3 ~name q in
-    let m = Emio.Reporter.mark r in
-    Core.Halfspace3d.query_ids_into t ~a ~b ~c r;
-    Emio.Reporter.length r - m
+    appended r (Core.Halfspace3d.query_ids_into t ~a ~b ~c)
 
   let estimate t _q =
     let bs = Core.Halfspace3d.block_size t in
@@ -216,14 +222,11 @@ module Ptree = struct
     let a0, a = qd ~name ~dim:(Core.Partition_tree.dim t.s) q in
     Core.Partition_tree.query_halfspace_count t.s ~a0 ~a
 
-  let reports_ids = true
   let batch_plane_sorted = false
 
   let query_into t q r =
     let a0, a = qd ~name ~dim:(Core.Partition_tree.dim t.s) q in
-    let m = Emio.Reporter.mark r in
-    Core.Partition_tree.query_halfspace_into t.s ~a0 ~a r;
-    Emio.Reporter.length r - m
+    appended r (Core.Partition_tree.query_halfspace_into t.s ~a0 ~a)
 
   let estimate t _q =
     let d = float_of_int (Core.Partition_tree.dim t.s) in
@@ -280,14 +283,11 @@ module Shallow = struct
     let a0, a = qd ~name ~dim:(Core.Shallow_tree.dim t.s) q in
     Core.Shallow_tree.query_halfspace_count t.s ~a0 ~a
 
-  let reports_ids = true
   let batch_plane_sorted = false
 
   let query_into t q r =
     let a0, a = qd ~name ~dim:(Core.Shallow_tree.dim t.s) q in
-    let m = Emio.Reporter.mark r in
-    Core.Shallow_tree.query_halfspace_into t.s ~a0 ~a r;
-    Emio.Reporter.length r - m
+    appended r (Core.Shallow_tree.query_halfspace_into t.s ~a0 ~a)
 
   let estimate t _q =
     let d = Core.Shallow_tree.dim t.s in
@@ -340,14 +340,11 @@ module Tradeoff = struct
     let a, b, c = q3 ~name q in
     Core.Tradeoff3d.query_count t.s ~a ~b ~c
 
-  let reports_ids = true
   let batch_plane_sorted = true
 
   let query_into t q r =
     let a, b, c = q3 ~name q in
-    let m = Emio.Reporter.mark r in
-    Core.Tradeoff3d.query_ids_into t.s ~a ~b ~c r;
-    Emio.Reporter.length r - m
+    appended r (Core.Tradeoff3d.query_ids_into t.s ~a ~b ~c)
 
   let estimate t _q =
     let bs = Core.Tradeoff3d.block_size t.s in
@@ -405,14 +402,11 @@ module Cert = struct
     let a0, a = qc ~name q in
     Core.Cert_tree.query_count t.s ~a0 ~a
 
-  let reports_ids = true
   let batch_plane_sorted = true
 
   let query_into t q r =
     let a0, a = qc ~name q in
-    let m = Emio.Reporter.mark r in
-    Core.Cert_tree.query_ids_into t.s ~a0 ~a r;
-    Emio.Reporter.length r - m
+    appended r (Core.Cert_tree.query_ids_into t.s ~a0 ~a)
 
   let estimate t _q =
     let bs = Core.Cert_tree.block_size t.s in
@@ -467,9 +461,11 @@ module Make_rtree (V : RTREE_VARIANT) = struct
     let slope, icept = q2 ~name q in
     Baselines.Rtree.query_count t ~slope ~icept
 
-  let reports_ids = false
   let batch_plane_sorted = false
-  let query_into t q _r = query_count t q
+
+  let query_into t q r =
+    let slope, icept = q2 ~name q in
+    appended r (Baselines.Rtree.query_ids_into t ~slope ~icept)
 
   let estimate t _q =
     let bs = Baselines.Rtree.block_size t in
@@ -522,9 +518,11 @@ module Quadtree = struct
     let slope, icept = q2 ~name q in
     Baselines.Quadtree.query_count t ~slope ~icept
 
-  let reports_ids = false
   let batch_plane_sorted = false
-  let query_into t q _r = query_count t q
+
+  let query_into t q r =
+    let slope, icept = q2 ~name q in
+    appended r (Baselines.Quadtree.query_ids_into t ~slope ~icept)
 
   let estimate t _q =
     let bs = Baselines.Quadtree.block_size t in
@@ -562,9 +560,11 @@ module Gridfile = struct
     let slope, icept = q2 ~name q in
     Baselines.Grid_file.query_count t ~slope ~icept
 
-  let reports_ids = false
   let batch_plane_sorted = false
-  let query_into t q _r = query_count t q
+
+  let query_into t q r =
+    let slope, icept = q2 ~name q in
+    appended r (Baselines.Grid_file.query_ids_into t ~slope ~icept)
 
   let estimate t _q =
     let bs = Baselines.Grid_file.block_size t in
@@ -619,9 +619,16 @@ module Scan = struct
         let a0, a = qd ~name ~dim:(L.dim_d s) q in
         L.query_count_d s ~a0 ~a
 
-  let reports_ids = false
   let batch_plane_sorted = false
-  let query_into t q _r = query_count t q
+
+  let query_into t q r =
+    match t with
+    | L.T2 s ->
+        let slope, icept = q2 ~name q in
+        appended r (L.query_ids_into s ~slope ~icept)
+    | L.Td s ->
+        let a0, a = qd ~name ~dim:(L.dim_d s) q in
+        appended r (L.query_ids_into_d s ~a0 ~a)
 
   let estimate t _q =
     let n, bs =

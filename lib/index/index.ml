@@ -137,14 +137,10 @@ module type S = sig
       dimension. *)
 
   val query_count : t -> query -> int
-  (** [List.length (query t q)] without materializing coordinates. *)
-
-  val reports_ids : bool
-  (** Whether the native structure reports point {e ids} (indices into
-      the build-time array) — [true] for the id-reporting trees
-      (ptree, shallow, tradeoff, cert, h3), [false] for the
-      point-reporting structures (h2, the baselines), whose natural
-      zero-allocation sink is a point callback. *)
+  (** [List.length (query t q)] without materializing coordinates.  A
+      primitive, not derived from [query_into]: some natives count
+      without reporting (h3's k-lowest doubling pushes ids and then
+      rolls them back). *)
 
   val batch_plane_sorted : bool
   (** Whether the structure benefits from plane-sorted batched
@@ -157,12 +153,11 @@ module type S = sig
       transparent. *)
 
   val query_into : t -> query -> Emio.Reporter.t -> int
-  (** Run the query on the zero-allocation path, returning the result
-      count.  When [reports_ids] is [true] the answer ids are appended
-      to the reporter (same traversal and I/O charge as [query]); when
-      [false] the reporter is left untouched and this is exactly
-      [query_count] — the serve layer keys off [reports_ids] to decide
-      whether a response can carry ids. *)
+  (** Run the query on the zero-allocation path: append the id of
+      every answering point — its index in the build-time dataset,
+      with multiplicity — to the reporter and return how many were
+      appended, which equals [query_count].  Same traversal and I/O
+      charge as [query]. *)
 
   val estimate : t -> query -> float
   (** Rough predicted query cost in I/Os from the structure's Table-1
@@ -210,12 +205,23 @@ let dataset_of_rows (module M : S) ~dim rows =
       Pts3 (Array.map (fun r -> Geom.Point3.make r.(0) r.(1) r.(2)) rows)
   | `PtsD -> PtsD (Array.map Array.copy rows)
 
+(* Gauges of a wrapper's parts (shards, levels) summed key by key, in
+   first-seen key order. *)
+let sum_counters parts =
+  List.fold_left
+    (List.fold_left (fun merged (key, v) ->
+         if List.mem_assoc key merged then
+           List.map
+             (fun (k, w) -> if String.equal k key then (k, w + v) else (k, w))
+             merged
+         else merged @ [ (key, v) ]))
+    [] parts
+
 let structure (Instance ((module M), _)) = (module M : S)
 let name (Instance ((module M), _)) = M.name
 let query (Instance ((module M), t)) q = M.query t q
 let query_count (Instance ((module M), t)) q = M.query_count t q
 let query_into (Instance ((module M), t)) q r = M.query_into t q r
-let reports_ids (Instance ((module M), _)) = M.reports_ids
 let batch_plane_sorted (Instance ((module M), _)) = M.batch_plane_sorted
 let estimate (Instance ((module M), t)) q = M.estimate t q
 let space_blocks (Instance ((module M), t)) = M.space_blocks t

@@ -54,6 +54,11 @@ let entry_codec =
         raise (Decode "lsm level handles/rows length mismatch");
       if Array.exists (fun j -> j < 0 || j >= n) dead then
         raise (Decode "lsm level tombstone id out of range");
+      Array.iteri
+        (fun i j ->
+          if i > 0 && j <= dead.(i - 1) then
+            raise (Decode "lsm level tombstone ids not strictly ascending"))
+        dead;
       { slot; file; crc; handles; rows; dead })
     ~encode:(fun e -> ((e.slot, e.file, e.crc), (e.handles, e.rows, e.dead)))
     (pair
@@ -84,6 +89,21 @@ let manifest_codec =
              if i > 0 && e.slot <= levels.(i - 1).slot then
                raise (Decode "lsm level slots not strictly ascending"))
            levels;
+         (* a handle names one point: a shared handle would let a
+            delete tombstone only one of its points *)
+         let handles =
+           Array.concat
+             (Array.map fst mem
+             :: Array.to_list (Array.map (fun e -> e.handles) levels))
+         in
+         Array.sort Int.compare handles;
+         Array.iteri
+           (fun i h ->
+             if h < 0 || h >= next_handle then
+               raise (Decode (Printf.sprintf "lsm handle %d out of range" h));
+             if i > 0 && h = handles.(i - 1) then
+               raise (Decode (Printf.sprintf "duplicate lsm handle %d" h)))
+           handles;
          { inner_kind; dim; cap; next_handle; merges; params; meta; mem; levels })
        ~encode:(fun m ->
          ( (m.inner_kind, m.dim, m.cap, m.next_handle),
@@ -143,7 +163,6 @@ let make ?(memtable_cap = default_memtable_cap) ?build_domains:_
       rows : float array array;  (* local id -> row, inner build order *)
       dead : Bytes.t;  (* local id -> '\001' once tombstoned *)
       mutable dead_count : int;
-      mutable dead_ids : int list;
     }
 
     type loc = Mem of int | Lev of int * int
@@ -176,13 +195,12 @@ let make ?(memtable_cap = default_memtable_cap) ?build_domains:_
     let space_bound = M.space_bound
     let query_bound = M.query_bound
     let preferred = M.preferred
-    let reports_ids = M.reports_ids
     let batch_plane_sorted = M.batch_plane_sorted
 
     (* The keep predicate f(p) = p_d - a0 - sum_i a_i p_i <= eps, the
        same threshold form (and the same eps = 1e-9) every structure in
-       the repo tests, so memtable scans and tombstone subtraction
-       agree with the levels on generated workloads. *)
+       the repo tests, so memtable scans agree with the levels on
+       generated workloads. *)
     let satisfies row (q : Index.query) =
       let d = Array.length row in
       let s = ref (row.(d - 1) -. q.a0) in
@@ -220,7 +238,6 @@ let make ?(memtable_cap = default_memtable_cap) ?build_domains:_
         rows;
         dead = Bytes.make (Array.length handles) '\000';
         dead_count = 0;
-        dead_ids = [];
       }
 
     let ensure_slot t i =
@@ -327,8 +344,7 @@ let make ?(memtable_cap = default_memtable_cap) ?build_domains:_
           | Lev (s, j) ->
               let lvl = Option.get t.slots.(s) in
               Bytes.set lvl.dead j '\001';
-              lvl.dead_count <- lvl.dead_count + 1;
-              lvl.dead_ids <- j :: lvl.dead_ids);
+              lvl.dead_count <- lvl.dead_count + 1);
           Hashtbl.remove t.loc h;
           t.live_count <- t.live_count - 1;
           if tombstones t > max 8 t.live_count then compact t;
@@ -373,31 +389,23 @@ let make ?(memtable_cap = default_memtable_cap) ?build_domains:_
     (* -------------------------------------------------------------- *)
     (* Queries: fan out over levels in slot order, then the memtable. *)
 
-    (* Per-domain scratch reporter for censoring an id-reporting
-       inner's answers on the count-only paths. *)
+    (* Per-domain scratch reporter for censoring a level's answers on
+       the count and row paths. *)
     let scratch : Emio.Reporter.t Domain.DLS.key =
       Domain.DLS.new_key (fun () -> Emio.Reporter.create ())
 
+    (* Fold [f] over the live local ids a level reports for [q]. *)
+    let fold_live lvl q f acc =
+      let r = Domain.DLS.get scratch in
+      Emio.Reporter.clear r;
+      ignore (M.query_into lvl.inner q r);
+      Emio.Reporter.fold
+        (fun acc j -> if Bytes.get lvl.dead j = '\000' then f acc j else acc)
+        acc r
+
     let level_count lvl q =
       if lvl.dead_count = 0 then M.query_count lvl.inner q
-      else if M.reports_ids then begin
-        let r = Domain.DLS.get scratch in
-        Emio.Reporter.clear r;
-        ignore (M.query_into lvl.inner q r);
-        Emio.Reporter.fold
-          (fun acc j -> if Bytes.get lvl.dead j = '\000' then acc + 1 else acc)
-          0 r
-      end
-      else begin
-        (* a point-reporting inner counts its whole level; subtract the
-           tombstoned rows that satisfy the query *)
-        let dead_sat =
-          List.fold_left
-            (fun acc j -> if satisfies lvl.rows.(j) q then acc + 1 else acc)
-            0 lvl.dead_ids
-        in
-        M.query_count lvl.inner q - dead_sat
-      end
+      else fold_live lvl q (fun acc _ -> acc + 1) 0
 
     let mem_count t q =
       let c = ref 0 in
@@ -426,72 +434,36 @@ let make ?(memtable_cap = default_memtable_cap) ?build_domains:_
         match t.slots.(s) with
         | None -> ()
         | Some lvl ->
-            if M.reports_ids then begin
-              let r = Domain.DLS.get scratch in
-              Emio.Reporter.clear r;
-              ignore (M.query_into lvl.inner q r);
-              out :=
-                Emio.Reporter.fold
-                  (fun acc j ->
-                    if Bytes.get lvl.dead j = '\000' then
-                      Array.copy lvl.rows.(j) :: acc
-                    else acc)
-                  !out r
-            end
-            else begin
-              let rows = M.query lvl.inner q in
-              if lvl.dead_count = 0 then
-                out := List.rev_append rows !out
-              else begin
-                (* multiset-subtract the tombstoned rows satisfying the
-                   query; identical-coordinate rows are interchangeable,
-                   so which copy is dropped does not matter *)
-                let sub = Hashtbl.create 16 in
-                List.iter
-                  (fun j ->
-                    if satisfies lvl.rows.(j) q then
-                      Hashtbl.replace sub lvl.rows.(j)
-                        (1
-                        + Option.value ~default:0
-                            (Hashtbl.find_opt sub lvl.rows.(j))))
-                  lvl.dead_ids;
-                List.iter
-                  (fun row ->
-                    match Hashtbl.find_opt sub row with
-                    | Some c when c > 0 -> Hashtbl.replace sub row (c - 1)
-                    | _ -> out := row :: !out)
-                  rows
-              end
-            end
+            out :=
+              fold_live lvl q
+                (fun acc j -> Array.copy lvl.rows.(j) :: acc)
+                !out
       done;
       !out
 
     let query_into t q r =
       check_query t q;
-      if not M.reports_ids then query_count t q
-      else begin
-        let total = ref 0 in
-        for s = 0 to Array.length t.slots - 1 do
-          match t.slots.(s) with
-          | None -> ()
-          | Some lvl ->
-              let m = Emio.Reporter.mark r in
-              ignore (M.query_into lvl.inner q r);
-              if lvl.dead_count > 0 then
-                Emio.Reporter.filter_from r m (fun j ->
-                    Bytes.get lvl.dead j = '\000');
-              let handles = lvl.handles in
-              Emio.Reporter.rewrite_from r m (fun j -> handles.(j));
-              total := !total + (Emio.Reporter.length r - m)
-        done;
-        for i = 0 to t.mem_len - 1 do
-          if Bytes.get t.mem_dead i = '\000' && satisfies t.mem_rows.(i) q then begin
-            Emio.Reporter.add r t.mem_handles.(i);
-            incr total
-          end
-        done;
-        !total
-      end
+      let total = ref 0 in
+      for s = 0 to Array.length t.slots - 1 do
+        match t.slots.(s) with
+        | None -> ()
+        | Some lvl ->
+            let m = Emio.Reporter.mark r in
+            ignore (M.query_into lvl.inner q r);
+            if lvl.dead_count > 0 then
+              Emio.Reporter.filter_from r m (fun j ->
+                  Bytes.get lvl.dead j = '\000');
+            let handles = lvl.handles in
+            Emio.Reporter.rewrite_from r m (fun j -> handles.(j));
+            total := !total + (Emio.Reporter.length r - m)
+      done;
+      for i = 0 to t.mem_len - 1 do
+        if Bytes.get t.mem_dead i = '\000' && satisfies t.mem_rows.(i) q then begin
+          Emio.Reporter.add r t.mem_handles.(i);
+          incr total
+        end
+      done;
+      !total
 
     let estimate t q =
       Array.fold_left
@@ -513,31 +485,14 @@ let make ?(memtable_cap = default_memtable_cap) ?build_domains:_
           (fun acc -> function Some _ -> acc + 1 | None -> acc)
           0 t.slots
       in
-      (* inner gauges summed across levels, first-seen key order *)
-      let merged = ref [] in
-      Array.iter
-        (function
-          | None -> ()
-          | Some lvl ->
-              List.iter
-                (fun (key, v) ->
-                  match List.assoc_opt key !merged with
-                  | Some _ ->
-                      merged :=
-                        List.map
-                          (fun (k', v') ->
-                            if String.equal k' key then (k', v' + v)
-                            else (k', v'))
-                          !merged
-                  | None -> merged := !merged @ [ (key, v) ])
-                (M.counters lvl.inner))
-        t.slots;
       ("levels", levels)
       :: ("memtable", t.mem_len - t.mem_dead_count)
       :: ("tombstones", tombstones t)
       :: ("merges", t.merges)
       :: ("live", t.live_count)
-      :: !merged
+      :: Index.sum_counters
+           (Array.to_list t.slots
+           |> List.filter_map (Option.map (fun lvl -> M.counters lvl.inner)))
 
     (* -------------------------------------------------------------- *)
     (* Snapshots: a directory holding one inner snapshot per level
@@ -580,7 +535,9 @@ let make ?(memtable_cap = default_memtable_cap) ?build_domains:_
                             rm_rf dst;
                           Sys.rename tmp dst;
                           let dead =
-                            Array.of_list (List.sort Int.compare lvl.dead_ids)
+                            Seq.init (Array.length lvl.handles) Fun.id
+                            |> Seq.filter (fun j -> Bytes.get lvl.dead j <> '\000')
+                            |> Array.of_seq
                           in
                           entries :=
                             {
@@ -702,7 +659,6 @@ let make ?(memtable_cap = default_memtable_cap) ?build_domains:_
                           rows = e.rows;
                           dead = Bytes.make n '\000';
                           dead_count = Array.length e.dead;
-                          dead_ids = Array.to_list e.dead;
                         }
                       in
                       Array.iter (fun j -> Bytes.set lvl.dead j '\001') e.dead;

@@ -26,9 +26,9 @@
       [Io_stats] sink folded into the caller's exactly once
       (deterministic accounting across domain counts);
     - {b queries} fan out across memtable + levels through the
-      existing [Index.S] paths; tombstoned ids are censored with
-      {!Emio.Reporter.filter_from} (id-reporting inners) or
-      multiset-subtracted (point-reporting inners);
+      existing [Index.S] paths; every inner reports build-time ids, so
+      tombstones are censored by id ({!Emio.Reporter.filter_from}),
+      the one censoring path Nekrich's reduction needs;
     - {b snapshots} are versioned directories: a CRC-guarded MANIFEST
       (inner kind, build params, handle maps, tombstones, memtable
       log) plus one inner snapshot file per level, reopened through
@@ -80,6 +80,11 @@ type manifest = {
       (** live memtable entries (handle, row), handle order *)
   levels : level_entry array;
 }
+
+val manifest_codec : manifest Emio.Codec.t
+(** The MANIFEST payload.  Decoding rejects manifests no save can
+    write: tombstone ids that are not strictly ascending, and handles
+    that repeat or are not below [next_handle]. *)
 
 val read_manifest : string -> (manifest, Diskstore.Snapshot.error) result
 

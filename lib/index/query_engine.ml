@@ -170,32 +170,16 @@ let run_batch_sorted ?(trace = false) ?(domains = 1) inst qs =
     let writes = Array.make n 0 in
     let hits = Array.make n 0 in
     let results = Array.make n 0 in
-    let reports_ids = Index.reports_ids inst in
     let run_groups glo ghi =
-      let sc = Domain.DLS.get scratch_key in
-      Emio.Cost_ctx.with_ctx sc.ctx (fun () ->
+      let ctx = (Domain.DLS.get scratch_key).ctx in
+      Emio.Cost_ctx.with_ctx ctx (fun () ->
           for g = glo to ghi - 1 do
             let s = starts.(g) and e = starts.(g + 1) in
-            let q = qs.(order.(s)) in
-            Emio.Cost_ctx.reset sc.ctx;
-            let result =
-              if reports_ids then begin
-                (* id-reporting structures run the query_into path —
-                   the shared traversal produces the ids every group
-                   member would report, demuxed here as count-only
-                   through mark/truncate (query_into charges are
-                   pinned identical to query_count by the run_one
-                   equivalence suite) *)
-                let m = Emio.Reporter.mark sc.reporter in
-                let c = Index.query_into inst q sc.reporter in
-                Emio.Reporter.truncate sc.reporter m;
-                c
-              end
-              else Index.query_count inst q
-            in
-            let rd = Emio.Cost_ctx.reads sc.ctx in
-            let wr = Emio.Cost_ctx.writes sc.ctx in
-            let ht = Emio.Cost_ctx.hits sc.ctx in
+            Emio.Cost_ctx.reset ctx;
+            let result = Index.query_count inst qs.(order.(s)) in
+            let rd = Emio.Cost_ctx.reads ctx in
+            let wr = Emio.Cost_ctx.writes ctx in
+            let ht = Emio.Cost_ctx.hits ctx in
             for oi = s to e - 1 do
               let i = order.(oi) in
               results.(i) <- result;
@@ -227,11 +211,10 @@ let run_batch_sorted ?(trace = false) ?(domains = 1) inst qs =
    query would report inside a batch (test_query_engine pins this).
 
    With [?reporter] the query runs on the {!Index.query_into} path:
-   ids (for id-reporting structures) are appended to the caller's
-   reporter — typically {!domain_reporter} — and [result] is still the
-   count.  Not thread-safe against concurrent engine calls on the same
-   domain: the scratch context is domain-local, exactly like the batch
-   path. *)
+   the answer ids are appended to the caller's reporter — typically
+   {!domain_reporter} — and [result] is still the count.  Not
+   thread-safe against concurrent engine calls on the same domain: the
+   scratch context is domain-local, exactly like the batch path. *)
 let run_one ?reporter inst q =
   let ctx = (Domain.DLS.get scratch_key).ctx in
   Emio.Cost_ctx.reset ctx;

@@ -35,7 +35,6 @@ let for_dim dim =
    on the module themselves. *)
 type capability = {
   cap_snapshot : string option;
-  cap_reports_ids : bool;
   cap_batch_sorted : bool;
   cap_updatable : bool;
 }
@@ -44,7 +43,6 @@ let capabilities (module M : Index.S) =
   {
     cap_snapshot =
       Option.map (fun ops -> ops.Index.snapshot_kind) M.snapshot;
-    cap_reports_ids = M.reports_ids;
     cap_batch_sorted = M.batch_plane_sorted;
     cap_updatable = Option.is_some M.update;
   }

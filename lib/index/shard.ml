@@ -159,9 +159,30 @@ let entry_codec =
        (triple string string u32)
        (triple (array float) (array float) (array int)))
 
+(* The id maps must partition [0, total): a short or out-of-range map
+   would make a query raise or report wrong ids. *)
+let check_gids ~total entries =
+  let n = Array.fold_left (fun acc e -> acc + Array.length e.gids) 0 entries in
+  if n <> total then
+    raise
+      (Emio.Codec.Decode
+         (Printf.sprintf "shard id maps hold %d ids for %d points" n total));
+  let seen = Bytes.make total '\000' in
+  Array.iter
+    (fun e ->
+      Array.iter
+        (fun g ->
+          if g < 0 || g >= total then
+            raise (Emio.Codec.Decode (Printf.sprintf "shard id %d out of range" g));
+          if Bytes.get seen g <> '\000' then
+            raise (Emio.Codec.Decode (Printf.sprintf "duplicate shard id %d" g));
+          Bytes.set seen g '\001')
+        e.gids)
+    entries
+
 let manifest_codec =
   let open Emio.Codec in
-  versioned ~magic:sharded_kind ~version:1
+  versioned ~magic:sharded_kind ~version:2
     (map
        ~decode:(fun ((inner_kind, part, shards, dim), (total, meta, entries)) ->
          let partition =
@@ -174,6 +195,7 @@ let manifest_codec =
          in
          if shards < 1 || Array.length entries <> shards then
            raise (Decode "shard manifest entry count mismatch");
+         check_gids ~total entries;
          { inner_kind; partition; shards; dim; total; meta; entries })
        ~encode:(fun m ->
          ( ( m.inner_kind,
@@ -306,7 +328,6 @@ let make ?build_domains ~inner:(module M : Index.S) ~shards ~partition () :
       List.concat !rows
 
     let query_count t q = scatter t q ~f:(fun sh -> M.query_count sh.inner q)
-    let reports_ids = M.reports_ids
 
     (* scatter-gather over K inner queries still shares the inner
        structure's traversal cost profile, so the capability passes
@@ -316,14 +337,11 @@ let make ?build_domains ~inner:(module M : Index.S) ~shards ~partition () :
 
     let query_into t q r =
       scatter t q ~f:(fun sh ->
-          if reports_ids then begin
-            let m = Emio.Reporter.mark r in
-            let c = M.query_into sh.inner q r in
-            let gids = sh.gids in
-            Emio.Reporter.rewrite_from r m (fun local -> gids.(local));
-            c
-          end
-          else M.query_into sh.inner q r)
+          let m = Emio.Reporter.mark r in
+          let c = M.query_into sh.inner q r in
+          let gids = sh.gids in
+          Emio.Reporter.rewrite_from r m (fun local -> gids.(local));
+          c)
 
     let estimate t q =
       t.last_pruned <- 0;
@@ -340,25 +358,10 @@ let make ?build_domains ~inner:(module M : Index.S) ~shards ~partition () :
       Array.fold_left (fun acc sh -> acc + M.space_blocks sh.inner) 0 t.shards
 
     let counters t =
-      (* inner gauges summed across shards, first-seen key order *)
-      let merged = ref [] in
-      Array.iter
-        (fun sh ->
-          List.iter
-            (fun (key, v) ->
-              match List.assoc_opt key !merged with
-              | Some _ ->
-                  merged :=
-                    List.map
-                      (fun (k', v') ->
-                        if String.equal k' key then (k', v' + v) else (k', v'))
-                      !merged
-              | None -> merged := !merged @ [ (key, v) ])
-            (M.counters sh.inner))
-        t.shards;
       ("shards", Array.length t.shards)
       :: ("last_pruned", t.last_pruned)
-      :: !merged
+      :: Index.sum_counters
+           (Array.to_list (Array.map (fun sh -> M.counters sh.inner) t.shards))
 
     (* Shard tiles are immutable by design (the STR tiling is fixed at
        build time, and inner handle spaces would collide across
@@ -400,7 +403,7 @@ let make ?build_domains ~inner:(module M : Index.S) ~shards ~partition () :
                           crc = file_crc (Filename.concat path (shard_file s));
                           lo = sh.lo;
                           hi = sh.hi;
-                          gids = (if reports_ids then sh.gids else [||]);
+                          gids = sh.gids;
                         })
                       t.shards
                   in

@@ -61,8 +61,9 @@ val make :
     {!Emio.Codec.versioned} section recording the inner kind, the
     partitioner, K, the dimension, the builder meta string, and one
     entry per shard (file name, kind, whole-file CRC-32, bounding-tile
-    corners, and the local-to-global id map when the inner structure
-    reports ids). *)
+    corners, and the local-to-global id map).  Format version 2:
+    decoding rejects id maps that are not, taken together, a
+    permutation of [[0, total)]. *)
 
 type entry = {
   file : string;  (** shard snapshot file, relative to the directory *)
@@ -71,8 +72,7 @@ type entry = {
   lo : float array;  (** bounding-tile corner, one value per dimension *)
   hi : float array;
   gids : int array;
-      (** local id -> global dataset id; [[||]] when the inner
-          structure reports points rather than ids *)
+      (** local id -> global dataset id *)
 }
 
 type manifest = {
@@ -84,6 +84,9 @@ type manifest = {
   meta : string;
   entries : entry array;
 }
+
+val manifest_codec : manifest Emio.Codec.t
+(** The MANIFEST payload (version 2). *)
 
 val read_manifest : string -> (manifest, Diskstore.Snapshot.error) result
 (** Read and verify (CRC, magic, version) the manifest of a sharded

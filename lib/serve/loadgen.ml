@@ -52,12 +52,11 @@ type expected = {
   e_reads : int;
   e_writes : int;
   e_hits : int;
-  e_ids : int array option;  (* sorted; None for point-reporting structures *)
+  e_ids : int array;  (* sorted build-time ids *)
 }
 
 type target = {
   t_name : string;
-  t_reports_ids : bool;
   t_queries : Index.query array;
   t_expected : expected array option;
 }
@@ -73,7 +72,7 @@ let sorted_ids r =
    cache state, so these numbers are exactly what the (resident)
    server must report for the same query — regardless of concurrency,
    batching, or arrival order. *)
-let oracle_of path (module M : Index.S) queries =
+let oracle_of path queries =
   Diskstore.File_backend.set_resident_on_reopen true;
   let l =
     Fun.protect
@@ -91,7 +90,7 @@ let oracle_of path (module M : Index.S) queries =
         e_reads = c.Query_engine.reads;
         e_writes = c.Query_engine.writes;
         e_hits = c.Query_engine.hits;
-        e_ids = (if M.reports_ids then Some (sorted_ids reporter) else None);
+        e_ids = sorted_ids reporter;
       })
     queries
 
@@ -110,9 +109,8 @@ let target_of cfg path =
   in
   {
     t_name = M.name;
-    t_reports_ids = M.reports_ids;
     t_queries = queries;
-    t_expected = (if cfg.check then Some (oracle_of path (module M) queries) else None);
+    t_expected = (if cfg.check then Some (oracle_of path queries) else None);
   }
 
 (* ---------- item sampling: uniform or Zipf over (target, query) ---------- *)
@@ -160,13 +158,11 @@ let verify cfg (tgt : target) qidx ~count ~reads ~writes ~hits ~(ids : int array
       let e = exp.(qidx) in
       e.e_count = count && e.e_reads = reads && e.e_writes = writes
       && e.e_hits = hits
-      &&
-      match e.e_ids with
-      | Some want when cfg.want_ids ->
-          let got = Array.copy ids in
-          Array.sort Int.compare got;
-          got = want
-      | _ -> true
+      && ((not cfg.want_ids)
+         ||
+         let got = Array.copy ids in
+         Array.sort Int.compare got;
+         got = e.e_ids)
 
 let note_response cfg agg targets ~tidx ~qidx ~lat_ns ~measured msg =
   Mutex.lock agg.m;

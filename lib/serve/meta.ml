@@ -15,7 +15,6 @@ type workload = Snapshot_path.meta = {
 type loaded = {
   name : string;
   dim : int;
-  reports_ids : bool;
   inst : Index.instance;
   info : Diskstore.Snapshot.info;
   meta_workload : workload;
@@ -29,12 +28,10 @@ let load ?policy ?cache_pages path =
   | Ok (inst, info, header) ->
       (* the wrappers keep their inner structure's name, so every
          layout serves under its base structure's registry name *)
-      let (module M : Index.S) = Index.structure inst in
       Ok
         {
-          name = M.name;
+          name = Index.name inst;
           dim = header.meta.dim;
-          reports_ids = M.reports_ids;
           inst;
           info;
           meta_workload = header.meta;

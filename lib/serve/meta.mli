@@ -17,7 +17,6 @@ type workload = Lcsearch_index.Snapshot_path.meta = {
 type loaded = {
   name : string;  (** serving name = the structure's registry name *)
   dim : int;
-  reports_ids : bool;
   inst : Lcsearch_index.Index.instance;
   info : Diskstore.Snapshot.info;
   meta_workload : workload;

@@ -17,7 +17,7 @@ type request = {
   id : int;  (** client-chosen, [0..2^32-1], echoed in the response *)
   structure : string;  (** serving name, e.g. ["h2"] *)
   want_ids : bool;
-      (** ask for answer ids; honored only for id-reporting structures *)
+      (** ask for the answers' build-time ids *)
   deadline_ms : int;
       (** queueing budget in milliseconds; [0] = server default *)
   a0 : float;

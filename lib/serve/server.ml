@@ -61,7 +61,6 @@ type stats = {
 
 type entry = {
   dim : int;
-  reports_ids : bool;
   inst : Index.instance;
   ring : int; (* which dispatcher shard owns this structure *)
 }
@@ -240,7 +239,7 @@ let run_counts t entry qs =
 
 let execute_group t entry jobs =
   let with_ids, count_only =
-    List.partition (fun j -> j.req.want_ids && entry.reports_ids) jobs
+    List.partition (fun j -> j.req.want_ids) jobs
   in
   (match count_only with
   | [] -> ()
@@ -403,7 +402,6 @@ let load_entries cfg ~dispatchers =
                 ( l.Meta.name,
                   {
                     dim = l.Meta.dim;
-                    reports_ids = l.Meta.reports_ids;
                     inst = l.Meta.inst;
                     (* deterministic structure-name hash, so a
                        structure's requests always land on one shard

@@ -20,8 +20,13 @@
      lcsearch churn --ops 64 test/fixtures/h2-lsm
 
    The churn leaves tombstones in h2-lsm's levels, so its check runs
-   through Lsm's point-reporting censoring path.  A deliberate format
-   change replaces the files by rerunning these commands. *)
+   through Lsm's censoring of dead ids.  A deliberate format change
+   replaces the files by rerunning these commands.
+
+   format1/h2.snap is an h2 snapshot of format version 1 (points in
+   its entries, not build-time ids), written before h2 and the 2-d
+   baselines moved to version 2; reopening it must fail with an error
+   value, not an exception. *)
 
 module Index = Lcsearch_index.Index
 module Workloads = Lcsearch_index.Workloads
@@ -131,6 +136,19 @@ let rewrite_case path () =
         (String.equal (read_file w) (read_file g)))
     want got
 
+let old_format_case () =
+  let path = fixture "format1/h2.snap" in
+  match Snapshot_path.open_ ~stats:(Emio.Io_stats.create ()) path with
+  | exception e -> Alcotest.failf "%s raised %s" path (Printexc.to_string e)
+  | Ok _ -> Alcotest.failf "%s: a version-1 h2 snapshot reopened" path
+  | Error msg ->
+      let sub = "version 1" in
+      let rec has i =
+        i + String.length sub <= String.length msg
+        && (String.sub msg i (String.length sub) = sub || has (i + 1))
+      in
+      Alcotest.(check bool) (path ^ ": " ^ msg) true (has 0)
+
 let () =
   let files = List.map (fun k -> (k, fixture (k ^ ".snap"))) kinds in
   let sharded = ("h2 sharded", fixture "h2-sharded") in
@@ -140,4 +158,6 @@ let () =
     [
       ("reopen", List.map (case reopen_case) (files @ [ sharded; lsm ]));
       ("rewrite", List.map (case rewrite_case) (files @ [ sharded ]));
+      ( "old formats",
+        [ Alcotest.test_case "h2 format 1" `Quick old_format_case ] );
     ]

@@ -123,21 +123,19 @@ let conformance_case ~inner ~dim ~kind ~domains ~interleaving () =
       let r = Emio.Reporter.create () in
       let c = L.query_into t q r in
       Alcotest.(check int) (label "query_into count") (List.length want_rows) c;
-      if L.reports_ids then begin
-        (* reported handles must map back to exactly the oracle rows *)
-        let got =
-          List.sort compare
-            (List.map
-               (fun h ->
-                 match List.assoc_opt h handle_row with
-                 | Some (Some r) -> Array.to_list r
-                 | Some None -> Array.to_list base.(h)
-                 | None -> Alcotest.failf "reported dead handle %d" h)
-               (Emio.Reporter.to_list r))
-        in
-        Alcotest.(check bool) (label "handles resolve to rows") true
-          (got = want_rows)
-      end)
+      (* reported handles must map back to exactly the oracle rows *)
+      let got =
+        List.sort compare
+          (List.map
+             (fun h ->
+               match List.assoc_opt h handle_row with
+               | Some (Some r) -> Array.to_list r
+               | Some None -> Array.to_list base.(h)
+               | None -> Alcotest.failf "reported dead handle %d" h)
+             (Emio.Reporter.to_list r))
+      in
+      Alcotest.(check bool) (label "handles resolve to rows") true
+        (got = want_rows))
     qs
 
 (* ---- accounting: identical across runs and domain counts ---- *)
@@ -387,6 +385,37 @@ let test_corrupted_manifest () =
         true
     | _ -> false)
 
+(* A CRC-valid manifest naming ids no save can produce is rejected at
+   decode, before any level is loaded. *)
+let test_impossible_ids () =
+  let first_level f (m : Lsm.manifest) =
+    { m with levels = Array.mapi (fun i e -> if i = 0 then f e else e) m.levels }
+  in
+  List.iter
+    (fun (label, edit) ->
+      let path = build_saved_h2 () in
+      (match Lsm.read_manifest path with
+      | Error e ->
+          Alcotest.failf "%s: manifest unreadable: %s" label
+            (Diskstore.Snapshot.error_to_string e)
+      | Ok m ->
+          Lcsearch_index.Manifest_dir.write_manifest path Lsm.manifest_codec
+            (edit m));
+      expect_open_error label path (function
+        | Diskstore.Snapshot.Bad_payload _ -> true
+        | _ -> false))
+    [
+      ( "repeated tombstone",
+        first_level (fun e -> { e with Lsm.dead = [| 3; 3 |] }) );
+      ( "shared handle",
+        first_level (fun e ->
+            let handles = Array.copy e.Lsm.handles in
+            handles.(1) <- handles.(0);
+            { e with handles }) );
+      ( "handle beyond next_handle",
+        fun m -> { m with Lsm.next_handle = m.Lsm.next_handle - 1 } );
+    ]
+
 let test_truncated_manifest () =
   let path = build_saved_h2 () in
   let mf = Filename.concat path "MANIFEST" in
@@ -584,6 +613,7 @@ let () =
             (test_roundtrip ~inner:"h3" ~dim:3);
           Alcotest.test_case "corrupted manifest" `Quick test_corrupted_manifest;
           Alcotest.test_case "truncated manifest" `Quick test_truncated_manifest;
+          Alcotest.test_case "impossible ids" `Quick test_impossible_ids;
           Alcotest.test_case "corrupted level file" `Quick
             test_corrupted_level_file;
           Alcotest.test_case "missing level file" `Quick test_missing_level_file;

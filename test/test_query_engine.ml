@@ -591,8 +591,8 @@ let run_one_equivalence_case (module M : Index.S) () =
   let again = Query_engine.run_one t qs.(0) in
   check (M.name ^ ": run_one stable across batches") batch.(0).Query_engine.reads
     again.Query_engine.reads;
-  (* reporter mode returns the same count, and for id-reporting
-     structures fills the reporter with exactly [count] ids *)
+  (* reporter mode returns the same count and fills the reporter with
+     exactly [count] ids *)
   Array.iteri
     (fun i q ->
       let r = Query_engine.domain_reporter () in
@@ -601,10 +601,8 @@ let run_one_equivalence_case (module M : Index.S) () =
       let label field = Printf.sprintf "%s query %d: %s" M.name i field in
       check (label "reporter-mode count") batch.(i).Query_engine.result
         one.Query_engine.result;
-      if Index.reports_ids t then
-        check (label "ids reported") one.Query_engine.result
-          (Emio.Reporter.length r)
-      else check (label "no ids for count-only") 0 (Emio.Reporter.length r))
+      check (label "ids reported") one.Query_engine.result
+        (Emio.Reporter.length r))
     qs
 
 let run_one_tests =

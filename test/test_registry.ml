@@ -169,8 +169,32 @@ let conformance_case ~kind (module M : Index.S) ~dim () =
   let t = M.build ~params:Index.default_params ~stats ds in
   let (module Oracle : Index.S) = Registry.find_exn "scan" in
   let oracle = Oracle.build ~params:Index.default_params ~stats ds in
+  let rows = Index.rows_of_dataset ds in
+  (* query_into appends query_count distinct build-time ids whose rows
+     are query's rows *)
+  let check_ids ~stage t i q =
+    let label what =
+      Printf.sprintf "%s d=%d %s query %d (%s): %s" M.name dim
+        (Workloads.kind_name kind) i stage what
+    in
+    let r = Emio.Reporter.create () in
+    let c = M.query_into t q r in
+    let ids = Emio.Reporter.to_array r in
+    Alcotest.(check int) (label "query_into = query_count") (M.query_count t q) c;
+    Alcotest.(check int) (label "one id per answer") c (Array.length ids);
+    let distinct = List.sort_uniq Int.compare (Array.to_list ids) in
+    Alcotest.(check int) (label "distinct ids") c (List.length distinct);
+    Alcotest.(check bool)
+      (label "ids in [0, n)") true
+      (List.for_all (fun id -> id >= 0 && id < n) distinct);
+    Alcotest.(check bool)
+      (label "id rows = query rows") true
+      (sorted_rows (List.map (fun id -> rows.(id)) distinct)
+      = sorted_rows (M.query t q))
+  in
   List.iteri
     (fun i q ->
+      check_ids ~stage:"built" t i q;
       let got = sorted_rows (M.query t q) in
       let want = sorted_rows (Oracle.query oracle q) in
       Alcotest.(check int)
@@ -203,6 +227,7 @@ let conformance_case ~kind (module M : Index.S) ~dim () =
       | Ok (reopened, _) ->
           List.iteri
             (fun i q ->
+              check_ids ~stage:"reopened" reopened i q;
               Alcotest.(check bool)
                 (Printf.sprintf "%s d=%d %s query %d: reopened rows" M.name
                    dim (Workloads.kind_name kind) i)

@@ -622,9 +622,9 @@ let test_e2e_oracle () =
                   Alcotest.failf "%s query %d: unexpected %s" structure i
                     (Format.asprintf "%a" Protocol.pp m))
             qs)
-        [ (h2, "h2", false); (ptree, "ptree", true) ];
+        [ (h2, "h2", false); (h2, "h2", true); (ptree, "ptree", true) ];
       let st = Server.stats srv in
-      check "all requests served" 24 st.Server.served;
+      check "all requests served" 36 st.Server.served;
       check "no sheds" 0 (st.Server.shed_full + st.Server.shed_deadline);
       check "no errors" 0 st.Server.errors)
 

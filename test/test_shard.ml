@@ -52,7 +52,6 @@ let conformance_case ~inner ~dim ~kind ~partition ~shards () =
     Shard.make ~build_domains:2 ~inner:(module M) ~shards ~partition ()
   in
   Alcotest.(check string) "name is the inner's" M.name Sh.name;
-  Alcotest.(check bool) "reports_ids matches" M.reports_ids Sh.reports_ids;
   let sharded =
     Sh.build ~params:build_params ~stats:(Emio.Io_stats.create ()) ds
   in
@@ -78,6 +77,8 @@ let conformance_case ~inner ~dim ~kind ~partition ~shards () =
       let got_c, got_ids = reported_ids (module Sh) sharded q in
       Alcotest.(check int) (label "query_into count") want_c got_c;
       Alcotest.(check bool) (label "global ids") true (want_ids = got_ids);
+      Alcotest.(check int) (label "one id per answer") got_c
+        (List.length got_ids);
       let est = Sh.estimate sharded q in
       Alcotest.(check bool)
         (label "estimate finite and non-negative")
@@ -272,6 +273,53 @@ let test_corrupted_manifest () =
         true
     | _ -> false)
 
+(* A CRC-valid manifest whose id maps do not partition [0, total) is
+   rejected at decode; so is a version-1 manifest, whose maps were
+   empty for point-reporting inners. *)
+let write_raw_manifest path payload =
+  let buf = Buffer.create (Bytes.length payload + 4) in
+  Emio.Codec.write_u32 buf (Diskstore.Crc32.digest payload);
+  Buffer.add_bytes buf payload;
+  Out_channel.with_open_bin (Filename.concat path "MANIFEST") (fun oc ->
+      Buffer.output_buffer oc buf)
+
+let test_bad_id_maps () =
+  let edit_gids f (m : Shard.manifest) =
+    let entries =
+      Array.map (fun e -> { e with Shard.gids = Array.copy e.Shard.gids }) m.entries
+    in
+    f m entries;
+    Shard.(Emio.Codec.encode manifest_codec { m with entries })
+  in
+  List.iter
+    (fun (label, encode) ->
+      let path = build_saved_h2 () in
+      (match Shard.read_manifest path with
+      | Error e ->
+          Alcotest.failf "%s: manifest unreadable: %s" label
+            (Diskstore.Snapshot.error_to_string e)
+      | Ok m -> write_raw_manifest path (encode m));
+      expect_open_error label path (function
+        | Diskstore.Snapshot.Bad_payload _ -> true
+        | _ -> false))
+    [
+      ( "duplicate id",
+        edit_gids (fun _ es -> es.(0).Shard.gids.(0) <- es.(1).Shard.gids.(0)) );
+      ( "out-of-range id",
+        edit_gids (fun m es -> es.(0).Shard.gids.(0) <- m.Shard.total) );
+      ( "version 1 manifest",
+        fun m ->
+          let b =
+            edit_gids
+              (fun _ es ->
+                Array.iteri (fun i e -> es.(i) <- { e with Shard.gids = [||] }) es)
+              m
+          in
+          (* the u32 version follows the u8-length-prefixed magic *)
+          Bytes.set_int32_le b (1 + String.length Shard.sharded_kind) 1l;
+          b );
+    ]
+
 let test_missing_shard_file () =
   let path = build_saved_h2 () in
   Sys.remove (Filename.concat path "shard-002.snap");
@@ -383,6 +431,7 @@ let () =
             (roundtrip_case ~inner:"rtree" ~dim:2 ~partition:Shard.Str);
           Alcotest.test_case "corrupted manifest" `Quick
             test_corrupted_manifest;
+          Alcotest.test_case "bad id maps" `Quick test_bad_id_maps;
           Alcotest.test_case "missing shard file" `Quick
             test_missing_shard_file;
           Alcotest.test_case "corrupted shard file" `Quick
