@@ -129,7 +129,16 @@ let build ~stats ~block_size ?(cache_blocks = 0) ?backend ?(packing = Str)
            (fun group ->
              {
                mbr = Rect.of_points (Array.map fst group);
-               sub = Leaf (Emio.Store.alloc leaves group);
+               (* fresh items in leaf order: a leaf scan then walks
+                  adjacent memory instead of two scattered blocks per
+                  item (the counting loop is ~30% slower otherwise) *)
+               sub =
+                 Leaf
+                   (Emio.Store.alloc leaves
+                      (Array.map
+                         (fun ((p : Point2.t), id) ->
+                           (Point2.make p.Point2.x p.Point2.y, id))
+                         group));
              })
            leaf_groups)
     in
