@@ -99,8 +99,12 @@ let dedupe points =
   Hashtbl.fold
     (fun _ ids acc ->
       let l = Dual2.line_of_point points.(List.hd ids) in
-      { line = 0; slope = Line2.slope l; icept = Line2.icept l;
-        ids = Array.of_list ids }
+      {
+        line = 0;
+        slope = Line2.slope l;
+        icept = Line2.icept l;
+        ids = Array.of_list ids;
+      }
       :: acc)
     tbl []
   |> Array.of_list

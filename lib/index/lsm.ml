@@ -458,7 +458,8 @@ let make ?(memtable_cap = default_memtable_cap) ?build_domains:_
             total := !total + (Emio.Reporter.length r - m)
       done;
       for i = 0 to t.mem_len - 1 do
-        if Bytes.get t.mem_dead i = '\000' && satisfies t.mem_rows.(i) q then begin
+        if Bytes.get t.mem_dead i = '\000' && satisfies t.mem_rows.(i) q
+        then begin
           Emio.Reporter.add r t.mem_handles.(i);
           incr total
         end
@@ -536,7 +537,8 @@ let make ?(memtable_cap = default_memtable_cap) ?build_domains:_
                           Sys.rename tmp dst;
                           let dead =
                             Seq.init (Array.length lvl.handles) Fun.id
-                            |> Seq.filter (fun j -> Bytes.get lvl.dead j <> '\000')
+                            |> Seq.filter (fun j ->
+                                   Bytes.get lvl.dead j <> '\000')
                             |> Array.of_seq
                           in
                           entries :=

@@ -162,20 +162,16 @@ let entry_codec =
 (* The id maps must partition [0, total): a short or out-of-range map
    would make a query raise or report wrong ids. *)
 let check_gids ~total entries =
+  let fail fmt = Printf.ksprintf (fun m -> raise (Emio.Codec.Decode m)) fmt in
   let n = Array.fold_left (fun acc e -> acc + Array.length e.gids) 0 entries in
-  if n <> total then
-    raise
-      (Emio.Codec.Decode
-         (Printf.sprintf "shard id maps hold %d ids for %d points" n total));
+  if n <> total then fail "shard id maps hold %d ids for %d points" n total;
   let seen = Bytes.make total '\000' in
   Array.iter
     (fun e ->
       Array.iter
         (fun g ->
-          if g < 0 || g >= total then
-            raise (Emio.Codec.Decode (Printf.sprintf "shard id %d out of range" g));
-          if Bytes.get seen g <> '\000' then
-            raise (Emio.Codec.Decode (Printf.sprintf "duplicate shard id %d" g));
+          if g < 0 || g >= total then fail "shard id %d out of range" g;
+          if Bytes.get seen g <> '\000' then fail "duplicate shard id %d" g;
           Bytes.set seen g '\001')
         e.gids)
     entries

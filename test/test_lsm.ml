@@ -389,7 +389,10 @@ let test_corrupted_manifest () =
    decode, before any level is loaded. *)
 let test_impossible_ids () =
   let first_level f (m : Lsm.manifest) =
-    { m with levels = Array.mapi (fun i e -> if i = 0 then f e else e) m.levels }
+    {
+      m with
+      levels = Array.mapi (fun i e -> if i = 0 then f e else e) m.levels;
+    }
   in
   List.iter
     (fun (label, edit) ->

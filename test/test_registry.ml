@@ -180,7 +180,9 @@ let conformance_case ~kind (module M : Index.S) ~dim () =
     let r = Emio.Reporter.create () in
     let c = M.query_into t q r in
     let ids = Emio.Reporter.to_array r in
-    Alcotest.(check int) (label "query_into = query_count") (M.query_count t q) c;
+    Alcotest.(check int)
+      (label "query_into = query_count")
+      (M.query_count t q) c;
     Alcotest.(check int) (label "one id per answer") c (Array.length ids);
     let distinct = List.sort_uniq Int.compare (Array.to_list ids) in
     Alcotest.(check int) (label "distinct ids") c (List.length distinct);

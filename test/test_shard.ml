@@ -286,7 +286,9 @@ let write_raw_manifest path payload =
 let test_bad_id_maps () =
   let edit_gids f (m : Shard.manifest) =
     let entries =
-      Array.map (fun e -> { e with Shard.gids = Array.copy e.Shard.gids }) m.entries
+      Array.map
+        (fun e -> { e with Shard.gids = Array.copy e.Shard.gids })
+        m.entries
     in
     f m entries;
     Shard.(Emio.Codec.encode manifest_codec { m with entries })
@@ -304,7 +306,8 @@ let test_bad_id_maps () =
         | _ -> false))
     [
       ( "duplicate id",
-        edit_gids (fun _ es -> es.(0).Shard.gids.(0) <- es.(1).Shard.gids.(0)) );
+        edit_gids (fun _ es ->
+            es.(0).Shard.gids.(0) <- es.(1).Shard.gids.(0)) );
       ( "out-of-range id",
         edit_gids (fun m es -> es.(0).Shard.gids.(0) <- m.Shard.total) );
       ( "version 1 manifest",
@@ -312,7 +315,9 @@ let test_bad_id_maps () =
           let b =
             edit_gids
               (fun _ es ->
-                Array.iteri (fun i e -> es.(i) <- { e with Shard.gids = [||] }) es)
+                Array.iteri
+                  (fun i e -> es.(i) <- { e with Shard.gids = [||] })
+                  es)
               m
           in
           (* the u32 version follows the u8-length-prefixed magic *)
