@@ -119,9 +119,8 @@ let measure_cell (module M : Index.S) ~partition ~build_domains ~cache_pages
   let bctx = Emio.Cost_ctx.create () in
   let t0 = Unix.gettimeofday () in
   let t =
-    Emio.Store.with_cache_split ~shards:k ~domains:build_domains (fun () ->
-        Emio.Cost_ctx.with_ctx bctx (fun () ->
-            Sh.build ~params:Index.default_params ~stats ds))
+    Emio.Cost_ctx.with_ctx bctx (fun () ->
+        Sh.build ~params:Index.default_params ~stats ds)
   in
   let build_s = Unix.gettimeofday () -. t0 in
   let space_blocks = Sh.space_blocks t in

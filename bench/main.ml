@@ -47,10 +47,13 @@ let () =
          (Agarwal, Arge, Erickson, Franciosa, Vitter; PODS'98/JCSS'00)\n\
          block size B = 64 items; I/O counts from the emio simulator.\n";
       List.iter (fun (_, _, f) -> f ()) experiments
-  | ids ->
-      List.iter
-        (fun id ->
-          match List.find_opt (fun (i, _, _) -> i = id) experiments with
-          | Some (_, _, f) -> f ()
-          | None -> Printf.eprintf "unknown experiment %S (try --list)\n" id)
-        ids
+  | ids -> (
+      let find id = List.find_opt (fun (i, _, _) -> i = id) experiments in
+      match List.filter (fun id -> find id = None) ids with
+      | [] ->
+          List.iter (fun id -> Option.iter (fun (_, _, f) -> f ()) (find id)) ids
+      | unknown ->
+          List.iter
+            (Printf.eprintf "unknown experiment %S (try --list)\n")
+            unknown;
+          exit 2)

@@ -17,7 +17,7 @@ let block_size t = Emio.Store.block_size (Emio.Run.store t.buckets)
 let space_blocks t =
   Emio.Run.block_count t.directory + Emio.Run.block_count t.buckets
 
-let build ~stats ~block_size ?(cache_blocks = 0) ?backend points =
+let build ~stats ~block_size ?(cache_blocks = 0) points =
   let n = Array.length points in
   let bbox =
     if n = 0 then { Rect.x0 = 0.; y0 = 0.; x1 = 1.; y1 = 1. }
@@ -65,7 +65,7 @@ let build ~stats ~block_size ?(cache_blocks = 0) ?backend points =
   let store_dir = Emio.Store.create ~stats ~block_size ~cache_blocks () in
   let store_b =
     Emio.Store.create ~stats ~block_size ~cache_blocks
-      ~codec:Point2.indexed_codec ?backend ()
+      ~codec:Point2.indexed_codec ()
   in
   {
     directory = Emio.Run.of_array store_dir dir;

@@ -2,10 +2,9 @@ open Geom
 
 type t = { run : Point2.t Emio.Run.t; length : int }
 
-let build ~stats ~block_size ?(cache_blocks = 0) ?backend points =
+let build ~stats ~block_size ?(cache_blocks = 0) points =
   let store =
-    Emio.Store.create ~stats ~block_size ~cache_blocks ~codec:Point2.codec
-      ?backend ()
+    Emio.Store.create ~stats ~block_size ~cache_blocks ~codec:Point2.codec ()
   in
   { run = Emio.Run.of_array store points; length = Array.length points }
 
@@ -52,7 +51,7 @@ type d = {
   dlength : int;
 }
 
-let build_d ~stats ~block_size ?(cache_blocks = 0) ?backend ~dim points =
+let build_d ~stats ~block_size ?(cache_blocks = 0) ~dim points =
   if dim < 2 then invalid_arg "Linear_scan.build_d: need dim >= 2";
   Array.iter
     (fun p ->
@@ -61,7 +60,7 @@ let build_d ~stats ~block_size ?(cache_blocks = 0) ?backend ~dim points =
     points;
   let store =
     Emio.Store.create ~stats ~block_size ~cache_blocks
-      ~codec:Partition.Cells.point_codec ?backend ()
+      ~codec:Partition.Cells.point_codec ()
   in
   {
     drun = Emio.Run.of_array store points;

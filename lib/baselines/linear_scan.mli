@@ -6,7 +6,6 @@ type t
 
 val build :
   stats:Emio.Io_stats.t -> block_size:int -> ?cache_blocks:int ->
-  ?backend:Emio.Store_intf.backend ->
   Geom.Point2.t array -> t
 
 val query_halfplane : t -> slope:float -> icept:float -> Geom.Point2.t list
@@ -35,7 +34,6 @@ type d
 
 val build_d :
   stats:Emio.Io_stats.t -> block_size:int -> ?cache_blocks:int ->
-  ?backend:Emio.Store_intf.backend ->
   dim:int -> Partition.Cells.point array -> d
 (** Raises [Invalid_argument] if [dim < 2] or any row has a different
     length. *)

@@ -32,12 +32,11 @@ let quadrants (r : Rect.t) =
     { Rect.x0 = mx; y0 = r.Rect.y0; x1 = r.Rect.x1; y1 = my };
   |]
 
-let build ~stats ~block_size ?(cache_blocks = 0) ?backend ?(max_depth = 40)
-    points =
+let build ~stats ~block_size ?(cache_blocks = 0) ?(max_depth = 40) points =
   if max_depth < 1 then invalid_arg "Quadtree.build: need max_depth >= 1";
   let leaves =
     Emio.Store.create ~stats ~block_size ~cache_blocks
-      ~codec:Point2.indexed_codec ?backend ()
+      ~codec:Point2.indexed_codec ()
   in
   let internals = Emio.Store.create ~stats ~block_size ~cache_blocks () in
   let n = Array.length points in

@@ -100,11 +100,10 @@ let str_pack ~block_size points =
   done;
   Array.of_list (List.rev !groups)
 
-let build ~stats ~block_size ?(cache_blocks = 0) ?backend ?(packing = Str)
-    points =
+let build ~stats ~block_size ?(cache_blocks = 0) ?(packing = Str) points =
   let leaves =
     Emio.Store.create ~stats ~block_size ~cache_blocks
-      ~codec:Point2.indexed_codec ?backend ()
+      ~codec:Point2.indexed_codec ()
   in
   let internals = Emio.Store.create ~stats ~block_size ~cache_blocks () in
   if Array.length points = 0 then

@@ -17,7 +17,6 @@ type packing =
 
 val build :
   stats:Emio.Io_stats.t -> block_size:int -> ?cache_blocks:int ->
-  ?backend:Emio.Store_intf.backend ->
   ?packing:packing -> Geom.Point2.t array -> t
 
 val query_halfplane : t -> slope:float -> icept:float -> Geom.Point2.t list

@@ -116,10 +116,9 @@ let entry_codec =
     ~encode:(fun e -> ((e.line, e.slope, e.icept), e.ids))
     Emio.Codec.(pair (triple int float float) (array int))
 
-let build ~stats ~block_size ?(cache_blocks = 0) ?backend ?(seed = 0) points =
+let build ~stats ~block_size ?(cache_blocks = 0) ?(seed = 0) points =
   let store =
-    Emio.Store.create ~stats ~block_size ~cache_blocks ~codec:entry_codec
-      ?backend ()
+    Emio.Store.create ~stats ~block_size ~cache_blocks ~codec:entry_codec ()
   in
   let beta = compute_beta ~block_size (Array.length points) in
   let rng = Random.State.make [| seed; 0x2d; Array.length points |] in

@@ -21,14 +21,12 @@ val build :
   stats:Emio.Io_stats.t ->
   block_size:int ->
   ?cache_blocks:int ->
-  ?backend:Emio.Store_intf.backend ->
   ?seed:int ->
   Geom.Point2.t array ->
   t
 (** Duplicate points are stored once with multiplicity.  [seed] drives
     the random level choices (λ_i); default 0 makes builds
-    deterministic.  [backend] places the entry store on an external
-    (file) backend instead of the in-memory simulator. *)
+    deterministic. *)
 
 val query : t -> slope:float -> icept:float -> Geom.Point2.t list
 (** All input points (with multiplicity) satisfying

@@ -52,16 +52,15 @@ let child_codec =
     ~encode:(fun c -> (c.cell, c.sub))
     Emio.Codec.(pair Cells.cell_codec node_ref_codec)
 
-let build ~stats ~block_size ?(cache_blocks = 0) ?backend ?(partitioner = Kd)
-    ~dim points =
+let build ~stats ~block_size ?(cache_blocks = 0) ?(partitioner = Kd) ~dim
+    points =
   Array.iter
     (fun p ->
       if Array.length p <> dim then
         invalid_arg "Partition_tree.build: wrong point dimension")
     points;
   let leaves =
-    Emio.Store.create ~stats ~block_size ~cache_blocks ~codec:item_codec
-      ?backend ()
+    Emio.Store.create ~stats ~block_size ~cache_blocks ~codec:item_codec ()
   in
   let internals = Emio.Store.create ~stats ~block_size ~cache_blocks () in
   let partition = partition_of partitioner in

@@ -18,7 +18,6 @@ val build :
   stats:Emio.Io_stats.t ->
   block_size:int ->
   ?cache_blocks:int ->
-  ?backend:Emio.Store_intf.backend ->
   ?partitioner:kind ->
   dim:int ->
   Partition.Cells.point array ->

@@ -52,8 +52,8 @@ let child_codec =
     ~encode:(fun c -> (c.cell, c.sub))
     Emio.Codec.(pair Cells.cell_codec node_ref_codec)
 
-let build ~stats ~block_size ?(cache_blocks = 0) ?backend
-    ?(shallow_factor = 2.0) ~dim points =
+let build ~stats ~block_size ?(cache_blocks = 0) ?(shallow_factor = 2.0) ~dim
+    points =
   if not (shallow_factor > 0.) then
     invalid_arg "Shallow_tree.build: need shallow_factor > 0";
   Array.iter
@@ -62,8 +62,7 @@ let build ~stats ~block_size ?(cache_blocks = 0) ?backend
         invalid_arg "Shallow_tree.build: wrong point dimension")
     points;
   let leaves =
-    Emio.Store.create ~stats ~block_size ~cache_blocks ~codec:item_codec
-      ?backend ()
+    Emio.Store.create ~stats ~block_size ~cache_blocks ~codec:item_codec ()
   in
   let internals = Emio.Store.create ~stats ~block_size ~cache_blocks () in
   let secondaries = Hashtbl.create 64 in

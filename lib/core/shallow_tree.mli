@@ -17,7 +17,6 @@ val build :
   stats:Emio.Io_stats.t ->
   block_size:int ->
   ?cache_blocks:int ->
-  ?backend:Emio.Store_intf.backend ->
   ?shallow_factor:float ->
   dim:int ->
   Partition.Cells.point array ->

@@ -12,45 +12,25 @@ type 'a ext = {
 
 type 'a state = Mem of 'a mem | Ext of 'a ext
 
-(* Block caches are per-domain: each domain of a parallel batch owns a
-   private LRU (plus, for external stores, the decoded-payload table
-   keyed by the ids resident in that LRU), living behind a [Domain.DLS] key.
-   A single-domain process sees exactly the old shared-cache
-   behaviour — the main domain's cache IS the store's cache — while
-   parallel batches stop serializing (and racing) on one Lru/Hashtbl.
-   The configured [cache_blocks] capacity is split across domains when
-   the batch engine announces its fan-out ({!with_cache_split}), so a
-   parallel run models the same total main memory as a sequential
-   one. *)
-type 'a cache = { lru : Lru.t; decoded : (int, 'a array) Hashtbl.t }
-
+(* The simulator's main memory of [cache_blocks] blocks is per-domain:
+   each domain owns a private LRU of the full capacity behind a
+   [Domain.DLS] key, created on that domain's first access, so a
+   parallel batch never races on one [Lru].  A single-domain process
+   sees one shared cache.  [lru] is [None] when there is no cache to
+   model: at capacity 0, and over an external backend, which keeps no
+   cache of its own (the buffer pool caches non-resident pages and a
+   resident store decodes every block once). *)
 type 'a t = {
   mutable stats : Io_stats.t;
   block_size : int;
   mutable state : 'a state;
-  cache_capacity : int;  (* configured cache_blocks, pre-split *)
-  dcache : 'a cache Domain.DLS.key;
+  cache_blocks : int;
+  lru : Lru.t Domain.DLS.key option;
   (* block codec = Codec.array of the element codec: the wire format of
      one payload block.  Required in external mode; in simulator mode
      it is only consulted by {!export_bytes}. *)
   codec : 'a array Codec.t option;
 }
-
-(* How many ways to split a store's [cache_blocks] across domains.
-   1 outside parallel batches, so caches created by sequential code
-   (in particular the main domain's, created on first touch) always
-   get the full configured capacity.  Worker domains first touch a
-   store from inside Par.run, under [with_cache_split ~domains]. *)
-let cache_split = Atomic.make 1
-
-let with_cache_split ?(shards = 1) ~domains f =
-  let prev = Atomic.exchange cache_split (max 1 shards * max 1 domains) in
-  Fun.protect ~finally:(fun () -> Atomic.set cache_split prev) f
-
-let domain_cache_key capacity =
-  Domain.DLS.new_key (fun () ->
-      let capacity = max 1 (capacity / Atomic.get cache_split) in
-      { lru = Lru.create ~capacity; decoded = Hashtbl.create 16 })
 
 let block_codec t op =
   match t.codec with
@@ -70,19 +50,17 @@ let create ~stats ~block_size ?(cache_blocks = 0) ?codec ?backend () =
           invalid_arg "Store.create: an external backend requires a codec";
         Ext { backend; allocated = 0; resident = None }
   in
-  let dcache =
-    if cache_blocks = 0 then
-      (* never consulted (every cache probe is guarded by the
-         capacity); one shared empty cache keeps the key total down *)
-      Domain.DLS.new_key (fun () ->
-          { lru = Lru.create ~capacity:0; decoded = Hashtbl.create 1 })
-    else domain_cache_key cache_blocks
+  let lru =
+    match state with
+    | Mem _ when cache_blocks > 0 ->
+        Some (Domain.DLS.new_key (fun () -> Lru.create ~capacity:cache_blocks))
+    | Mem _ | Ext _ -> None
   in
-  { stats; block_size; state; cache_capacity = cache_blocks; dcache; codec }
+  { stats; block_size; state; cache_blocks; lru; codec }
 
 let block_size t = t.block_size
 let stats t = t.stats
-let cache_blocks t = t.cache_capacity
+let cache_blocks t = t.cache_blocks
 
 let blocks_used t =
   match t.state with Mem m -> m.used | Ext e -> e.allocated
@@ -102,10 +80,12 @@ let check_block t data =
   if Array.length data > t.block_size then
     invalid_arg "Store: block larger than block_size"
 
-(* This domain's LRU-touch: false (a charged miss) when caching is
-   disabled, without ever resolving the domain-local slot. *)
+(* This domain's LRU-touch: false (a charged miss) when there is no
+   cache, without ever resolving a domain-local slot. *)
 let touch_cache t id =
-  t.cache_capacity > 0 && Lru.touch (Domain.DLS.get t.dcache).lru id
+  match t.lru with
+  | None -> false
+  | Some key -> Lru.touch (Domain.DLS.get key) id
 
 let alloc t data =
   check_block t data;
@@ -139,8 +119,8 @@ let alloc t data =
       if Cost_ctx.tracing () then Cost_ctx.emit (Block_write { id; hit = false });
       id
 
-(* The charged fetch behind an external read (a miss): the resident
-   block itself, or the backend's bytes decoded. *)
+(* An external read: the resident block itself, charged as the
+   backend's own read would be, or the backend's bytes decoded. *)
 let fetch t e id =
   let (Store_intf.Backend ((module B), b)) = e.backend in
   match e.resident with
@@ -162,29 +142,8 @@ let read (t : 'a t) id : 'a array =
       if traced then Cost_ctx.emit (Block_read { id; hit });
       m.blocks.(id)
   | Ext e ->
-      if t.cache_capacity = 0 then begin
-        if Cost_ctx.tracing () then
-          Cost_ctx.emit (Block_read { id; hit = false });
-        fetch t e id
-      end
-      else begin
-        let dc = Domain.DLS.get t.dcache in
-        let in_lru, evicted = Lru.touch_report dc.lru id in
-        (match evicted with
-        | Some victim -> Hashtbl.remove dc.decoded victim
-        | None -> ());
-        match (if in_lru then Hashtbl.find_opt dc.decoded id else None) with
-        | Some data ->
-            if Cost_ctx.tracing () then
-              Cost_ctx.emit (Block_read { id; hit = true });
-            data
-        | None ->
-            if Cost_ctx.tracing () then
-              Cost_ctx.emit (Block_read { id; hit = false });
-            let data = fetch t e id in
-            Hashtbl.replace dc.decoded id data;
-            data
-      end
+      if Cost_ctx.tracing () then Cost_ctx.emit (Block_read { id; hit = false });
+      fetch t e id
 
 let write t id data =
   check_block t data;
@@ -200,13 +159,6 @@ let write t id data =
       if traced then Cost_ctx.emit (Block_write { id; hit })
   | Ext ({ backend = Store_intf.Backend ((module B), b); _ } as e) ->
       if Cost_ctx.tracing () then Cost_ctx.emit (Block_write { id; hit = false });
-      (* invalidate rather than update: caching the caller's array
-         would alias memory the caller may mutate after the write.
-         Only this domain's decoded copy is dropped — parallel batches
-         are read-only by contract, so cross-domain copies cannot be
-         stale while another domain is querying. *)
-      if t.cache_capacity > 0 then
-        Hashtbl.remove (Domain.DLS.get t.dcache).decoded id;
       let codec = block_codec t "write" in
       let bytes = Codec.encode codec data in
       B.write b id bytes;
@@ -215,15 +167,11 @@ let write t id data =
       | None -> ()
 
 let drop_cache t =
-  (* the calling domain's cache; worker domains drop theirs when they
-     next split (their caches die with the pool, not the store) *)
-  if t.cache_capacity > 0 then begin
-    let dc = Domain.DLS.get t.dcache in
-    Lru.clear dc.lru;
-    Hashtbl.reset dc.decoded
-  end;
   match t.state with
-  | Mem _ -> ()
+  | Mem _ ->
+      (* only the calling domain's cache: another domain's LRU is
+         reachable only from that domain *)
+      Option.iter (fun key -> Lru.clear (Domain.DLS.get key)) t.lru
   | Ext { backend = Store_intf.Backend ((module B), b); _ } -> B.drop_cache b
 
 let flush t =

@@ -4,8 +4,8 @@
     block stores at most [block_size] items, and reading or writing a
     block charges one I/O to the attached {!Io_stats}, unless the block
     is resident in the store's LRU cache (see [cache_blocks]), in which
-    case the access is a free cache hit — this models a main memory of
-    [cache_blocks * block_size] items.  All of the paper's structures
+    case the access is a free cache hit — this models the paper's main
+    memory of M = [cache_blocks] blocks.  All of the paper's structures
     are laid out in stores like this one, so the I/O counts our
     benchmarks report are exactly the quantity Table 1 bounds.
 
@@ -16,7 +16,9 @@
     a real file and records physical page reads/writes, buffer-pool
     hits and evictions, and byte counts through its own {!Io_stats}.
     The store itself charges nothing in that mode, so model-level
-    accounting is never mixed with physical accounting.
+    accounting is never mixed with physical accounting, and it keeps
+    no cache: every read goes to the backend, whose buffer pool is the
+    only cache of non-resident pages.
 
     Serialization never uses [Marshal]: any store that needs to touch
     bytes (external mode, {!export_bytes}) must be given the element
@@ -34,13 +36,13 @@ val create :
   unit ->
   'a t
 (** [cache_blocks] defaults to [0] (cold cache: every access charged).
-    On the simulator backend it models main memory: resident blocks
-    cost nothing.  On an external backend it sizes a decoded-block
-    cache: the most recently read [cache_blocks] blocks keep their
-    decoded payloads in memory, so re-reading them skips the charged
-    fetch (the backend's counters simply see fewer reads — model-level
-    accounting is still never charged in external mode).  [backend] defaults to the in-memory
-    simulator.
+    On the simulator backend it is the paper's main memory M: every
+    domain that touches the store gets a private LRU of exactly
+    [cache_blocks] blocks, created on its first access, and resident
+    blocks cost nothing — so a batch over D domains models D memories
+    of M blocks each.  An external backend records the value (see
+    {!cache_blocks}) but does not use it.  [backend] defaults to the
+    in-memory simulator.
 
     [codec] is the {e element} codec; the store derives the per-block
     wire format from it.  It is required when [backend] is given
@@ -52,24 +54,8 @@ val block_size : 'a t -> int
 val stats : 'a t -> Io_stats.t
 
 val cache_blocks : 'a t -> int
-(** The LRU capacity this store was created with. *)
-
-val with_cache_split : ?shards:int -> domains:int -> (unit -> 'r) -> 'r
-(** Run the callback with every store's cache capacity split
-    [shards * domains] ways ([shards] defaults to [1]).  The sharded
-    layer passes [shards:K] so a K-shard structure queried over
-    [domains] domains models the same total main memory as one
-    unsharded structure — every per-shard, per-domain cache gets
-    [cache_blocks / (shards * domains)] slots.  Block caches are {e per-domain} (each domain owns a private
-    LRU, and in external mode a private decoded-payload table), created
-    lazily on a domain's first access to the store; a cache created
-    while a split is in force gets [max 1 (cache_blocks / domains)]
-    slots, so a parallel batch over [domains] domains models the same
-    total main memory as a sequential run.  The batch engine wraps its
-    fan-out in this; sequential code never needs it (the main domain's
-    cache is created at full capacity).  During a parallel run the
-    structures must be read-only: {!write} invalidates only the writing
-    domain's decoded copy. *)
+(** The [cache_blocks] this store was created with (recorded, and
+    persisted by snapshot skeletons, in external mode too). *)
 
 val alloc : 'a t -> 'a array -> int
 (** Store a fresh block (length ≤ [block_size]); charges one write and
@@ -90,8 +76,9 @@ val blocks_used : 'a t -> int
 (** Number of allocated blocks: the structure's space in disk blocks. *)
 
 val drop_cache : 'a t -> unit
-(** Empty the LRU cache or the backend's buffer pool (e.g. between
-    build and query phases).  Dirty pages are written back first. *)
+(** Empty the calling domain's LRU cache or the backend's buffer pool
+    (e.g. between build and query phases).  Dirty pages are written
+    back first. *)
 
 val is_external : 'a t -> bool
 (** [true] iff the store runs over an external (file) backend. *)
@@ -141,7 +128,9 @@ val of_backend :
   Store_intf.backend ->
   'a t
 (** External-mode store over an already-populated backend; block ids
-    [0 .. blocks_used - 1] are readable immediately.
+    [0 .. blocks_used - 1] are readable immediately.  [cache_blocks]
+    is only recorded (a reopened structure re-saves the value it was
+    built with); every read reaches the backend.
 
     If the backend is resident ({!Store_intf.BACKEND.take_resident}
     returns its payloads), the store takes the bytes over and decodes

@@ -64,12 +64,13 @@ let run_cost_chunk inst qs ~reads ~writes ~hits ~results lo hi =
 (* Batch execution.  [domains > 1] fans the queries out over the
    persistent domain pool (Par.run) in chunks of ~n/(8*domains)
    queries, so a microsecond-scale query is not dominated by claim
-   traffic.  Safe because queries are read-only,
-   per-query accounting lives in domain-local scratch contexts, and
-   block caches are per-domain (Emio.Store) — the ambient Io_stats
-   totals may interleave across domains but per-query costs stay
-   exact.  Tracing callers take the boxed per-query path: event lists
-   are inherently per-query allocations. *)
+   traffic; at one domain Par.run is the plain loop.  Safe because
+   queries are read-only, per-query accounting lives in domain-local
+   scratch contexts, and block caches are per-domain (Emio.Store: each
+   domain models its own memory of cache_blocks blocks) — the ambient
+   Io_stats totals may interleave across domains but per-query costs
+   stay exact.  Tracing callers take the boxed per-query path: event
+   lists are inherently per-query allocations. *)
 let run_batch_array ?(trace = false) ?(domains = 1) inst qs =
   if trace then Par.map ~domains (run_query ~trace inst) qs
   else begin
@@ -79,10 +80,7 @@ let run_batch_array ?(trace = false) ?(domains = 1) inst qs =
     let hits = Array.make n 0 in
     let results = Array.make n 0 in
     let body = run_cost_chunk inst qs ~reads ~writes ~hits ~results in
-    if domains <= 1 then body 0 n
-    else
-      Emio.Store.with_cache_split ~domains (fun () ->
-          Par.run ~domains ~n body);
+    Par.run ~domains ~n body;
     Array.init n (fun i ->
         {
           reads = reads.(i);
@@ -189,10 +187,7 @@ let run_batch_sorted ?(trace = false) ?(domains = 1) inst qs =
             done
           done)
     in
-    if domains <= 1 then run_groups 0 ngroups
-    else
-      Emio.Store.with_cache_split ~domains (fun () ->
-          Par.run ~domains ~n:ngroups run_groups);
+    Par.run ~domains ~n:ngroups run_groups;
     Array.init n (fun i ->
         {
           reads = reads.(i);

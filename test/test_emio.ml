@@ -52,6 +52,31 @@ let test_cold_cache_every_access_charged () =
   done;
   check "five reads, no cache" 5 (Emio.Io_stats.reads stats)
 
+(* Every domain that touches a store models its own main memory of
+   exactly [cache_blocks] blocks: a read pattern replayed on a spawned
+   domain hits and misses exactly as it does on the main domain. *)
+let test_cache_capacity_per_domain () =
+  let stats = Emio.Io_stats.create () in
+  let store = Emio.Store.create ~stats ~block_size:4 ~cache_blocks:2 () in
+  List.iter (fun v -> ignore (Emio.Store.alloc store [| v |])) [ 0; 1; 2 ];
+  let pattern = [ 0; 1; 0; 2; 1; 1; 0; 2; 2 ] in
+  let hits () =
+    List.map
+      (fun id ->
+        let before = Emio.Io_stats.cache_hits stats in
+        ignore (Emio.Store.read store id);
+        Emio.Io_stats.cache_hits stats > before)
+      pattern
+  in
+  let spawned = Domain.join (Domain.spawn hits) in
+  (* the allocs filled the main domain's cache; start it cold too *)
+  Emio.Store.drop_cache store;
+  let main = hits () in
+  Alcotest.(check (list bool)) "an LRU of two blocks"
+    [ false; false; true; false; false; true; false; false; true ]
+    main;
+  Alcotest.(check (list bool)) "spawned domain = main domain" main spawned
+
 (* The simulator charges model I/Os only: the physical-device counters
    (bytes, evictions) stay zero, so model-level experiments are not
    polluted.  reset must clear them too (they are fed by the file
@@ -224,6 +249,8 @@ let () =
           Alcotest.test_case "oversized rejected" `Quick
             test_store_rejects_oversized;
           Alcotest.test_case "cache hits" `Quick test_cache_hits;
+          Alcotest.test_case "cache capacity per domain" `Quick
+            test_cache_capacity_per_domain;
           Alcotest.test_case "physical counters" `Quick
             test_stats_physical_counters;
           Alcotest.test_case "cold cache" `Quick

@@ -1,8 +1,7 @@
-(* Satellites of the zero-allocation-reporting PR: Reporter semantics,
-   the decoded-block cache on external backends, the codec requirements
-   of byte-level stores, nearest-rank percentile edge cases, and
-   sequential / parallel batch equivalence across every registered
-   structure. *)
+(* Reporter semantics, reads over external and resident backends, the
+   codec requirements of byte-level stores, nearest-rank percentile
+   edge cases, the domain pool, and sequential / parallel batch
+   equivalence across every registered structure. *)
 
 module Index = Lcsearch_index.Index
 module Registry = Lcsearch_index.Registry
@@ -60,11 +59,11 @@ let test_reporter_mark_truncate_rewrite () =
   | () -> Alcotest.fail "truncate past length must raise"
   | exception Invalid_argument _ -> ())
 
-(* ---- decoded-block cache over an external backend ---- *)
+(* ---- stores over an external backend ---- *)
 
 (* A byte backend that stores payloads in memory and counts the
-   physical reads it serves, so tests can observe exactly when the
-   Store's decoded cache short-circuits the backend.  In resident mode
+   physical reads it serves, so tests can observe exactly which store
+   reads reach the backend.  In resident mode
    it hands every payload to a store opened over it ([take_resident]),
    which then only charges reads ([charged]) instead of fetching. *)
 module Counting_backend = struct
@@ -124,95 +123,48 @@ let counting_store ~cache_blocks =
   in
   (store, b)
 
-let test_decoded_cache_hits () =
-  let store, b = counting_store ~cache_blocks:2 in
-  let id0 = Emio.Store.alloc store [| 1; 2 |] in
-  let id1 = Emio.Store.alloc store [| 3; 4 |] in
-  Alcotest.(check (array int)) "first read decodes" [| 1; 2 |]
-    (Emio.Store.read store id0);
-  let after_first = b.Counting_backend.phys_reads in
-  Alcotest.(check (array int)) "second read" [| 1; 2 |]
-    (Emio.Store.read store id0);
-  check "re-read served from decoded cache" after_first
-    b.Counting_backend.phys_reads;
-  (* reading a second block fits alongside (capacity 2) *)
-  ignore (Emio.Store.read store id1);
-  let before = b.Counting_backend.phys_reads in
-  ignore (Emio.Store.read store id0);
-  ignore (Emio.Store.read store id1);
-  check "both resident, no backend traffic" before
-    b.Counting_backend.phys_reads
-
-let test_decoded_cache_eviction () =
-  let store, b = counting_store ~cache_blocks:1 in
-  let id0 = Emio.Store.alloc store [| 1 |] in
-  let id1 = Emio.Store.alloc store [| 2 |] in
-  ignore (Emio.Store.read store id0);
-  ignore (Emio.Store.read store id1);
-  (* capacity 1: id1 evicted id0 *)
-  let before = b.Counting_backend.phys_reads in
-  Alcotest.(check (array int)) "evicted block decodes again" [| 1 |]
-    (Emio.Store.read store id0);
-  check "eviction forces a backend read" (before + 1)
-    b.Counting_backend.phys_reads
-
-let test_decoded_cache_write_invalidates () =
-  let store, b = counting_store ~cache_blocks:2 in
-  let id = Emio.Store.alloc store [| 1; 2 |] in
-  ignore (Emio.Store.read store id);
-  Emio.Store.write store id [| 9; 8 |];
-  let before = b.Counting_backend.phys_reads in
-  Alcotest.(check (array int)) "read after write sees new payload" [| 9; 8 |]
-    (Emio.Store.read store id);
-  check "write invalidated the decoded copy" (before + 1)
-    b.Counting_backend.phys_reads;
-  (* and the caller's array was not aliased into the cache *)
-  let a = [| 5; 6 |] in
-  Emio.Store.write store id a;
-  a.(0) <- 42;
-  Alcotest.(check (array int)) "no aliasing of the written array" [| 5; 6 |]
-    (Emio.Store.read store id)
-
-let test_decoded_cache_drop () =
-  let store, b = counting_store ~cache_blocks:4 in
-  let id = Emio.Store.alloc store [| 1 |] in
-  ignore (Emio.Store.read store id);
-  ignore (Emio.Store.read store id);
-  Emio.Store.drop_cache store;
-  let before = b.Counting_backend.phys_reads in
-  ignore (Emio.Store.read store id);
-  check "drop_cache forgets decoded payloads" (before + 1)
-    b.Counting_backend.phys_reads
-
-let test_decoded_cache_disabled () =
-  (* cache_blocks = 0 (the golden-table configuration): every read
-     reaches the backend. *)
-  let store, b = counting_store ~cache_blocks:0 in
-  let id = Emio.Store.alloc store [| 1 |] in
-  ignore (Emio.Store.read store id);
-  ignore (Emio.Store.read store id);
-  ignore (Emio.Store.read store id);
-  check "cold cache: one backend read per Store.read" 3
-    b.Counting_backend.phys_reads
+(* An external store keeps no cache of its own, whatever cache_blocks
+   it records: every read reaches the backend. *)
+let test_external_reads_reach_backend () =
+  List.iter
+    (fun cache_blocks ->
+      let store, b = counting_store ~cache_blocks in
+      let id = Emio.Store.alloc store [| 1 |] in
+      ignore (Emio.Store.read store id);
+      ignore (Emio.Store.read store id);
+      ignore (Emio.Store.read store id);
+      check
+        (Printf.sprintf "cache_blocks %d: one backend read per Store.read"
+           cache_blocks)
+        3 b.Counting_backend.phys_reads;
+      check "cache_blocks is still recorded" cache_blocks
+        (Emio.Store.cache_blocks store);
+      (* a write stores the encoded bytes, never the caller's array *)
+      let a = [| 5 |] in
+      Emio.Store.write store id a;
+      a.(0) <- 42;
+      Alcotest.(check (array int)) "no aliasing of the written array" [| 5 |]
+        (Emio.Store.read store id))
+    [ 0; 4 ]
 
 (* ---- resident backends: every block decoded once, at of_backend ---- *)
 
 (* [blocks] written through an ordinary store, then reopened over the
    same backend switched to resident mode. *)
-let resident_store ~cache_blocks blocks =
+let resident_store blocks =
   let store, b = counting_store ~cache_blocks:0 in
   List.iter (fun data -> ignore (Emio.Store.alloc store data)) blocks;
   b.Counting_backend.resident <- true;
   let store =
     Emio.Store.of_backend
       ~stats:(Emio.Io_stats.create ())
-      ~block_size:4 ~cache_blocks ~codec:Emio.Codec.int
+      ~block_size:4 ~codec:Emio.Codec.int
       (Emio.Store_intf.Backend ((module Counting_backend), b))
   in
   (store, b)
 
 let test_resident_reads () =
-  let store, b = resident_store ~cache_blocks:0 [ [| 1; 2 |]; [| 3; 4 |] ] in
+  let store, b = resident_store [ [| 1; 2 |]; [| 3; 4 |] ] in
   let events = ref [] in
   let ctx = Emio.Cost_ctx.create ~trace:(fun e -> events := e :: !events) () in
   let first, again =
@@ -237,7 +189,7 @@ let test_resident_reads () =
   check "a bad id charges nothing" 2 b.Counting_backend.charged
 
 let test_resident_write () =
-  let store, b = resident_store ~cache_blocks:0 [ [| 1; 2 |] ] in
+  let store, b = resident_store [ [| 1; 2 |] ] in
   let a = [| 5; 6 |] in
   Emio.Store.write store 0 a;
   Alcotest.(check (array int)) "write shows on the next read" [| 5; 6 |]
@@ -251,7 +203,7 @@ let test_resident_write () =
   check "still no backend read" 0 b.Counting_backend.phys_reads
 
 let test_resident_alloc () =
-  let store, b = resident_store ~cache_blocks:0 [ [| 1 |] ] in
+  let store, b = resident_store [ [| 1 |] ] in
   (* enough fresh blocks to outgrow the decoded array several times *)
   let fresh = Array.init 40 (fun i -> [| i; -i |]) in
   let ids = Array.map (Emio.Store.alloc store) fresh in
@@ -265,33 +217,6 @@ let test_resident_alloc () =
   Alcotest.(check (array int)) "the reopened block is intact" [| 1 |]
     (Emio.Store.read store 0);
   check "blocks used" 41 (Emio.Store.blocks_used store);
-  check "no backend read" 0 b.Counting_backend.phys_reads
-
-(* With an LRU in front, a resident store charges exactly what the
-   same store over the non-resident backend fetches: one charge per
-   LRU miss, nothing on a hit. *)
-let test_resident_lru_charges () =
-  let blocks = [ [| 1 |]; [| 2 |]; [| 3 |] ] in
-  let pattern = [ 0; 0; 1; 0; 2; 1; 1; 0; 2; 2 ] in
-  let misses (store, count) =
-    List.map
-      (fun id ->
-        let before = count () in
-        ignore (Emio.Store.read store id);
-        count () - before)
-      pattern
-  in
-  let cold_store, cold = counting_store ~cache_blocks:2 in
-  List.iter (fun data -> ignore (Emio.Store.alloc cold_store data)) blocks;
-  let cold_misses =
-    misses (cold_store, fun () -> cold.Counting_backend.phys_reads)
-  in
-  let store, b = resident_store ~cache_blocks:2 blocks in
-  let resident_misses = misses (store, fun () -> b.Counting_backend.charged) in
-  Alcotest.(check (list int)) "charged exactly on LRU misses" cold_misses
-    resident_misses;
-  Alcotest.(check (list int)) "hits are free"
-    [ 1; 0; 1; 0; 1; 1; 0; 1; 1; 0 ] resident_misses;
   check "no backend read" 0 b.Counting_backend.phys_reads
 
 (* ---- codec requirements: anything that touches bytes needs the
@@ -561,6 +486,41 @@ let multi_domain_tests =
         `Quick (multi_domain_case name))
     [ "h2"; "shallow"; "ptree" ]
 
+(* Each domain of a batch models a memory of exactly cache_blocks
+   blocks.  With the memory as large as one scan, a domain pays for the
+   scan once and every later query it runs is free; a memory any
+   smaller would miss on every read of a sequential scan. *)
+let test_batch_cache_per_domain () =
+  let module M = (val Registry.find_exn "scan" : Index.S) in
+  let rng = Workload.rng 9100 in
+  let ds =
+    Workloads.dataset rng ~kind:Workloads.Uniform ~dim:2 ~n:2048
+      (module M : Index.S)
+  in
+  let q = List.hd (Workloads.queries rng ds ~fraction:0.05 ~count:1) in
+  let build cache_blocks =
+    Index.build
+      (module M)
+      ~params:{ Index.default_params with cache_blocks }
+      ~stats:(Emio.Io_stats.create ()) ds
+  in
+  let blocks = (Query_engine.run_one (build 0) q).Query_engine.reads in
+  Alcotest.(check bool) "a scan reads several blocks" true (blocks > 1);
+  let domains = 2 in
+  let costs =
+    Query_engine.run_batch_array ~domains (build blocks) (Array.make 256 q)
+  in
+  let paying =
+    Array.fold_left
+      (fun acc (c : Query_engine.cost) ->
+        if c.Query_engine.reads > 0 then acc + 1 else acc)
+      0 costs
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d queries paid for reads; at most one per domain"
+       paying)
+    true (paying <= domains)
+
 (* ---- run_one: the serve dispatcher's single-query path must report
    costs bit-identical to the same query inside a batch ---- *)
 
@@ -632,15 +592,10 @@ let () =
           Alcotest.test_case "mark/truncate/rewrite" `Quick
             test_reporter_mark_truncate_rewrite;
         ] );
-      ( "decoded cache",
+      ( "external store",
         [
-          Alcotest.test_case "re-read hits" `Quick test_decoded_cache_hits;
-          Alcotest.test_case "eviction" `Quick test_decoded_cache_eviction;
-          Alcotest.test_case "write invalidates" `Quick
-            test_decoded_cache_write_invalidates;
-          Alcotest.test_case "drop_cache" `Quick test_decoded_cache_drop;
-          Alcotest.test_case "disabled at 0" `Quick
-            test_decoded_cache_disabled;
+          Alcotest.test_case "every read reaches the backend" `Quick
+            test_external_reads_reach_backend;
         ] );
       ( "resident",
         [
@@ -648,7 +603,6 @@ let () =
             test_resident_reads;
           Alcotest.test_case "write" `Quick test_resident_write;
           Alcotest.test_case "alloc" `Quick test_resident_alloc;
-          Alcotest.test_case "LRU charges" `Quick test_resident_lru_charges;
         ] );
       ( "codec guard",
         [
@@ -683,5 +637,10 @@ let () =
         ] );
       ("batch", batch_equivalence_tests);
       ("run_one", run_one_tests);
-      ("batch fan-out", multi_domain_tests);
+      ( "batch fan-out",
+        multi_domain_tests
+        @ [
+            Alcotest.test_case "a full cache_blocks per domain" `Quick
+              test_batch_cache_per_domain;
+          ] );
     ]

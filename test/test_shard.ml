@@ -377,10 +377,7 @@ let test_batch_engine () =
   let t = Sh.build ~params:build_params ~stats:(Emio.Io_stats.create ()) ds in
   let inst = Index.Instance ((module Sh), t) in
   let qs = Array.of_list qs in
-  let seq =
-    Emio.Store.with_cache_split ~shards:4 ~domains:1 (fun () ->
-        Query_engine.run_batch_array ~domains:1 inst qs)
-  in
+  let seq = Query_engine.run_batch_array ~domains:1 inst qs in
   let par = Query_engine.run_batch_array ~domains:2 inst qs in
   Array.iteri
     (fun i (r1 : Query_engine.cost) ->
