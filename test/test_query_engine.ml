@@ -72,6 +72,7 @@ module Counting_backend = struct
     mutable next : int;
     mutable phys_reads : int;
     mutable charged : int;
+    mutable drops : int;
     mutable resident : bool;
   }
 
@@ -98,7 +99,7 @@ module Counting_backend = struct
 
   let charge_read t _ = t.charged <- t.charged + 1
   let blocks_used t = Hashtbl.length t.blocks
-  let drop_cache _ = ()
+  let drop_cache t = t.drops <- t.drops + 1
   let flush _ = ()
   let close _ = ()
 end
@@ -109,6 +110,7 @@ let counting_backend () =
     next = 0;
     phys_reads = 0;
     charged = 0;
+    drops = 0;
     resident = false;
   }
 
@@ -138,14 +140,38 @@ let test_external_reads_reach_backend () =
            cache_blocks)
         3 b.Counting_backend.phys_reads;
       check "cache_blocks is still recorded" cache_blocks
-        (Emio.Store.cache_blocks store);
-      (* a write stores the encoded bytes, never the caller's array *)
-      let a = [| 5 |] in
-      Emio.Store.write store id a;
-      a.(0) <- 42;
-      Alcotest.(check (array int)) "no aliasing of the written array" [| 5 |]
-        (Emio.Store.read store id))
+        (Emio.Store.cache_blocks store))
     [ 0; 4 ]
+
+(* A write stores the encoded bytes: the next read fetches them from
+   the backend, and never sees the caller's array. *)
+let test_external_write () =
+  let store, b = counting_store ~cache_blocks:2 in
+  let id = Emio.Store.alloc store [| 1; 2 |] in
+  ignore (Emio.Store.read store id);
+  Emio.Store.write store id [| 9; 8 |];
+  let before = b.Counting_backend.phys_reads in
+  Alcotest.(check (array int)) "read after write sees new payload" [| 9; 8 |]
+    (Emio.Store.read store id);
+  check "the read reached the backend" (before + 1)
+    b.Counting_backend.phys_reads;
+  let a = [| 5; 6 |] in
+  Emio.Store.write store id a;
+  a.(0) <- 42;
+  Alcotest.(check (array int)) "no aliasing of the written array" [| 5; 6 |]
+    (Emio.Store.read store id)
+
+(* drop_cache on an external store is the backend's own drop_cache;
+   reads before and after it cost the same. *)
+let test_external_drop_cache () =
+  let store, b = counting_store ~cache_blocks:4 in
+  let id = Emio.Store.alloc store [| 1 |] in
+  ignore (Emio.Store.read store id);
+  Emio.Store.drop_cache store;
+  check "drop_cache reaches the backend" 1 b.Counting_backend.drops;
+  ignore (Emio.Store.read store id);
+  check "one backend read each side of the drop" 2
+    b.Counting_backend.phys_reads
 
 (* ---- resident backends: every block decoded once, at of_backend ---- *)
 
@@ -217,6 +243,41 @@ let test_resident_alloc () =
   Alcotest.(check (array int)) "the reopened block is intact" [| 1 |]
     (Emio.Store.read store 0);
   check "blocks used" 41 (Emio.Store.blocks_used store);
+  check "no backend read" 0 b.Counting_backend.phys_reads
+
+(* A resident store opened with cache_blocks > 0 charges every read,
+   exactly as the same store over the non-resident backend fetches. *)
+let test_resident_charges () =
+  let blocks = [ [| 1 |]; [| 2 |]; [| 3 |] ] in
+  let pattern = [ 0; 0; 1; 0; 2; 1; 1; 0; 2; 2 ] in
+  let costs (store, count) =
+    List.map
+      (fun id ->
+        let before = count () in
+        ignore (Emio.Store.read store id);
+        count () - before)
+      pattern
+  in
+  let cold_store, cold = counting_store ~cache_blocks:2 in
+  List.iter (fun data -> ignore (Emio.Store.alloc cold_store data)) blocks;
+  let cold_costs =
+    costs (cold_store, fun () -> cold.Counting_backend.phys_reads)
+  in
+  let written, b = counting_store ~cache_blocks:0 in
+  List.iter (fun data -> ignore (Emio.Store.alloc written data)) blocks;
+  b.Counting_backend.resident <- true;
+  let store =
+    Emio.Store.of_backend
+      ~stats:(Emio.Io_stats.create ())
+      ~block_size:4 ~cache_blocks:2 ~codec:Emio.Codec.int
+      (Emio.Store_intf.Backend ((module Counting_backend), b))
+  in
+  let resident_costs = costs (store, fun () -> b.Counting_backend.charged) in
+  Alcotest.(check (list int)) "charged like the non-resident fetches"
+    cold_costs resident_costs;
+  Alcotest.(check (list int)) "every read charged once"
+    (List.map (fun _ -> 1) pattern)
+    resident_costs;
   check "no backend read" 0 b.Counting_backend.phys_reads
 
 (* ---- codec requirements: anything that touches bytes needs the
@@ -596,6 +657,8 @@ let () =
         [
           Alcotest.test_case "every read reaches the backend" `Quick
             test_external_reads_reach_backend;
+          Alcotest.test_case "write" `Quick test_external_write;
+          Alcotest.test_case "drop_cache" `Quick test_external_drop_cache;
         ] );
       ( "resident",
         [
@@ -603,6 +666,8 @@ let () =
             test_resident_reads;
           Alcotest.test_case "write" `Quick test_resident_write;
           Alcotest.test_case "alloc" `Quick test_resident_alloc;
+          Alcotest.test_case "charges every read" `Quick
+            test_resident_charges;
         ] );
       ( "codec guard",
         [
