@@ -110,6 +110,139 @@ let prop_below_after_has_k_lines =
            ~lines ~k ());
       !ok)
 
+(* Two lines cross the current edge line at exactly the same abscissa:
+   line 0 (y = 2x) is the 0-level at x = -infinity, and lines 1 (y = 2)
+   and 2 (y = x + 1) both meet it at (1, 2), in exact arithmetic.  The
+   scan keeps the first strict minimum, so the lower id wins; line 3
+   (y = 2x + 5) is parallel to line 0 and is never crossed. *)
+let test_next_crossing_tie_break () =
+  let lines = [| line 2. 0.; line 0. 2.; line 1. 1.; line 2. 5. |] in
+  let level = Arrangement.Level_walk.walk ~lines ~k:0 () in
+  Alcotest.(check (array int)) "tie goes to the lower id" [| 0; 1 |]
+    level.edge_lines;
+  Alcotest.(check (float 0.)) "at the shared abscissa" 1.
+    (Point2.x level.vertices.(0));
+  for k = 0 to Array.length lines - 1 do
+    ignore
+      (Arrangement.Level_walk.walk
+         ~on_event:(fun (ev : Arrangement.Level_walk.event) ~below_after:_ ->
+           Alcotest.(check bool)
+             (Printf.sprintf "k=%d: %d -> %d not parallel" k ev.incoming
+                ev.outgoing)
+             false
+             (Line2.slope lines.(ev.incoming)
+             = Line2.slope lines.(ev.outgoing)))
+         ~lines ~k ())
+  done
+
+(* The walk is a build kernel of h2: its edge lines, vertices and event
+   stream flow into snapshot bytes.  These digests were recorded from
+   the record-scanning implementation that the flat scan replaced; the
+   flat scan must reproduce them bit for bit. *)
+
+let digest_walk lines ~k =
+  let b = Buffer.create 4096 in
+  let bits v = Int64.bits_of_float v in
+  let point p =
+    Printf.bprintf b " %Lx %Lx" (bits (Point2.x p)) (bits (Point2.y p))
+  in
+  let level =
+    Arrangement.Level_walk.walk
+      ~on_event:(fun (ev : Arrangement.Level_walk.event) ~below_after ->
+        Printf.bprintf b "e %s %d %d"
+          (match ev.kind with Convex -> "v" | Concave -> "^")
+          ev.incoming ev.outgoing;
+        point ev.vertex;
+        Buffer.add_string b " |";
+        List.iter (Printf.bprintf b " %d")
+          (List.sort Int.compare (below_after ()));
+        Buffer.add_char b '\n')
+      ~lines ~k ()
+  in
+  Array.iter (Printf.bprintf b "l %d\n") level.edge_lines;
+  Array.iter
+    (fun v ->
+      Buffer.add_char b 'p';
+      point v;
+      Buffer.add_char b '\n')
+    level.vertices;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let distinct lines =
+  let tbl = Hashtbl.create 64 in
+  List.filter
+    (fun l ->
+      let key = (Line2.slope l, Line2.icept l) in
+      if Hashtbl.mem tbl key then false
+      else begin
+        Hashtbl.add tbl key ();
+        true
+      end)
+    lines
+  |> Array.of_list
+
+let random_lines seed n =
+  let rng = Random.State.make [| seed |] in
+  distinct
+    (List.init n (fun _ ->
+         let s = Random.State.float rng 20. -. 10. in
+         line s (Random.State.float rng 20. -. 10.)))
+
+(* Small integer slopes and intercepts: many parallel families and many
+   lines through a common vertex, so exact ties in the scan. *)
+let integer_lines seed n =
+  let rng = Random.State.make [| seed |] in
+  distinct
+    (List.init n (fun _ ->
+         let s = float (Random.State.int rng 7 - 3) in
+         line s (float (Random.State.int rng 11 - 5))))
+
+(* name, lines, k *)
+let walk_digest_cases =
+  let r = random_lines and i = integer_lines in
+  [
+    ("random 200, k=0", r 1 200, 0);
+    ("random 200, k=1", r 1 200, 1);
+    ("random 200, k=50", r 2 200, 50);
+    ("random 200, k=100", r 3 200, 100);
+    ("random 200, k=199", r 4 200, 199);
+    ("random 500, k=17", r 5 500, 17);
+    ("random 500, k=250", r 6 500, 250);
+    ("integer 60, k=0", i 7 60, 0);
+    ("integer 60, k=5", i 8 60, 5);
+    ("integer 60, k=20", i 9 60, 20);
+    ("integer 80, k=30", i 10 80, 30);
+    ("parallel only", Array.init 9 (fun c -> line 1.5 (float c)), 4);
+    ( "parallel pairs",
+      Array.init 40 (fun j -> line (float (j mod 4)) (float (j / 4))),
+      13 );
+  ]
+
+(* In the order of [walk_digest_cases]. *)
+let walk_digests_expected =
+  [|
+    "5c88823149b42f5d3d004c25f36ebed8";
+    "5b8321e5584f18e4a8620c1940e0a69e";
+    "cfe63dfce41af363e46023958c1ba51b";
+    "50c7233ddf5448d6aa529958a0aa9d6b";
+    "095af16d382d161fb642cf465919e383";
+    "81757b9e12a96bf8ed1c6341ab2e364f";
+    "79f20ad13cabef5b0b129c8bcffb8d49";
+    "8c225c4550cadc141d795bf891525785";
+    "a8d3c69ce2a1e93221461a09e64f23de";
+    "41f6f4c38351f606e2bc330fdb5d3d83";
+    "a808bcd878d58f527923d170d6d4cc42";
+    "772891435b00da3efc598dface85e19e";
+    "bb2787c3fdb3b34681efa45cb22c3ec1";
+  |]
+
+let test_walk_digests () =
+  List.iteri
+    (fun idx (name, lines, k) ->
+      Alcotest.(check string) name walk_digests_expected.(idx)
+        (digest_walk lines ~k))
+    walk_digest_cases
+
 (* --- clustering ------------------------------------------------------- *)
 
 let gen_cluster_input =
@@ -236,6 +369,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_level_walk_valid;
           QCheck_alcotest.to_alcotest prop_level_events_alternate_consistently;
           QCheck_alcotest.to_alcotest prop_below_after_has_k_lines;
+          Alcotest.test_case "next_crossing tie-break" `Quick
+            test_next_crossing_tie_break;
+          Alcotest.test_case "digests pinned" `Quick test_walk_digests;
         ] );
       ( "clustering",
         [
