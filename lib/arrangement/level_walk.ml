@@ -11,25 +11,6 @@ type event = {
 
 type level = { edge_lines : int array; vertices : Point2.t array }
 
-(* Growable vectors, to collect the level. *)
-module Vec = struct
-  type 'a t = { mutable data : 'a array; mutable len : int }
-
-  let create () = { data = [||]; len = 0 }
-
-  let push v x =
-    if v.len = Array.length v.data then begin
-      let cap = max 8 (2 * Array.length v.data) in
-      let bigger = Array.make cap x in
-      Array.blit v.data 0 bigger 0 v.len;
-      v.data <- bigger
-    end;
-    v.data.(v.len) <- x;
-    v.len <- v.len + 1
-
-  let to_array v = Array.sub v.data 0 v.len
-end
-
 (* The walk crosses, at each vertex, the line whose intersection with
    the current edge line has the smallest abscissa strictly beyond the
    current position.  Every line of the arrangement either crosses the
@@ -38,16 +19,23 @@ end
    exactly — no dynamic envelope is needed (DESIGN.md substitution 2).
    The expected total cost over the §3 construction is O(sum_i nu_i
    N_i) with nu_i the level complexity, which Corollary 2.3 keeps
-   near-linear per layer for the random levels the paper picks. *)
-let next_crossing lines ~current ~after =
-  let cur = lines.(current) in
-  let s0 = Line2.slope cur and c0 = Line2.icept cur in
+   near-linear per layer for the random levels the paper picks.
+
+   The scan reads slopes and intercepts from flat float arrays, copied
+   once per walk.  [pos.(0)] is the current abscissa: when a crossing
+   lies ahead, [pos.(0)] moves to it and the crossing line's id is
+   returned, else -1.  The strict [<] keeps the lowest id on a tie.
+   The digests in test/test_arrangement.ml pin the walk's output bit
+   for bit. *)
+let next_crossing slopes icepts ~current pos =
+  let after = pos.(0) in
+  let s0 = slopes.(current) and c0 = icepts.(current) in
   let best_x = ref infinity and best_id = ref (-1) in
-  for m = 0 to Array.length lines - 1 do
+  for m = 0 to Array.length slopes - 1 do
     if m <> current then begin
-      let sm = Line2.slope lines.(m) in
+      let sm = slopes.(m) in
       if sm <> s0 then begin
-        let x = (Line2.icept lines.(m) -. c0) /. (s0 -. sm) in
+        let x = (icepts.(m) -. c0) /. (s0 -. sm) in
         if x > after && x < !best_x then begin
           best_x := x;
           best_id := m
@@ -55,7 +43,8 @@ let next_crossing lines ~current ~after =
       end
     end
   done;
-  if !best_id < 0 then None else Some (!best_x, !best_id)
+  if !best_id >= 0 then pos.(0) <- !best_x;
+  !best_id
 
 let walk ?(on_event = fun _ ~below_after:_ -> ()) ~lines ~k () =
   let n = Array.length lines in
@@ -77,12 +66,15 @@ let walk ?(on_event = fun _ ~below_after:_ -> ()) ~lines ~k () =
   let current = ref order.(k) in
   let edge_lines = Vec.create () and vertices = Vec.create () in
   Vec.push edge_lines !current;
-  let x = ref neg_infinity in
+  let slopes = Array.map Line2.slope lines
+  and icepts = Array.map Line2.icept lines
+  and pos = [| neg_infinity |] in
   let finished = ref false in
   while not !finished do
-    match next_crossing lines ~current:!current ~after:!x with
-    | None -> finished := true
-    | Some (vx, g) ->
+    match next_crossing slopes icepts ~current:!current pos with
+    | -1 -> finished := true
+    | g ->
+        let vx = pos.(0) in
         let incoming = !current in
         let vertex = Point2.make vx (Line2.eval lines.(incoming) vx) in
         let kind =
@@ -96,7 +88,6 @@ let walk ?(on_event = fun _ ~below_after:_ -> ()) ~lines ~k () =
           else Concave
         in
         current := g;
-        x := vx;
         Vec.push vertices vertex;
         Vec.push edge_lines g;
         let below_after () =

@@ -95,8 +95,7 @@ let build ~planes ~order ~sample_size ~clip =
         face_polys := (h, facet_idxs, poly) :: !face_polys)
     faces;
   (* --- classify polygon corners ------------------------------------ *)
-  let classify h facet_idxs (p : Point2.t) =
-    ignore h;
+  let classify facet_idxs (p : Point2.t) =
     let matched =
       List.find_opt
         (fun fi ->
@@ -121,10 +120,10 @@ let build ~planes ~order ~sample_size ~clip =
   let face_arr = Array.of_list !face_polys in
   let face_corner_kinds =
     Array.mapi
-      (fun face_i (h, facet_idxs, poly) ->
+      (fun face_i (_, facet_idxs, poly) ->
         Array.mapi
           (fun ci p ->
-            let k = classify h facet_idxs p in
+            let k = classify facet_idxs p in
             (match k with
             | Wall (w, u) -> wall_corners := (w, u, (face_i, ci)) :: !wall_corners
             | _ -> ());
@@ -189,6 +188,9 @@ let build ~planes ~order ~sample_size ~clip =
     !acc
   in
   let triangles = ref [] in
+  (* [mark.(g) = !epoch]: plane g is already in the current triangle's
+     conflict union *)
+  let mark = Array.make n 0 and epoch = ref 0 in
   Array.iteri
     (fun face_i (h, _, poly) ->
       let verts = Polygon2.vertices poly in
@@ -219,15 +221,20 @@ let build ~planes ~order ~sample_size ~clip =
       for i = 1 to nv - 2 do
         let idxs = [| rot 0; rot i; rot (i + 1) |] in
         let corners = Array.map (fun ci -> verts.(ci)) idxs in
-        let seen = Hashtbl.create 16 in
+        incr epoch;
+        let union = ref [] in
         Array.iter
           (fun ci ->
-            List.iter (fun g -> Hashtbl.replace seen g ()) lists.(ci))
+            List.iter
+              (fun g ->
+                if mark.(g) <> !epoch then begin
+                  mark.(g) <- !epoch;
+                  union := g :: !union
+                end)
+              lists.(ci))
           idxs;
-        let conflicts =
-          Array.of_list (Hashtbl.fold (fun g () acc -> g :: acc) seen [])
-        in
-        Array.sort compare conflicts;
+        let conflicts = Array.of_list !union in
+        Array.sort Int.compare conflicts;
         triangles :=
           {
             plane = h;

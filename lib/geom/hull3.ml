@@ -6,20 +6,26 @@ type facet = {
   conflicts : int array;
 }
 
-(* Internal mutable facet record. *)
-type fc = {
-  fa : int;
-  fb : int;
-  fc_ : int;
-  mutable alive : bool;
-  mutable confl : int list;
-}
-
+(* Facets live in flat arrays indexed by creation id.  [nx]/[ny]/[nz]
+   cache each facet's normal [cross (b - a) (c - a)], so the visibility
+   test [((nx dx + ny dy) + nz dz) > vol_eps] evaluates exactly the
+   expression tree of [Point3.orient3] without re-deriving the normal.
+   [confl.(id)] lists the points found in conflict when the facet was
+   created, most recently found first (points inserted since are
+   filtered on use).  Facet creation order, normals and conflict order
+   are all output; the digests in test/test_hull3.ml and the snapshot
+   hashes in test/build_digests.txt pin them bit for bit. *)
 type t = {
-  all_facets : fc Vec.t;
-  points : Point3.t array;
+  mutable count : int;
+  mutable fa : int array;
+  mutable fb : int array;
+  mutable fc : int array;
+  mutable nx : float array;
+  mutable ny : float array;
+  mutable nz : float array;
+  mutable alive : bool array;
+  mutable confl : int array array;
   inserted : bool array;
-  sample_size : int;
 }
 
 (* Visibility epsilon: volumes below this are treated as coplanar.
@@ -27,14 +33,28 @@ type t = {
    generators produce O(1)..O(10^3) ranges). *)
 let vol_eps = 1e-9
 
-let sees points q (f : fc) =
-  Point3.orient3 points.(f.fa) points.(f.fb) points.(f.fc_) points.(q)
-  > vol_eps
+(* Double the facet capacity. *)
+let grow t =
+  let more a x = Array.append a (Array.make (Array.length a) x) in
+  t.fa <- more t.fa 0;
+  t.fb <- more t.fb 0;
+  t.fc <- more t.fc 0;
+  t.nx <- more t.nx 0.;
+  t.ny <- more t.ny 0.;
+  t.nz <- more t.nz 0.;
+  t.alive <- more t.alive false;
+  t.confl <- more t.confl [||]
 
-let facet_normal points (f : fc) =
-  Point3.cross
-    (Point3.sub points.(f.fb) points.(f.fa))
-    (Point3.sub points.(f.fc_) points.(f.fa))
+(* Growable int stack, for the per-point conflict lists. *)
+type ints = { mutable data : int array; mutable len : int }
+
+let push s x =
+  if s.len = Array.length s.data then
+    s.data <- Array.append s.data (Array.make s.len 0);
+  s.data.(s.len) <- x;
+  s.len <- s.len + 1
+
+module Edges = Hashtbl.Make (Int)
 
 let build ~points ~order ~sample_size =
   let n = Array.length points in
@@ -76,141 +96,197 @@ let build ~points ~order ~sample_size =
   in
   let t0, t1, t2, t3 = tetra in
   List.iter (fun i -> inserted.(i) <- true) [ t0; t1; t2; t3 ];
-  let interior =
-    let avg f =
-      (f points.(t0) +. f points.(t1) +. f points.(t2) +. f points.(t3)) /. 4.
-    in
-    Point3.make (avg Point3.x) (avg Point3.y) (avg Point3.z)
+  let px = Array.map Point3.x points
+  and py = Array.map Point3.y points
+  and pz = Array.map Point3.z points in
+  let ix, iy, iz =
+    let avg c = (c.(t0) +. c.(t1) +. c.(t2) +. c.(t3)) /. 4. in
+    (avg px, avg py, avg pz)
   in
-  let all_facets : fc Vec.t = Vec.create () in
-  (* directed edge (u,v) -> id of the alive facet containing it *)
-  let edge_tbl : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
-  (* point id -> facet ids it has been in conflict with (may contain
-     dead facets; filtered on use) *)
-  let point_confl : int list array = Array.make n [] in
-  let new_facet a b c candidates =
+  let cap = max 16 (4 * sample_size) in
+  let t =
+    {
+      count = 0;
+      fa = Array.make cap 0;
+      fb = Array.make cap 0;
+      fc = Array.make cap 0;
+      nx = Array.make cap 0.;
+      ny = Array.make cap 0.;
+      nz = Array.make cap 0.;
+      alive = Array.make cap false;
+      confl = Array.make cap [||];
+      inserted;
+    }
+  in
+  (* directed edge (u,v), keyed u*n+v -> id of the last facet created
+     with it *)
+  let edge_tbl = Edges.create 256 in
+  (* point id -> facet ids it has been in conflict with, most recent
+     first (may contain dead facets; filtered on use): a linked list
+     through [pc_fid]/[pc_next], headed at [pc_head] *)
+  let pc_head = Array.make n (-1) in
+  let pc_fid = { data = Array.make (max 16 n) 0; len = 0 } in
+  let pc_next = { data = Array.make (max 16 n) 0; len = 0 } in
+  (* dedup of the candidates of one new facet *)
+  let stamp = Array.make n (-1) in
+  let found = Array.make n 0 in
+  let set_normal id a b c =
+    let bax = px.(b) -. px.(a) and bay = py.(b) -. py.(a)
+    and baz = pz.(b) -. pz.(a) in
+    let cax = px.(c) -. px.(a) and cay = py.(c) -. py.(a)
+    and caz = pz.(c) -. pz.(a) in
+    t.fa.(id) <- a;
+    t.fb.(id) <- b;
+    t.fc.(id) <- c;
+    t.nx.(id) <- (bay *. caz) -. (baz *. cay);
+    t.ny.(id) <- (baz *. cax) -. (bax *. caz);
+    t.nz.(id) <- (bax *. cay) -. (bay *. cax)
+  in
+  (* [new_facet a b c first second] tests the candidates [first] then
+     [second], as the list [first @ second] was walked *)
+  let new_facet a b c first second =
+    if t.count = Array.length t.fa then grow t;
+    let id = t.count in
+    t.count <- id + 1;
     (* orient so that the interior is on the inner side *)
-    let a, b, c =
-      let v =
-        Point3.orient3 points.(a) points.(b) points.(c) interior
-      in
-      if v < 0. then (a, b, c) else (a, c, b)
+    set_normal id a b c;
+    let v =
+      (t.nx.(id) *. (ix -. px.(a)))
+      +. (t.ny.(id) *. (iy -. py.(a)))
+      +. (t.nz.(id) *. (iz -. pz.(a)))
     in
-    let f = { fa = a; fb = b; fc_ = c; alive = true; confl = [] } in
-    let id = Vec.push_idx all_facets f in
-    Hashtbl.replace edge_tbl (a, b) id;
-    Hashtbl.replace edge_tbl (b, c) id;
-    Hashtbl.replace edge_tbl (c, a) id;
-    let seen = Hashtbl.create 16 in
-    List.iter
-      (fun q ->
-        if (not inserted.(q)) && not (Hashtbl.mem seen q) then begin
-          Hashtbl.add seen q ();
-          if sees points q f then begin
-            f.confl <- q :: f.confl;
-            point_confl.(q) <- id :: point_confl.(q)
+    if not (v < 0.) then set_normal id a c b;
+    let a = t.fa.(id) and b = t.fb.(id) and c = t.fc.(id) in
+    t.alive.(id) <- true;
+    Edges.replace edge_tbl ((a * n) + b) id;
+    Edges.replace edge_tbl ((b * n) + c) id;
+    Edges.replace edge_tbl ((c * n) + a) id;
+    let nx = t.nx.(id) and ny = t.ny.(id) and nz = t.nz.(id) in
+    let ax = px.(a) and ay = py.(a) and az = pz.(a) in
+    let nfound = ref 0 in
+    let scan cands =
+      for i = 0 to Array.length cands - 1 do
+        let q = cands.(i) in
+        if (not inserted.(q)) && stamp.(q) <> id then begin
+          stamp.(q) <- id;
+          if
+            (nx *. (px.(q) -. ax))
+            +. (ny *. (py.(q) -. ay))
+            +. (nz *. (pz.(q) -. az))
+            > vol_eps
+          then begin
+            found.(!nfound) <- q;
+            incr nfound;
+            push pc_fid id;
+            push pc_next pc_head.(q);
+            pc_head.(q) <- pc_fid.len - 1
           end
-        end)
-      candidates;
-    id
+        end
+      done
+    in
+    scan first;
+    scan second;
+    let k = !nfound in
+    t.confl.(id) <- Array.init k (fun i -> found.(k - 1 - i))
   in
   (* initial four facets conflict-tested against every other point *)
-  let everyone = List.init n Fun.id in
-  ignore (new_facet t0 t1 t2 everyone);
-  ignore (new_facet t0 t1 t3 everyone);
-  ignore (new_facet t0 t2 t3 everyone);
-  ignore (new_facet t1 t2 t3 everyone);
+  let everyone = Array.init n Fun.id in
+  new_facet t0 t1 t2 everyone [||];
+  new_facet t0 t1 t3 everyone [||];
+  new_facet t0 t2 t3 everyone [||];
+  new_facet t1 t2 t3 everyone [||];
   (* --- incremental insertion ------------------------------------- *)
+  let visible = { data = Array.make 64 0; len = 0 } in
   for idx = 0 to sample_size - 1 do
     let p = order.(idx) in
     if not inserted.(p) then begin
       inserted.(p) <- true;
-      let visible =
-        List.filter
-          (fun fid -> (Vec.get all_facets fid).alive)
-          point_confl.(p)
-      in
-      (* p inside the current hull: not a vertex *)
-      if visible <> [] then begin
-        let visible_set = Hashtbl.create 16 in
-        List.iter (fun fid -> Hashtbl.replace visible_set fid ()) visible;
-        List.iter (fun fid -> (Vec.get all_facets fid).alive <- false) visible;
-        (* find horizon edges and attach new facets *)
-        List.iter
-          (fun fid ->
-            let f = Vec.get all_facets fid in
-            let try_edge u v =
-              match Hashtbl.find_opt edge_tbl (v, u) with
-              | Some gid when not (Hashtbl.mem visible_set gid) ->
-                  let g = Vec.get all_facets gid in
-                  if g.alive then
-                    (* (u,v) is a horizon edge: new facet (u,v,p) *)
-                    ignore (new_facet u v p (f.confl @ g.confl))
-              | _ -> ()
-            in
-            try_edge f.fa f.fb;
-            try_edge f.fb f.fc_;
-            try_edge f.fc_ f.fa)
-          visible
-      end
+      visible.len <- 0;
+      let node = ref pc_head.(p) in
+      while !node >= 0 do
+        let fid = pc_fid.data.(!node) in
+        if t.alive.(fid) then push visible fid;
+        node := pc_next.data.(!node)
+      done;
+      (* every visible facet dies first, so [alive] alone tells a
+         horizon neighbour from a visible one; p inside the current
+         hull (nothing visible) is not a vertex *)
+      for i = 0 to visible.len - 1 do
+        t.alive.(visible.data.(i)) <- false
+      done;
+      for i = 0 to visible.len - 1 do
+        let fid = visible.data.(i) in
+        let try_edge u v =
+          match Edges.find edge_tbl ((v * n) + u) with
+          | gid when t.alive.(gid) ->
+              (* (u,v) is a horizon edge: new facet (u,v,p) *)
+              new_facet u v p t.confl.(fid) t.confl.(gid)
+          | _ -> ()
+          | exception Not_found -> ()
+        in
+        try_edge t.fa.(fid) t.fb.(fid);
+        try_edge t.fb.(fid) t.fc.(fid);
+        try_edge t.fc.(fid) t.fa.(fid)
+      done
     end
   done;
-  { all_facets; points; inserted; sample_size }
+  t
 
-let export t (f : fc) =
+let export t id =
   {
-    a = f.fa;
-    b = f.fb;
-    c = f.fc_;
-    normal = facet_normal t.points f;
+    a = t.fa.(id);
+    b = t.fb.(id);
+    c = t.fc.(id);
+    normal = Point3.make t.nx.(id) t.ny.(id) t.nz.(id);
     conflicts =
-      Array.of_list (List.filter (fun q -> not t.inserted.(q)) f.confl);
+      Array.of_list
+        (List.filter
+           (fun q -> not t.inserted.(q))
+           (Array.to_list t.confl.(id)));
   }
 
-let facets t =
+let export_if t keep =
   let out = ref [] in
-  Vec.iter (fun f -> if f.alive then out := export t f :: !out) t.all_facets;
-  Array.of_list (List.rev !out)
+  for id = t.count - 1 downto 0 do
+    if t.alive.(id) && keep id then out := export t id :: !out
+  done;
+  Array.of_list !out
 
-let lower_facets t =
-  Array.of_list
-    (List.filter
-       (fun f -> Point3.z f.normal < -.vol_eps)
-       (Array.to_list (facets t)))
+let facets t = export_if t (fun _ -> true)
+let lower_facets t = export_if t (fun id -> t.nz.(id) < -.vol_eps)
 
 let vertex_ids t =
-  let seen = Hashtbl.create 64 in
-  Vec.iter
-    (fun f ->
-      if f.alive then
-        List.iter
-          (fun v -> Hashtbl.replace seen v ())
-          [ f.fa; f.fb; f.fc_ ])
-    t.all_facets;
-  List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) seen [])
+  let seen = Array.make (Array.length t.inserted) false in
+  for id = 0 to t.count - 1 do
+    if t.alive.(id) then begin
+      seen.(t.fa.(id)) <- true;
+      seen.(t.fb.(id)) <- true;
+      seen.(t.fc.(id)) <- true
+    end
+  done;
+  List.filter (fun v -> seen.(v)) (List.init (Array.length seen) Fun.id)
 
 let check ~points t =
   let ok = ref true in
   let sample =
     List.filter (fun i -> t.inserted.(i)) (List.init (Array.length points) Fun.id)
   in
-  Vec.iter
-    (fun f ->
-      if f.alive then begin
-        (* convexity: no sample point strictly outside *)
-        List.iter (fun q -> if sees points q f then ok := false) sample;
-        (* conflicts: exactly the uninserted points strictly outside *)
-        let recorded = Hashtbl.create 16 in
-        List.iter
-          (fun q -> if not t.inserted.(q) then Hashtbl.replace recorded q ())
-          f.confl;
-        Array.iteri
-          (fun q _ ->
-            if not t.inserted.(q) then begin
-              let visible = sees points q f in
-              if visible <> Hashtbl.mem recorded q then ok := false
-            end)
-          points
-      end)
-    t.all_facets;
+  for id = 0 to t.count - 1 do
+    if t.alive.(id) then begin
+      let sees q =
+        Point3.orient3 points.(t.fa.(id)) points.(t.fb.(id)) points.(t.fc.(id))
+          points.(q)
+        > vol_eps
+      in
+      (* convexity: no sample point strictly outside *)
+      List.iter (fun q -> if sees q then ok := false) sample;
+      (* conflicts: exactly the uninserted points strictly outside *)
+      let recorded = Array.make (Array.length points) false in
+      Array.iter (fun q -> recorded.(q) <- not t.inserted.(q)) t.confl.(id);
+      Array.iteri
+        (fun q _ ->
+          if (not t.inserted.(q)) && sees q <> recorded.(q) then ok := false)
+        points
+    end
+  done;
   !ok

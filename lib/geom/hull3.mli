@@ -34,8 +34,9 @@ val facets : t -> facet array
 (** The alive facets of the hull of the sample. *)
 
 val lower_facets : t -> facet array
-(** Facets whose outward normal points downward (negative z):
-    in the dual these are the vertices of the lower envelope. *)
+(** Facets whose outward normal points downward (z below [-1e-9]):
+    in the dual these are the vertices of the lower envelope.  Upper
+    facets are skipped before their conflict arrays are built. *)
 
 val vertex_ids : t -> int list
 (** Ids of the sample points that are hull vertices. *)
