@@ -33,7 +33,6 @@ type t = {
    generators produce O(1)..O(10^3) ranges). *)
 let vol_eps = 1e-9
 
-(* Double the facet capacity. *)
 let grow t =
   let more a x = Array.append a (Array.make (Array.length a) x) in
   t.fa <- more t.fa 0;
@@ -143,7 +142,7 @@ let build ~points ~order ~sample_size =
     t.nz.(id) <- (bax *. cay) -. (bay *. cax)
   in
   (* [new_facet a b c first second] tests the candidates [first] then
-     [second], as the list [first @ second] was walked *)
+     [second], each point once, in that order *)
   let new_facet a b c first second =
     if t.count = Array.length t.fa then grow t;
     let id = t.count in
