@@ -136,9 +136,12 @@ let test_next_crossing_tie_break () =
   done
 
 (* The walk is a build kernel of h2: its edge lines, vertices and event
-   stream flow into snapshot bytes.  These digests were recorded from
-   the record-scanning implementation that the flat scan replaced; the
-   flat scan must reproduce them bit for bit. *)
+   stream flow into snapshot bytes.  The first thirteen digests were
+   recorded from the record-scanning implementation, the rest from the
+   flat linear scan that followed it; they cover near-concurrent
+   lines, equal-slope classes, sizes around a 16-line leaf, slope gaps
+   whose crossings are huge or overflow, and k = n - 1.  Every
+   next-crossing search must reproduce them bit for bit. *)
 
 let digest_walk lines ~k =
   let b = Buffer.create 4096 in
@@ -197,9 +200,64 @@ let integer_lines seed n =
          let s = float (Random.State.int rng 7 - 3) in
          line s (float (Random.State.int rng 11 - 5))))
 
+(* [n] <= 55 distinct lines on a 5 x 11 integer grid (by the Chinese
+   remainder theorem): exactly [n] lines, with parallel families and
+   concurrent triples. *)
+let grid_lines n =
+  Array.init n (fun j ->
+      line (float ((j mod 5) - 2)) (float ((j * 7 mod 11) - 5)))
+
+(* Duals of points within 0.01 of the line y = x / 2 + 1: every dual
+   line passes within 0.01 of the dual point (-1/2, 1), so the
+   arrangement is nearly concurrent there (the diagonal workload's
+   shape). *)
+let near_concurrent_lines seed n =
+  let rng = Random.State.make [| seed |] in
+  distinct
+    (List.init n (fun _ ->
+         let px = Random.State.float rng 20. -. 10. in
+         let py =
+           (0.5 *. px) +. 1. +. (Random.State.float rng 0.02 -. 0.01)
+         in
+         Dual2.line_of_point (Point2.make px py)))
+
+(* [groups] slope values, each shared by [per] lines with random
+   intercepts: every slope class spreads over the intercept range. *)
+let equal_slope_lines seed ~groups ~per =
+  let rng = Random.State.make [| seed |] in
+  distinct
+    (List.init (groups * per) (fun j ->
+         line
+           (float (j mod groups) -. (float groups /. 2.))
+           (Random.State.float rng 20. -. 10.)))
+
+(* Random lines plus three families whose slopes differ by about
+   1e-12 (at the steepest, the flattest and the middle slopes, so the
+   extreme levels cross within a family near +-1e13), and a few lines
+   whose slopes differ by a subnormal, whose crossings overflow to
+   +-infinity. *)
+let tiny_gap_lines seed n =
+  let rng = Random.State.make [| seed |] in
+  let base = random_lines seed n |> Array.to_list in
+  let fam =
+    List.init 24 (fun j ->
+        let s0 = 12. *. float ((j mod 3) - 1) in
+        line
+          (s0 +. (float (j / 3) *. 1e-12))
+          (Random.State.float rng 20. -. 10.))
+  in
+  let sub =
+    List.init 6 (fun j ->
+        line
+          (float j *. 4.9e-324)
+          (float (j + 1) *. if j mod 2 = 0 then 1. else -1.))
+  in
+  distinct (base @ fam @ sub)
+
 (* name, lines, k *)
 let walk_digest_cases =
   let r = random_lines and i = integer_lines in
+  let nc = near_concurrent_lines and tg = tiny_gap_lines in
   [
     ("random 200, k=0", r 1 200, 0);
     ("random 200, k=1", r 1 200, 1);
@@ -216,6 +274,24 @@ let walk_digest_cases =
     ( "parallel pairs",
       Array.init 40 (fun j -> line (float (j mod 4)) (float (j / 4))),
       13 );
+    ("near-concurrent 300, k=0", nc 11 300, 0);
+    ("near-concurrent 300, k=40", nc 12 300, 40);
+    ("near-concurrent 300, k=150", nc 13 300, 150);
+    ("near-concurrent 300, k=n-1", nc 14 300, 299);
+    ("equal slopes 8x40, k=0", equal_slope_lines 15 ~groups:8 ~per:40, 0);
+    ("equal slopes 8x40, k=60", equal_slope_lines 16 ~groups:8 ~per:40, 60);
+    ("equal slopes 5x50, k=n-1", equal_slope_lines 17 ~groups:5 ~per:50, 249);
+    ("random 15, k=7", r 18 15, 7);
+    ("random 16, k=8", r 19 16, 8);
+    ("random 17, k=3", r 20 17, 3);
+    ("grid 16, k=5", grid_lines 16, 5);
+    ("grid 17, k=16", grid_lines 17, 16);
+    ("random 257, k=128", r 23 257, 128);
+    ("random 1000, k=40", r 24 1000, 40);
+    ("tiny gaps 200, k=0", tg 25 200, 0);
+    ("tiny gaps 200, k=3", tg 26 200, 3);
+    ("tiny gaps 200, k=115", tg 27 200, 115);
+    ("tiny gaps 200, k=n-4", tg 28 200, 226);
   ]
 
 (* In the order of [walk_digest_cases]. *)
@@ -234,9 +310,31 @@ let walk_digests_expected =
     "a808bcd878d58f527923d170d6d4cc42";
     "772891435b00da3efc598dface85e19e";
     "bb2787c3fdb3b34681efa45cb22c3ec1";
+    "6e544f509a9e663cfa872c44c2eb134d";
+    "9b95a1292a20dc82d7d449283b77413b";
+    "da008f8a0997aad402caa70873a0bdde";
+    "5e0721504d752ecf156aa90504d3755a";
+    "9186aabff17002d42c2f15b36c70f7b6";
+    "bc2d42323b7c6eb55fffd47f6923cea6";
+    "1c61a58722b371c4c733cf79864481c0";
+    "0e16eb5b12958db61d9321b50a191ac5";
+    "25e8331517ad02f6580927313a19d545";
+    "da91ce8f02f105fb153cc5ea8e7c8d24";
+    "74d9312d792546252aac2289025ff10a";
+    "b3ce5c2b8d0c86aa613095ac188fcd84";
+    "442bb93dfcc638236789f2ed38851e0b";
+    "d9b9b7fbf6d605a40ec681b1a9e3af6e";
+    "a5b3728681e4a6eb586f10d2a2945a21";
+    "00dcd465b0c14868dbc59f2f09b9c2fa";
+    "5c3055726ae2c3e480868ce6b3085a68";
+    "d30ac7ca6b78aec7679d2966c81b97e5";
   |]
 
 let test_walk_digests () =
+  Alcotest.(check int)
+    "one digest per case"
+    (Array.length walk_digests_expected)
+    (List.length walk_digest_cases);
   List.iteri
     (fun idx (name, lines, k) ->
       Alcotest.(check string) name walk_digests_expected.(idx)
