@@ -84,8 +84,16 @@ let max_cluster_size t =
   Array.fold_left (fun m c -> max m (Array.length c.lines)) 0 t.clusters
 
 let member_union t =
-  let seen = Hashtbl.create 64 in
+  let n = ref 0 in
   Array.iter
-    (fun c -> Array.iter (fun id -> Hashtbl.replace seen id ()) c.lines)
+    (fun c -> Array.iter (fun id -> n := max !n (id + 1)) c.lines)
     t.clusters;
-  List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) seen [])
+  let seen = Array.make !n false in
+  Array.iter
+    (fun c -> Array.iter (fun id -> seen.(id) <- true) c.lines)
+    t.clusters;
+  let ids = ref [] in
+  for id = !n - 1 downto 0 do
+    if seen.(id) then ids := id :: !ids
+  done;
+  !ids

@@ -13,38 +13,196 @@ type level = { edge_lines : int array; vertices : Point2.t array }
 
 (* The walk crosses, at each vertex, the line whose intersection with
    the current edge line has the smallest abscissa strictly beyond the
-   current position.  Every line of the arrangement either crosses the
-   current line ahead (and is a candidate) or behind (and is excluded
-   by the [> x] test), so one pass over the lines finds the next vertex
-   exactly — no dynamic envelope is needed (DESIGN.md substitution 2).
-   The expected total cost over the §3 construction is O(sum_i nu_i
-   N_i) with nu_i the level complexity, which Corollary 2.3 keeps
-   near-linear per layer for the random levels the paper picks.
+   current position (DESIGN.md substitution 2).  Every line of the
+   arrangement either crosses the current line ahead (a candidate) or
+   behind (excluded by the [> after] test), so the exact minimum over
+   all lines is the next vertex.  Line m meets the current line
+   (s0, c0) at x = (c_m -. c0) /. (s0 -. s_m); the winner is the
+   lexicographic minimum of (x, m) over the lines with x > after, and
+   x = +infinity never wins.
 
-   The scan reads slopes and intercepts from flat float arrays, copied
-   once per walk.  [pos.(0)] is the current abscissa: when a crossing
-   lies ahead, [pos.(0)] moves to it and the crossing line's id is
-   returned, else -1.  The strict [<] keeps the lowest id on a tie.
-   The digests in test/test_arrangement.ml pin the walk's output bit
-   for bit. *)
-let next_crossing slopes icepts ~current pos =
-  let after = pos.(0) in
-  let s0 = slopes.(current) and c0 = icepts.(current) in
-  let best_x = ref infinity and best_id = ref (-1) in
-  for m = 0 to Array.length slopes - 1 do
-    if m <> current then begin
-      let sm = slopes.(m) in
+   The minimum is found by branch-and-bound over a static 2-d tree of
+   the dual points (s_m, c_m), built once per walk.  On either side of
+   s0 the sign of den = s0 -. s_m is fixed, and there fl(c_m -. c0),
+   fl(s0 -. s_m) and fl(num /. den) are monotone in each argument,
+   because IEEE rounding is monotone.  So the quotients at a node's
+   box corners, computed with the same operations as the leaves,
+   bound every x in the node exactly: no epsilon.  A node that
+   straddles s0 is bounded the same way when its intercepts all lie
+   above (or all below) c0: its crossings on one side of s0 are then
+   negative and on the other positive.  A node is skipped when its
+   crossings are all <= after or its lower bound is > best_x (never on
+   equality: a tied line with a lower id may lie inside).  Leaves
+   evaluate x exactly as a linear scan would.  A NaN bound compares
+   false both ways and so never prunes.  The digests in
+   test/test_arrangement.ml pin the walk's output bit for bit. *)
+
+let leaf_size = 16
+
+(* Heap layout: node [j] has children [2j + 1] and [2j + 2] and covers
+   a range [lo, hi) of the leaf order, halved at [(lo + hi) / 2]; it is
+   a leaf when the range holds at most [leaf_size] lines.  [ids], [ps]
+   and [pc] hold the lines' ids, slopes and intercepts in leaf order;
+   [box.(4j) .. box.(4j + 3)] is node [j]'s slope range [sl, sh] and
+   intercept range [cl, ch]. *)
+type tree = {
+  ids : int array;
+  ps : float array;
+  pc : float array;
+  box : float array;
+}
+
+(* Rearranges [perm.(lo .. hi)] (inclusive) so that [perm.(k)] holds
+   the element of rank [k - lo] by [key], with no larger key before it
+   and no smaller one after (Hoare's selection). *)
+let select key perm lo hi k =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let pivot = key.(perm.(k)) in
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while key.(perm.(!i)) < pivot do
+        incr i
+      done;
+      while pivot < key.(perm.(!j)) do
+        decr j
+      done;
+      if !i <= !j then begin
+        let t = perm.(!i) in
+        perm.(!i) <- perm.(!j);
+        perm.(!j) <- t;
+        incr i;
+        decr j
+      end
+    done;
+    if !j < k then lo := !i;
+    if k < !i then hi := !j
+  done
+
+(* O(m log m): every level of the tree boxes its nodes and splits each
+   at the median of the wider of its two extents. *)
+let build_tree slopes icepts =
+  let n = Array.length slopes in
+  let rec depth m = if m <= leaf_size then 0 else 1 + depth (m - (m / 2)) in
+  let box = Array.make (4 * ((2 lsl depth n) - 1)) 0. in
+  let perm = Array.init n Fun.id in
+  let rec node j lo hi =
+    let sl = ref infinity and sh = ref neg_infinity in
+    let cl = ref infinity and ch = ref neg_infinity in
+    for i = lo to hi - 1 do
+      let s = slopes.(perm.(i)) and c = icepts.(perm.(i)) in
+      if s < !sl then sl := s;
+      if s > !sh then sh := s;
+      if c < !cl then cl := c;
+      if c > !ch then ch := c
+    done;
+    box.(4 * j) <- !sl;
+    box.((4 * j) + 1) <- !sh;
+    box.((4 * j) + 2) <- !cl;
+    box.((4 * j) + 3) <- !ch;
+    if hi - lo > leaf_size then begin
+      let mid = (lo + hi) / 2 in
+      let key = if !sh -. !sl >= !ch -. !cl then slopes else icepts in
+      select key perm lo (hi - 1) mid;
+      node ((2 * j) + 1) lo mid;
+      node ((2 * j) + 2) mid hi
+    end
+  in
+  node 0 0 n;
+  {
+    ids = perm;
+    ps = Array.map (fun m -> slopes.(m)) perm;
+    pc = Array.map (fun m -> icepts.(m)) perm;
+    box;
+  }
+
+(* The search state: the current line (s0, c0), the current abscissa
+   [after], and the best crossing found so far. *)
+type cursor = {
+  mutable s0 : float;
+  mutable c0 : float;
+  mutable after : float;
+  mutable best_x : float;
+  mutable best : int;
+}
+
+(* A lower bound on the crossings beyond [after] in node [j]:
+   [infinity] when it holds none (all crossings <= after, or all lines
+   parallel to the current one), [neg_infinity] when the node has no
+   bound (it straddles s0 and its intercepts straddle c0). *)
+let[@inline] lower_bound box cur j =
+  let s0 = cur.s0 and sl = box.(4 * j) and sh = box.((4 * j) + 1) in
+  let nl = box.((4 * j) + 2) -. cur.c0 and nh = box.((4 * j) + 3) -. cur.c0 in
+  let dl = s0 -. sh and dh = s0 -. sl in
+  if sh < s0 then
+    (* den > 0: x rises with num, and falls with den iff num >= 0 *)
+    let ub = if nh >= 0. then nh /. dl else nh /. dh in
+    if ub <= cur.after then infinity
+    else if nl >= 0. then nl /. dh
+    else nl /. dl
+  else if sl > s0 then
+    (* den < 0: x falls with num, and rises with den iff num >= 0 *)
+    let ub = if nl >= 0. then nl /. dl else nl /. dh in
+    if ub <= cur.after then infinity
+    else if nh >= 0. then nh /. dh
+    else nh /. dl
+  else if sl = sh then infinity
+  else if nl > 0. then
+    (* straddles s0 above c0: x > 0 left of s0, at least nl /. dh;
+       x < 0 right of s0, at most nl /. dl *)
+    if nl /. dl <= cur.after then nl /. dh else neg_infinity
+  else if nh < 0. then
+    (* straddles s0 below c0: x < 0 left of s0, at most nh /. dh;
+       x > 0 right of s0, at least nh /. dl *)
+    if nh /. dh <= cur.after then nh /. dl else neg_infinity
+  else neg_infinity
+
+(* May a node with lower bound [k] still hold the winner?  Not when
+   [k > best_x]: a tie at [k = best_x] may have a lower id.  A NaN
+   bound is live. *)
+let[@inline] live cur k = not (k > cur.best_x || k = infinity)
+
+let rec visit t cur j lo hi =
+  if hi - lo <= leaf_size then begin
+    let s0 = cur.s0 and c0 = cur.c0 and after = cur.after in
+    for i = lo to hi - 1 do
+      let sm = t.ps.(i) in
       if sm <> s0 then begin
-        let x = (icepts.(m) -. c0) /. (s0 -. sm) in
-        if x > after && x < !best_x then begin
-          best_x := x;
-          best_id := m
+        let x = (t.pc.(i) -. c0) /. (s0 -. sm) in
+        if
+          x > after
+          && (x < cur.best_x || (x = cur.best_x && t.ids.(i) < cur.best))
+        then begin
+          cur.best_x <- x;
+          cur.best <- t.ids.(i)
         end
       end
+    done
+  end
+  else begin
+    (* the child with the smaller bound first; each bound is tested
+       against best_x when its child's turn comes *)
+    let l = (2 * j) + 1 and mid = (lo + hi) / 2 in
+    let kl = lower_bound t.box cur l and kr = lower_bound t.box cur (l + 1) in
+    if kr < kl then begin
+      if live cur kr then visit t cur (l + 1) mid hi;
+      if live cur kl then visit t cur l lo mid
     end
-  done;
-  if !best_id >= 0 then pos.(0) <- !best_x;
-  !best_id
+    else begin
+      if live cur kl then visit t cur l lo mid;
+      if live cur kr then visit t cur (l + 1) mid hi
+    end
+  end
+
+(* The crossing of the current line (cur.s0, cur.c0) nearest beyond
+   cur.after: moves cur.after to it and returns the crossing line's
+   id, or returns -1 when no line crosses ahead. *)
+let next_crossing t cur =
+  cur.best_x <- infinity;
+  cur.best <- -1;
+  visit t cur 0 0 (Array.length t.ids);
+  if cur.best >= 0 then cur.after <- cur.best_x;
+  cur.best
 
 let walk ?(on_event = fun _ ~below_after:_ -> ()) ~lines ~k () =
   let n = Array.length lines in
@@ -67,14 +225,19 @@ let walk ?(on_event = fun _ ~below_after:_ -> ()) ~lines ~k () =
   let edge_lines = Vec.create () and vertices = Vec.create () in
   Vec.push edge_lines !current;
   let slopes = Array.map Line2.slope lines
-  and icepts = Array.map Line2.icept lines
-  and pos = [| neg_infinity |] in
+  and icepts = Array.map Line2.icept lines in
+  let tree = build_tree slopes icepts in
+  let cur =
+    { s0 = 0.; c0 = 0.; after = neg_infinity; best_x = infinity; best = -1 }
+  in
   let finished = ref false in
   while not !finished do
-    match next_crossing slopes icepts ~current:!current pos with
+    cur.s0 <- slopes.(!current);
+    cur.c0 <- icepts.(!current);
+    match next_crossing tree cur with
     | -1 -> finished := true
     | g ->
-        let vx = pos.(0) in
+        let vx = cur.after in
         let incoming = !current in
         let vertex = Point2.make vx (Line2.eval lines.(incoming) vx) in
         let kind =

@@ -5,9 +5,10 @@
     x-monotone polygonal chain.  We walk it from x = -infinity to
     x = +infinity, maintaining the sets L^-(x) (lines strictly below
     the current edge), as in the Edelsbrunner–Welzl algorithm.  The
-    Overmars–van Leeuwen structure is replaced by an exact linear scan
-    per vertex (see DESIGN.md substitution 2); the traversal itself —
-    and hence the resulting polyline — is exact.
+    Overmars–van Leeuwen structure is replaced by an exact
+    branch-and-bound search over a 2-d tree of the dual points, built
+    once per walk (see DESIGN.md substitution 2); the traversal
+    itself — and hence the resulting polyline — is exact.
 
     Lines are identified by their index in the input array.  Input
     lines must be pairwise distinct (duplicates are the caller's

@@ -153,17 +153,18 @@ let build ~stats ~block_size ?(cache_blocks = 0) ?(seed = 0) points =
           (Array.mapi (fun i x -> (x, i)) clustering.boundaries)
       in
       built := Clustered { lambda; clusters = runs; btree } :: !built;
-      (* L_i = lines appearing in some cluster; H_{i+1} = H_i \ L_i *)
-      let in_layer = Hashtbl.create (2 * m) in
-      List.iter
-        (fun id -> Hashtbl.replace in_layer id ())
-        (Arrangement.Clustering.member_union clustering);
-      let rest =
-        Array.of_list
-          (List.filteri
-             (fun id _ -> not (Hashtbl.mem in_layer id))
-             (Array.to_list entries))
-      in
+      (* L_i = lines appearing in some cluster; H_{i+1} = H_i \ L_i,
+         in H_i's order *)
+      let in_layer = Array.make m false in
+      Array.iter
+        (fun (c : Arrangement.Clustering.cluster) ->
+          Array.iter (fun id -> in_layer.(id) <- true) c.lines)
+        clustering.clusters;
+      let rest = Vec.create () in
+      Array.iteri
+        (fun id e -> if not in_layer.(id) then Vec.push rest e)
+        entries;
+      let rest = Vec.to_array rest in
       if Array.length rest = m then
         (* degenerate guard: no progress would loop forever *)
         invalid_arg "Halfspace2d.build: clustering made no progress";

@@ -133,7 +133,34 @@ let test_next_crossing_tie_break () =
              (Line2.slope lines.(ev.incoming)
              = Line2.slope lines.(ev.outgoing)))
          ~lines ~k ())
-  done
+  done;
+  (* The same tie with the two lines in different cells of the search
+     tree.  Line 0 (y = 100x - 100) is the 0-level at x = -infinity;
+     line 1 (y = 0) and line 2 (y = 50x - 50) both meet it at (1, 0).
+     Padding lines lie well above the level: 32 near line 1's dual
+     point (0, 0), with positive slopes and intercepts, and 32 near
+     line 2's dual point (50, -50); all cross line 0 beyond x = 1.
+     The search finds line 2 first, in a cell whose bound is below 1;
+     line 1's cell has bound exactly 1 = best_x, and must still be
+     searched. *)
+  let pad j ~s ~c =
+    line (s +. float (j * 13 mod 31)) (c +. float (j * 7 mod 29))
+  in
+  let lines =
+    Array.concat
+      [
+        [| line 100. (-100.); line 0. 0.; line 50. (-50.) |];
+        Array.init 32 (fun j -> pad j ~s:1. ~c:1.);
+        Array.init 32 (fun j -> pad j ~s:45. ~c:(-35.));
+      ]
+  in
+  let level = Arrangement.Level_walk.walk ~lines ~k:0 () in
+  Alcotest.(check (array int)) "cross-cell tie goes to the lower id" [| 0; 1 |]
+    level.edge_lines;
+  Alcotest.(check (float 0.)) "across cells, at the shared abscissa" 1.
+    (Point2.x level.vertices.(0));
+  Alcotest.(check bool) "padded level valid" true
+    (Arrangement.Level_walk.check_level ~lines ~k:0 level)
 
 (* The walk is a build kernel of h2: its edge lines, vertices and event
    stream flow into snapshot bytes.  The first thirteen digests were
@@ -341,6 +368,102 @@ let test_walk_digests () =
         (digest_walk lines ~k))
     walk_digest_cases
 
+(* The oracle for the differential property: the walk as it was over
+   the exact linear scan, one pass over every line per vertex, with
+   the lowest id winning a tie by the strict [<].  It returns the
+   event stream (kind, incoming, outgoing, vertex bits, sorted L^-
+   after the vertex) and the edge lines. *)
+let reference_walk ~lines ~k =
+  let n = Array.length lines in
+  let order = Array.init n Fun.id in
+  Array.sort
+    (fun i j ->
+      let c = Float.compare (Line2.slope lines.(j)) (Line2.slope lines.(i)) in
+      if c <> 0 then c
+      else Float.compare (Line2.icept lines.(i)) (Line2.icept lines.(j)))
+    order;
+  let minus = Array.make n false in
+  for i = 0 to k - 1 do
+    minus.(order.(i)) <- true
+  done;
+  let slope m = Line2.slope lines.(m) and icept m = Line2.icept lines.(m) in
+  let rec go current after events edges =
+    let s0 = slope current and c0 = icept current in
+    let best_x = ref infinity and best = ref (-1) in
+    for m = 0 to n - 1 do
+      if m <> current && slope m <> s0 then begin
+        let x = (icept m -. c0) /. (s0 -. slope m) in
+        if x > after && x < !best_x then begin
+          best_x := x;
+          best := m
+        end
+      end
+    done;
+    if !best < 0 then (List.rev events, List.rev edges)
+    else begin
+      let g = !best and vx = !best_x in
+      let kind =
+        if minus.(g) then begin
+          minus.(g) <- false;
+          minus.(current) <- true;
+          Arrangement.Level_walk.Convex
+        end
+        else Arrangement.Level_walk.Concave
+      in
+      let below = List.filter (fun m -> minus.(m)) (List.init n Fun.id) in
+      let vy = Line2.eval lines.(current) vx in
+      let bits = Int64.bits_of_float in
+      let ev = (kind, current, g, bits vx, bits vy, below) in
+      go g vx (ev :: events) (g :: edges)
+    end
+  in
+  go order.(k) neg_infinity [] [ order.(k) ]
+
+(* Random, integer-grid and parallel-family arrangements, up to 120
+   lines: several tree leaves, exact ties and parallel classes. *)
+let arb_differential =
+  QCheck.make
+    ~print:(fun (family, seed, n, k) ->
+      Printf.sprintf "family=%d seed=%d n=%d k=%d" family seed n k)
+    QCheck.Gen.(quad (0 -- 2) (0 -- 100_000) (3 -- 120) (0 -- 1_000))
+
+let differential_lines (family, seed, n, k) =
+  let lines =
+    match family with
+    | 0 -> random_lines seed n
+    | 1 -> integer_lines seed n
+    | _ -> equal_slope_lines seed ~groups:(1 + (seed mod 6)) ~per:(1 + (n / 6))
+  in
+  (lines, k mod Array.length lines)
+
+let prop_walk_matches_linear_scan =
+  QCheck.Test.make ~count:300 ~name:"walk = linear-scan reference walk"
+    arb_differential (fun case ->
+      let lines, k = differential_lines case in
+      let events = ref [] in
+      let level =
+        Arrangement.Level_walk.walk
+          ~on_event:(fun (ev : Arrangement.Level_walk.event) ~below_after ->
+            events :=
+              ( ev.kind,
+                ev.incoming,
+                ev.outgoing,
+                Int64.bits_of_float (Point2.x ev.vertex),
+                Int64.bits_of_float (Point2.y ev.vertex),
+                List.sort Int.compare (below_after ()) )
+              :: !events)
+          ~lines ~k ()
+      in
+      let ref_events, ref_edges = reference_walk ~lines ~k in
+      List.rev !events = ref_events
+      && Array.to_list level.edge_lines = ref_edges
+      && List.for_all2
+           (fun v (_, _, _, bx, by, _) ->
+             Int64.bits_of_float (Point2.x v) = bx
+             && Int64.bits_of_float (Point2.y v) = by)
+           (Array.to_list level.vertices)
+           ref_events)
+
 (* --- clustering ------------------------------------------------------- *)
 
 let gen_cluster_input =
@@ -470,6 +593,7 @@ let () =
           Alcotest.test_case "next_crossing tie-break" `Quick
             test_next_crossing_tie_break;
           Alcotest.test_case "digests pinned" `Quick test_walk_digests;
+          QCheck_alcotest.to_alcotest prop_walk_matches_linear_scan;
         ] );
       ( "clustering",
         [
