@@ -113,8 +113,9 @@ let prop_below_after_has_k_lines =
 (* Two lines cross the current edge line at exactly the same abscissa:
    line 0 (y = 2x) is the 0-level at x = -infinity, and lines 1 (y = 2)
    and 2 (y = x + 1) both meet it at (1, 2), in exact arithmetic.  The
-   scan keeps the first strict minimum, so the lower id wins; line 3
-   (y = 2x + 5) is parallel to line 0 and is never crossed. *)
+   search keeps the lexicographic minimum of (x, id), so the lower id
+   wins; line 3 (y = 2x + 5) is parallel to line 0 and is never
+   crossed. *)
 let test_next_crossing_tie_break () =
   let lines = [| line 2. 0.; line 0. 2.; line 1. 1.; line 2. 5. |] in
   let level = Arrangement.Level_walk.walk ~lines ~k:0 () in
@@ -229,13 +230,13 @@ let integer_lines seed n =
 
 (* [n] <= 55 distinct lines on a 5 x 11 integer grid (by the Chinese
    remainder theorem): exactly [n] lines, with parallel families and
-   concurrent triples. *)
+   lines meeting at common points. *)
 let grid_lines n =
   Array.init n (fun j ->
       line (float ((j mod 5) - 2)) (float ((j * 7 mod 11) - 5)))
 
 (* Duals of points within 0.01 of the line y = x / 2 + 1: every dual
-   line passes within 0.01 of the dual point (-1/2, 1), so the
+   line passes within 0.01 of the dual point (1/2, 1), so the
    arrangement is nearly concurrent there (the diagonal workload's
    shape). *)
 let near_concurrent_lines seed n =
