@@ -78,10 +78,9 @@ type batch_row = {
   br_words_per_query : float;
   br_results_total : int;
   br_par_matches : bool; (* parallel costs bit-equal to sequential *)
-  br_capability : bool; (* Index.batch_plane_sorted *)
-  br_hot_qps : float; (* per-query engine on the duplicate-heavy batch *)
-  br_sorted_hot_qps : float; (* run_batch_sorted on the same batch *)
-  br_sorted_matches : bool; (* sorted costs bit-equal to per-query *)
+  br_hot_qps : float; (* run_one per slot of the duplicate-heavy batch *)
+  br_sorted_hot_qps : float; (* run_batch on the same batch *)
+  br_sorted_matches : bool; (* run_batch costs bit-equal to run_one's *)
 }
 
 let costs_match (a : Query_engine.cost array) (b : Query_engine.cost array) =
@@ -122,7 +121,7 @@ let measure_batch ~n ~queries ~domains (module M : Index.S) =
   let inst =
     Index.build (module M : Index.S) ~params:Index.default_params ~stats ds
   in
-  let run_seq () = Query_engine.run_batch_array inst qs in
+  let run_seq () = Query_engine.run_batch inst qs in
   let seq_costs = run_seq () (* warm-up + reference costs *) in
   let results_total =
     Array.fold_left (fun acc c -> acc + c.Query_engine.result) 0 seq_costs
@@ -150,29 +149,24 @@ let measure_batch ~n ~queries ~domains (module M : Index.S) =
   let par_qps, par_matches =
     if domains <= 1 then (0., true)
     else begin
-      let run_par () = Query_engine.run_batch_array ~domains inst qs in
+      let run_par () = Query_engine.run_batch ~domains inst qs in
       let matches = costs_match (run_par ()) seq_costs in
       (time_batches ~min_elapsed:0.2 ~run:run_par ~queries, matches)
     end
   in
-  (* Plane-sorted batch on a duplicate-heavy ("hot") batch — [queries]
-     slots drawn from queries/8 distinct planes, the Zipf-lite shape of
-     serve traffic.  Both engines run sequentially so the ratio
-     isolates the cross-query amortization (one shared traversal per
-     distinct plane) from domain fan-out. *)
-  let capability = Index.batch_plane_sorted inst in
-  let hot_qps, sorted_hot_qps, sorted_matches =
-    if not capability then (0., 0., true)
-    else begin
-      let distinct = max 1 (queries / 8) in
-      let qhot = Array.init queries (fun i -> qs.(i mod distinct)) in
-      let run_sorted () = Query_engine.run_batch_sorted inst qhot in
-      let run_plain () = Query_engine.run_batch_array inst qhot in
-      let matches = costs_match (run_sorted ()) (run_plain ()) in
-      ( time_batches ~min_elapsed:0.2 ~run:run_plain ~queries,
-        time_batches ~min_elapsed:0.2 ~run:run_sorted ~queries,
-        matches )
-    end
+  (* A duplicate-heavy ("hot") batch — [queries] slots drawn from
+     queries/8 distinct planes, the Zipf-lite shape of serve traffic —
+     once through run_one per slot and once through run_batch.  Both
+     run sequentially, so the ratio isolates the shared traversal per
+     distinct plane from domain fan-out. *)
+  let distinct = max 1 (queries / 8) in
+  let qhot = Array.init queries (fun i -> qs.(i mod distinct)) in
+  let run_batch () = Query_engine.run_batch inst qhot in
+  let run_each () = Array.map (Query_engine.run_one inst) qhot in
+  let sorted_matches = costs_match (run_batch ()) (run_each ()) in
+  let hot_qps = time_batches ~min_elapsed:0.2 ~run:run_each ~queries in
+  let sorted_hot_qps =
+    time_batches ~min_elapsed:0.2 ~run:run_batch ~queries
   in
   {
     br_name = M.name;
@@ -185,7 +179,6 @@ let measure_batch ~n ~queries ~domains (module M : Index.S) =
     br_words_per_query = words_per_query;
     br_results_total = results_total;
     br_par_matches = par_matches;
-    br_capability = capability;
     br_hot_qps = hot_qps;
     br_sorted_hot_qps = sorted_hot_qps;
     br_sorted_matches = sorted_matches;
@@ -207,7 +200,6 @@ let json_of_batch_row r =
       Printf.sprintf "\"words_per_query\": %.1f, " r.br_words_per_query;
       Printf.sprintf "\"results_total\": %d, " r.br_results_total;
       Printf.sprintf "\"parallel_costs_match\": %b, " r.br_par_matches;
-      Printf.sprintf "\"batch_plane_sorted\": %b, " r.br_capability;
       Printf.sprintf "\"hot_queries_per_sec\": %.1f, " r.br_hot_qps;
       Printf.sprintf "\"sorted_hot_queries_per_sec\": %.1f, "
         r.br_sorted_hot_qps;
@@ -239,11 +231,9 @@ let run_batch_throughput () =
         Printf.printf
           "%-14s d=%d  seq %9.0f q/s  par %9.0f q/s  %8.0f words/query%s%s\n%!"
           r.br_name r.br_dim r.br_seq_qps r.br_par_qps r.br_words_per_query
-          (if r.br_capability then
-             Printf.sprintf "  sorted-hot %9.0f q/s" r.br_sorted_hot_qps
-           else "")
+          (Printf.sprintf "  hot batch %9.0f q/s" r.br_sorted_hot_qps)
           ((if r.br_par_matches then "" else "  PARALLEL COST MISMATCH")
-          ^ if r.br_sorted_matches then "" else "  SORTED COST MISMATCH");
+          ^ if r.br_sorted_matches then "" else "  HOT BATCH COST MISMATCH");
         r)
       (Registry.all ())
   in

@@ -29,7 +29,7 @@ let sec12 () =
             (module M : Index.S)
             ~params:Index.default_params ~stats (Index.Pts2 points)
         in
-        let cost = Query_engine.run_query inst q in
+        let cost = Query_engine.run_one inst q in
         Printf.printf "  %-14s %8d %8d %8d\n" M.name cost.Query_engine.reads
           cost.Query_engine.result (Index.space_blocks inst))
       (Registry.for_dim 2)

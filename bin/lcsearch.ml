@@ -22,6 +22,7 @@ open Cmdliner
 module Index = Lcsearch_index.Index
 module Registry = Lcsearch_index.Registry
 module Workloads = Lcsearch_index.Workloads
+module Bench_kit = Lcsearch_index.Bench_kit
 module Query_engine = Lcsearch_index.Query_engine
 module Par = Lcsearch_index.Par
 module Shard = Lcsearch_index.Shard
@@ -75,16 +76,15 @@ let params_of ~block_size = { Index.default_params with block_size }
 (* ---------- list ---------- *)
 
 let list_structures () =
-  Printf.printf "%-14s %-7s %-10s %-6s %-8s %-26s %-30s %s\n" "name" "dims"
-    "queries" "batch" "updates" "space" "query I/Os" "snapshot";
+  Printf.printf "%-14s %-7s %-10s %-8s %-26s %-30s %s\n" "name" "dims"
+    "queries" "updates" "space" "query I/Os" "snapshot";
   List.iter
     (fun (module M : Index.S) ->
       let cap = Registry.capabilities (module M : Index.S) in
-      Printf.printf "%-14s %-7s %-10s %-6s %-8s %-26s %-30s %s\n" M.name
+      Printf.printf "%-14s %-7s %-10s %-8s %-26s %-30s %s\n" M.name
         (String.concat "," (List.map string_of_int M.dims))
         (String.concat ","
            (List.map Index.query_kind_name M.kinds))
-        (if cap.Registry.cap_batch_sorted then "sorted" else "-")
         (* Structures without a native update capability still take
            updates once wrapped: build --dynamic dynamizes any
            snapshot-capable kind through the LSM layer. *)
@@ -122,11 +122,13 @@ let run_once (module M : Index.S) n block_size fraction queries kind seed dim
     ((n + block_size - 1) / block_size)
     (Index.space_blocks inst)
     (Emio.Cost_ctx.total bctx);
-  let costs = Query_engine.run_batch ~domains inst qs in
-  let reads = List.map (fun c -> c.Query_engine.reads) costs in
+  let costs = Query_engine.run_batch ~domains inst (Array.of_list qs) in
+  let reads =
+    Array.to_list (Array.map (fun c -> c.Query_engine.reads) costs)
+  in
   let total_io = List.fold_left ( + ) 0 reads in
   let total_t =
-    List.fold_left (fun acc c -> acc + c.Query_engine.result) 0 costs
+    Array.fold_left (fun acc c -> acc + c.Query_engine.result) 0 costs
   in
   Printf.printf
     "%d queries at selectivity %.3f: avg %.1f I/Os (p95 %d, max %d), avg t=%d \
@@ -212,22 +214,15 @@ let sweep_once (module M : Index.S) block_size fraction kind seed dim domains
   Printf.printf "%10s %8s %10s %10s\n" "N" "n" "avg IO" "space";
   List.iter
     (fun n ->
-      let rng = Workload.rng (seed + n) in
-      let ds = Workloads.dataset rng ~kind ~dim ~n (module M : Index.S) in
-      let qs = Workloads.queries rng ds ~fraction ~count:15 in
-      let stats = Emio.Io_stats.create () in
-      let inst =
-        Index.build (module M : Index.S) ~params:(params_of ~block_size) ~stats
-          ds
-      in
-      let costs = Query_engine.run_batch ~domains inst qs in
-      let total =
-        List.fold_left (fun acc c -> acc + c.Query_engine.reads) 0 costs
+      let r =
+        Bench_kit.measure ~kind ~queries:15 ~fraction
+          ~params:(params_of ~block_size) ~seed_base:seed ~domains
+          (module M : Index.S) ~dim ~n
       in
       Printf.printf "%10d %8d %10.1f %10d\n" n
         ((n + block_size - 1) / block_size)
-        (float_of_int total /. 15.)
-        (Index.space_blocks inst))
+        (float_of_int r.Bench_kit.q_reads_total /. 15.)
+        r.Bench_kit.space)
     ns
 
 let sweep_cmd =

@@ -82,18 +82,3 @@ let size t = Array.length t.clusters
 
 let max_cluster_size t =
   Array.fold_left (fun m c -> max m (Array.length c.lines)) 0 t.clusters
-
-let member_union t =
-  let n = ref 0 in
-  Array.iter
-    (fun c -> Array.iter (fun id -> n := max !n (id + 1)) c.lines)
-    t.clusters;
-  let seen = Array.make !n false in
-  Array.iter
-    (fun c -> Array.iter (fun id -> seen.(id) <- true) c.lines)
-    t.clusters;
-  let ids = ref [] in
-  for id = !n - 1 downto 0 do
-    if seen.(id) then ids := id :: !ids
-  done;
-  !ids

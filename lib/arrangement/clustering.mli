@@ -43,7 +43,3 @@ val size : t -> int
 
 val max_cluster_size : t -> int
 
-val member_union : t -> int list
-(** Sorted ids of all lines appearing in at least one cluster: the
-    subset L_i that this layer of the §3 structure is responsible
-    for. *)

@@ -1,5 +1,5 @@
 (* The registry-generic measurement harness behind the Table-1 bench,
-   the CLI `run` command and the golden tests.
+   the CLI `sweep` command and the golden tests.
 
    Protocol (kept bit-identical to the legacy per-structure benches so
    historical numbers stay comparable): one rng seeded seed_base + n
@@ -33,8 +33,8 @@ let q_reads_p50 r = Query_engine.percentile 0.5 r.q_reads
 let q_reads_p95 r = Query_engine.percentile 0.95 r.q_reads
 
 let measure ?(kind = Workloads.Uniform) ?(queries = 25) ?(fraction = 0.02)
-    ?(params = Index.default_params) ?(seed_base = 100) (module M : Index.S)
-    ~dim ~n =
+    ?(params = Index.default_params) ?(seed_base = 100) ?(domains = 1)
+    (module M : Index.S) ~dim ~n =
   let rng = Workload.rng (seed_base + n) in
   let ds = Workloads.dataset rng ~kind ~dim ~n (module M) in
   let qs = Workloads.queries rng ds ~fraction ~count:queries in
@@ -44,8 +44,10 @@ let measure ?(kind = Workloads.Uniform) ?(queries = 25) ?(fraction = 0.02)
     Emio.Cost_ctx.with_ctx bctx (fun () ->
         Index.build (module M : Index.S) ~params ~stats ds)
   in
-  let costs = Query_engine.run_batch inst qs in
-  let q_reads = List.map (fun c -> c.Query_engine.reads) costs in
+  let costs = Query_engine.run_batch ~domains inst (Array.of_list qs) in
+  let q_reads =
+    Array.to_list (Array.map (fun c -> c.Query_engine.reads) costs)
+  in
   let estimate =
     match qs with [] -> 0. | q :: _ -> Index.estimate inst q
   in
@@ -60,7 +62,7 @@ let measure ?(kind = Workloads.Uniform) ?(queries = 25) ?(fraction = 0.02)
     q_reads;
     q_reads_total = List.fold_left ( + ) 0 q_reads;
     q_results_total =
-      List.fold_left (fun acc c -> acc + c.Query_engine.result) 0 costs;
+      Array.fold_left (fun acc c -> acc + c.Query_engine.result) 0 costs;
     estimate;
     counters = Index.counters inst;
   }

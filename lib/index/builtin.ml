@@ -122,7 +122,6 @@ module H2 = struct
     let slope, icept = q2 ~name q in
     Core.Halfspace2d.query_count t ~slope ~icept
 
-  let batch_plane_sorted = false
 
   let query_into t q r =
     let slope, icept = q2 ~name q in
@@ -173,7 +172,6 @@ module H3 = struct
     let a, b, c = q3 ~name q in
     Core.Halfspace3d.query_count t ~a ~b ~c
 
-  let batch_plane_sorted = true
 
   let query_into t q r =
     let a, b, c = q3 ~name q in
@@ -222,7 +220,6 @@ module Ptree = struct
     let a0, a = qd ~name ~dim:(Core.Partition_tree.dim t.s) q in
     Core.Partition_tree.query_halfspace_count t.s ~a0 ~a
 
-  let batch_plane_sorted = false
 
   let query_into t q r =
     let a0, a = qd ~name ~dim:(Core.Partition_tree.dim t.s) q in
@@ -283,7 +280,6 @@ module Shallow = struct
     let a0, a = qd ~name ~dim:(Core.Shallow_tree.dim t.s) q in
     Core.Shallow_tree.query_halfspace_count t.s ~a0 ~a
 
-  let batch_plane_sorted = false
 
   let query_into t q r =
     let a0, a = qd ~name ~dim:(Core.Shallow_tree.dim t.s) q in
@@ -340,7 +336,6 @@ module Tradeoff = struct
     let a, b, c = q3 ~name q in
     Core.Tradeoff3d.query_count t.s ~a ~b ~c
 
-  let batch_plane_sorted = true
 
   let query_into t q r =
     let a, b, c = q3 ~name q in
@@ -402,7 +397,6 @@ module Cert = struct
     let a0, a = qc ~name q in
     Core.Cert_tree.query_count t.s ~a0 ~a
 
-  let batch_plane_sorted = true
 
   let query_into t q r =
     let a0, a = qc ~name q in
@@ -461,7 +455,6 @@ module Make_rtree (V : RTREE_VARIANT) = struct
     let slope, icept = q2 ~name q in
     Baselines.Rtree.query_count t ~slope ~icept
 
-  let batch_plane_sorted = false
 
   let query_into t q r =
     let slope, icept = q2 ~name q in
@@ -518,7 +511,6 @@ module Quadtree = struct
     let slope, icept = q2 ~name q in
     Baselines.Quadtree.query_count t ~slope ~icept
 
-  let batch_plane_sorted = false
 
   let query_into t q r =
     let slope, icept = q2 ~name q in
@@ -560,7 +552,6 @@ module Gridfile = struct
     let slope, icept = q2 ~name q in
     Baselines.Grid_file.query_count t ~slope ~icept
 
-  let batch_plane_sorted = false
 
   let query_into t q r =
     let slope, icept = q2 ~name q in
@@ -619,7 +610,6 @@ module Scan = struct
         let a0, a = qd ~name ~dim:(L.dim_d s) q in
         L.query_count_d s ~a0 ~a
 
-  let batch_plane_sorted = false
 
   let query_into t q r =
     match t with

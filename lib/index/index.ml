@@ -142,16 +142,6 @@ module type S = sig
       without reporting (h3's k-lowest doubling pushes ids and then
       rolls them back). *)
 
-  val batch_plane_sorted : bool
-  (** Whether the structure benefits from plane-sorted batched
-      execution ({!Query_engine.run_batch_sorted}): [true] for the 3-D
-      structures whose per-query traversal is expensive enough that
-      sorting a batch by query plane and sharing one traversal per
-      group of identical constraints pays off (h3, tradeoff, cert).
-      [false] makes the batched entry point fall back to the ordinary
-      per-query engine, so 2-D structures and wrappers stay
-      transparent. *)
-
   val query_into : t -> query -> Emio.Reporter.t -> int
   (** Run the query on the zero-allocation path: append the id of
       every answering point — its index in the build-time dataset,
@@ -222,7 +212,6 @@ let name (Instance ((module M), _)) = M.name
 let query (Instance ((module M), t)) q = M.query t q
 let query_count (Instance ((module M), t)) q = M.query_count t q
 let query_into (Instance ((module M), t)) q r = M.query_into t q r
-let batch_plane_sorted (Instance ((module M), _)) = M.batch_plane_sorted
 let estimate (Instance ((module M), t)) q = M.estimate t q
 let space_blocks (Instance ((module M), t)) = M.space_blocks t
 let counters (Instance ((module M), t)) = M.counters t

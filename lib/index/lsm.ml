@@ -195,7 +195,6 @@ let make ?(memtable_cap = default_memtable_cap) ?build_domains:_
     let space_bound = M.space_bound
     let query_bound = M.query_bound
     let preferred = M.preferred
-    let batch_plane_sorted = M.batch_plane_sorted
 
     (* The keep predicate f(p) = p_d - a0 - sum_i a_i p_i <= eps, the
        same threshold form (and the same eps = 1e-9) every structure in

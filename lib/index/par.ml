@@ -115,16 +115,12 @@ let lease = Atomic.make false
 let try_acquire () = Atomic.compare_and_set lease false true
 let release () = Atomic.set lease false
 
-let run ~domains ~n ?chunk body =
+let run ~domains ~n body =
   let domains = max 1 (min domains n) in
   if n > 0 then begin
     if domains = 1 then body 0 n
     else begin
-      let chunk =
-        match chunk with
-        | Some c -> max 1 c
-        | None -> max 1 (n / (8 * domains))
-      in
+      let chunk = max 1 (n / (8 * domains)) in
       let j =
         {
           body;
@@ -156,18 +152,4 @@ let run ~domains ~n ?chunk body =
       Mutex.unlock mutex;
       match Atomic.get j.error with Some e -> raise e | None -> ()
     end
-  end
-
-let map ~domains f xs =
-  let n = Array.length xs in
-  if n = 0 || domains <= 1 then Array.map f xs
-  else begin
-    let results = Array.make n None in
-    (* chunk 1: map is the trace-mode path, where per-element cost
-       dwarfs claim traffic and fine claims balance uneven queries *)
-    run ~domains ~n ~chunk:1 (fun lo hi ->
-        for i = lo to hi - 1 do
-          results.(i) <- Some (f xs.(i))
-        done);
-    Array.map (function Some y -> y | None -> assert false) results
   end

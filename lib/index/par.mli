@@ -14,7 +14,7 @@
     explicit {!shutdown}).
 
     Calling rule: the pool has one job slot, so at most one parallel
-    {!run}/{!map} (one with [domains > 1]) may be in flight at a time.
+    {!run} (one with [domains > 1]) may be in flight at a time.
     The caller may be any domain.  Callers that can overlap — serve
     dispatcher domains — arbitrate through the lease ({!try_acquire} /
     {!release}); a loser runs with [~domains:1], which never touches
@@ -27,23 +27,15 @@ val default_domains : unit -> int
     [Domain.recommended_domain_count () - 1] (leaving a core for the
     calling domain's share of the work), clamped to [\[1, 8\]]. *)
 
-val run : domains:int -> n:int -> ?chunk:int -> (int -> int -> unit) -> unit
-(** [run ~domains ~n ~chunk body] executes [body lo hi] over disjoint
-    index ranges covering [\[0, n)].  Ranges are claimed from a shared
-    atomic index in [chunk]-sized steps (default
-    [max 1 (n / (8 * domains))]), so uneven work balances across
-    domains without paying one fetch-and-add per item.  At most
-    [domains] domains participate; the calling domain is one of them.
-    The first exception any worker raises is re-raised after the job
-    completes.  With [min domains n <= 1] this is exactly [body 0 n]
-    on the calling domain. *)
-
-val map : domains:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map ~domains f xs] applies [f] to every element, preserving
-    order — the boxed convenience wrapper over {!run} (chunk size 1,
-    per-element claiming) used by the trace-mode batch path, where
-    per-query cost dwarfs claim traffic.  With [domains <= 1] or on
-    empty input this is [Array.map f xs]. *)
+val run : domains:int -> n:int -> (int -> int -> unit) -> unit
+(** [run ~domains ~n body] executes [body lo hi] over disjoint index
+    ranges covering [\[0, n)].  Ranges are claimed from a shared atomic
+    index in steps of [max 1 (n / (8 * domains))] indices, so uneven
+    work balances across domains without paying one fetch-and-add per
+    item.  At most [domains] domains participate; the calling domain is
+    one of them.  The first exception any worker raises is re-raised
+    after the job completes.  With [min domains n <= 1] this is exactly
+    [body 0 n] on the calling domain. *)
 
 val pool_size : unit -> int
 (** Worker domains currently parked in the pool (0 before the first
@@ -56,7 +48,7 @@ val shutdown : unit -> unit
 
 val try_acquire : unit -> bool
 (** Claim the pool lease.  Non-blocking; returns [false] when another
-    holder has it.  The winner may call {!run}/{!map} with
+    holder has it.  The winner may call {!run} with
     [domains > 1] until it calls {!release}; a loser must run its
     work with [~domains:1] instead — same answers, same per-query
     costs, just no fan-out. *)

@@ -35,7 +35,6 @@ let for_dim dim =
    on the module themselves. *)
 type capability = {
   cap_snapshot : string option;
-  cap_batch_sorted : bool;
   cap_updatable : bool;
 }
 
@@ -43,7 +42,6 @@ let capabilities (module M : Index.S) =
   {
     cap_snapshot =
       Option.map (fun ops -> ops.Index.snapshot_kind) M.snapshot;
-    cap_batch_sorted = M.batch_plane_sorted;
     cap_updatable = Option.is_some M.update;
   }
 

@@ -22,7 +22,6 @@ val find_by_snapshot_kind :
 
 type capability = {
   cap_snapshot : string option;  (** snapshot kind, if persistable *)
-  cap_batch_sorted : bool;  (** plane-sorted batched execution pays off *)
   cap_updatable : bool;  (** native insert/delete (see {!Lsm.make}) *)
 }
 

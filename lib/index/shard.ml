@@ -265,13 +265,13 @@ let make ?build_domains ~inner:(module M : Index.S) ~shards ~partition () :
         | Some d -> max 1 (min d k)
         | None -> min (Par.default_domains ()) k
       in
-      (* One shard per pool task.  Worker domains never see the
+      (* Shards are the pool's work items.  Worker domains never see the
          caller's Cost_ctx stack (it is thread-local), which is why
          each build charges a private sink, folded into the caller's
          afterwards — in shard order, so the totals are bit-equal
          whatever [domains] was. *)
       Emio.Cost_ctx.unscoped (fun () ->
-          Par.run ~domains ~n:k ~chunk:1 (fun lo hi ->
+          Par.run ~domains ~n:k (fun lo hi ->
               for s = lo to hi - 1 do
                 built.(s) <-
                   Some
@@ -324,12 +324,6 @@ let make ?build_domains ~inner:(module M : Index.S) ~shards ~partition () :
       List.concat !rows
 
     let query_count t q = scatter t q ~f:(fun sh -> M.query_count sh.inner q)
-
-    (* scatter-gather over K inner queries still shares the inner
-       structure's traversal cost profile, so the capability passes
-       through: a plane-sorted batch executes each group once per
-       sharded instance, exactly as it would on the inner structure *)
-    let batch_plane_sorted = M.batch_plane_sorted
 
     let query_into t q r =
       scatter t q ~f:(fun sh ->

@@ -227,15 +227,14 @@ let query_of (j : job) = { Index.a0 = j.req.a0; a = j.req.a }
    the pool lease; otherwise run it inline.  Either way the costs are
    bit-identical (the parallel-equivalence suites pin that), so
    losing the lease is a throughput event, never a correctness one.
-   run_batch_sorted shares one traversal per group of identical query
-   planes on the structures that support it (h3/tradeoff/cert) and
-   falls back to the plain batch path everywhere else. *)
+   run_batch shares one traversal among the requests of a batch that
+   carry identical query planes, on every structure. *)
 let run_counts t entry qs =
   if t.domains > 1 && Par.try_acquire () then
     Fun.protect
       ~finally:(fun () -> Par.release ())
-      (fun () -> Query_engine.run_batch_sorted ~domains:t.domains entry.inst qs)
-  else Query_engine.run_batch_sorted entry.inst qs
+      (fun () -> Query_engine.run_batch ~domains:t.domains entry.inst qs)
+  else Query_engine.run_batch entry.inst qs
 
 let execute_group t entry jobs =
   let with_ids, count_only =

@@ -17,10 +17,11 @@
     - Cross-request coalescing: after popping, a shard may linger up
       to the coalescing window — never past the earliest queued
       deadline — to gather same-ring arrivals into one
-      [run_batch_sorted] call, reaching the plane-sorted amortization
-      across clients.  Per-request costs stay bit-identical to the
-      sequential [run_one] oracle (served snapshots are cache-free and
-      resident, so batch order cannot leak into the charges).
+      [run_batch] call, which runs one traversal per distinct query
+      plane, so identical requests from different clients share it.
+      Per-request costs stay bit-identical to the sequential [run_one]
+      oracle (served snapshots are cache-free and resident, so batch
+      order cannot leak into the charges).
 
     Every request gets exactly one response; overload is an explicit
     [Shed], never a hang (see DESIGN.md §3f for the admission state

@@ -110,7 +110,8 @@ let test_trace_structure_events () =
     (Core.Partition_tree.last_visited_nodes pt)
     (List.length nodes)
 
-(* Query_engine runs each query in its own context. *)
+(* Query_engine runs each query in its own context: three distinct
+   planes, three traversals, each charged from a reset context. *)
 let test_query_engine_batch () =
   let rng = Workload.rng 12 in
   let pts = Workload.uniform2 rng ~n:1024 ~range:100. in
@@ -119,10 +120,12 @@ let test_query_engine_batch () =
     Index.build (Registry.find_exn "scan") ~params:Index.default_params ~stats
       (Index.Pts2 pts)
   in
-  let q = { Index.a0 = 0.; a = [| 1. |] } in
-  let costs = Query_engine.run_batch inst [ q; q; q ] in
-  check "three cost records" 3 (List.length costs);
-  List.iter
+  let qs =
+    Array.init 3 (fun i -> { Index.a0 = float_of_int i; a = [| 1. |] })
+  in
+  let costs = Query_engine.run_batch inst qs in
+  check "three cost records" 3 (Array.length costs);
+  Array.iter
     (fun c ->
       check "scan reads = n blocks" 16 c.Query_engine.reads;
       check "no writes" 0 c.Query_engine.writes)

@@ -374,9 +374,9 @@ let test_percentile_ties () =
 
 (* ---- the persistent domain pool ---- *)
 
-let count_covered ~domains ?chunk n =
+let count_covered ~domains n =
   let hits = Array.make (max 1 n) 0 in
-  Par.run ~domains ~n ?chunk (fun lo hi ->
+  Par.run ~domains ~n (fun lo hi ->
       for i = lo to hi - 1 do
         (* each index must be claimed by exactly one chunk, so plain
            non-atomic increments are safe *)
@@ -386,13 +386,12 @@ let count_covered ~domains ?chunk n =
 
 let test_pool_covers_range () =
   List.iter
-    (fun (domains, n, chunk) ->
+    (fun (domains, n) ->
       Alcotest.(check bool)
         (Printf.sprintf "domains=%d n=%d covered exactly once" domains n)
         true
-        (count_covered ~domains ?chunk n))
-    [ (1, 100, None); (2, 100, None); (4, 7, None); (4, 1000, Some 1);
-      (8, 64, Some 64); (3, 0, None) ]
+        (count_covered ~domains n))
+    [ (1, 100); (2, 100); (4, 7); (4, 1000); (3, 1000); (8, 64); (3, 0) ]
 
 let test_pool_reuse () =
   Par.shutdown ();
@@ -442,7 +441,7 @@ let test_pool_lease_race () =
 
 let test_pool_busy () =
   (match
-     Par.run ~domains:2 ~n:2 ~chunk:1 (fun _ _ ->
+     Par.run ~domains:2 ~n:2 (fun _ _ ->
          Par.run ~domains:2 ~n:2 (fun _ _ -> ()))
    with
   | () -> Alcotest.fail "a second parallel caller must be refused"
@@ -454,8 +453,8 @@ exception Poisoned of int
 
 let test_pool_exception () =
   (match
-     Par.run ~domains:4 ~n:100 ~chunk:1 (fun lo _ ->
-         if lo = 37 then raise (Poisoned lo))
+     Par.run ~domains:4 ~n:100 (fun lo hi ->
+         if lo <= 37 && 37 < hi then raise (Poisoned 37))
    with
   | () -> Alcotest.fail "poisoned chunk must propagate its exception"
   | exception Poisoned 37 -> ());
@@ -477,7 +476,7 @@ let test_batch_poisoned_query () =
   let t = Index.build (module M) ~params:Index.default_params ~stats ds in
   (* a d=3 query against a d=2 structure: the adapter rejects it *)
   qs.(5) <- { Index.a0 = 0.; a = [| 1.; 2. |] };
-  match Query_engine.run_batch_array ~domains:4 t qs with
+  match Query_engine.run_batch ~domains:4 t qs with
   | _ -> Alcotest.fail "poisoned query must raise out of the batch"
   | exception Invalid_argument _ -> ()
 
@@ -495,9 +494,9 @@ let batch_equivalence_case (module M : Index.S) () =
   in
   let stats = Emio.Io_stats.create () in
   let t = Index.build (module M) ~params:Index.default_params ~stats ds in
-  let seq = Query_engine.run_batch_array t qs in
+  let seq = Query_engine.run_batch t qs in
   check "one cost record per query" (Array.length qs) (Array.length seq);
-  let par = Query_engine.run_batch_array ~domains:4 t qs in
+  let par = Query_engine.run_batch ~domains:4 t qs in
   Array.iteri
     (fun i (c : Query_engine.cost) ->
       let p = par.(i) in
@@ -522,10 +521,10 @@ let multi_domain_case name () =
   in
   let stats = Emio.Io_stats.create () in
   let t = Index.build (module M) ~params:Index.default_params ~stats ds in
-  let seq = Query_engine.run_batch_array t qs in
+  let seq = Query_engine.run_batch t qs in
   List.iter
     (fun domains ->
-      let par = Query_engine.run_batch_array ~domains t qs in
+      let par = Query_engine.run_batch ~domains t qs in
       Array.iteri
         (fun i (c : Query_engine.cost) ->
           let p = par.(i) in
@@ -550,7 +549,9 @@ let multi_domain_tests =
 (* Each domain of a batch models a memory of exactly cache_blocks
    blocks.  With the memory as large as one scan, a domain pays for the
    scan once and every later query it runs is free; a memory any
-   smaller would miss on every read of a sequential scan. *)
+   smaller would miss on every read of a sequential scan.  The 256
+   planes are distinct (a0 varies), so the engine runs 256 traversals
+   rather than sharing one. *)
 let test_batch_cache_per_domain () =
   let module M = (val Registry.find_exn "scan" : Index.S) in
   let rng = Workload.rng 9100 in
@@ -569,7 +570,9 @@ let test_batch_cache_per_domain () =
   Alcotest.(check bool) "a scan reads several blocks" true (blocks > 1);
   let domains = 2 in
   let costs =
-    Query_engine.run_batch_array ~domains (build blocks) (Array.make 256 q)
+    Query_engine.run_batch ~domains (build blocks)
+      (Array.init 256 (fun i ->
+           { q with Index.a0 = q.Index.a0 +. (0.001 *. float_of_int i) }))
   in
   let paying =
     Array.fold_left
@@ -595,7 +598,7 @@ let run_one_equivalence_case (module M : Index.S) () =
   let qs = Array.of_list (Workloads.queries rng ds ~fraction:0.05 ~count:8) in
   let stats = Emio.Io_stats.create () in
   let t = Index.build (module M) ~params:Index.default_params ~stats ds in
-  let batch = Query_engine.run_batch_array t qs in
+  let batch = Query_engine.run_batch t qs in
   Array.iteri
     (fun i q ->
       let one = Query_engine.run_one t q in
@@ -608,7 +611,7 @@ let run_one_equivalence_case (module M : Index.S) () =
     qs;
   (* interleaving with batch runs must not perturb run_one: the scratch
      context is reset per call *)
-  ignore (Query_engine.run_batch_array t qs);
+  ignore (Query_engine.run_batch t qs);
   let again = Query_engine.run_one t qs.(0) in
   check (M.name ^ ": run_one stable across batches") batch.(0).Query_engine.reads
     again.Query_engine.reads;

@@ -377,8 +377,8 @@ let test_batch_engine () =
   let t = Sh.build ~params:build_params ~stats:(Emio.Io_stats.create ()) ds in
   let inst = Index.Instance ((module Sh), t) in
   let qs = Array.of_list qs in
-  let seq = Query_engine.run_batch_array ~domains:1 inst qs in
-  let par = Query_engine.run_batch_array ~domains:2 inst qs in
+  let seq = Query_engine.run_batch ~domains:1 inst qs in
+  let par = Query_engine.run_batch ~domains:2 inst qs in
   Array.iteri
     (fun i (r1 : Query_engine.cost) ->
       let r2 : Query_engine.cost = par.(i) in
