@@ -26,15 +26,24 @@ let greedy ~lines ~k =
       if c <> 0 then c
       else Float.compare (Line2.icept lines.(i)) (Line2.icept lines.(j)))
     order;
-  let members = Hashtbl.create (2 * cap) in
+  (* the open cluster's lines: [mem.(0 .. count-1)] in arrival order,
+     flagged in [is_mem] *)
+  let mem = Array.make n 0 and count = ref 0 in
+  let is_mem = Array.make n false in
+  let add id =
+    if not is_mem.(id) then begin
+      is_mem.(id) <- true;
+      mem.(!count) <- id;
+      incr count
+    end
+  in
   for i = 0 to k - 1 do
-    Hashtbl.replace members order.(i) ()
+    add order.(i)
   done;
   let cluster_start = ref neg_infinity in
   let finished_clusters = ref [] in
   let close_cluster right_x =
-    let ids = Hashtbl.fold (fun id () acc -> id :: acc) members [] in
-    let ids = Array.of_list ids in
+    let ids = Array.sub mem 0 !count in
     Array.sort (cmp_lines lines) ids;
     finished_clusters :=
       { lines = ids; left_x = !cluster_start; right_x } :: !finished_clusters;
@@ -47,15 +56,18 @@ let greedy ~lines ~k =
         (* the line through the vertex with minimum slope is the
            incoming edge line; it continues below the level *)
         let l = ev.incoming in
-        if not (Hashtbl.mem members l) then begin
-          if Hashtbl.length members < cap then Hashtbl.replace members l ()
+        if not is_mem.(l) then begin
+          if !count < cap then add l
           else begin
             (* close C_i at w_i = this vertex; the next cluster starts
                from the lines strictly below w_i plus l itself, which
                is exactly L^- after the vertex *)
             close_cluster (Point2.x ev.vertex);
-            Hashtbl.reset members;
-            List.iter (fun id -> Hashtbl.replace members id ()) (below_after ())
+            for i = 0 to !count - 1 do
+              is_mem.(mem.(i)) <- false
+            done;
+            count := 0;
+            List.iter add (below_after ())
           end
         end
   in

@@ -77,43 +77,48 @@ let child_codec =
         (pair Cells.cell_codec node_ref_codec)
         (pair int int) (pair int int))
 
+let hull_certificates ~order points =
+  let nv = Array.length points in
+  match Hull3.build ~points ~order ~sample_size:nv with
+  | exception Invalid_argument _ -> None
+  | hull ->
+      let facets = Hull3.facets hull in
+      let collect keep =
+        let on = Array.make nv false in
+        Array.iter
+          (fun (f : Hull3.facet) ->
+            if keep (Point3.z f.normal) then begin
+              on.(f.a) <- true;
+              on.(f.b) <- true;
+              on.(f.c) <- true
+            end)
+          facets;
+        let out = ref [] in
+        for v = nv - 1 downto 0 do
+          if on.(v) then out := v :: !out
+        done;
+        Array.of_list !out
+      in
+      Some (collect (fun z -> z < 0.), collect (fun z -> z > 0.))
+
 (* Lower and upper hull vertex sets of a point set, or the whole set
-   when it is small, or None when the hulls exceed the cap. *)
-let certificates ~cert_cap (items : item array) =
-  let nv = Array.length items in
-  if nv <= cert_cap then
-    let all = Array.map point3_of items in
-    Some (all, all)
-  else begin
-    let points = Array.map point3_of items in
-    let order = Array.init nv Fun.id in
-    match Hull3.build ~points ~order ~sample_size:nv with
-    | exception Invalid_argument _ -> None
-    | hull ->
-        let collect keep =
-          let seen = Hashtbl.create 32 in
-          Array.iter
-            (fun (f : Hull3.facet) ->
-              if keep f then
-                List.iter
-                  (fun v -> Hashtbl.replace seen v ())
-                  [ f.a; f.b; f.c ])
-            (Hull3.facets hull);
-          Array.of_list
-            (Hashtbl.fold (fun v () acc -> points.(v) :: acc) seen [])
-        in
-        let lower =
-          collect (fun f -> Point3.z f.Hull3.normal < 0.)
-        in
-        let upper = collect (fun f -> Point3.z f.Hull3.normal > 0.) in
-        if
-          Array.length lower <= cert_cap
-          && Array.length upper <= cert_cap
-          && Array.length lower > 0
-          && Array.length upper > 0
-        then Some (lower, upper)
-        else None
-  end
+   when it is small, or None when the hulls exceed the cap.  The hull
+   inserts the points in a random order seeded by the group size: the
+   kd order they arrive in is the incremental hull's slow case, and
+   the certificates do not depend on the order. *)
+let certificates ~cert_cap points =
+  let nv = Array.length points in
+  if nv <= cert_cap then Some (points, points)
+  else
+    let order = Hull3.random_order (Random.State.make [| nv; 0xce27 |]) nv in
+    match hull_certificates ~order points with
+    | Some (lower, upper)
+      when Array.length lower <= cert_cap
+           && Array.length upper <= cert_cap
+           && Array.length lower > 0
+           && Array.length upper > 0 ->
+        Some (Array.map (Array.get points) lower, Array.map (Array.get points) upper)
+    | _ -> None
 
 let build ~stats ~block_size ?(cache_blocks = 0) ?cert_cap points =
   let cert_cap =
@@ -151,7 +156,7 @@ let build ~stats ~block_size ?(cache_blocks = 0) ?cert_cap points =
           (fun (cell, idxs) ->
             let group = Array.map (fun i -> items.(i)) idxs in
             let lo_start, lo_len, up_start, up_len =
-              match certificates ~cert_cap group with
+              match certificates ~cert_cap (Array.map point3_of group) with
               | None -> (0, 0, 0, 0)
               | Some (lower, upper) ->
                   let ls, ll = push_certs lower in
@@ -363,6 +368,38 @@ let of_portable ~stats ~backend p =
     cert_items = p.cp_cert_items;
     visited = 0;
   }
+
+let map_certificates f p =
+  let stats = Emio.Io_stats.create () in
+  let run = Emio.Run.of_stored ~stats p.cp_certs in
+  let flat = Emio.Run.to_array run in
+  let rewrite start len =
+    let vertex i =
+      let o = cert_stride * (start + i) in
+      Point3.make flat.(o) flat.(o + 1) flat.(o + 2)
+    in
+    let out = f (Array.init len vertex) in
+    if Array.length out <> len then
+      invalid_arg "Cert_tree.map_certificates: length changed";
+    Array.iteri
+      (fun i q ->
+        let o = cert_stride * (start + i) in
+        flat.(o) <- Point3.x q;
+        flat.(o + 1) <- Point3.y q;
+        flat.(o + 2) <- Point3.z q)
+      out
+  in
+  Array.iter
+    (Array.iter (fun c ->
+         if c.lo_len > 0 then rewrite c.lo_start c.lo_len;
+         if c.up_len > 0 then rewrite c.up_start c.up_len))
+    p.cp_internal_blocks;
+  let store = Emio.Run.store run in
+  let store =
+    Emio.Store.create ~stats ~block_size:(Emio.Store.block_size store)
+      ~cache_blocks:(Emio.Store.cache_blocks store) ~codec:Emio.Codec.float ()
+  in
+  { p with cp_certs = Emio.Run.to_stored (Emio.Run.of_array store flat) }
 
 let portable_codec =
   let open Emio.Codec in

@@ -60,7 +60,34 @@ val certificate_items : t -> int
 val points : t -> Geom.Point3.t array
 (** The build-time points, re-read from the leaf blocks in pid order. *)
 
+val hull_certificates :
+  order:int array -> Geom.Point3.t array -> (int array * int array) option
+(** The positions of the lower and upper hull vertices of the points
+    (facets with outward normal z below / above 0), each in ascending
+    order, with the hull built in insertion [order]; None when the
+    points are coplanar.  In general position the vertex sets, and so
+    the stored certificates, do not depend on [order]; [build] uses a
+    random order seeded by the point count. *)
+
 (** {2 Persistence} *)
+
+type portable
+(** The skeleton: internal nodes and the certificate run. *)
+
+val to_portable : t -> portable
+
+val of_portable :
+  stats:Emio.Io_stats.t -> backend:Emio.Store_intf.backend -> portable -> t
+(** Revives a tree over [backend], which holds the leaf blocks. *)
+
+val portable_codec : portable Emio.Codec.t
+
+val map_certificates :
+  (Geom.Point3.t array -> Geom.Point3.t array) -> portable -> portable
+(** Replaces every stored certificate's vertices by [f] of them ([f]
+    must keep the length).  A certificate is a vertex set: a
+    permutation leaves every query's answer and model reads as they
+    were. *)
 
 val snapshot : t Diskstore.Snapshot.format
 (** The ["lcsearch.cert"] snapshot format: leaf blocks are the

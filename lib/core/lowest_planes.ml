@@ -69,14 +69,6 @@ let space_blocks t =
           acc c.layers)
       0 t.copies
 
-let shuffle rng arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = Random.State.int rng (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
-
 (* Write item slot [j] of a flat conflict array: id then the three
    plane coefficients. *)
 let put_item flat j planes id =
@@ -109,9 +101,9 @@ let top_edges items =
     items;
   Array.of_list !out
 
-let build_layer ~stats ~block_size ~cache_blocks ~clip ~planes ~order
-    ~sample_size ~use_segtree =
-  match Envelope3.build ~planes ~order ~sample_size ~clip with
+let build_layer ~stats ~block_size ~cache_blocks ~clip ~planes ~hull
+    ~use_segtree =
+  match Envelope3.build ~planes ~hull ~clip with
   | exception Invalid_argument _ -> None
   | env ->
       let store =
@@ -155,7 +147,7 @@ let build_layer ~stats ~block_size ~cache_blocks ~clip ~planes ~order
             (Pointloc.Grid.create ~stats ~block_size ~cache_blocks ~clip
                ~items ())
       in
-      Some { sample_size; locator; conflicts }
+      Some { sample_size = Array.length env.sample; locator; conflicts }
 
 let log_base b x = log x /. log b
 
@@ -198,16 +190,24 @@ let build ~stats ~block_size ?(cache_blocks = 0) ?(seed = 0) ?(copies = 3)
     let rec go i = if 4 * (1 lsl (i + 1)) <= cap then go (i + 1) else i + 1 in
     if cap < 4 then 0 else go 0
   in
+  (* one hull insertion loop per copy: layer i is exported from the
+     prefix 4·2^i of that copy's order, bit-equal to a hull built for
+     that prefix alone (Hull3.map_prefixes) *)
+  let dual = Array.map Plane3.dual_point planes in
+  let prefixes = Array.init max_i (fun i -> 4 * (1 lsl i)) in
   let copies_arr =
     Array.init copies (fun c ->
-        let rng = Random.State.make [| seed; c; n; 0x3d |] in
-        let order = Array.init n Fun.id in
-        shuffle rng order;
+        let order =
+          Hull3.random_order (Random.State.make [| seed; c; n; 0x3d |]) n
+        in
         {
           layers =
-            Array.init max_i (fun i ->
-                build_layer ~stats ~block_size ~cache_blocks ~clip ~planes
-                  ~order ~sample_size:(4 * (1 lsl i)) ~use_segtree);
+            Hull3.map_prefixes ~points:dual ~order ~prefixes
+              (function
+                | None -> None
+                | Some hull ->
+                    build_layer ~stats ~block_size ~cache_blocks ~clip ~planes
+                      ~hull ~use_segtree);
         })
   in
   { n; beta; copies = copies_arr; all_planes; clip; fallback_count = 0 }

@@ -37,17 +37,35 @@ let restrict_to_wall plane wall ~clip =
   | 3 -> Plane3.restrict_y plane ymax
   | _ -> invalid_arg "Envelope3: bad wall id"
 
-let build ~planes ~order ~sample_size ~clip =
+(* The sorted union of three ascending int arrays, without repeats. *)
+let merge3 buf a b c =
+  let la = Array.length a and lb = Array.length b and lc = Array.length c in
+  let need = la + lb + lc in
+  if Array.length !buf < need then
+    buf := Array.make (max need (2 * Array.length !buf)) 0;
+  let out = !buf in
+  let i = ref 0 and j = ref 0 and k = ref 0 and len = ref 0 in
+  while !i < la || !j < lb || !k < lc do
+    let x = if !i < la then a.(!i) else max_int in
+    let x = if !j < lb then min x b.(!j) else x in
+    let x = if !k < lc then min x c.(!k) else x in
+    if !i < la && a.(!i) = x then incr i;
+    if !j < lb && b.(!j) = x then incr j;
+    if !k < lc && c.(!k) = x then incr k;
+    if !len = 0 || out.(!len - 1) <> x then begin
+      out.(!len) <- x;
+      incr len
+    end
+  done;
+  Array.sub out 0 !len
+
+let build ~planes ~hull ~clip =
   let n = Array.length planes in
   let xmin, ymin, xmax, ymax = clip in
   if xmin >= xmax || ymin >= ymax then
     invalid_arg "Envelope3.build: empty clip box";
-  let dual = Array.map Plane3.dual_point planes in
-  let hull = Hull3.build ~points:dual ~order ~sample_size in
   let lower = Hull3.lower_facets hull in
-  let in_sample = Array.make n false in
-  let sample = Array.sub order 0 sample_size in
-  Array.iter (fun i -> in_sample.(i) <- true) sample;
+  let sample = Hull3.sample hull in
   (* plan-view position of each envelope vertex (= lower hull facet) *)
   let facet_pos =
     Array.map
@@ -133,7 +151,7 @@ let build ~planes ~order ~sample_size ~clip =
   in
   (* conflict lists per (face, corner) for wall corners *)
   let wall_conflicts : (int * int, int list ref) Hashtbl.t = Hashtbl.create 64 in
-  let sample_ids = Array.to_list (Array.sub order 0 sample_size) in
+  let sample_ids = Array.to_list sample in
   for w = 0 to 3 do
     let corners =
       List.filter (fun (w', _, _) -> w' = w) !wall_corners
@@ -149,7 +167,7 @@ let build ~planes ~order ~sample_size ~clip =
       let corner_arr = Array.of_list corners in
       let params = Array.map fst corner_arr in
       for g = 0 to n - 1 do
-        if not in_sample.(g) then begin
+        if not (Hull3.in_sample hull g) then begin
           match Envelope2.outer_interval env (restrict_to_wall planes.(g) w ~clip) with
           | None -> ()
           | Some (lo, hi) ->
@@ -181,60 +199,47 @@ let build ~planes ~order ~sample_size ~clip =
     let acc = ref [] in
     for g = 0 to n - 1 do
       if
-        (not in_sample.(g))
+        (not (Hull3.in_sample hull g))
         && Plane3.eval planes.(g) (Point2.x p) (Point2.y p) < hz -. Eps.eps
       then acc := g :: !acc
     done;
     !acc
   in
   let triangles = ref [] in
-  (* [mark.(g) = !epoch]: plane g is already in the current triangle's
-     conflict union *)
-  let mark = Array.make n 0 and epoch = ref 0 in
+  (* every corner's conflict list as an ascending array, so a
+     triangle's union is one merge: facet lists are sorted once (they
+     are this build's own exports), wall and orphan lists were
+     prepended to as g ascended *)
+  Array.iter (fun (f : Hull3.facet) -> Array.sort Int.compare f.conflicts) lower;
+  let ascending l = Array.of_list (List.rev l) in
+  let buf = ref [||] in
   Array.iteri
     (fun face_i (h, _, poly) ->
       let verts = Polygon2.vertices poly in
       let kinds = face_corner_kinds.(face_i) in
       let corner_conflicts ci =
         match kinds.(ci) with
-        | Vertex fi -> Array.to_list lower.(fi).Hull3.conflicts
+        | Vertex fi -> lower.(fi).Hull3.conflicts
         | Wall _ -> (
             match Hashtbl.find_opt wall_conflicts (face_i, ci) with
-            | Some l -> !l
-            | None -> [])
-        | Orphan -> orphan_conflicts h verts.(ci)
+            | Some l -> ascending !l
+            | None -> [||])
+        | Orphan -> ascending (orphan_conflicts h verts.(ci))
       in
       let nv = Array.length verts in
       let lists = Array.init nv corner_conflicts in
       (* fan from the corner with the smallest conflict list: it is the
          one replicated into every triangle of the face, so this keeps
-         the stored sum of |K(Δ)| near the Lemma 4.1 optimum.  Lengths
-         are precomputed once — comparing with List.length inside the
-         loop re-walked both lists on every iteration, quadratic on
-         high-degree faces. *)
-      let lens = Array.map List.length lists in
+         the stored sum of |K(Δ)| near the Lemma 4.1 optimum *)
       let fan0 = ref 0 in
       for ci = 1 to nv - 1 do
-        if lens.(ci) < lens.(!fan0) then fan0 := ci
+        if Array.length lists.(ci) < Array.length lists.(!fan0) then
+          fan0 := ci
       done;
       let rot i = (i + !fan0) mod nv in
       for i = 1 to nv - 2 do
         let idxs = [| rot 0; rot i; rot (i + 1) |] in
         let corners = Array.map (fun ci -> verts.(ci)) idxs in
-        incr epoch;
-        let union = ref [] in
-        Array.iter
-          (fun ci ->
-            List.iter
-              (fun g ->
-                if mark.(g) <> !epoch then begin
-                  mark.(g) <- !epoch;
-                  union := g :: !union
-                end)
-              lists.(ci))
-          idxs;
-        let conflicts = Array.of_list !union in
-        Array.sort Int.compare conflicts;
         triangles :=
           {
             plane = h;
@@ -243,7 +248,8 @@ let build ~planes ~order ~sample_size ~clip =
               Array.map
                 (fun p -> Plane3.eval planes.(h) (Point2.x p) (Point2.y p))
                 corners;
-            conflicts;
+            conflicts =
+              merge3 buf lists.(idxs.(0)) lists.(idxs.(1)) lists.(idxs.(2));
           }
           :: !triangles
       done)

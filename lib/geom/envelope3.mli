@@ -1,9 +1,9 @@
 (** Triangulated lower envelopes of planes with conflict lists: the
     Δ(R_i) + K(Δ) layers of the §4.1 structure.
 
-    [build] computes, for the sample R = the first [sample_size] planes
-    of a permutation, the lower envelope of R restricted to a clip box
-    in the xy-plane, fan-triangulates each envelope face, and attaches
+    [build] computes, for the sample R = a prefix of a permutation of
+    the planes, the lower envelope of R restricted to a clip box in
+    the xy-plane, fan-triangulates each envelope face, and attaches
     to every triangle Δ its conflict list K(Δ): the planes NOT in the
     sample that pass strictly below some point of Δ.  Because the gap
     between a plane and a face is affine, a plane conflicts with Δ iff
@@ -33,12 +33,12 @@ type t = {
 
 val build :
   planes:Plane3.t array ->
-  order:int array ->
-  sample_size:int ->
+  hull:Hull3.t ->
   clip:float * float * float * float ->
   t
-(** Raises [Invalid_argument] when the sample's dual points are
-    affinely degenerate (fewer than 4 independent). *)
+(** [hull] is the hull of the planes' dual points
+    ({!Plane3.dual_point}) for the sample: {!Hull3.build}, or one
+    prefix of {!Hull3.map_prefixes}, read before its loop moves on. *)
 
 val locate_brute : t -> float -> float -> int option
 (** Index of a triangle containing (x, y), by linear scan — the test

@@ -14,7 +14,9 @@ type facet = {
    created, most recently found first (points inserted since are
    filtered on use).  Facet creation order, normals and conflict order
    are all output; the digests in test/test_hull3.ml and the snapshot
-   hashes in test/build_digests.txt pin them bit for bit. *)
+   hashes in test/build_digests.txt pin them bit for bit.  [size] is
+   the number of [order] entries inserted so far: the sample is
+   [order.(0 .. size-1)]. *)
 type t = {
   mutable count : int;
   mutable fa : int array;
@@ -26,6 +28,8 @@ type t = {
   mutable alive : bool array;
   mutable confl : int array array;
   inserted : bool array;
+  order : int array;
+  mutable size : int;
 }
 
 (* Visibility epsilon: volumes below this are treated as coplanar.
@@ -55,45 +59,47 @@ let push s x =
 
 module Edges = Hashtbl.Make (Int)
 
-let build ~points ~order ~sample_size =
-  let n = Array.length points in
-  if sample_size < 4 || sample_size > n then
-    invalid_arg "Hull3.build: need 4 <= sample_size <= n";
-  let inserted = Array.make n false in
-  (* --- initial tetrahedron: first four affinely independent sample
-     points in permutation order ----------------------------------- *)
-  let tetra =
-    let found = ref [] in
-    (try
-       for idx = 0 to sample_size - 1 do
-         let p = order.(idx) in
-         let ok =
-           match !found with
-           | [] -> true
-           | [ a ] -> Point3.equal points.(a) points.(p) |> not
-           | [ a; b ] ->
-               let cr =
-                 Point3.cross
-                   (Point3.sub points.(b) points.(a))
-                   (Point3.sub points.(p) points.(a))
-               in
-               Point3.dot cr cr > vol_eps
-           | [ a; b; c ] ->
-               Float.abs (Point3.orient3 points.(a) points.(b) points.(c) points.(p))
-               > vol_eps
-           | _ -> false
-         in
-         if ok then begin
-           found := !found @ [ p ];
-           if List.length !found = 4 then raise Exit
+(* The initial tetrahedron: the first four affinely independent points
+   of [order.(0 .. limit-1)], each tested against those already found,
+   with the position just past the fourth, or None. *)
+let find_tetra ~points ~order ~limit =
+  let found = ref [] and stop = ref 0 in
+  (try
+     for idx = 0 to limit - 1 do
+       let p = order.(idx) in
+       let ok =
+         match !found with
+         | [] -> true
+         | [ a ] -> Point3.equal points.(a) points.(p) |> not
+         | [ a; b ] ->
+             let cr =
+               Point3.cross
+                 (Point3.sub points.(b) points.(a))
+                 (Point3.sub points.(p) points.(a))
+             in
+             Point3.dot cr cr > vol_eps
+         | [ a; b; c ] ->
+             Float.abs (Point3.orient3 points.(a) points.(b) points.(c) points.(p))
+             > vol_eps
+         | _ -> false
+       in
+       if ok then begin
+         found := !found @ [ p ];
+         if List.length !found = 4 then begin
+           stop := idx + 1;
+           raise Exit
          end
-       done
-     with Exit -> ());
-    match !found with
-    | [ a; b; c; d ] -> (a, b, c, d)
-    | _ -> invalid_arg "Hull3.build: degenerate sample (coplanar points)"
-  in
-  let t0, t1, t2, t3 = tetra in
+       end
+     done
+   with Exit -> ());
+  match !found with [ a; b; c; d ] -> Some ((a, b, c, d), !stop) | _ -> None
+
+(* The insertion loop behind [map_prefixes], from the tetrahedron
+   found at positions [0 .. tetra_end-1] of [order]. *)
+let run ~points ~order ~prefixes ~tetra:(t0, t1, t2, t3) ~tetra_end f =
+  let n = Array.length points in
+  let last = prefixes.(Array.length prefixes - 1) in
+  let inserted = Array.make n false in
   List.iter (fun i -> inserted.(i) <- true) [ t0; t1; t2; t3 ];
   let px = Array.map Point3.x points
   and py = Array.map Point3.y points
@@ -102,7 +108,7 @@ let build ~points ~order ~sample_size =
     let avg c = (c.(t0) +. c.(t1) +. c.(t2) +. c.(t3)) /. 4. in
     (avg px, avg py, avg pz)
   in
-  let cap = max 16 (4 * sample_size) in
+  let cap = max 16 (4 * last) in
   let t =
     {
       count = 0;
@@ -115,6 +121,8 @@ let build ~points ~order ~sample_size =
       alive = Array.make cap false;
       confl = Array.make cap [||];
       inserted;
+      order;
+      size = 0;
     }
   in
   (* directed edge (u,v), keyed u*n+v -> id of the last facet created
@@ -196,8 +204,7 @@ let build ~points ~order ~sample_size =
   new_facet t1 t2 t3 everyone [||];
   (* --- incremental insertion ------------------------------------- *)
   let visible = { data = Array.make 64 0; len = 0 } in
-  for idx = 0 to sample_size - 1 do
-    let p = order.(idx) in
+  let insert p =
     if not inserted.(p) then begin
       inserted.(p) <- true;
       visible.len <- 0;
@@ -228,20 +235,83 @@ let build ~points ~order ~sample_size =
         try_edge t.fc.(fid) t.fa.(fid)
       done
     end
-  done;
-  t
+  in
+  (* [Array.init] applies its function in index order *)
+  Array.init (Array.length prefixes) (fun i ->
+      let k = prefixes.(i) in
+      while t.size < k do
+        insert order.(t.size);
+        t.size <- t.size + 1
+      done;
+      f (if k < tetra_end then None else Some t))
 
+(* One insertion loop for every prefix.  After the first k entries of
+   [order] are inserted, the state depends on [order] alone: the
+   tetrahedron is the first four independent points of that prefix
+   (the same four for every prefix long enough to hold them), and the
+   loop body never reads how far it will go.  Capacities do depend on
+   the last prefix, but only through [grow], which copies. *)
+let map_prefixes ~points ~order ~prefixes f =
+  let n = Array.length points in
+  Array.iteri
+    (fun i k ->
+      if k < 4 || k > n || (i > 0 && k <= prefixes.(i - 1)) then
+        invalid_arg "Hull3.map_prefixes: need 4 <= k <= n, ascending")
+    prefixes;
+  let np = Array.length prefixes in
+  if np = 0 then [||]
+  else
+    match find_tetra ~points ~order ~limit:prefixes.(np - 1) with
+    | None -> Array.map (fun _ -> f None) prefixes
+    | Some (tetra, tetra_end) ->
+        run ~points ~order ~prefixes ~tetra ~tetra_end f
+
+let build ~points ~order ~sample_size =
+  if sample_size < 4 || sample_size > Array.length points then
+    invalid_arg "Hull3.build: need 4 <= sample_size <= n";
+  let hulls =
+    map_prefixes ~points ~order ~prefixes:[| sample_size |] (function
+      | Some t -> t
+      | None -> invalid_arg "Hull3.build: degenerate sample (coplanar points)")
+  in
+  hulls.(0)
+
+let random_order rng n =
+  let order = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let tmp = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- tmp
+  done;
+  order
+
+let sample t = Array.sub t.order 0 t.size
+let in_sample t q = t.inserted.(q)
+
+(* The facet's conflicts that are still uninserted, in stored order:
+   one counting pass, then one filling pass into an exact-size array. *)
 let export t id =
+  let src = t.confl.(id) in
+  let live = ref 0 in
+  for i = 0 to Array.length src - 1 do
+    if not t.inserted.(src.(i)) then incr live
+  done;
+  let conflicts = Array.make !live 0 in
+  let j = ref 0 in
+  for i = 0 to Array.length src - 1 do
+    let q = src.(i) in
+    if not t.inserted.(q) then begin
+      conflicts.(!j) <- q;
+      incr j
+    end
+  done;
   {
     a = t.fa.(id);
     b = t.fb.(id);
     c = t.fc.(id);
     normal = Point3.make t.nx.(id) t.ny.(id) t.nz.(id);
-    conflicts =
-      Array.of_list
-        (List.filter
-           (fun q -> not t.inserted.(q))
-           (Array.to_list t.confl.(id)));
+    conflicts;
   }
 
 let export_if t keep =

@@ -28,7 +28,32 @@ val build : points:Point3.t array -> order:int array -> sample_size:int -> t
 (** Builds the hull of the first [sample_size] points of [order]
     (a permutation of 0..N-1), tracking conflicts of the remaining
     points.  Raises [Invalid_argument] if the sample is degenerate
-    (fewer than 4 affinely independent points). *)
+    (fewer than 4 affinely independent points).  This is
+    [map_prefixes] with the single prefix [sample_size]. *)
+
+val map_prefixes :
+  points:Point3.t array ->
+  order:int array ->
+  prefixes:int array ->
+  (t option -> 'a) ->
+  'a array
+(** [map_prefixes ~points ~order ~prefixes f] runs ONE insertion loop
+    over [order] up to the last of [prefixes] (strictly ascending,
+    each in [4, N]) and applies [f] after each prefix k: to [Some h],
+    where [h] is bit-equal in facets, normals and conflicts to
+    [build ~sample_size:k], or to [None] when those k points are
+    degenerate.  [h] is the loop's own state: read it inside [f]
+    only, except after the last prefix, when the loop is done. *)
+
+val random_order : Random.State.t -> int -> int array
+(** A uniformly random permutation of 0..n-1 (Fisher–Yates from the
+    top): the insertion order the expected bounds assume. *)
+
+val sample : t -> int array
+(** The inserted prefix of [order]. *)
+
+val in_sample : t -> int -> bool
+(** Whether a point id is in {!sample}. *)
 
 val facets : t -> facet array
 (** The alive facets of the hull of the sample. *)

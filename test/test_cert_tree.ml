@@ -119,6 +119,97 @@ let test_tiny_inputs () =
   Alcotest.(check int) "singleton miss" 0
     (Core.Cert_tree.query_count t1 ~a0:0. ~a:[| 0.; 0. |])
 
+(* --- certificate order --------------------------------------------- *)
+
+let shuffle rng a =
+  let a = Array.copy a in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let tmp = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- tmp
+  done;
+  a
+
+(* A certificate is a vertex set: its hull is built in a shuffled
+   order and stored in ascending position, and a file that stores the
+   same sets in another order (as files written before the order was
+   fixed do) must answer every query with the same count and the same
+   model reads.  The reader below decodes the skeleton and permutes
+   the vertices of every certificate before reviving the tree. *)
+let test_permuted_certificates () =
+  let rng = Random.State.make [| 64 |] in
+  let points = rand_points3 rng 4096 in
+  let t =
+    Core.Cert_tree.build ~stats:(Emio.Io_stats.create ()) ~block_size:16
+      points
+  in
+  let path = Filename.temp_file "cert" ".idx" in
+  Diskstore.Snapshot.save_as Core.Cert_tree.snapshot t ~path ();
+  let moved = ref 0 in
+  let permute vs =
+    let out = shuffle rng vs in
+    if out <> vs then incr moved;
+    out
+  in
+  let permuted =
+    let read_only _ = invalid_arg "read-only format" in
+    Diskstore.Snapshot.format
+      ~kind:(Diskstore.Snapshot.kind Core.Cert_tree.snapshot)
+      ~version:2 ~codec:Core.Cert_tree.portable_codec ~payload:read_only
+      ~to_skeleton:read_only
+      ~of_skeleton:(fun ~stats ~backend p ->
+        Core.Cert_tree.of_portable ~stats ~backend
+          (Core.Cert_tree.map_certificates permute p))
+  in
+  let reopen format =
+    let stats = Emio.Io_stats.create () in
+    match Diskstore.Snapshot.open_as format ~stats path with
+    | Ok (t, _) -> (t, stats)
+    | Error e -> Alcotest.fail (Diskstore.Snapshot.error_to_string e)
+  in
+  let t1, s1 = reopen Core.Cert_tree.snapshot in
+  let t2, s2 = reopen permuted in
+  Sys.remove path;
+  if !moved < 10 then Alcotest.failf "only %d certificates moved" !moved;
+  for i = 1 to 200 do
+    let a =
+      [| Random.State.float rng 2. -. 1.; Random.State.float rng 2. -. 1. |]
+    in
+    let a0 = Random.State.float rng 30. -. 15. in
+    Emio.Io_stats.reset s1;
+    Emio.Io_stats.reset s2;
+    let c1 = Core.Cert_tree.query_count t1 ~a0 ~a in
+    let c2 = Core.Cert_tree.query_count t2 ~a0 ~a in
+    Alcotest.(check int) (Printf.sprintf "query %d count" i) c1 c2;
+    Alcotest.(check int)
+      (Printf.sprintf "query %d model reads" i)
+      (Emio.Io_stats.reads s1) (Emio.Io_stats.reads s2);
+    Alcotest.(check int)
+      (Printf.sprintf "query %d matches the build" i)
+      (Core.Cert_tree.query_count t ~a0 ~a)
+      c1
+  done
+
+(* Two insertion orders, the same certificates, position for
+   position. *)
+let test_certificates_order_free () =
+  let rng = Random.State.make [| 65 |] in
+  List.iter
+    (fun n ->
+      let points = rand_points3 rng n in
+      let identity = Array.init n Fun.id in
+      let want = Core.Cert_tree.hull_certificates ~order:identity points in
+      if want = None then Alcotest.fail "no hull";
+      for _ = 1 to 3 do
+        let got =
+          Core.Cert_tree.hull_certificates ~order:(shuffle rng identity) points
+        in
+        Alcotest.(check (option (pair (array int) (array int))))
+          (Printf.sprintf "n = %d" n) want got
+      done)
+    [ 5; 40; 300; 2000 ]
+
 let () =
   Alcotest.run "cert_tree"
     [
@@ -130,5 +221,9 @@ let () =
             test_output_sensitive_visits;
           Alcotest.test_case "space overhead" `Slow test_space_overhead_bounded;
           Alcotest.test_case "tiny inputs" `Quick test_tiny_inputs;
+          Alcotest.test_case "permuted certificates answer alike" `Quick
+            test_permuted_certificates;
+          Alcotest.test_case "certificates independent of insertion order"
+            `Quick test_certificates_order_free;
         ] );
     ]

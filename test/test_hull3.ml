@@ -196,6 +196,17 @@ let digest_hull t =
   List.iter (Printf.bprintf b "v %d\n") (Hull3.vertex_ids t);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+(* Six coplanar points first (corners and edge midpoints of a square
+   in z = 1), then uniform points: prefixes of 4 to 6 points have no
+   tetrahedron, longer ones do. *)
+let coplanar_start rng =
+  Array.append
+    [|
+      pt (-5.) (-5.) 1.; pt 5. (-5.) 1.; pt 5. 5. 1.; pt (-5.) 5. 1.;
+      pt 0. (-5.) 1.; pt 5. 0. 1.;
+    |]
+    (uniform_points rng 60)
+
 (* name, points, order, sample size, expected digest *)
 let hull_digest_cases =
   let rng seed = Random.State.make [| seed |] in
@@ -251,6 +262,8 @@ let hull_digest_cases =
     identity_case "near threshold, tetrahedron sample" near_threshold
       ~sample:(fun _ -> 4);
     identity_case "near threshold, all inserted" near_threshold ~sample:full;
+    identity_case "coplanar start, all inserted" (coplanar_start (rng 20))
+      ~sample:full;
   ]
 
 (* In the order of [hull_digest_cases]. *)
@@ -278,6 +291,7 @@ let hull_digests_expected =
     "3e8b300e3201ddd192fbfa25c93cf846";
     "2d880ead79123fc02d167b9ab40971ca";
     "ce658b802ed9b51fe497118154a98e9d";
+    "6e1aff446a3c0781818abfa02aa7d4b6";
   |]
 
 let test_hull_digests () =
@@ -290,6 +304,44 @@ let test_hull_digests () =
       in
       Alcotest.(check string) name hull_digests_expected.(i) got)
     hull_digest_cases
+
+(* One insertion loop exports every prefix k: each must be bit-equal
+   (facets, normals, conflicts, vertices) to a hull built for k alone,
+   and degenerate exactly where that build is.  Every k up to 300
+   points; past that, to keep the n standalone builds cheap, every k
+   up to 64, every 37th and the last. *)
+let test_prefix_exports () =
+  List.iter
+    (fun (name, points, order, _) ->
+      let n = Array.length points in
+      let prefixes =
+        List.filter
+          (fun k -> n <= 300 || k <= 64 || k mod 37 = 0 || k = n)
+          (List.init (n - 3) (fun i -> i + 4))
+        |> Array.of_list
+      in
+      let exported =
+        Hull3.map_prefixes ~points ~order ~prefixes (Option.map digest_hull)
+      in
+      Array.iteri
+        (fun i k ->
+          let alone =
+            match Hull3.build ~points ~order ~sample_size:k with
+            | t -> Some (digest_hull t)
+            | exception Invalid_argument _ -> None
+          in
+          Alcotest.(check (option string))
+            (Printf.sprintf "%s, prefix %d" name k)
+            alone exported.(i))
+        prefixes)
+    hull_digest_cases;
+  let points = coplanar_start (Random.State.make [| 20 |]) in
+  let order = identity_order (Array.length points) in
+  Alcotest.(check (list bool))
+    "coplanar start: no hull below 7 points" [ false; false; false; true ]
+    (Array.to_list
+       (Hull3.map_prefixes ~points ~order ~prefixes:[| 4; 5; 6; 7 |]
+          Option.is_some))
 
 let () =
   Alcotest.run "hull3"
@@ -306,5 +358,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_hull_oracle;
           QCheck_alcotest.to_alcotest prop_euler_formula;
           Alcotest.test_case "digests pinned" `Quick test_hull_digests;
+          Alcotest.test_case "prefix exports = standalone builds" `Quick
+            test_prefix_exports;
         ] );
     ]
