@@ -8,24 +8,49 @@ type t = {
   level_complexity : int;
 }
 
-let cmp_lines (all : Line2.t array) i j =
-  let c = Float.compare (Line2.slope all.(i)) (Line2.slope all.(j)) in
-  if c <> 0 then c
-  else Float.compare (Line2.icept all.(i)) (Line2.icept all.(j))
+(* Rearranges [a] so that [a.(0 .. k-1)] hold its k least entries under
+   [cmp] (Hoare's FIND): for a strict total order, the set the first k
+   entries of a full sort would hold, in O(n) expected comparisons. *)
+let select_least cmp a k =
+  let lo = ref 0 and hi = ref (Array.length a - 1) in
+  while !lo < !hi do
+    let pivot = a.((!lo + !hi) / 2) in
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while cmp a.(!i) pivot < 0 do
+        incr i
+      done;
+      while cmp pivot a.(!j) < 0 do
+        decr j
+      done;
+      if !i <= !j then begin
+        let tmp = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- tmp;
+        incr i;
+        decr j
+      end
+    done;
+    (* a.(lo .. j) <= pivot <= a.(i .. hi), and a.(j+1 .. i-1) = pivot *)
+    if k - 1 <= !j then hi := !j
+    else if k - 1 >= !i then lo := !i
+    else lo := !hi
+  done
 
 let greedy ~lines ~k =
   let n = Array.length lines in
   if k < 1 || k >= n then invalid_arg "Clustering.greedy: need 1 <= k < n";
   let cap = 3 * k in
+  let sl = Array.map Line2.slope lines and ic = Array.map Line2.icept lines in
   (* L_{w_0}: the k lines lowest at x = -infinity (largest slope,
-     ties broken towards smaller intercept). *)
+     ties broken towards smaller intercept); distinct lines make this
+     a strict order, so the set is the first k of a sort *)
   let order = Array.init n Fun.id in
-  Array.sort
+  select_least
     (fun i j ->
-      let c = Float.compare (Line2.slope lines.(j)) (Line2.slope lines.(i)) in
-      if c <> 0 then c
-      else Float.compare (Line2.icept lines.(i)) (Line2.icept lines.(j)))
-    order;
+      let c = Float.compare sl.(j) sl.(i) in
+      if c <> 0 then c else Float.compare ic.(i) ic.(j))
+    order k;
   (* the open cluster's lines: [mem.(0 .. count-1)] in arrival order,
      flagged in [is_mem] *)
   let mem = Array.make n 0 and count = ref 0 in
@@ -44,7 +69,11 @@ let greedy ~lines ~k =
   let finished_clusters = ref [] in
   let close_cluster right_x =
     let ids = Array.sub mem 0 !count in
-    Array.sort (cmp_lines lines) ids;
+    Array.sort
+      (fun i j ->
+        let c = Float.compare sl.(i) sl.(j) in
+        if c <> 0 then c else Float.compare ic.(i) ic.(j))
+      ids;
     finished_clusters :=
       { lines = ids; left_x = !cluster_start; right_x } :: !finished_clusters;
     cluster_start := right_x

@@ -74,8 +74,6 @@ val hull_certificates :
 type portable
 (** The skeleton: internal nodes and the certificate run. *)
 
-val to_portable : t -> portable
-
 val of_portable :
   stats:Emio.Io_stats.t -> backend:Emio.Store_intf.backend -> portable -> t
 (** Revives a tree over [backend], which holds the leaf blocks. *)
@@ -87,7 +85,8 @@ val map_certificates :
 (** Replaces every stored certificate's vertices by [f] of them ([f]
     must keep the length).  A certificate is a vertex set: a
     permutation leaves every query's answer and model reads as they
-    were. *)
+    were, which is how snapshots that list certificates in another
+    order (those written before the ascending order) stay valid. *)
 
 val snapshot : t Diskstore.Snapshot.format
 (** The ["lcsearch.cert"] snapshot format: leaf blocks are the

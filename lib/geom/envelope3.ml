@@ -37,7 +37,9 @@ let restrict_to_wall plane wall ~clip =
   | 3 -> Plane3.restrict_y plane ymax
   | _ -> invalid_arg "Envelope3: bad wall id"
 
-(* The sorted union of three ascending int arrays, without repeats. *)
+(* The sorted union of three strictly ascending int arrays: every
+   list whose head is the least value steps past it, so no value is
+   emitted twice. *)
 let merge3 buf a b c =
   let la = Array.length a and lb = Array.length b and lc = Array.length c in
   let need = la + lb + lc in
@@ -52,10 +54,8 @@ let merge3 buf a b c =
     if !i < la && a.(!i) = x then incr i;
     if !j < lb && b.(!j) = x then incr j;
     if !k < lc && c.(!k) = x then incr k;
-    if !len = 0 || out.(!len - 1) <> x then begin
-      out.(!len) <- x;
-      incr len
-    end
+    out.(!len) <- x;
+    incr len
   done;
   Array.sub out 0 !len
 

@@ -11,8 +11,8 @@ type facet = {
    test [((nx dx + ny dy) + nz dz) > vol_eps] evaluates exactly the
    expression tree of [Point3.orient3] without re-deriving the normal.
    [confl.(id)] lists the points found in conflict when the facet was
-   created, most recently found first (points inserted since are
-   filtered on use).  Facet creation order, normals and conflict order
+   created, most recently found first (a dead facet's array may hold
+   points inserted since; the candidate scans skip them).  Facet creation order, normals and conflict order
    are all output; the digests in test/test_hull3.ml and the snapshot
    hashes in test/build_digests.txt pin them bit for bit.  [size] is
    the number of [order] entries inserted so far: the sample is
@@ -289,29 +289,16 @@ let random_order rng n =
 let sample t = Array.sub t.order 0 t.size
 let in_sample t q = t.inserted.(q)
 
-(* The facet's conflicts that are still uninserted, in stored order:
-   one counting pass, then one filling pass into an exact-size array. *)
+(* An alive facet's conflict array holds no inserted point: inserting
+   q kills every facet q was recorded against, and a later facet only
+   records uninserted points.  So export copies it as it stands. *)
 let export t id =
-  let src = t.confl.(id) in
-  let live = ref 0 in
-  for i = 0 to Array.length src - 1 do
-    if not t.inserted.(src.(i)) then incr live
-  done;
-  let conflicts = Array.make !live 0 in
-  let j = ref 0 in
-  for i = 0 to Array.length src - 1 do
-    let q = src.(i) in
-    if not t.inserted.(q) then begin
-      conflicts.(!j) <- q;
-      incr j
-    end
-  done;
   {
     a = t.fa.(id);
     b = t.fb.(id);
     c = t.fc.(id);
     normal = Point3.make t.nx.(id) t.ny.(id) t.nz.(id);
-    conflicts;
+    conflicts = Array.copy t.confl.(id);
   }
 
 let export_if t keep =

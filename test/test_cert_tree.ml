@@ -192,7 +192,7 @@ let test_permuted_certificates () =
   done
 
 (* Two insertion orders, the same certificates, position for
-   position. *)
+   position, each listed by ascending position. *)
 let test_certificates_order_free () =
   let rng = Random.State.make [| 65 |] in
   List.iter
@@ -200,7 +200,17 @@ let test_certificates_order_free () =
       let points = rand_points3 rng n in
       let identity = Array.init n Fun.id in
       let want = Core.Cert_tree.hull_certificates ~order:identity points in
-      if want = None then Alcotest.fail "no hull";
+      let ascending vs =
+        Array.for_all Fun.id
+          (Array.init (Array.length vs - 1) (fun i -> vs.(i) < vs.(i + 1)))
+      in
+      (match want with
+      | None -> Alcotest.fail "no hull"
+      | Some (lower, upper) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "n = %d ascending" n)
+            true
+            (ascending lower && ascending upper));
       for _ = 1 to 3 do
         let got =
           Core.Cert_tree.hull_certificates ~order:(shuffle rng identity) points

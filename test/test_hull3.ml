@@ -86,7 +86,14 @@ let prop_hull_oracle =
       done;
       let sample_size = 4 + Random.State.int rng (n - 3) in
       match Hull3.build ~points ~order ~sample_size with
-      | t -> Hull3.check ~points t
+      | t ->
+          (* exported conflicts are copied unfiltered: no sample point
+             may be among them *)
+          Hull3.check ~points t
+          && Array.for_all
+               (fun (f : Hull3.facet) ->
+                 Array.for_all (fun q -> not (Hull3.in_sample t q)) f.conflicts)
+               (Hull3.facets t)
       | exception Invalid_argument _ -> true (* degenerate random sample *))
 
 let prop_euler_formula =
