@@ -110,14 +110,23 @@ let build_layer ~stats ~block_size ~cache_blocks ~clip ~planes ~hull
         Emio.Store.create ~stats ~block_size:(stride * block_size)
           ~cache_blocks ~codec:Emio.Codec.float ()
       in
-      let kids = ref [] (* conflict plane ids, reversed *) in
+      (* the layer's conflict run: every triangle's K(Δ) in triangle
+         order, written straight into one flat array *)
+      let total =
+        Array.fold_left
+          (fun acc (tr : Envelope3.triangle) -> acc + Array.length tr.conflicts)
+          0 env.Envelope3.triangles
+      in
+      let flat = Array.make (stride * total) 0. in
       let pos = ref 0 in
       let items =
         Array.map
           (fun (tr : Envelope3.triangle) ->
             let klen = Array.length tr.conflicts in
             let kstart = !pos in
-            Array.iter (fun g -> kids := g :: !kids) tr.conflicts;
+            Array.iteri
+              (fun j g -> put_item flat (kstart + j) planes g)
+              tr.conflicts;
             pos := !pos + klen;
             let p = planes.(tr.plane) in
             ( tr.corners,
@@ -131,12 +140,7 @@ let build_layer ~stats ~block_size ~cache_blocks ~clip ~planes ~hull
               } ))
           env.Envelope3.triangles
       in
-      let conflicts =
-        let ids = Array.of_list (List.rev !kids) in
-        let flat = Array.make (stride * Array.length ids) 0. in
-        Array.iteri (fun j id -> put_item flat j planes id) ids;
-        Emio.Run.of_array store flat
-      in
+      let conflicts = Emio.Run.of_array store flat in
       let locator =
         if use_segtree then
           Segtree
