@@ -117,7 +117,8 @@ let certificates ~cert_cap points =
            && Array.length upper <= cert_cap
            && Array.length lower > 0
            && Array.length upper > 0 ->
-        Some (Array.map (Array.get points) lower, Array.map (Array.get points) upper)
+        let at = Array.map (Array.get points) in
+        Some (at lower, at upper)
     | _ -> None
 
 let build ~stats ~block_size ?(cache_blocks = 0) ?cert_cap points =
@@ -391,8 +392,8 @@ let map_certificates f p =
   in
   Array.iter
     (Array.iter (fun c ->
-         if c.lo_len > 0 then rewrite c.lo_start c.lo_len;
-         if c.up_len > 0 then rewrite c.up_start c.up_len))
+         rewrite c.lo_start c.lo_len;
+         rewrite c.up_start c.up_len))
     p.cp_internal_blocks;
   let store = Emio.Run.store run in
   let store =

@@ -38,7 +38,8 @@ val build :
   t
 (** [hull] is the hull of the planes' dual points
     ({!Plane3.dual_point}) for the sample: {!Hull3.build}, or one
-    prefix of {!Hull3.map_prefixes}, read before its loop moves on. *)
+    prefix of {!Hull3.map_prefixes}, read before its loop moves on.
+    Raises [Invalid_argument] on an empty clip box. *)
 
 val locate_brute : t -> float -> float -> int option
 (** Index of a triangle containing (x, y), by linear scan — the test
