@@ -210,7 +210,9 @@ let build ~planes ~hull ~clip =
      triangle's union is one merge: facet lists are sorted once (they
      are this build's own exports), wall and orphan lists were
      prepended to as g ascended *)
-  Array.iter (fun (f : Hull3.facet) -> Array.sort Int.compare f.conflicts) lower;
+  Array.iter
+    (fun (f : Hull3.facet) -> Array.sort Int.compare f.conflicts)
+    lower;
   let ascending l = Array.of_list (List.rev l) in
   let buf = ref [||] in
   Array.iteri

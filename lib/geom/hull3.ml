@@ -12,10 +12,11 @@ type facet = {
    expression tree of [Point3.orient3] without re-deriving the normal.
    [confl.(id)] lists the points found in conflict when the facet was
    created, most recently found first (a dead facet's array may hold
-   points inserted since; the candidate scans skip them).  Facet creation order, normals and conflict order
-   are all output; the digests in test/test_hull3.ml and the snapshot
-   hashes in test/build_digests.txt pin them bit for bit.  [size] is
-   the number of [order] entries inserted so far: the sample is
+   points inserted since; the candidate scans skip them).  Facet
+   creation order, normals and conflict order are all output; the
+   digests in test/test_hull3.ml and the snapshot hashes in
+   test/build_digests.txt pin them bit for bit.  [size] is the number
+   of [order] entries inserted so far: the sample is
    [order.(0 .. size-1)]. *)
 type t = {
   mutable count : int;
