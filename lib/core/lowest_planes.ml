@@ -53,6 +53,14 @@ let layer_count t =
   if Array.length t.copies = 0 then 0
   else Array.length t.copies.(0).layers
 
+let missing_layers t =
+  Array.fold_left
+    (fun acc c ->
+      Array.fold_left
+        (fun acc l -> if Option.is_none l then acc + 1 else acc)
+        acc c.layers)
+    0 t.copies
+
 let space_blocks t =
   Emio.Run.block_count t.all_planes
   + Array.fold_left
@@ -103,55 +111,53 @@ let top_edges items =
 
 let build_layer ~stats ~block_size ~cache_blocks ~clip ~planes ~hull
     ~use_segtree =
-  match Envelope3.build ~planes ~hull ~clip with
-  | exception Invalid_argument _ -> None
-  | env ->
-      let store =
-        Emio.Store.create ~stats ~block_size:(stride * block_size)
-          ~cache_blocks ~codec:Emio.Codec.float ()
-      in
-      (* the layer's conflict run: every triangle's K(Δ) in triangle
-         order, written straight into one flat array *)
-      let total =
-        Array.fold_left
-          (fun acc (tr : Envelope3.triangle) -> acc + Array.length tr.conflicts)
-          0 env.Envelope3.triangles
-      in
-      let flat = Array.make (stride * total) 0. in
-      let pos = ref 0 in
-      let items =
-        Array.map
-          (fun (tr : Envelope3.triangle) ->
-            let klen = Array.length tr.conflicts in
-            let kstart = !pos in
-            Array.iteri
-              (fun j g -> put_item flat (kstart + j) planes g)
-              tr.conflicts;
-            pos := !pos + klen;
-            let p = planes.(tr.plane) in
-            ( tr.corners,
-              {
-                plane_id = tr.plane;
-                pa = Plane3.a p;
-                pb = Plane3.b p;
-                pc = Plane3.c p;
-                kstart;
-                klen;
-              } ))
-          env.Envelope3.triangles
-      in
-      let conflicts = Emio.Run.of_array store flat in
-      let locator =
-        if use_segtree then
-          Segtree
-            (Pointloc.Seg_tree.create ~stats ~block_size ~cache_blocks
-               ~segments:(top_edges items) ())
-        else
-          Grid
-            (Pointloc.Grid.create ~stats ~block_size ~cache_blocks ~clip
-               ~items ())
-      in
-      Some { sample_size = Array.length env.sample; locator; conflicts }
+  let env = Envelope3.build ~planes ~hull ~clip in
+  let store =
+    Emio.Store.create ~stats ~block_size:(stride * block_size)
+      ~cache_blocks ~codec:Emio.Codec.float ()
+  in
+  (* the layer's conflict run: every triangle's K(Δ) in triangle
+     order, written straight into one flat array *)
+  let total =
+    Array.fold_left
+      (fun acc (tr : Envelope3.triangle) -> acc + Array.length tr.conflicts)
+      0 env.Envelope3.triangles
+  in
+  let flat = Array.make (stride * total) 0. in
+  let pos = ref 0 in
+  let items =
+    Array.map
+      (fun (tr : Envelope3.triangle) ->
+        let klen = Array.length tr.conflicts in
+        let kstart = !pos in
+        Array.iteri
+          (fun j g -> put_item flat (kstart + j) planes g)
+          tr.conflicts;
+        pos := !pos + klen;
+        let p = planes.(tr.plane) in
+        ( tr.corners,
+          {
+            plane_id = tr.plane;
+            pa = Plane3.a p;
+            pb = Plane3.b p;
+            pc = Plane3.c p;
+            kstart;
+            klen;
+          } ))
+      env.Envelope3.triangles
+  in
+  let conflicts = Emio.Run.of_array store flat in
+  let locator =
+    if use_segtree then
+      Segtree
+        (Pointloc.Seg_tree.create ~stats ~block_size ~cache_blocks
+           ~segments:(top_edges items) ())
+    else
+      Grid
+        (Pointloc.Grid.create ~stats ~block_size ~cache_blocks ~clip
+           ~items ())
+  in
+  { sample_size = Array.length env.sample; locator; conflicts }
 
 let log_base b x = log x /. log b
 
@@ -207,11 +213,9 @@ let build ~stats ~block_size ?(cache_blocks = 0) ?(seed = 0) ?(copies = 3)
         {
           layers =
             Hull3.map_prefixes ~points:dual ~order ~prefixes
-              (function
-                | None -> None
-                | Some hull ->
-                    build_layer ~stats ~block_size ~cache_blocks ~clip ~planes
-                      ~hull ~use_segtree);
+              (Option.map (fun hull ->
+                   build_layer ~stats ~block_size ~cache_blocks ~clip ~planes
+                     ~hull ~use_segtree));
         })
   in
   { n; beta; copies = copies_arr; all_planes; clip; fallback_count = 0 }

@@ -72,6 +72,10 @@ val length : t -> int
 val layer_count : t -> int
 (** Number of envelope layers per copy. *)
 
+val missing_layers : t -> int
+(** Layers, over all copies, whose sample was degenerate (coplanar
+    dual points): a query that picks one moves on to the next copy. *)
+
 val space_blocks : t -> int
 
 val fallbacks : t -> int

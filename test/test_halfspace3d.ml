@@ -92,6 +92,25 @@ let test_k_lowest_io_bound () =
   Alcotest.(check int) "no fallbacks on in-clip queries" 0
     (Core.Lowest_planes.fallbacks t)
 
+(* Every sample of random planes spans space, so every layer of every
+   copy must be built: a kernel fault in the envelope build raises
+   instead of leaving a layer missing and its queries on full scans. *)
+let test_no_missing_layers () =
+  let rng = Random.State.make [| 14 |] in
+  let points =
+    Array.init 2048 (fun _ ->
+        Point3.make
+          (Random.State.float rng 20. -. 10.)
+          (Random.State.float rng 20. -. 10.)
+          (Random.State.float rng 20. -. 10.))
+  in
+  let planes = Array.map Plane3.dual_plane_of_point points in
+  let stats = Emio.Io_stats.create () in
+  let t = Core.Lowest_planes.build ~stats ~block_size:16 planes in
+  Alcotest.(check bool) "has layers" true (Core.Lowest_planes.layer_count t > 0);
+  Alcotest.(check int) "no missing layer" 0
+    (Core.Lowest_planes.missing_layers t)
+
 (* --- Halfspace3d ------------------------------------------------------ *)
 
 let rand_points3 rng n =
@@ -229,6 +248,7 @@ let () =
           Alcotest.test_case "oracle" `Quick test_k_lowest_oracle;
           Alcotest.test_case "edge cases" `Quick test_k_lowest_edge_cases;
           Alcotest.test_case "io bound (Thm 4.2)" `Slow test_k_lowest_io_bound;
+          Alcotest.test_case "no missing layers" `Quick test_no_missing_layers;
         ] );
       ( "halfspace3d",
         [
