@@ -49,7 +49,8 @@ let figure2 () =
               ~slope:(Random.State.float rng 4. -. 2.)
               ~icept:(Random.State.float rng 20. -. 10.))
       in
-      let level = Arrangement.Level_walk.walk ~lines ~k () in
+      let tree = Arrangement.Level_walk.tree_of_lines lines in
+      let level = Arrangement.Level_walk.walk ~tree ~k () in
       let size = Arrangement.Level_walk.complexity level in
       let dey = float_of_int n *. Float.pow (float_of_int (max 1 k)) (1. /. 3.) in
       let ok =
@@ -73,7 +74,8 @@ let figure3 () =
           ~slope:(Random.State.float rng 4. -. 2.)
           ~icept:(Random.State.float rng 20. -. 10.))
   in
-  let c = Arrangement.Clustering.greedy ~lines ~k in
+  let tree = Arrangement.Level_walk.tree_of_lines lines in
+  let c = Arrangement.Clustering.greedy ~tree ~k in
   Printf.printf
     "N=%d lines, k=%d: %d clusters over a level with %d vertices\n" n k
     (Arrangement.Clustering.size c)
@@ -105,7 +107,8 @@ let figure4 () =
               ~slope:(Random.State.float rng 4. -. 2.)
               ~icept:(Random.State.float rng 20. -. 10.))
       in
-      let c = Arrangement.Clustering.greedy ~lines ~k in
+      let tree = Arrangement.Level_walk.tree_of_lines lines in
+  let c = Arrangement.Clustering.greedy ~tree ~k in
       Printf.printf "%8d %6d %10d %10d %10d %12d\n" n k
         (Arrangement.Clustering.size c)
         ((n / k) + 1)

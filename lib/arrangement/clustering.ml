@@ -8,49 +8,16 @@ type t = {
   level_complexity : int;
 }
 
-(* Rearranges [a] so that [a.(0 .. k-1)] hold its k least entries under
-   [cmp] (Hoare's FIND): for a strict total order, the set the first k
-   entries of a full sort would hold, in O(n) expected comparisons. *)
-let select_least cmp a k =
-  let lo = ref 0 and hi = ref (Array.length a - 1) in
-  while !lo < !hi do
-    let pivot = a.((!lo + !hi) / 2) in
-    let i = ref !lo and j = ref !hi in
-    while !i <= !j do
-      while cmp a.(!i) pivot < 0 do
-        incr i
-      done;
-      while cmp pivot a.(!j) < 0 do
-        decr j
-      done;
-      if !i <= !j then begin
-        let tmp = a.(!i) in
-        a.(!i) <- a.(!j);
-        a.(!j) <- tmp;
-        incr i;
-        decr j
-      end
-    done;
-    (* a.(lo .. j) <= pivot <= a.(i .. hi), and a.(j+1 .. i-1) = pivot *)
-    if k - 1 <= !j then hi := !j
-    else if k - 1 >= !i then lo := !i
-    else lo := !hi
-  done
-
-let greedy ~lines ~k =
-  let n = Array.length lines in
+let greedy ~tree ~k =
+  let n = Level_walk.size tree in
   if k < 1 || k >= n then invalid_arg "Clustering.greedy: need 1 <= k < n";
   let cap = 3 * k in
-  let sl = Array.map Line2.slope lines and ic = Array.map Line2.icept lines in
+  let sl = Array.init n (Level_walk.slope tree)
+  and ic = Array.init n (Level_walk.icept tree) in
   (* L_{w_0}: the k lines lowest at x = -infinity (largest slope,
      ties broken towards smaller intercept); distinct lines make this
      a strict order, so the set is the first k of a sort *)
-  let order = Array.init n Fun.id in
-  select_least
-    (fun i j ->
-      let c = Float.compare sl.(j) sl.(i) in
-      if c <> 0 then c else Float.compare ic.(i) ic.(j))
-    order k;
+  let order = Level_walk.left_order tree (k - 1) in
   (* the open cluster's lines: [mem.(0 .. count-1)] in arrival order,
      flagged in [is_mem] *)
   let mem = Array.make n 0 and count = ref 0 in
@@ -100,7 +67,7 @@ let greedy ~lines ~k =
           end
         end
   in
-  let level = Level_walk.walk ~on_event ~lines ~k () in
+  let level = Level_walk.walk ~on_event ~tree ~k () in
   close_cluster infinity;
   let clusters = Array.of_list (List.rev !finished_clusters) in
   let boundaries =

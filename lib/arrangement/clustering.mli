@@ -30,9 +30,10 @@ type t = {
   level_complexity : int;  (** number of vertices of the walked level *)
 }
 
-val greedy : lines:Geom.Line2.t array -> k:int -> t
-(** Walks A_k(lines) and builds the greedy 3k-clustering.  Requires
-    [1 <= k < Array.length lines] and pairwise distinct lines. *)
+val greedy : tree:Level_walk.tree -> k:int -> t
+(** Walks A_k of the tree's lines and builds the greedy
+    3k-clustering.  Requires [1 <= k < Level_walk.size tree] and
+    pairwise distinct lines. *)
 
 val relevant : t -> float -> int
 (** Index of the cluster relevant for a point with abscissa [x]

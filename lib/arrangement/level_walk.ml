@@ -21,8 +21,8 @@ type level = { edge_lines : int array; vertices : Point2.t array }
    lexicographic minimum of (x, m) over the lines with x > after, and
    x = +infinity never wins.
 
-   The minimum is found by branch-and-bound over a static 2-d tree of
-   the dual points (s_m, c_m), built once per walk.  On either side of
+   The minimum is found by branch-and-bound over a 2-d tree of the
+   dual points (s_m, c_m).  On either side of
    s0 the sign of den = s0 -. s_m is fixed, and there fl(c_m -. c0),
    fl(s0 -. s_m) and fl(num /. den) are monotone in each argument,
    because IEEE rounding is monotone.  So the quotients at a node's
@@ -34,37 +34,56 @@ type level = { edge_lines : int array; vertices : Point2.t array }
    crossings are all <= after or its lower bound is > best_x (never on
    equality: a tied line with a lower id may lie inside).  Leaves
    evaluate x exactly as a linear scan would.  A NaN bound compares
-   false both ways and so never prunes.  The digests in
+   false both ways and so never prunes.  Nothing here depends on how
+   the lines are split into nodes: every line lies in exactly one leaf
+   range and every box holds its node's lines, so any tree finds the
+   same winner.  That is what lets one tree serve a whole h2 build,
+   compacted between layers (see [compact]).  The digests in
    test/test_arrangement.ml pin the walk's output bit for bit. *)
 
 let leaf_size = 16
 
-(* Heap layout: node [j] has children [2j + 1] and [2j + 2] and covers
-   a range [lo, hi) of the leaf order, halved at [(lo + hi) / 2]; it is
-   a leaf when the range holds at most [leaf_size] lines.  [ids], [ps]
-   and [pc] hold the lines' ids, slopes and intercepts in leaf order;
+(* Heap layout: node [j] covers the range [lo.(j), hi.(j)) of the leaf
+   order; when [split.(j)] its children [2j + 1] and [2j + 2] cover the
+   two halves of that range, split at the median of the wider of the
+   node's two extents when the tree was built.  A node holding at most
+   [leaf_size] lines is searched as a leaf whether or not it was split.
+   [ids], [ps] and [pc] hold the lines' ids, slopes and intercepts in
+   leaf order, [slope] and [icept] the same by id;
    [box.(4j) .. box.(4j + 3)] is node [j]'s slope range [sl, sh] and
-   intercept range [cl, ch]. *)
+   intercept range [cl, ch].  Only the first [size] entries of the
+   line arrays are live. *)
 type tree = {
+  mutable size : int;
+  slope : float array;
+  icept : float array;
   ids : int array;
   ps : float array;
   pc : float array;
+  lo : int array;
+  hi : int array;
+  split : bool array;
   box : float array;
 }
 
+let size t = t.size
+let slope t id = t.slope.(id)
+let icept t id = t.icept.(id)
+
 (* Rearranges [perm.(lo .. hi)] (inclusive) so that [perm.(k)] holds
-   the element of rank [k - lo] by [key], with no larger key before it
-   and no smaller one after (Hoare's selection). *)
-let select key perm lo hi k =
+   the element of rank [k - lo] under the strict order [lt], with no
+   larger element before it and no smaller one after (Hoare's
+   selection). *)
+let select lt perm lo hi k =
   let lo = ref lo and hi = ref hi in
   while !lo < !hi do
-    let pivot = key.(perm.(k)) in
+    let pivot = perm.(k) in
     let i = ref !lo and j = ref !hi in
     while !i <= !j do
-      while key.(perm.(!i)) < pivot do
+      while lt perm.(!i) pivot do
         incr i
       done;
-      while pivot < key.(perm.(!j)) do
+      while lt pivot perm.(!j) do
         decr j
       done;
       if !i <= !j then begin
@@ -79,42 +98,121 @@ let select key perm lo hi k =
     if k < !i then hi := !j
   done
 
+(* Node [j]'s exact box, from its own lines. *)
+let fit t j =
+  let sl = ref infinity and sh = ref neg_infinity in
+  let cl = ref infinity and ch = ref neg_infinity in
+  for i = t.lo.(j) to t.hi.(j) - 1 do
+    let s = t.slope.(t.ids.(i)) and c = t.icept.(t.ids.(i)) in
+    if s < !sl then sl := s;
+    if s > !sh then sh := s;
+    if c < !cl then cl := c;
+    if c > !ch then ch := c
+  done;
+  t.box.(4 * j) <- !sl;
+  t.box.((4 * j) + 1) <- !sh;
+  t.box.((4 * j) + 2) <- !cl;
+  t.box.((4 * j) + 3) <- !ch
+
 (* O(m log m): every level of the tree boxes its nodes and splits each
    at the median of the wider of its two extents. *)
-let build_tree slopes icepts =
-  let n = Array.length slopes in
+let tree_of_lines lines =
+  let n = Array.length lines in
   let rec depth m = if m <= leaf_size then 0 else 1 + depth (m - (m / 2)) in
-  let box = Array.make (4 * ((2 lsl depth n) - 1)) 0. in
-  let perm = Array.init n Fun.id in
+  let nodes = (2 lsl depth n) - 1 in
+  let slope = Array.map Line2.slope lines
+  and icept = Array.map Line2.icept lines in
+  let t =
+    {
+      size = n;
+      slope;
+      icept;
+      ids = Array.init n Fun.id;
+      ps = slope;
+      pc = icept;
+      lo = Array.make nodes 0;
+      hi = Array.make nodes 0;
+      split = Array.make nodes false;
+      box = Array.make (4 * nodes) 0.;
+    }
+  in
   let rec node j lo hi =
-    let sl = ref infinity and sh = ref neg_infinity in
-    let cl = ref infinity and ch = ref neg_infinity in
-    for i = lo to hi - 1 do
-      let s = slopes.(perm.(i)) and c = icepts.(perm.(i)) in
-      if s < !sl then sl := s;
-      if s > !sh then sh := s;
-      if c < !cl then cl := c;
-      if c > !ch then ch := c
-    done;
-    box.(4 * j) <- !sl;
-    box.((4 * j) + 1) <- !sh;
-    box.((4 * j) + 2) <- !cl;
-    box.((4 * j) + 3) <- !ch;
+    t.lo.(j) <- lo;
+    t.hi.(j) <- hi;
+    fit t j;
     if hi - lo > leaf_size then begin
+      t.split.(j) <- true;
       let mid = (lo + hi) / 2 in
-      let key = if !sh -. !sl >= !ch -. !cl then slopes else icepts in
-      select key perm lo (hi - 1) mid;
+      let b = 4 * j in
+      let key =
+        if t.box.(b + 1) -. t.box.(b) >= t.box.(b + 3) -. t.box.(b + 2) then
+          slope
+        else icept
+      in
+      select (fun a b -> key.(a) < key.(b)) t.ids lo (hi - 1) mid;
       node ((2 * j) + 1) lo mid;
       node ((2 * j) + 2) mid hi
     end
   in
   node 0 0 n;
   {
-    ids = perm;
-    ps = Array.map (fun m -> slopes.(m)) perm;
-    pc = Array.map (fun m -> icepts.(m)) perm;
-    box;
+    t with
+    ps = Array.map (fun m -> slope.(m)) t.ids;
+    pc = Array.map (fun m -> icept.(m)) t.ids;
   }
+
+(* O(m): the survivors keep their leaf order and their nodes, so every
+   node's lines are a subset of its lines before; node ranges shrink
+   through [before], and boxes are refitted bottom-up, each exact. *)
+let compact t ~peeled =
+  let n = t.size in
+  let rank = Array.make n 0 and r = ref 0 in
+  for id = 0 to n - 1 do
+    if not peeled.(id) then begin
+      rank.(id) <- !r;
+      t.slope.(!r) <- t.slope.(id);
+      t.icept.(!r) <- t.icept.(id);
+      incr r
+    end
+  done;
+  (* before.(i): survivors at leaf positions < i *)
+  let before = Array.make (n + 1) 0 and w = ref 0 in
+  for i = 0 to n - 1 do
+    before.(i) <- !w;
+    let id = t.ids.(i) in
+    if not peeled.(id) then begin
+      t.ids.(!w) <- rank.(id);
+      t.ps.(!w) <- t.ps.(i);
+      t.pc.(!w) <- t.pc.(i);
+      incr w
+    end
+  done;
+  before.(n) <- !w;
+  t.size <- !w;
+  let rec refit j =
+    t.lo.(j) <- before.(t.lo.(j));
+    t.hi.(j) <- before.(t.hi.(j));
+    if t.split.(j) && t.hi.(j) - t.lo.(j) > leaf_size then begin
+      let l = (2 * j) + 1 in
+      refit l;
+      refit (l + 1);
+      let b = t.box and bj = 4 * j and bl = 4 * l in
+      b.(bj) <- Float.min b.(bl) b.(bl + 4);
+      b.(bj + 1) <- Float.max b.(bl + 1) b.(bl + 5);
+      b.(bj + 2) <- Float.min b.(bl + 2) b.(bl + 6);
+      b.(bj + 3) <- Float.max b.(bl + 3) b.(bl + 7)
+    end
+    else fit t j
+  in
+  refit 0
+
+let left_order t k =
+  let sl = t.slope and ic = t.icept in
+  let order = Array.init t.size Fun.id in
+  select
+    (fun i j -> sl.(i) > sl.(j) || (sl.(i) = sl.(j) && ic.(i) < ic.(j)))
+    order 0 (t.size - 1) k;
+  order
 
 (* The search state: the current line (s0, c0), the current abscissa
    [after], and the best crossing found so far. *)
@@ -162,7 +260,8 @@ let[@inline] lower_bound box cur j =
    bound is live. *)
 let[@inline] live cur k = not (k > cur.best_x || k = infinity)
 
-let rec visit t cur j lo hi =
+let rec visit t cur j =
+  let lo = t.lo.(j) and hi = t.hi.(j) in
   if hi - lo <= leaf_size then begin
     let s0 = cur.s0 and c0 = cur.c0 and after = cur.after in
     for i = lo to hi - 1 do
@@ -182,15 +281,15 @@ let rec visit t cur j lo hi =
   else begin
     (* the child with the smaller bound first; each bound is tested
        against best_x when its child's turn comes *)
-    let l = (2 * j) + 1 and mid = (lo + hi) / 2 in
+    let l = (2 * j) + 1 in
     let kl = lower_bound t.box cur l and kr = lower_bound t.box cur (l + 1) in
     if kr < kl then begin
-      if live cur kr then visit t cur (l + 1) mid hi;
-      if live cur kl then visit t cur l lo mid
+      if live cur kr then visit t cur (l + 1);
+      if live cur kl then visit t cur l
     end
     else begin
-      if live cur kl then visit t cur l lo mid;
-      if live cur kr then visit t cur (l + 1) mid hi
+      if live cur kl then visit t cur l;
+      if live cur kr then visit t cur (l + 1)
     end
   end
 
@@ -200,36 +299,33 @@ let rec visit t cur j lo hi =
 let next_crossing t cur =
   cur.best_x <- infinity;
   cur.best <- -1;
-  visit t cur 0 0 (Array.length t.ids);
+  visit t cur 0;
   if cur.best >= 0 then cur.after <- cur.best_x;
   cur.best
 
-let walk ?(on_event = fun _ ~below_after:_ -> ()) ~lines ~k () =
-  let n = Array.length lines in
+let walk ?(on_event = fun _ ~below_after:_ -> ()) ~tree ~k () =
+  let n = tree.size in
   if k < 0 || k >= n then invalid_arg "Level_walk.walk: need 0 <= k < n";
-  (* Order at x = -infinity: larger slope is lower; break slope ties by
-     intercept (lower intercept is lower everywhere). *)
-  let order = Array.init n Fun.id in
-  Array.sort
-    (fun i j ->
-      let c = Float.compare (Line2.slope lines.(j)) (Line2.slope lines.(i)) in
-      if c <> 0 then c
-      else Float.compare (Line2.icept lines.(i)) (Line2.icept lines.(j)))
-    order;
-  (* L^-: ids of the k lines strictly below the current edge. *)
-  let minus = Hashtbl.create (2 * (k + 1)) in
-  for i = 0 to k - 1 do
-    Hashtbl.replace minus order.(i) ()
-  done;
+  let slopes = tree.slope and icepts = tree.icept in
+  (* at x = -infinity: order.(k) is the rank-k line, the k lines
+     before it are L^-, the lines strictly below the current edge *)
+  let order = left_order tree k in
+  (* L^- as flags by id, and as the list [members] with each member's
+     slot in it: a convex vertex swaps one member for another *)
+  let below = Array.make n false in
+  let members = Array.sub order 0 k and slot = Array.make n 0 in
+  Array.iteri
+    (fun i id ->
+      below.(id) <- true;
+      slot.(id) <- i)
+    members;
   let current = ref order.(k) in
   let edge_lines = Vec.create () and vertices = Vec.create () in
   Vec.push edge_lines !current;
-  let slopes = Array.map Line2.slope lines
-  and icepts = Array.map Line2.icept lines in
-  let tree = build_tree slopes icepts in
   let cur =
     { s0 = 0.; c0 = 0.; after = neg_infinity; best_x = infinity; best = -1 }
   in
+  let below_after () = Array.to_list members in
   let finished = ref false in
   while not !finished do
     cur.s0 <- slopes.(!current);
@@ -239,13 +335,17 @@ let walk ?(on_event = fun _ ~below_after:_ -> ()) ~lines ~k () =
     | g ->
         let vx = cur.after in
         let incoming = !current in
-        let vertex = Point2.make vx (Line2.eval lines.(incoming) vx) in
+        let vertex =
+          Point2.make vx ((slopes.(incoming) *. vx) +. icepts.(incoming))
+        in
         let kind =
-          if Hashtbl.mem minus g then begin
+          if below.(g) then begin
             (* g rises through the level: the incoming line dives below
                it, so the vertex is convex (a ∨) *)
-            Hashtbl.remove minus g;
-            Hashtbl.replace minus incoming ();
+            below.(g) <- false;
+            below.(incoming) <- true;
+            members.(slot.(g)) <- incoming;
+            slot.(incoming) <- slot.(g);
             Convex
           end
           else Concave
@@ -253,9 +353,6 @@ let walk ?(on_event = fun _ ~below_after:_ -> ()) ~lines ~k () =
         current := g;
         Vec.push vertices vertex;
         Vec.push edge_lines g;
-        let below_after () =
-          Hashtbl.fold (fun id () acc -> id :: acc) minus []
-        in
         on_event { vertex; kind; incoming; outgoing = g } ~below_after
   done;
   { edge_lines = Vec.to_array edge_lines; vertices = Vec.to_array vertices }

@@ -125,6 +125,15 @@ let build ~stats ~block_size ?(cache_blocks = 0) ?(seed = 0) points =
   let deduped = dedupe points in
   let distinct = Array.length deduped in
   let remaining = ref deduped in
+  (* one walk tree for the whole build, compacted as layers peel off
+     (substitution 2: the walk's vertices do not depend on its shape) *)
+  let tree =
+    lazy
+      (Arrangement.Level_walk.tree_of_lines
+         (Array.map
+            (fun e -> Line2.make ~slope:e.slope ~icept:e.icept)
+            deduped))
+  in
   let built = ref [] in
   let finished = ref false in
   while not !finished do
@@ -137,10 +146,8 @@ let build ~stats ~block_size ?(cache_blocks = 0) ?(seed = 0) points =
     end
     else begin
       let lambda = beta + Random.State.int rng (beta + 1) in
-      let lines =
-        Array.map (fun e -> Line2.make ~slope:e.slope ~icept:e.icept) entries
-      in
-      let clustering = Arrangement.Clustering.greedy ~lines ~k:lambda in
+      let tree = Lazy.force tree in
+      let clustering = Arrangement.Clustering.greedy ~tree ~k:lambda in
       let runs =
         Array.map
           (fun (c : Arrangement.Clustering.cluster) ->
@@ -170,6 +177,7 @@ let build ~stats ~block_size ?(cache_blocks = 0) ?(seed = 0) points =
         invalid_arg "Halfspace2d.build: clustering made no progress";
       remaining := rest;
       if Array.length rest = 0 then finished := true
+      else Arrangement.Level_walk.compact tree ~peeled:in_layer
     end
   done;
   {

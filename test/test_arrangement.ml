@@ -5,6 +5,17 @@ open Geom
 
 let line s i = Line2.make ~slope:s ~icept:i
 
+(* The walk and the clustering over a fresh tree of [lines]. *)
+let walk ?on_event ~lines ~k () =
+  Arrangement.Level_walk.walk ?on_event
+    ~tree:(Arrangement.Level_walk.tree_of_lines lines)
+    ~k ()
+
+let greedy ~lines ~k =
+  Arrangement.Clustering.greedy
+    ~tree:(Arrangement.Level_walk.tree_of_lines lines)
+    ~k
+
 (* Random pairwise-distinct lines in generic position. *)
 let gen_lines =
   QCheck.Gen.(
@@ -52,7 +63,7 @@ let test_level_triangle () =
      y=x at (-2,-2), switches to y=-x at the apex (0,0) and returns to
      y=-2 at (2,-2): three vertices. *)
   let lines = [| line 1. 0.; line (-1.) 0.; line 0. (-2.) |] in
-  let level = Arrangement.Level_walk.walk ~lines ~k:1 () in
+  let level = walk ~lines ~k:1 () in
   Alcotest.(check int) "complexity" 3
     (Arrangement.Level_walk.complexity level);
   Alcotest.(check (array int)) "edge lines" [| 2; 0; 1; 2 |] level.edge_lines;
@@ -61,7 +72,7 @@ let test_level_triangle () =
 
 let test_level_zero_is_lower_envelope () =
   let lines = [| line 1. 0.; line 0. 1.; line (-1.) 4. |] in
-  let level = Arrangement.Level_walk.walk ~lines ~k:0 () in
+  let level = walk ~lines ~k:0 () in
   (* must follow the lower envelope: segments of lines 0, 1, 2 *)
   Alcotest.(check (array int)) "edges" [| 0; 1; 2 |] level.edge_lines;
   Alcotest.(check bool) "valid" true
@@ -71,7 +82,7 @@ let test_level_parallel_lines () =
   (* Parallel lines never cross: every level is a single full line. *)
   let lines = [| line 1. 0.; line 1. 1.; line 1. 2. |] in
   for k = 0 to 2 do
-    let level = Arrangement.Level_walk.walk ~lines ~k () in
+    let level = walk ~lines ~k () in
     Alcotest.(check int) "no vertices" 0
       (Arrangement.Level_walk.complexity level);
     Alcotest.(check int) "edge is the k-th lowest" k level.edge_lines.(0)
@@ -80,7 +91,7 @@ let test_level_parallel_lines () =
 let prop_level_walk_valid =
   QCheck.Test.make ~count:300 ~name:"level walk is exact (brute check)"
     arb_lines_and_k (fun (lines, k) ->
-      let level = Arrangement.Level_walk.walk ~lines ~k () in
+      let level = walk ~lines ~k () in
       Arrangement.Level_walk.check_level ~lines ~k level)
 
 let prop_level_events_alternate_consistently =
@@ -88,7 +99,7 @@ let prop_level_events_alternate_consistently =
     arb_lines_and_k (fun (lines, k) ->
       let events = ref [] in
       let level =
-        Arrangement.Level_walk.walk
+        walk
           ~on_event:(fun ev ~below_after:_ -> events := ev :: !events)
           ~lines ~k ()
       in
@@ -104,7 +115,7 @@ let prop_below_after_has_k_lines =
     arb_lines_and_k (fun (lines, k) ->
       let ok = ref true in
       ignore
-        (Arrangement.Level_walk.walk
+        (walk
            ~on_event:(fun _ ~below_after ->
              if List.length (below_after ()) <> k then ok := false)
            ~lines ~k ());
@@ -118,14 +129,14 @@ let prop_below_after_has_k_lines =
    crossed. *)
 let test_next_crossing_tie_break () =
   let lines = [| line 2. 0.; line 0. 2.; line 1. 1.; line 2. 5. |] in
-  let level = Arrangement.Level_walk.walk ~lines ~k:0 () in
+  let level = walk ~lines ~k:0 () in
   Alcotest.(check (array int)) "tie goes to the lower id" [| 0; 1 |]
     level.edge_lines;
   Alcotest.(check (float 0.)) "at the shared abscissa" 1.
     (Point2.x level.vertices.(0));
   for k = 0 to Array.length lines - 1 do
     ignore
-      (Arrangement.Level_walk.walk
+      (walk
          ~on_event:(fun (ev : Arrangement.Level_walk.event) ~below_after:_ ->
            Alcotest.(check bool)
              (Printf.sprintf "k=%d: %d -> %d not parallel" k ev.incoming
@@ -155,7 +166,7 @@ let test_next_crossing_tie_break () =
         Array.init 32 (fun j -> pad j ~s:45. ~c:(-35.));
       ]
   in
-  let level = Arrangement.Level_walk.walk ~lines ~k:0 () in
+  let level = walk ~lines ~k:0 () in
   Alcotest.(check (array int)) "cross-cell tie goes to the lower id" [| 0; 1 |]
     level.edge_lines;
   Alcotest.(check (float 0.)) "across cells, at the shared abscissa" 1.
@@ -178,7 +189,7 @@ let digest_walk lines ~k =
     Printf.bprintf b " %Lx %Lx" (bits (Point2.x p)) (bits (Point2.y p))
   in
   let level =
-    Arrangement.Level_walk.walk
+    walk
       ~on_event:(fun (ev : Arrangement.Level_walk.event) ~below_after ->
         Printf.bprintf b "e %s %d %d"
           (match ev.kind with Convex -> "v" | Concave -> "^")
@@ -443,7 +454,7 @@ let prop_walk_matches_linear_scan =
       let lines, k = differential_lines case in
       let events = ref [] in
       let level =
-        Arrangement.Level_walk.walk
+        walk
           ~on_event:(fun (ev : Arrangement.Level_walk.event) ~below_after ->
             events :=
               ( ev.kind,
@@ -479,13 +490,13 @@ let arb_cluster_input = QCheck.make gen_cluster_input
 let prop_cluster_sizes =
   QCheck.Test.make ~count:300 ~name:"every cluster has <= 3k lines"
     arb_cluster_input (fun (lines, k) ->
-      let c = Arrangement.Clustering.greedy ~lines ~k in
+      let c = greedy ~lines ~k in
       Arrangement.Clustering.max_cluster_size c <= 3 * k)
 
 let prop_cluster_count =
   QCheck.Test.make ~count:300 ~name:"at most N/k + 1 clusters (Lemma 3.2)"
     arb_cluster_input (fun (lines, k) ->
-      let c = Arrangement.Clustering.greedy ~lines ~k in
+      let c = greedy ~lines ~k in
       Arrangement.Clustering.size c <= (Array.length lines / k) + 1)
 
 (* Lemma 3.1: if p is above fewer than k lines of its relevant cluster,
@@ -498,7 +509,7 @@ let prop_lemma_3_1 =
            (list_size (1 -- 15)
               (pair (float_range (-30.) 30.) (float_range (-30.) 30.)))))
     (fun ((lines, k), queries) ->
-      let c = Arrangement.Clustering.greedy ~lines ~k in
+      let c = greedy ~lines ~k in
       List.for_all
         (fun (px, py) ->
           let p = Point2.make px py in
@@ -531,7 +542,7 @@ let prop_lemma_3_1 =
 let prop_corollary_3_3 =
   QCheck.Test.make ~count:300 ~name:"Corollary 3.3 (contiguous appearances)"
     arb_cluster_input (fun (lines, k) ->
-      let c = Arrangement.Clustering.greedy ~lines ~k in
+      let c = greedy ~lines ~k in
       let n = Array.length lines in
       let ok = ref true in
       for id = 0 to n - 1 do
@@ -558,7 +569,7 @@ let prop_relevant_partition =
     (QCheck.make
        QCheck.Gen.(pair gen_cluster_input (float_range (-100.) 100.)))
     (fun ((lines, k), x) ->
-      let c = Arrangement.Clustering.greedy ~lines ~k in
+      let c = greedy ~lines ~k in
       let idx = Arrangement.Clustering.relevant c x in
       let cl = c.Arrangement.Clustering.clusters.(idx) in
       cl.Arrangement.Clustering.left_x <= x
@@ -571,7 +582,7 @@ let test_cluster_small_example () =
   let lines =
     [| line 2. 0.; line 1. 1.; line 0. (-1.); line (-1.) 2.; line (-2.) (-3.) |]
   in
-  let c = Arrangement.Clustering.greedy ~lines ~k:1 in
+  let c = greedy ~lines ~k:1 in
   Alcotest.(check bool) "at least one cluster" true
     (Arrangement.Clustering.size c >= 1);
   Alcotest.(check bool) "sizes within 3k" true
