@@ -77,14 +77,24 @@ let space_blocks t =
           acc c.layers)
       0 t.copies
 
-(* Write item slot [j] of a flat conflict array: id then the three
-   plane coefficients. *)
-let put_item flat j planes id =
+(* The blocks of a run of [len] stride-4 items, [block_size] items to
+   a block: filled by [put_item] and handed to [Emio.Run.of_blocks],
+   so the items are written once. *)
+let item_blocks ~block_size len =
+  let b = stride * block_size and len = stride * len in
+  Array.init
+    ((len + b - 1) / b)
+    (fun i -> Array.make (min b (len - (i * b))) 0.)
+
+(* Write item slot [j] of a run's blocks: id then the three plane
+   coefficients. *)
+let put_item blocks ~block_size j planes id =
   let p = planes.(id) in
-  flat.((stride * j) + 0) <- float_of_int id;
-  flat.((stride * j) + 1) <- Plane3.a p;
-  flat.((stride * j) + 2) <- Plane3.b p;
-  flat.((stride * j) + 3) <- Plane3.c p
+  let block = blocks.(j / block_size) and o = stride * (j mod block_size) in
+  block.(o) <- float_of_int id;
+  block.(o + 1) <- Plane3.a p;
+  block.(o + 2) <- Plane3.b p;
+  block.(o + 3) <- Plane3.c p
 
 (* Triangle top edges, labelled with the triangle's payload: input for
    the worst-case Seg_tree locator. *)
@@ -117,13 +127,13 @@ let build_layer ~stats ~block_size ~cache_blocks ~clip ~planes ~hull
       ~cache_blocks ~codec:Emio.Codec.float ()
   in
   (* the layer's conflict run: every triangle's K(Δ) in triangle
-     order, written straight into one flat array *)
+     order, written straight into the run's blocks *)
   let total =
     Array.fold_left
       (fun acc (tr : Envelope3.triangle) -> acc + Array.length tr.conflicts)
       0 env.Envelope3.triangles
   in
-  let flat = Array.make (stride * total) 0. in
+  let blocks = item_blocks ~block_size total in
   let pos = ref 0 in
   let items =
     Array.map
@@ -131,7 +141,7 @@ let build_layer ~stats ~block_size ~cache_blocks ~clip ~planes ~hull
         let klen = Array.length tr.conflicts in
         let kstart = !pos in
         Array.iteri
-          (fun j g -> put_item flat (kstart + j) planes g)
+          (fun j g -> put_item blocks ~block_size (kstart + j) planes g)
           tr.conflicts;
         pos := !pos + klen;
         let p = planes.(tr.plane) in
@@ -146,7 +156,7 @@ let build_layer ~stats ~block_size ~cache_blocks ~clip ~planes ~hull
           } ))
       env.Envelope3.triangles
   in
-  let conflicts = Emio.Run.of_array store flat in
+  let conflicts = Emio.Run.of_blocks store blocks in
   let locator =
     if use_segtree then
       Segtree
@@ -185,11 +195,11 @@ let build ~stats ~block_size ?(cache_blocks = 0) ?(seed = 0) ?(copies = 3)
       ~codec:Emio.Codec.float ()
   in
   let all_planes =
-    let flat = Array.make (stride * n) 0. in
+    let blocks = item_blocks ~block_size n in
     for id = 0 to n - 1 do
-      put_item flat id planes id
+      put_item blocks ~block_size id planes id
     done;
-    Emio.Run.of_array store flat
+    Emio.Run.of_blocks store blocks
   in
   let beta = compute_beta ~block_size n in
   let max_i =

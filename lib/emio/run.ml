@@ -16,6 +16,17 @@ let of_array store items =
   in
   { store; block_ids; length = n }
 
+let of_blocks store blocks =
+  let b = Store.block_size store and nb = Array.length blocks in
+  Array.iteri
+    (fun i block ->
+      let len = Array.length block in
+      if len > b || (i < nb - 1 && len < b) || len = 0 then
+        invalid_arg "Run.of_blocks: every block but the last must be full")
+    blocks;
+  let length = Array.fold_left (fun acc bl -> acc + Array.length bl) 0 blocks in
+  { store; block_ids = Array.map (Store.alloc store) blocks; length }
+
 let of_list store items = of_array store (Array.of_list items)
 
 let of_block_ids store block_ids length = { store; block_ids; length }

@@ -8,6 +8,14 @@ type 'a t
 val of_array : 'a Store.t -> 'a array -> 'a t
 (** Lay the items out in ⌈length/B⌉ fresh blocks (charged as writes). *)
 
+val of_blocks : 'a Store.t -> 'a array array -> 'a t
+(** [of_blocks store blocks] is the run whose blocks are [blocks]
+    themselves, in order: what {!of_array} writes for their
+    concatenation, without copying the items again.  The store keeps
+    the arrays, so the caller must not change them afterwards.  Every
+    block but the last must hold exactly [Store.block_size store]
+    items, and none may be empty. *)
+
 val of_list : 'a Store.t -> 'a list -> 'a t
 
 val of_block_ids : 'a Store.t -> int array -> int -> 'a t

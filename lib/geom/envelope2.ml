@@ -92,19 +92,26 @@ let eval t x =
   if is_empty t then invalid_arg "Envelope2.eval: empty envelope";
   Line2.eval (line_at t x) x
 
-(* Signed gap between the probe and the envelope, positive when the
-   probe is on the envelope's outer side.  In both kinds the gap is a
-   concave piecewise-linear function of x, which is what makes the
-   binary searches below sound. *)
-let gap t (probe : Line2.t) x =
+(* Signed gap between the probe y = slope x + icept and envelope line
+   [i] at [x], positive when the probe is on the envelope's outer side.
+   On line [i]'s own segment this is the gap to the envelope; in both
+   kinds it is a concave piecewise-linear function of x, which is what
+   makes the binary searches below sound. *)
+let[@inline] gap_on t ~slope ~icept i x =
   match t.kind with
-  | Upper -> Line2.eval probe x -. eval t x
-  | Lower -> eval t x -. Line2.eval probe x
+  | Upper -> ((slope *. x) +. icept) -. Line2.eval t.lines.(i) x
+  | Lower -> Line2.eval t.lines.(i) x -. ((slope *. x) +. icept)
 
-let gap_slope t probe i =
+(* The gap at breakpoint [j].  Breakpoints strictly increase, so
+   breakpoint [j] is the left end of segment [j + 1] and the envelope
+   there is read on segment [j], the one [segment_index] would find
+   for [bps.(j)] ([j] breakpoints lie strictly below it). *)
+let[@inline] gap_at t ~slope ~icept j = gap_on t ~slope ~icept j t.bps.(j)
+
+let[@inline] gap_slope t ~slope i =
   match t.kind with
-  | Upper -> Line2.slope probe -. Line2.slope t.lines.(i)
-  | Lower -> Line2.slope t.lines.(i) -. Line2.slope probe
+  | Upper -> slope -. Line2.slope t.lines.(i)
+  | Lower -> Line2.slope t.lines.(i) -. slope
 
 let first_crossing t probe ~after =
   if is_empty t then None
@@ -122,7 +129,8 @@ let first_crossing t probe ~after =
     (* The gap is concave and >= 0 just right of [after]; once it drops
        below zero it stays below, so "gap at breakpoint j < 0" is a
        monotone predicate over j >= first_bp. *)
-    let neg j = gap t probe t.bps.(j) < -.Eps.eps in
+    let slope = Line2.slope probe and icept = Line2.icept probe in
+    let neg j = gap_at t ~slope ~icept j < -.Eps.eps in
     let crossing_in_segment i lo_bound =
       (* gap changes sign inside segment i *)
       let l = t.lines.(i) in
@@ -152,103 +160,108 @@ let first_crossing t probe ~after =
       (* no breakpoint is negative: the only possible crossing is on the
          last (unbounded) segment, provided the gap is shrinking. *)
       let last = size t - 1 in
-      if gap_slope t probe last < 0. then
+      if gap_slope t ~slope last < 0. then
         raise (Found (crossing_in_segment last after));
       None
     with Found r -> r
   end
 
-let outer_interval t probe =
-  if is_empty t then None
-  else begin
-    let m = size t in
-    let slope i = gap_slope t probe i in
-    if slope (m - 1) > 0. then begin
-      (* gap increases to +infinity: outer region is a right ray *)
-      if slope 0 > 0. then
-        (* increasing everywhere: gap negative at -inf; left crossing is
-           the single sign change *)
-        let j =
-          (* first segment index where gap at its right end (or +inf)
-             is positive; find via binary search on breakpoints *)
-          let lo = ref 0 and hi = ref (Array.length t.bps) in
-          while !lo < !hi do
-            let mid = (!lo + !hi) / 2 in
-            if gap t probe t.bps.(mid) > Eps.eps then hi := mid
-            else lo := mid + 1
-          done;
-          !lo
-        in
-        let l = t.lines.(j) in
-        if Line2.parallel probe l then Some (neg_infinity, infinity)
-        else Some (Line2.meet_x probe l, infinity)
-      else
-        (* decreasing then increasing is impossible for a concave gap;
-           slope 0 <= 0 < slope (m-1) cannot happen *)
-        Some (neg_infinity, infinity)
-    end
-    else if slope 0 < 0. then begin
-      (* gap decreases from +infinity: outer region is a left ray *)
-      let j =
-        (* last segment whose right-end gap is still positive: find the
-           first breakpoint where the gap is <= 0 *)
-        let lo = ref 0 and hi = ref (Array.length t.bps) in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if gap t probe t.bps.(mid) < -.Eps.eps then hi := mid
-          else lo := mid + 1
-        done;
-        !lo
-      in
-      let l = t.lines.(min j (m - 1)) in
-      if Line2.parallel probe l then Some (neg_infinity, infinity)
-      else Some (neg_infinity, Line2.meet_x probe l)
-    end
-    else begin
-      (* concave with nonnegative left slope and nonpositive right
-         slope: bounded peak.  Find the peak breakpoint: the last
-         segment with positive gap slope. *)
-      let lo = ref 0 and hi = ref (m - 1) in
-      (* find smallest i with slope i <= 0; peak is at bps.(i-1) if i>0 *)
+(* [Line2.parallel] and [Line2.meet_x] of the probe and envelope line
+   [i], on the probe's own floats. *)
+let[@inline] parallel t ~slope i = Eps.equal slope (Line2.slope t.lines.(i))
+
+let[@inline] meet_x t ~slope ~icept i =
+  let l = t.lines.(i) in
+  (Line2.icept l -. icept) /. (slope -. Line2.slope l)
+
+(* No local closures below: the 3-D build calls this once per plane
+   and wall, and the helpers above inline with their floats unboxed. *)
+let outer_interval t ~slope ~icept out =
+  let m = size t and nb = Array.length t.bps in
+  if m = 0 then false
+  else if gap_slope t ~slope (m - 1) > 0. then begin
+    (* gap increases to +infinity: outer region is a right ray *)
+    if gap_slope t ~slope 0 > 0. then begin
+      (* increasing everywhere: gap negative at -inf; left crossing is
+         the single sign change, on the first segment whose right end
+         (or +inf) has a positive gap *)
+      let lo = ref 0 and hi = ref nb in
       while !lo < !hi do
         let mid = (!lo + !hi) / 2 in
-        if slope mid <= 0. then hi := mid else lo := mid + 1
+        if gap_at t ~slope ~icept mid > Eps.eps then hi := mid
+        else lo := mid + 1
       done;
-      let peak_x = if !lo = 0 then 0. else t.bps.(!lo - 1) in
-      let peak_x =
-        if Array.length t.bps = 0 then 0.
-        else if !lo = 0 then t.bps.(0)
-        else peak_x
+      out.(0) <-
+        (if parallel t ~slope !lo then neg_infinity
+         else meet_x t ~slope ~icept !lo)
+    end
+    else
+      (* decreasing then increasing is impossible for a concave gap;
+         slope 0 <= 0 < slope (m-1) cannot happen *)
+      out.(0) <- neg_infinity;
+    out.(1) <- infinity;
+    true
+  end
+  else if gap_slope t ~slope 0 < 0. then begin
+    (* gap decreases from +infinity: outer region is a left ray ending
+       on the last segment whose right-end gap is still positive: find
+       the first breakpoint where the gap is <= 0 *)
+    let lo = ref 0 and hi = ref nb in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if gap_at t ~slope ~icept mid < -.Eps.eps then hi := mid
+      else lo := mid + 1
+    done;
+    let j = min !lo (m - 1) in
+    out.(0) <- neg_infinity;
+    out.(1) <-
+      (if parallel t ~slope j then infinity else meet_x t ~slope ~icept j);
+    true
+  end
+  else begin
+    (* concave with nonnegative left slope and nonpositive right slope:
+       bounded peak.  Find the peak breakpoint: the last segment with
+       positive gap slope. *)
+    let lo = ref 0 and hi = ref (m - 1) in
+    (* find smallest i with slope i <= 0; peak is at bps.(i-1) if i>0 *)
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if gap_slope t ~slope mid <= 0. then hi := mid else lo := mid + 1
+    done;
+    let peak_gap =
+      if nb = 0 then gap_on t ~slope ~icept 0 0.
+      else gap_at t ~slope ~icept (if !lo = 0 then 0 else !lo - 1)
+    in
+    if peak_gap <= Eps.eps then false
+    else begin
+      (* left crossing: gap goes negative -> positive moving right;
+         breakpoints [0, lo): find first with positive gap *)
+      let l = ref 0 and h = ref !lo in
+      while !l < !h do
+        let mid = (!l + !h) / 2 in
+        if gap_at t ~slope ~icept mid > Eps.eps then h := mid
+        else l := mid + 1
+      done;
+      let left =
+        if parallel t ~slope !l then neg_infinity
+        else meet_x t ~slope ~icept !l
       in
-      if gap t probe peak_x <= Eps.eps then None
+      (* breakpoints [lo, nb): find first with negative gap *)
+      let l = ref !lo and h = ref nb in
+      while !l < !h do
+        let mid = (!l + !h) / 2 in
+        if gap_at t ~slope ~icept mid < -.Eps.eps then h := mid
+        else l := mid + 1
+      done;
+      let j = min !l (m - 1) in
+      let right =
+        if parallel t ~slope j then infinity else meet_x t ~slope ~icept j
+      in
+      if left >= right then false
       else begin
-        (* left crossing: gap goes negative -> positive moving right *)
-        let left =
-          let l = ref 0 and h = ref !lo in
-          (* breakpoints [0, lo): find first with positive gap *)
-          while !l < !h do
-            let mid = (!l + !h) / 2 in
-            if gap t probe t.bps.(mid) > Eps.eps then h := mid
-            else l := mid + 1
-          done;
-          let seg = t.lines.(!l) in
-          if Line2.parallel probe seg then neg_infinity
-          else Line2.meet_x probe seg
-        in
-        let right =
-          let nb = Array.length t.bps in
-          let l = ref !lo and h = ref nb in
-          (* breakpoints [lo, nb): find first with negative gap *)
-          while !l < !h do
-            let mid = (!l + !h) / 2 in
-            if gap t probe t.bps.(mid) < -.Eps.eps then h := mid
-            else l := mid + 1
-          done;
-          let seg = t.lines.(min !l (m - 1)) in
-          if Line2.parallel probe seg then infinity
-          else Line2.meet_x probe seg
-        in
-        if left >= right then None else Some (left, right)
+        out.(0) <- left;
+        out.(1) <- right;
+        true
       end
     end
   end

@@ -37,14 +37,18 @@ val first_crossing : t -> Line2.t -> after:float -> (float * Line2.t) option
     side from which the envelope is the first obstacle).  [None] if the
     ray never meets the envelope. *)
 
-val outer_interval : t -> Line2.t -> (float * float) option
-(** The open x-interval on which [probe] is strictly on the envelope's
-    outer side (below a lower envelope, above an upper one), or [None]
-    if there is no such region.  Because the gap function is concave,
-    this region is always a single interval, possibly with
-    [neg_infinity] / [infinity] ends.  Used to compute which
-    clip-boundary corners a plane conflicts with in the 3-D structure
-    (§4.1). *)
+val outer_interval : t -> slope:float -> icept:float -> float array -> bool
+(** [outer_interval t ~slope ~icept out] finds the open x-interval on
+    which the probe [y = slope x + icept] is strictly on the envelope's
+    outer side (below a lower envelope, above an upper one): it writes
+    the ends to [out.(0)] and [out.(1)] and returns [true], or returns
+    [false] if there is no such region.  Because the gap function is
+    concave, this region is always a single interval, possibly with
+    [neg_infinity] / [infinity] ends.  Allocates nothing: the 3-D
+    structure probes every non-sample plane against its clip-wall
+    envelopes (§4.1). *)
 
 val breakpoints : t -> float array
+(** The segment boundaries, left to right: strictly increasing. *)
+
 val lines : t -> Line2.t array

@@ -28,14 +28,19 @@ let wall_of ~clip x y =
   else if near y ymax then Some (3, x)
   else None
 
-let restrict_to_wall plane wall ~clip =
+(* Wall [w] at [x = xmin], [x = xmax], [y = ymin] or [y = ymax]: the
+   plane's restriction there is the line of slope [wall_slope] and
+   intercept [wall_icept], computed as [Plane3.restrict_x] and
+   [Plane3.restrict_y] compute them. *)
+let wall_slope p w = if w < 2 then Plane3.b p else Plane3.a p
+
+let wall_icept p w ~clip =
   let xmin, ymin, xmax, ymax = clip in
-  match wall with
-  | 0 -> Plane3.restrict_x plane xmin
-  | 1 -> Plane3.restrict_x plane xmax
-  | 2 -> Plane3.restrict_y plane ymin
-  | 3 -> Plane3.restrict_y plane ymax
-  | _ -> invalid_arg "Envelope3: bad wall id"
+  match w with
+  | 0 -> (Plane3.a p *. xmin) +. Plane3.c p
+  | 1 -> (Plane3.a p *. xmax) +. Plane3.c p
+  | 2 -> (Plane3.b p *. ymin) +. Plane3.c p
+  | _ -> (Plane3.b p *. ymax) +. Plane3.c p
 
 (* The sorted union of three strictly ascending int arrays: every
    list whose head is the least value steps past it, so no value is
@@ -49,8 +54,8 @@ let merge3 buf a b c =
   let i = ref 0 and j = ref 0 and k = ref 0 and len = ref 0 in
   while !i < la || !j < lb || !k < lc do
     let x = if !i < la then a.(!i) else max_int in
-    let x = if !j < lb then min x b.(!j) else x in
-    let x = if !k < lc then min x c.(!k) else x in
+    let x = if !j < lb && b.(!j) < x then b.(!j) else x in
+    let x = if !k < lc && c.(!k) < x then c.(!k) else x in
     if !i < la && a.(!i) = x then incr i;
     if !j < lb && b.(!j) = x then incr j;
     if !k < lc && c.(!k) = x then incr k;
@@ -58,6 +63,38 @@ let merge3 buf a b c =
     incr len
   done;
   Array.sub out 0 !len
+
+(* Sorts every facet's conflict array, all at once and in linear time:
+   the (facet, entry) pairs are bucketed by plane id in [0, n), then
+   each plane id, ascending, is appended to its facets' arrays. *)
+let sort_conflicts n (lower : Hull3.facet array) =
+  let start = Array.make (n + 1) 0 in
+  Array.iter
+    (fun (f : Hull3.facet) ->
+      Array.iter (fun g -> start.(g + 1) <- start.(g + 1) + 1) f.conflicts)
+    lower;
+  for g = 1 to n do
+    start.(g) <- start.(g) + start.(g - 1)
+  done;
+  (* after this pass start.(g) is where bucket g + 1 begins *)
+  let owner = Array.make start.(n) 0 in
+  Array.iteri
+    (fun fi (f : Hull3.facet) ->
+      Array.iter
+        (fun g ->
+          owner.(start.(g)) <- fi;
+          start.(g) <- start.(g) + 1)
+        f.conflicts)
+    lower;
+  let fill = Array.make (Array.length lower) 0 and k = ref 0 in
+  for g = 0 to n - 1 do
+    while !k < start.(g) do
+      let fi = owner.(!k) in
+      lower.(fi).conflicts.(fill.(fi)) <- g;
+      fill.(fi) <- fill.(fi) + 1;
+      incr k
+    done
+  done
 
 let build ~planes ~hull ~clip =
   let n = Array.length planes in
@@ -132,10 +169,17 @@ let build ~planes ~hull ~clip =
         | None -> Orphan)
   in
   (* --- conflicts for wall corners via 2-D wall envelopes ----------- *)
-  (* collect wall corners first *)
-  let wall_corners : (int * float * (int * int)) list ref = ref [] in
-  (* (wall, param, (face index in face_polys list, corner index)) *)
   let face_arr = Array.of_list !face_polys in
+  (* corners are numbered face by face: face [i]'s corner [ci] is
+     corner [first_corner.(i) + ci] *)
+  let first_corner = Array.make (Array.length face_arr + 1) 0 in
+  Array.iteri
+    (fun i (_, _, poly) ->
+      first_corner.(i + 1) <-
+        first_corner.(i) + Array.length (Polygon2.vertices poly))
+    face_arr;
+  (* (wall, param, corner) of every wall corner *)
+  let wall_corners = ref [] in
   let face_corner_kinds =
     Array.mapi
       (fun face_i (_, facet_idxs, poly) ->
@@ -143,51 +187,57 @@ let build ~planes ~hull ~clip =
           (fun ci p ->
             let k = classify facet_idxs p in
             (match k with
-            | Wall (w, u) -> wall_corners := (w, u, (face_i, ci)) :: !wall_corners
+            | Wall (w, u) ->
+                let corner = first_corner.(face_i) + ci in
+                wall_corners := (w, u, corner) :: !wall_corners
             | _ -> ());
             k)
           (Polygon2.vertices poly))
       face_arr
   in
-  (* conflict lists per (face, corner) for wall corners *)
-  let wall_conflicts : (int * int, int list ref) Hashtbl.t = Hashtbl.create 64 in
-  let sample_ids = Array.to_list sample in
+  (* each wall corner's conflicts, prepended to as g ascends *)
+  let wall_conflicts = Array.make first_corner.(Array.length face_arr) [] in
+  let interval = [| 0.; 0. |] in
   for w = 0 to 3 do
     let corners =
       List.filter (fun (w', _, _) -> w' = w) !wall_corners
-      |> List.map (fun (_, u, key) -> (u, key))
-      |> List.sort compare
+      |> List.map (fun (_, u, corner) -> (u, corner))
+      |> List.sort compare |> Array.of_list
     in
-    if corners <> [] then begin
+    if corners <> [||] then begin
       let env =
         Envelope2.build Envelope2.Lower
-          (Array.of_list
-             (List.map (fun i -> restrict_to_wall planes.(i) w ~clip) sample_ids))
+          (Array.map
+             (fun i ->
+               let p = planes.(i) in
+               Line2.make ~slope:(wall_slope p w) ~icept:(wall_icept p w ~clip))
+             sample)
       in
-      let corner_arr = Array.of_list corners in
-      let params = Array.map fst corner_arr in
+      let params = Array.map fst corners in
       for g = 0 to n - 1 do
         if not (Hull3.in_sample hull g) then begin
-          match Envelope2.outer_interval env (restrict_to_wall planes.(g) w ~clip) with
-          | None -> ()
-          | Some (lo, hi) ->
-              (* stab corners with lo < u < hi *)
-              let first =
-                let l = ref 0 and r = ref (Array.length params) in
-                while !l < !r do
-                  let m = (!l + !r) / 2 in
-                  if params.(m) <= lo then l := m + 1 else r := m
-                done;
-                !l
-              in
-              let i = ref first in
-              while !i < Array.length params && params.(!i) < hi do
-                let _, key = corner_arr.(!i) in
-                (match Hashtbl.find_opt wall_conflicts key with
-                | Some l -> l := g :: !l
-                | None -> Hashtbl.add wall_conflicts key (ref [ g ]));
-                incr i
-              done
+          let p = planes.(g) in
+          if
+            Envelope2.outer_interval env ~slope:(wall_slope p w)
+              ~icept:(wall_icept p w ~clip) interval
+          then begin
+            (* stab corners with lo < u < hi *)
+            let lo = interval.(0) and hi = interval.(1) in
+            let first =
+              let l = ref 0 and r = ref (Array.length params) in
+              while !l < !r do
+                let m = (!l + !r) / 2 in
+                if params.(m) <= lo then l := m + 1 else r := m
+              done;
+              !l
+            in
+            let i = ref first in
+            while !i < Array.length params && params.(!i) < hi do
+              let corner = snd corners.(!i) in
+              wall_conflicts.(corner) <- g :: wall_conflicts.(corner);
+              incr i
+            done
+          end
         end
       done
     end
@@ -210,9 +260,7 @@ let build ~planes ~hull ~clip =
      triangle's union is one merge: facet lists are sorted once (they
      are this build's own exports), wall and orphan lists were
      prepended to as g ascended *)
-  Array.iter
-    (fun (f : Hull3.facet) -> Array.sort Int.compare f.conflicts)
-    lower;
+  sort_conflicts n lower;
   let ascending l = Array.of_list (List.rev l) in
   let buf = ref [||] in
   Array.iteri
@@ -222,10 +270,7 @@ let build ~planes ~hull ~clip =
       let corner_conflicts ci =
         match kinds.(ci) with
         | Vertex fi -> lower.(fi).Hull3.conflicts
-        | Wall _ -> (
-            match Hashtbl.find_opt wall_conflicts (face_i, ci) with
-            | Some l -> ascending !l
-            | None -> [||])
+        | Wall _ -> ascending wall_conflicts.(first_corner.(face_i) + ci)
         | Orphan -> ascending (orphan_conflicts h verts.(ci))
       in
       let nv = Array.length verts in

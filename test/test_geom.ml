@@ -141,7 +141,14 @@ let prop_outer_interval kind name =
         | Envelope2.Upper ->
             Line2.eval probe x > Envelope2.eval env x +. 1e-6
       in
-      let interval = Envelope2.outer_interval env probe in
+      let interval =
+        let out = [| nan; nan |] in
+        if
+          Envelope2.outer_interval env ~slope:probe_slope ~icept:probe_icept
+            out
+        then Some (out.(0), out.(1))
+        else None
+      in
       (* check agreement on a grid, skipping points near the boundary *)
       let ok = ref true in
       for i = -60 to 60 do
