@@ -476,6 +476,75 @@ let prop_walk_matches_linear_scan =
            (Array.to_list level.vertices)
            ref_events)
 
+(* One tree through several rounds of peeling, as an h2 build uses it:
+   after each round the walk over the compacted tree must equal the
+   reference walk over the surviving lines, renumbered in order.  The
+   rounds go down to one or two live lines; the families add parallel
+   classes and nearly concurrent duals to the random and integer
+   ones. *)
+let arb_peels =
+  QCheck.make
+    ~print:(fun (family, seed, n) ->
+      Printf.sprintf "family=%d seed=%d n=%d" family seed n)
+    QCheck.Gen.(triple (0 -- 4) (0 -- 100_000) (2 -- 150))
+
+let prop_compacted_walk_matches_linear_scan =
+  QCheck.Test.make ~count:150 ~name:"walks over a compacted tree = reference"
+    arb_peels (fun (family, seed, n) ->
+      let lines =
+        match family with
+        | 0 -> random_lines seed n
+        | 1 -> integer_lines seed n
+        | 2 ->
+            equal_slope_lines seed
+              ~groups:(1 + (seed mod 5))
+              ~per:(1 + (n / 5))
+        | 3 -> near_concurrent_lines seed n
+        | _ -> Array.init n (fun j -> line (float (j mod 3)) (float (j / 3)))
+      in
+      let rng = Random.State.make [| seed; n |] in
+      let tree = Arrangement.Level_walk.tree_of_lines lines in
+      let live = ref lines and ok = ref true in
+      while !ok && Array.length !live > 0 do
+        let lines = !live in
+        let m = Array.length lines in
+        let k = Random.State.int rng m in
+        let events = ref [] in
+        let level =
+          Arrangement.Level_walk.walk ~tree ~k
+            ~on_event:(fun (ev : Arrangement.Level_walk.event) ~below_after ->
+              events :=
+                ( ev.kind,
+                  ev.incoming,
+                  ev.outgoing,
+                  Int64.bits_of_float (Point2.x ev.vertex),
+                  Int64.bits_of_float (Point2.y ev.vertex),
+                  List.sort Int.compare (below_after ()) )
+                :: !events)
+            ()
+        in
+        let ref_events, ref_edges = reference_walk ~lines ~k in
+        if
+          List.rev !events <> ref_events
+          || Array.to_list level.edge_lines <> ref_edges
+        then ok := false;
+        (* peel a random share, at least one line, down to nothing *)
+        let share = Random.State.float rng 0.6 in
+        let peeled =
+          Array.init m (fun _ -> Random.State.float rng 1. < share)
+        in
+        peeled.(Random.State.int rng m) <- true;
+        live :=
+          Array.of_list
+            (List.filteri (fun i _ -> not peeled.(i)) (Array.to_list lines));
+        if !live <> [||] then begin
+          Arrangement.Level_walk.compact tree ~peeled;
+          if Arrangement.Level_walk.size tree <> Array.length !live then
+            ok := false
+        end
+      done;
+      !ok)
+
 (* --- clustering ------------------------------------------------------- *)
 
 let gen_cluster_input =
@@ -608,6 +677,7 @@ let () =
             test_next_crossing_tie_break;
           Alcotest.test_case "digests pinned" `Quick test_walk_digests;
           QCheck_alcotest.to_alcotest prop_walk_matches_linear_scan;
+          QCheck_alcotest.to_alcotest prop_compacted_walk_matches_linear_scan;
         ] );
       ( "clustering",
         [

@@ -1,5 +1,5 @@
 (* Tests for the external-memory simulator: block store, LRU cache,
-   runs, external sort. *)
+   runs. *)
 
 let check = Alcotest.(check int)
 
@@ -147,6 +147,30 @@ let test_run_empty () =
   check "length" 0 (Emio.Run.length run);
   Alcotest.(check (array int)) "empty array" [||] (Emio.Run.to_array run)
 
+(* A run handed its blocks is the run of_array writes for their
+   concatenation: same blocks, charges and items, and no copy. *)
+let test_run_of_blocks () =
+  let stats = Emio.Io_stats.create () in
+  let store = Emio.Store.create ~stats ~block_size:4 () in
+  let blocks = [| [| 0; 1; 2; 3 |]; [| 4; 5; 6; 7 |]; [| 8; 9 |] |] in
+  let run = Emio.Run.of_blocks store blocks in
+  check "three writes" 3 (Emio.Io_stats.writes stats);
+  check "length" 10 (Emio.Run.length run);
+  check "blocks" 3 (Emio.Run.block_count run);
+  Alcotest.(check bool) "block kept as given" true
+    (Emio.Run.read_block run 1 == blocks.(1));
+  Alcotest.(check (array int)) "items" (Array.init 10 Fun.id)
+    (Emio.Run.to_array run);
+  Emio.Io_stats.reset stats;
+  Alcotest.(check (array int)) "range across blocks" [| 3; 4; 5 |]
+    (Emio.Run.read_range run ~pos:3 ~len:3);
+  check "two reads" 2 (Emio.Io_stats.reads stats);
+  check "no blocks, empty run" 0
+    (Emio.Run.length (Emio.Run.of_blocks store [||]));
+  Alcotest.check_raises "short inner block"
+    (Invalid_argument "Run.of_blocks: every block but the last must be full")
+    (fun () -> ignore (Emio.Run.of_blocks store [| [| 1 |]; [| 2 |] |]))
+
 let test_run_read_range () =
   let stats = Emio.Io_stats.create () in
   let store = Emio.Store.create ~stats ~block_size:4 () in
@@ -190,48 +214,6 @@ let test_run_prefix_scan () =
   check "stopped after two blocks" 4 !seen;
   check "only two reads charged" 2 (Emio.Io_stats.reads stats)
 
-let sort_via_ext ?(block_size = 4) ?(memory_items = 16) items =
-  let stats = Emio.Io_stats.create () in
-  let store = Emio.Store.create ~stats ~block_size () in
-  let run = Emio.Run.of_array store items in
-  let sorted = Emio.Ext_sort.sort ~cmp:compare ~memory_items store run in
-  Emio.Run.to_array sorted
-
-let test_ext_sort_basic () =
-  let items = [| 5; 3; 9; 1; 4; 8; 2; 7; 6; 0 |] in
-  let expect = Array.copy items in
-  Array.sort compare expect;
-  Alcotest.(check (array int)) "sorted" expect (sort_via_ext items)
-
-let test_ext_sort_multipass () =
-  (* memory of 8 items, blocks of 4: fan-in 2 forces several passes *)
-  let items = Array.init 100 (fun i -> (i * 37) mod 100) in
-  let expect = Array.copy items in
-  Array.sort compare expect;
-  Alcotest.(check (array int))
-    "sorted" expect
-    (sort_via_ext ~block_size:4 ~memory_items:8 items)
-
-let test_ext_sort_empty_and_single () =
-  Alcotest.(check (array int)) "empty" [||] (sort_via_ext [||]);
-  Alcotest.(check (array int)) "single" [| 42 |] (sort_via_ext [| 42 |])
-
-let test_ext_sort_rejects_tiny_memory () =
-  let stats = Emio.Io_stats.create () in
-  let store = Emio.Store.create ~stats ~block_size:8 () in
-  let run = Emio.Run.of_array store [| 1 |] in
-  Alcotest.check_raises "tiny memory"
-    (Invalid_argument "Ext_sort.sort: memory must hold at least two blocks")
-    (fun () -> ignore (Emio.Ext_sort.sort ~cmp:compare ~memory_items:8 store run))
-
-let prop_ext_sort =
-  QCheck.Test.make ~name:"ext_sort sorts like Array.sort" ~count:200
-    QCheck.(array_of_size Gen.(0 -- 200) int)
-    (fun items ->
-      let expect = Array.copy items in
-      Array.sort compare expect;
-      sort_via_ext ~block_size:3 ~memory_items:9 items = expect)
-
 let prop_lru_never_exceeds_capacity =
   QCheck.Test.make ~name:"lru size <= capacity" ~count:200
     QCheck.(pair (int_range 1 8) (small_list (int_range 0 20)))
@@ -267,19 +249,10 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_run_roundtrip;
           Alcotest.test_case "empty" `Quick test_run_empty;
+          Alcotest.test_case "of_blocks" `Quick test_run_of_blocks;
           Alcotest.test_case "prefix scan" `Quick test_run_prefix_scan;
           Alcotest.test_case "read_range" `Quick test_run_read_range;
           Alcotest.test_case "stats checkpoint" `Quick
             test_io_stats_checkpoint;
-        ] );
-      ( "ext_sort",
-        [
-          Alcotest.test_case "basic" `Quick test_ext_sort_basic;
-          Alcotest.test_case "multipass" `Quick test_ext_sort_multipass;
-          Alcotest.test_case "empty and single" `Quick
-            test_ext_sort_empty_and_single;
-          Alcotest.test_case "tiny memory rejected" `Quick
-            test_ext_sort_rejects_tiny_memory;
-          QCheck_alcotest.to_alcotest prop_ext_sort;
         ] );
     ]

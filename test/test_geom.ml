@@ -168,6 +168,45 @@ let prop_outer_interval kind name =
       done;
       !ok)
 
+(* outer_interval and first_crossing read the envelope at breakpoint j
+   on segment j, which is right only while the breakpoints strictly
+   increase.  Integer lines give parallel families and many lines
+   through one point; the pencil adds lines through (1, 2) whose
+   slopes differ by just over the parallel tolerance, so their
+   crossings scatter by rounding around x = 1. *)
+let gen_hard_lines =
+  QCheck.Gen.(
+    let int_line =
+      map2
+        (fun s i -> line (float_of_int s) (float_of_int i))
+        (int_range (-3) 3) (int_range (-4) 4)
+    in
+    let pencil =
+      map
+        (fun j ->
+          let s = 0.5 +. (float_of_int j *. 3e-9) in
+          line s (2. -. s))
+        (int_range 0 40)
+    in
+    oneof
+      [
+        gen_lines 30;
+        list_size (1 -- 40) int_line;
+        list_size (1 -- 40) pencil;
+        list_size (1 -- 40) (oneof [ int_line; pencil ]);
+      ])
+
+let prop_breakpoints_increase kind name =
+  QCheck.Test.make ~count:500 ~name (QCheck.make gen_hard_lines)
+    (fun lines ->
+      let env = Envelope2.build kind (Array.of_list lines) in
+      let bps = Envelope2.breakpoints env in
+      let ok = ref (Array.length bps = max 0 (Envelope2.size env - 1)) in
+      for j = 1 to Array.length bps - 1 do
+        if not (bps.(j - 1) < bps.(j)) then ok := false
+      done;
+      !ok)
+
 let test_envelope_shapes () =
   (* three lines forming a lower envelope with two breakpoints *)
   let lines = [| line 1. 0.; line 0. 1.; line (-1.) 4. |] in
@@ -242,5 +281,11 @@ let () =
             (prop_outer_interval Envelope2.Lower "outer_interval (lower)");
           QCheck_alcotest.to_alcotest
             (prop_outer_interval Envelope2.Upper "outer_interval (upper)");
+          QCheck_alcotest.to_alcotest
+            (prop_breakpoints_increase Envelope2.Lower
+               "breakpoints strictly increase (lower)");
+          QCheck_alcotest.to_alcotest
+            (prop_breakpoints_increase Envelope2.Upper
+               "breakpoints strictly increase (upper)");
         ] );
     ]
