@@ -128,8 +128,9 @@ let tree_of_lines lines =
       slope;
       icept;
       ids = Array.init n Fun.id;
-      ps = slope;
-      pc = icept;
+      (* the leaf-order copies are made once the order is final *)
+      ps = [||];
+      pc = [||];
       lo = Array.make nodes 0;
       hi = Array.make nodes 0;
       split = Array.make nodes false;
@@ -149,7 +150,7 @@ let tree_of_lines lines =
           slope
         else icept
       in
-      select (fun a b -> key.(a) < key.(b)) t.ids lo (hi - 1) mid;
+      select (fun u v -> key.(u) < key.(v)) t.ids lo (hi - 1) mid;
       node ((2 * j) + 1) lo mid;
       node ((2 * j) + 2) mid hi
     end

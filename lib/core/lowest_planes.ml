@@ -77,24 +77,50 @@ let space_blocks t =
           acc c.layers)
       0 t.copies
 
-(* The blocks of a run of [len] stride-4 items, [block_size] items to
-   a block: filled by [put_item] and handed to [Emio.Run.of_blocks],
-   so the items are written once. *)
-let item_blocks ~block_size len =
-  let b = stride * block_size and len = stride * len in
-  Array.init
-    ((len + b - 1) / b)
-    (fun i -> Array.make (min b (len - (i * b))) 0.)
+(* The planes' coefficients a, b, c, three floats per plane id: items
+   copy their floats from here rather than from the boxed planes. *)
+let coefficients planes =
+  let coef = Array.make (3 * Array.length planes) 0. in
+  Array.iteri
+    (fun id p ->
+      coef.(3 * id) <- Plane3.a p;
+      coef.((3 * id) + 1) <- Plane3.b p;
+      coef.((3 * id) + 2) <- Plane3.c p)
+    planes;
+  coef
 
-(* Write item slot [j] of a run's blocks: id then the three plane
-   coefficients. *)
-let put_item blocks ~block_size j planes id =
-  let p = planes.(id) in
-  let block = blocks.(j / block_size) and o = stride * (j mod block_size) in
+(* A run of stride-4 items written in order straight into the blocks
+   that [Emio.Run.of_blocks] then takes, so every item is written
+   once: [blk] and [off] locate the next item's first float. *)
+type writer = {
+  blocks : float array array;
+  mutable blk : int;
+  mutable off : int;
+}
+
+let writer ~block_size items =
+  let b = stride * block_size and len = stride * items in
+  {
+    blocks =
+      Array.init
+        ((len + b - 1) / b)
+        (fun i -> Array.make (min b (len - (i * b))) 0.);
+    blk = 0;
+    off = 0;
+  }
+
+(* Appends plane [id]'s item: its id, then its three coefficients. *)
+let put w coef id =
+  let block = w.blocks.(w.blk) and o = w.off in
   block.(o) <- float_of_int id;
-  block.(o + 1) <- Plane3.a p;
-  block.(o + 2) <- Plane3.b p;
-  block.(o + 3) <- Plane3.c p
+  block.(o + 1) <- coef.(3 * id);
+  block.(o + 2) <- coef.((3 * id) + 1);
+  block.(o + 3) <- coef.((3 * id) + 2);
+  if o + stride < Array.length block then w.off <- o + stride
+  else begin
+    w.blk <- w.blk + 1;
+    w.off <- 0
+  end
 
 (* Triangle top edges, labelled with the triangle's payload: input for
    the worst-case Seg_tree locator. *)
@@ -119,7 +145,7 @@ let top_edges items =
     items;
   Array.of_list !out
 
-let build_layer ~stats ~block_size ~cache_blocks ~clip ~planes ~hull
+let build_layer ~stats ~block_size ~cache_blocks ~clip ~planes ~coef ~hull
     ~use_segtree =
   let env = Envelope3.build ~planes ~hull ~clip in
   let store =
@@ -133,16 +159,16 @@ let build_layer ~stats ~block_size ~cache_blocks ~clip ~planes ~hull
       (fun acc (tr : Envelope3.triangle) -> acc + Array.length tr.conflicts)
       0 env.Envelope3.triangles
   in
-  let blocks = item_blocks ~block_size total in
+  let w = writer ~block_size total in
   let pos = ref 0 in
   let items =
     Array.map
       (fun (tr : Envelope3.triangle) ->
         let klen = Array.length tr.conflicts in
         let kstart = !pos in
-        Array.iteri
-          (fun j g -> put_item blocks ~block_size (kstart + j) planes g)
-          tr.conflicts;
+        for j = 0 to klen - 1 do
+          put w coef tr.conflicts.(j)
+        done;
         pos := !pos + klen;
         let p = planes.(tr.plane) in
         ( tr.corners,
@@ -156,7 +182,7 @@ let build_layer ~stats ~block_size ~cache_blocks ~clip ~planes ~hull
           } ))
       env.Envelope3.triangles
   in
-  let conflicts = Emio.Run.of_blocks store blocks in
+  let conflicts = Emio.Run.of_blocks store w.blocks in
   let locator =
     if use_segtree then
       Segtree
@@ -190,16 +216,17 @@ let build ~stats ~block_size ?(cache_blocks = 0) ?(seed = 0) ?(copies = 3)
    if not (x0 < x1 && y0 < y1) then
      invalid_arg "Lowest_planes.build: empty clip box");
   let n = Array.length planes in
+  let coef = coefficients planes in
   let store =
     Emio.Store.create ~stats ~block_size:(stride * block_size) ~cache_blocks
       ~codec:Emio.Codec.float ()
   in
   let all_planes =
-    let blocks = item_blocks ~block_size n in
+    let w = writer ~block_size n in
     for id = 0 to n - 1 do
-      put_item blocks ~block_size id planes id
+      put w coef id
     done;
-    Emio.Run.of_blocks store blocks
+    Emio.Run.of_blocks store w.blocks
   in
   let beta = compute_beta ~block_size n in
   let max_i =
@@ -225,7 +252,7 @@ let build ~stats ~block_size ?(cache_blocks = 0) ?(seed = 0) ?(copies = 3)
             Hull3.map_prefixes ~points:dual ~order ~prefixes
               (Option.map (fun hull ->
                    build_layer ~stats ~block_size ~cache_blocks ~clip ~planes
-                     ~hull ~use_segtree));
+                     ~coef ~hull ~use_segtree));
         })
   in
   { n; beta; copies = copies_arr; all_planes; clip; fallback_count = 0 }

@@ -448,33 +448,41 @@ let differential_lines (family, seed, n, k) =
   in
   (lines, k mod Array.length lines)
 
+(* Does the walk over [tree] reproduce the reference walk over [lines]
+   (the tree's lines, in id order): event stream, vertex bits and
+   edge lines? *)
+let matches_reference ~tree ~lines ~k =
+  let events = ref [] in
+  let level =
+    Arrangement.Level_walk.walk ~tree ~k
+      ~on_event:(fun (ev : Arrangement.Level_walk.event) ~below_after ->
+        events :=
+          ( ev.kind,
+            ev.incoming,
+            ev.outgoing,
+            Int64.bits_of_float (Point2.x ev.vertex),
+            Int64.bits_of_float (Point2.y ev.vertex),
+            List.sort Int.compare (below_after ()) )
+          :: !events)
+      ()
+  in
+  let ref_events, ref_edges = reference_walk ~lines ~k in
+  List.rev !events = ref_events
+  && Array.to_list level.edge_lines = ref_edges
+  && List.for_all2
+       (fun v (_, _, _, bx, by, _) ->
+         Int64.bits_of_float (Point2.x v) = bx
+         && Int64.bits_of_float (Point2.y v) = by)
+       (Array.to_list level.vertices)
+       ref_events
+
 let prop_walk_matches_linear_scan =
   QCheck.Test.make ~count:300 ~name:"walk = linear-scan reference walk"
     arb_differential (fun case ->
       let lines, k = differential_lines case in
-      let events = ref [] in
-      let level =
-        walk
-          ~on_event:(fun (ev : Arrangement.Level_walk.event) ~below_after ->
-            events :=
-              ( ev.kind,
-                ev.incoming,
-                ev.outgoing,
-                Int64.bits_of_float (Point2.x ev.vertex),
-                Int64.bits_of_float (Point2.y ev.vertex),
-                List.sort Int.compare (below_after ()) )
-              :: !events)
-          ~lines ~k ()
-      in
-      let ref_events, ref_edges = reference_walk ~lines ~k in
-      List.rev !events = ref_events
-      && Array.to_list level.edge_lines = ref_edges
-      && List.for_all2
-           (fun v (_, _, _, bx, by, _) ->
-             Int64.bits_of_float (Point2.x v) = bx
-             && Int64.bits_of_float (Point2.y v) = by)
-           (Array.to_list level.vertices)
-           ref_events)
+      matches_reference
+        ~tree:(Arrangement.Level_walk.tree_of_lines lines)
+        ~lines ~k)
 
 (* One tree through several rounds of peeling, as an h2 build uses it:
    after each round the walk over the compacted tree must equal the
@@ -509,25 +517,7 @@ let prop_compacted_walk_matches_linear_scan =
         let lines = !live in
         let m = Array.length lines in
         let k = Random.State.int rng m in
-        let events = ref [] in
-        let level =
-          Arrangement.Level_walk.walk ~tree ~k
-            ~on_event:(fun (ev : Arrangement.Level_walk.event) ~below_after ->
-              events :=
-                ( ev.kind,
-                  ev.incoming,
-                  ev.outgoing,
-                  Int64.bits_of_float (Point2.x ev.vertex),
-                  Int64.bits_of_float (Point2.y ev.vertex),
-                  List.sort Int.compare (below_after ()) )
-                :: !events)
-            ()
-        in
-        let ref_events, ref_edges = reference_walk ~lines ~k in
-        if
-          List.rev !events <> ref_events
-          || Array.to_list level.edge_lines <> ref_edges
-        then ok := false;
+        if not (matches_reference ~tree ~lines ~k) then ok := false;
         (* peel a random share, at least one line, down to nothing *)
         let share = Random.State.float rng 0.6 in
         let peeled =

@@ -107,7 +107,9 @@ let test_no_missing_layers () =
   let planes = Array.map Plane3.dual_plane_of_point points in
   let stats = Emio.Io_stats.create () in
   let t = Core.Lowest_planes.build ~stats ~block_size:16 planes in
-  Alcotest.(check bool) "has layers" true (Core.Lowest_planes.layer_count t > 0);
+  Alcotest.(check bool)
+    "has layers" true
+    (Core.Lowest_planes.layer_count t > 0);
   Alcotest.(check int) "no missing layer" 0
     (Core.Lowest_planes.missing_layers t)
 
