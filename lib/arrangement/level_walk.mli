@@ -29,7 +29,11 @@ val compact : tree -> peeled:bool array -> unit
     remaining lines keep their places in the tree. *)
 
 val size : tree -> int
+(** Number of lines. *)
+
 val slope : tree -> int -> float
+(** [slope t i] is line [i]'s slope; {!icept} its intercept. *)
+
 val icept : tree -> int -> float
 
 val left_order : tree -> int -> int array
