@@ -28,10 +28,10 @@ let wall_of ~clip x y =
   else if near y ymax then Some (3, x)
   else None
 
-(* Wall [w] at [x = xmin], [x = xmax], [y = ymin] or [y = ymax]: the
-   plane's restriction there is the line of slope [wall_slope] and
-   intercept [wall_icept], computed as [Plane3.restrict_x] and
-   [Plane3.restrict_y] compute them. *)
+(* The plane z = a x + b y + c restricted to wall [w], at x = xmin,
+   x = xmax, y = ymin or y = ymax: on the wall x = x0 it is the line
+   z = b y + (a x0 + c) in (y, z), on y = y0 the line
+   z = a x + (b y0 + c) in (x, z). *)
 let wall_slope p w = if w < 2 then Plane3.b p else Plane3.a p
 
 let wall_icept p w ~clip =

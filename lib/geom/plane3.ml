@@ -32,13 +32,6 @@ let of_dual_point (p : Point3.t) =
 let dual_plane_of_point (p : Point3.t) =
   { a = -.Point3.x p; b = -.Point3.y p; c = Point3.z p }
 
-(* Restriction of the plane to a vertical "wall".  On the wall
-   x = x0 the plane induces the line z = b * y + (a x0 + c); on the
-   wall y = y0 the line z = a * x + (b y0 + c).  Used to compute
-   conflicts of clip-boundary corners in the 3-D structure. *)
-let restrict_x h x0 = Line2.make ~slope:h.b ~icept:((h.a *. x0) +. h.c)
-let restrict_y h y0 = Line2.make ~slope:h.a ~icept:((h.b *. y0) +. h.c)
-
 (* Lifting map (Theorem 4.3): the planar point (a, b) lifts to the
    plane z = a^2 + b^2 - 2 a x - 2 b y, so that the vertical distance
    at (p, q) between the lift and the paraboloid orders points by

@@ -27,12 +27,6 @@ val dual_plane_of_point : Point3.t -> t
 (** The point (p₁, p₂, p₃) ↦ the plane z = -p₁ x - p₂ y + p₃
     (Lemma 2.1 preserves above/below). *)
 
-val restrict_x : t -> float -> Line2.t
-(** Restriction of the plane to the vertical wall x = x₀, as a line in
-    (y, z): used for the clip-boundary conflicts of §4.1. *)
-
-val restrict_y : t -> float -> Line2.t
-
 val lift : Point2.t -> t
 (** The lifting map of Theorem 4.3: (a, b) ↦ z = a² + b² - 2a x - 2b y.
     The vertical order of lifted planes at (x, y) is the order of
