@@ -256,63 +256,61 @@ let run_persistence () =
   let n = 32768 and queries = 200 in
   List.iter
     (fun (module M : Index.S) ->
-      match M.snapshot with
-      | None -> ()
-      | Some ops ->
-          let dim = List.hd M.dims in
-          let rng = Workload.rng 9001 in
-          let ds =
-            Lcsearch_index.Workloads.dataset rng
-              ~kind:Lcsearch_index.Workloads.Uniform ~dim ~n
-              (module M : Index.S)
-          in
-          let qs =
-            Array.of_list
-              (Lcsearch_index.Workloads.queries rng ds ~fraction:0.01
-                 ~count:queries)
-          in
-          let stats = Emio.Io_stats.create () in
-          let t = M.build ~params:Index.default_params ~stats ds in
-          let time_queries t =
-            let t0 = Unix.gettimeofday () in
-            let total = ref 0 in
-            Array.iter (fun q -> total := !total + M.query_count t q) qs;
-            ( 1e6 *. (Unix.gettimeofday () -. t0) /. float_of_int queries,
-              !total )
-          in
-          Printf.printf "\n%s (N=%d, %d queries):\n" M.name n queries;
-          Emio.Io_stats.reset stats;
-          let mem_us, mem_t = time_queries t in
-          Printf.printf
-            "  in-memory simulator   %8.1f us/query  %6d model I/Os  (avg \
-             t=%d)\n"
-            mem_us (Emio.Io_stats.reads stats) (mem_t / queries);
-          let path = Filename.temp_file "lcsearch_bench" ".snapshot" in
-          ops.Index.save t ~path ~meta:"" ~page_size:None;
-          List.iter
-            (fun (label, policy, cache_pages) ->
-              let fstats = Emio.Io_stats.create () in
-              match ops.Index.load ~stats:fstats ~policy ~cache_pages path with
-              | Error e ->
-                  Printf.printf "  %-20s load failed: %s\n" label
-                    (Diskstore.Snapshot.error_to_string e)
-              | Ok (t, _) ->
-                  Emio.Io_stats.reset fstats;
-                  let us, tt = time_queries t in
-                  Printf.printf
-                    "  %-20s %8.1f us/query  %6d page faults  %6d hits  %5d \
-                     evictions  %6.0f KiB read%s\n"
-                    label us
-                    (Emio.Io_stats.reads fstats)
-                    (Emio.Io_stats.cache_hits fstats)
-                    (Emio.Io_stats.evictions fstats)
-                    (float_of_int (Emio.Io_stats.bytes_read fstats) /. 1024.)
-                    (if tt = mem_t then "" else "  RESULT MISMATCH"))
-            [
-              ("file, lru, 256p", Diskstore.Buffer_pool.Lru, 256);
-              ("file, lru, 16p", Diskstore.Buffer_pool.Lru, 16);
-              ("file, clock, 16p", Diskstore.Buffer_pool.Clock, 16);
-              ("file, no pool", Diskstore.Buffer_pool.Lru, 0);
-            ];
-          Sys.remove path)
+      let ops = M.snapshot in
+      let dim = List.hd M.dims in
+      let rng = Workload.rng 9001 in
+      let ds =
+        Lcsearch_index.Workloads.dataset rng
+          ~kind:Lcsearch_index.Workloads.Uniform ~dim ~n
+          (module M : Index.S)
+      in
+      let qs =
+        Array.of_list
+          (Lcsearch_index.Workloads.queries rng ds ~fraction:0.01
+             ~count:queries)
+      in
+      let stats = Emio.Io_stats.create () in
+      let t = M.build ~params:Index.default_params ~stats ds in
+      let time_queries t =
+        let t0 = Unix.gettimeofday () in
+        let total = ref 0 in
+        Array.iter (fun q -> total := !total + M.query_count t q) qs;
+        ( 1e6 *. (Unix.gettimeofday () -. t0) /. float_of_int queries,
+          !total )
+      in
+      Printf.printf "\n%s (N=%d, %d queries):\n" M.name n queries;
+      Emio.Io_stats.reset stats;
+      let mem_us, mem_t = time_queries t in
+      Printf.printf
+        "  in-memory simulator   %8.1f us/query  %6d model I/Os  (avg \
+         t=%d)\n"
+        mem_us (Emio.Io_stats.reads stats) (mem_t / queries);
+      let path = Filename.temp_file "lcsearch_bench" ".snapshot" in
+      ops.Index.save t ~path ~meta:"" ~page_size:None;
+      List.iter
+        (fun (label, policy, cache_pages) ->
+          let fstats = Emio.Io_stats.create () in
+          match ops.Index.load ~stats:fstats ~policy ~cache_pages path with
+          | Error e ->
+              Printf.printf "  %-20s load failed: %s\n" label
+                (Diskstore.Snapshot.error_to_string e)
+          | Ok (t, _) ->
+              Emio.Io_stats.reset fstats;
+              let us, tt = time_queries t in
+              Printf.printf
+                "  %-20s %8.1f us/query  %6d page faults  %6d hits  %5d \
+                 evictions  %6.0f KiB read%s\n"
+                label us
+                (Emio.Io_stats.reads fstats)
+                (Emio.Io_stats.cache_hits fstats)
+                (Emio.Io_stats.evictions fstats)
+                (float_of_int (Emio.Io_stats.bytes_read fstats) /. 1024.)
+                (if tt = mem_t then "" else "  RESULT MISMATCH"))
+        [
+          ("file, lru, 256p", Diskstore.Buffer_pool.Lru, 256);
+          ("file, lru, 16p", Diskstore.Buffer_pool.Lru, 16);
+          ("file, clock, 16p", Diskstore.Buffer_pool.Clock, 16);
+          ("file, no pool", Diskstore.Buffer_pool.Lru, 0);
+        ];
+      Sys.remove path)
     (Registry.all ())

@@ -124,7 +124,7 @@ let measure_cell (module M : Index.S) ~partition ~build_domains ~cache_pages
   in
   let build_s = Unix.gettimeofday () -. t0 in
   let space_blocks = Sh.space_blocks t in
-  let ops = Option.get Sh.snapshot in
+  let ops = Sh.snapshot in
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -219,8 +219,6 @@ let run () =
     | Some m -> m
     | None -> failwith (Printf.sprintf "unknown structure %S" name)
   in
-  if M.snapshot = None then
-    failwith (Printf.sprintf "structure %S does not snapshot" name);
   let ns = env_ints "LCSEARCH_SHARD_NS" [ 100_000; 1_000_000; 10_000_000 ] in
   let ks = env_ints "LCSEARCH_SHARD_KS" [ 1; 4; 16 ] in
   let partition = partition () in

@@ -80,19 +80,15 @@ let list_structures () =
     "queries" "updates" "space" "query I/Os" "snapshot";
   List.iter
     (fun (module M : Index.S) ->
-      let cap = Registry.capabilities (module M : Index.S) in
       Printf.printf "%-14s %-7s %-10s %-8s %-26s %-30s %s\n" M.name
         (String.concat "," (List.map string_of_int M.dims))
         (String.concat ","
            (List.map Index.query_kind_name M.kinds))
         (* Structures without a native update capability still take
-           updates once wrapped: build --dynamic dynamizes any
-           snapshot-capable kind through the LSM layer. *)
-        (if cap.Registry.cap_updatable then "native"
-         else if cap.Registry.cap_snapshot <> None then "via-lsm"
-         else "-")
-        M.space_bound M.query_bound
-        (match cap.Registry.cap_snapshot with Some k -> k | None -> "-");
+           updates once wrapped: build --dynamic dynamizes any kind
+           through the LSM layer. *)
+        (if Option.is_some M.update then "native" else "via-lsm")
+        M.space_bound M.query_bound M.snapshot.Index.snapshot_kind;
       Printf.printf "%-14s   %s\n" "" M.description)
     (Registry.all ())
 
@@ -339,17 +335,6 @@ let build_once (module M0 : Index.S) n block_size kind seed out page_size dim
     if not dynamic then (module M)
     else Lsm.make ~memtable_cap:memtable ~inner:(module M : Index.S) ()
   in
-  let ops =
-    match M.snapshot with
-    | Some ops -> ops
-    | None ->
-        die "structure %s does not support snapshots (capable: %s)" M.name
-          (String.concat ", "
-             (List.filter_map
-                (fun (module S : Index.S) ->
-                  Option.map (fun _ -> S.name) S.snapshot)
-                (Registry.all ())))
-  in
   let dim = pick_dim (module M) dim in
   let rng = Workload.rng seed in
   let ds = Workloads.dataset rng ~kind ~dim ~n (module M : Index.S) in
@@ -373,7 +358,7 @@ let build_once (module M0 : Index.S) n block_size kind seed out page_size dim
         shards = (if shards = 1 then None else Some (shards, partition));
       }
   in
-  (try ops.Index.save t ~path:out ~meta ~page_size
+  (try M.snapshot.Index.save t ~path:out ~meta ~page_size
    with Invalid_argument msg -> die "cannot write %s: %s" out msg);
   let build_ios = Emio.Cost_ctx.total bctx in
   match Snapshot_path.read_layout out with
@@ -908,7 +893,7 @@ let snapshots_arg =
            one per structure.")
 
 let serve_once host port snapshots queue batch dispatchers readers coalesce_us
-    domains deadline_ms read_timeout cache_pages policy no_resident verbose =
+    domains deadline_ms read_timeout verbose =
   let cfg =
     {
       Serve.Server.default_config with
@@ -923,9 +908,6 @@ let serve_once host port snapshots queue batch dispatchers readers coalesce_us
       domains;
       default_deadline_ms = deadline_ms;
       read_timeout_s = read_timeout;
-      cache_pages;
-      policy;
-      resident = not no_resident;
       verbose;
     }
   in
@@ -935,11 +917,10 @@ let serve_once host port snapshots queue batch dispatchers readers coalesce_us
   let eff_readers = Serve.Server.effective_readers srv in
   let plural n = if n > 1 then "s" else "" in
   Printf.printf
-    "serving on %s:%d (%s mode, %d dispatcher shard%s, %d reader%s, %d \
-     effective domain%s%s):\n"
+    "serving on %s:%d (resident mode, %d dispatcher shard%s, %d reader%s, \
+     %d effective domain%s%s):\n"
     host
     (Serve.Server.port srv)
-    (if no_resident then "file-backed" else "resident")
     eff_disp (plural eff_disp) eff_readers (plural eff_readers) eff
     (plural eff)
     (if coalesce_us > 0 then Printf.sprintf ", %dus coalescing" coalesce_us
@@ -985,8 +966,7 @@ let serve_cmd =
       & info [ "dispatchers" ]
           ~doc:
             "Dispatcher shards, each draining its own admission ring \
-             (structures are hashed onto shards by name).  Clamped to 1 \
-             with $(b,--no-resident).")
+             (structures are hashed onto shards by name).")
   in
   let readers =
     Arg.(
@@ -1017,15 +997,6 @@ let serve_cmd =
       value & opt float 30.
       & info [ "read-timeout" ] ~doc:"Per-connection idle timeout in seconds.")
   in
-  let no_resident =
-    Arg.(
-      value & flag
-      & info [ "no-resident" ]
-          ~doc:
-            "Serve payload blocks from the file through the buffer pool \
-             instead of preloading them (forces sequential dispatch: the \
-             pool is not safe under domain fan-out).")
-  in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log connections.") in
   Cmd.v
     (Cmd.info "serve"
@@ -1033,7 +1004,7 @@ let serve_cmd =
     Term.(
       const serve_once $ host_arg $ port $ snapshots_arg $ queue $ batch
       $ dispatchers $ readers $ coalesce $ domains_arg $ deadline
-      $ read_timeout $ cache_pages_arg $ policy_arg $ no_resident $ verbose)
+      $ read_timeout $ verbose)
 
 let loadgen_once host port snapshots mode_name concurrency qps duration warmup
     mix_name zipf_s pool fraction want_ids deadline_ms check seed writers

@@ -22,8 +22,3 @@ let nearest t q ~k =
   List.map
     (fun (id, h) -> (t.points.(id), sqrt (max 0. (h +. norm_q))))
     lowest
-
-let nearest_into t q ~k r =
-  let x = Point2.x q and y = Point2.y q in
-  let lowest = Lowest_planes.k_lowest_arr t.lp ~x ~y ~k in
-  Array.iter (fun (id, _) -> Emio.Reporter.add r id) lowest

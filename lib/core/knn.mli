@@ -25,11 +25,5 @@ val nearest : t -> Geom.Point2.t -> k:int -> (Geom.Point2.t * float) list
 (** The [min k N] nearest input points, with their distances, ordered
     by increasing distance. *)
 
-val nearest_into : t -> Geom.Point2.t -> k:int -> Emio.Reporter.t -> unit
-(** Appends the ids (indices into the build-time array) of the
-    [min k N] nearest points to a reusable {!Emio.Reporter}, nearest
-    first — the distances are recomputable from the points, so the hot
-    path allocates nothing per result. *)
-
 val length : t -> int
 val space_blocks : t -> int

@@ -490,18 +490,16 @@ let select t sc ~x ~y ~k ~ids =
    height and keep the k lowest.  The candidates arrive in run order —
    the same order the old pipeline sorted — so ties break
    identically. *)
-let k_lowest_arr t ~x ~y ~k =
-  if k <= 0 then [||]
+let k_lowest t ~x ~y ~k =
+  if k <= 0 then []
   else begin
     let k = min k t.n in
     let sc = Domain.DLS.get scratch_key in
     let k_ret = select t sc ~x ~y ~k ~ids:true in
     let withh = Array.init sc.slen (fun i -> (sc.sids.(i), sc.shts.(i))) in
     Array.sort (fun (_, a) (_, b) -> Float.compare a b) withh;
-    Array.sub withh 0 (min k_ret (Array.length withh))
+    Array.to_list (Array.sub withh 0 (min k_ret (Array.length withh)))
   end
-
-let k_lowest t ~x ~y ~k = Array.to_list (k_lowest_arr t ~x ~y ~k)
 
 (* How many of the candidate set lie at or below [threshold].  Capped
    at the retrieval count k this equals the count over the k lowest:

@@ -35,10 +35,6 @@ val k_lowest : t -> x:float -> y:float -> k:int -> (int * float) list
 (** The [min k N] lowest planes along the vertical line at (x, y), as
     (plane id, height at (x,y)) sorted by increasing height. *)
 
-val k_lowest_arr : t -> x:float -> y:float -> k:int -> (int * float) array
-(** Array form of {!k_lowest} (same protocol, same I/Os) — avoids the
-    per-element list cells on the hot reporting paths. *)
-
 val k_lowest_into :
   t ->
   x:float ->

@@ -154,22 +154,6 @@ let simplex_classify constrs cell = Cells.classify_region cell constrs
 let simplex_keep constrs p =
   List.for_all (fun c -> Cells.satisfies c p) constrs
 
-let query_simplex_iter t constrs report =
-  query_with t ~classify_cell:(simplex_classify constrs)
-    ~keep_point:(simplex_keep constrs) ~report
-
-let query_simplex_into t constrs r =
-  query_with t ~classify_cell:(simplex_classify constrs)
-    ~keep_point:(simplex_keep constrs)
-    ~report:(Emio.Reporter.add r)
-
-let query_simplex_count t constrs =
-  let n = ref 0 in
-  query_with t ~classify_cell:(simplex_classify constrs)
-    ~keep_point:(simplex_keep constrs)
-    ~report:(fun _ -> incr n);
-  !n
-
 let query_simplex t constrs =
   let acc = ref [] in
   query_with t ~classify_cell:(simplex_classify constrs)

@@ -44,15 +44,11 @@ val query_halfspace_into :
   t -> a0:float -> a:float array -> Emio.Reporter.t -> unit
 
 val query_halfspace_count : t -> a0:float -> a:float array -> int
-val query_simplex_into : t -> Partition.Cells.constr list -> Emio.Reporter.t -> unit
-val query_simplex_count : t -> Partition.Cells.constr list -> int
 
 val query_halfspace_iter : t -> a0:float -> a:float array -> (int -> unit) -> unit
 (** Visitor form: calls the callback once per reported id, in
     traversal order — the primitive the [_into]/[_count] variants and
     delegating structures ({!Shallow_tree}) are built on. *)
-
-val query_simplex_iter : t -> Partition.Cells.constr list -> (int -> unit) -> unit
 
 val length : t -> int
 val block_size : t -> int

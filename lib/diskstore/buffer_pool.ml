@@ -10,8 +10,6 @@
 
 type policy = Lru | Clock
 
-let policy_name = function Lru -> "lru" | Clock -> "clock"
-
 type frame = {
   mutable data : bytes;
   mutable dirty : bool;

@@ -15,8 +15,6 @@ type policy =
   | Lru  (** evict the least-recently-used frame *)
   | Clock  (** second-chance clock sweep (approximate LRU, O(1) state) *)
 
-val policy_name : policy -> string
-
 type t
 
 val create : file:Block_file.t -> policy:policy -> capacity:int -> t

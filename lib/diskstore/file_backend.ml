@@ -38,7 +38,6 @@ let create ?(base_page = 0) pool =
 
 let pool t = t.pool
 let table t = Array.sub t.table 0 t.n_blocks
-let payload_pages t = t.next_page
 let name t = "file:" ^ Block_file.path (Buffer_pool.file t.pool)
 let blocks_used t = t.n_blocks
 

@@ -62,9 +62,6 @@ val blocks_used : t -> int
 val table : t -> (int * int) array
 (** Copy of the live block table, for persisting. *)
 
-val payload_pages : t -> int
-(** Pages allocated so far (relative to [base_page]). *)
-
 val pool : t -> Buffer_pool.t
 val name : t -> string
 val drop_cache : t -> unit

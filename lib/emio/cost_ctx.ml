@@ -174,12 +174,3 @@ let emit ev =
   List.iter
     (fun c -> match c.trace with None -> () | Some sink -> sink ev)
     (Domain.DLS.get stack)
-
-let pp_event ppf = function
-  | Block_read { id; hit } ->
-      Format.fprintf ppf "read block %d%s" id (if hit then " (hit)" else "")
-  | Block_write { id; hit } ->
-      Format.fprintf ppf "write block %d%s" id (if hit then " (hit)" else "")
-  | Node { label; depth } -> Format.fprintf ppf "node %s depth %d" label depth
-  | Level { label; index } ->
-      Format.fprintf ppf "level %s index %d" label index

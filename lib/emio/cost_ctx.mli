@@ -102,5 +102,3 @@ val note_read_traced : unit -> bool
 
 val note_write_traced : unit -> bool
 val note_hit_traced : unit -> bool
-
-val pp_event : Format.formatter -> event -> unit

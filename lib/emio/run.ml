@@ -29,7 +29,6 @@ let of_blocks store blocks =
 
 let of_list store items = of_array store (Array.of_list items)
 
-let of_block_ids store block_ids length = { store; block_ids; length }
 let store t = t.store
 let empty store = { store; block_ids = [||]; length = 0 }
 let length t = t.length

@@ -18,10 +18,6 @@ val of_blocks : 'a Store.t -> 'a array array -> 'a t
 
 val of_list : 'a Store.t -> 'a list -> 'a t
 
-val of_block_ids : 'a Store.t -> int array -> int -> 'a t
-(** [of_block_ids store ids length] views already-written blocks as a
-    run of [length] items; no I/O is charged. *)
-
 val empty : 'a Store.t -> 'a t
 
 val store : 'a t -> 'a Store.t

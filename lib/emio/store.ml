@@ -21,7 +21,7 @@ type 'a state = Mem of 'a mem | Ext of 'a ext
    cache of its own (the buffer pool caches non-resident pages and a
    resident store decodes every block once). *)
 type 'a t = {
-  mutable stats : Io_stats.t;
+  stats : Io_stats.t;
   block_size : int;
   mutable state : 'a state;
   cache_blocks : int;
@@ -227,5 +227,3 @@ let of_backend ~stats ~block_size ?(cache_blocks = 0) ~codec backend =
       (B.take_resident b)
   in
   { t with state = Ext { backend; allocated = B.blocks_used b; resident } }
-
-let set_stats t stats = t.stats <- stats

@@ -142,8 +142,3 @@ val of_backend :
     {!write} and {!alloc} keep the decoded array current (with a fresh
     decode of the written bytes, never the caller's array).
     @raise Codec.Decode if a resident block's bytes are corrupt. *)
-
-val set_stats : 'a t -> Io_stats.t -> unit
-(** Repoint the store's accounting at a fresh sink.  Needed when a
-    structure revived from a snapshot skeleton is handed a fresh
-    [Io_stats] for the reopened session. *)

@@ -9,11 +9,3 @@ let line_of_point (p : Point2.t) =
   Line2.make ~slope:(-.Point2.x p) ~icept:(Point2.y p)
 
 let point_of_line (l : Line2.t) = Point2.make (Line2.slope l) (Line2.icept l)
-
-(* Round trips, used by tests: point -> line -> point is an involution
-   up to the sign flip of the first coordinate. *)
-let point_of_dual_line (l : Line2.t) =
-  Point2.make (-.Line2.slope l) (Line2.icept l)
-
-let line_of_dual_point (p : Point2.t) =
-  Line2.make ~slope:(Point2.x p) ~icept:(Point2.y p)

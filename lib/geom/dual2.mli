@@ -12,9 +12,3 @@ val line_of_point : Point2.t -> Line2.t
 
 val point_of_line : Line2.t -> Point2.t
 (** l ↦ l*. *)
-
-val point_of_dual_line : Line2.t -> Point2.t
-(** Inverse of {!line_of_point}. *)
-
-val line_of_dual_point : Point2.t -> Line2.t
-(** Inverse of {!point_of_line}. *)

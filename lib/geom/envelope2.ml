@@ -113,59 +113,6 @@ let[@inline] gap_slope t ~slope i =
   | Upper -> slope -. Line2.slope t.lines.(i)
   | Lower -> Line2.slope t.lines.(i) -. slope
 
-let first_crossing t probe ~after =
-  if is_empty t then None
-  else begin
-    let nb = Array.length t.bps in
-    (* Smallest breakpoint index whose abscissa is > after. *)
-    let first_bp =
-      let lo = ref 0 and hi = ref nb in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if t.bps.(mid) <= after then lo := mid + 1 else hi := mid
-      done;
-      !lo
-    in
-    (* The gap is concave and >= 0 just right of [after]; once it drops
-       below zero it stays below, so "gap at breakpoint j < 0" is a
-       monotone predicate over j >= first_bp. *)
-    let slope = Line2.slope probe and icept = Line2.icept probe in
-    let neg j = gap_at t ~slope ~icept j < -.Eps.eps in
-    let crossing_in_segment i lo_bound =
-      (* gap changes sign inside segment i *)
-      let l = t.lines.(i) in
-      if Line2.parallel probe l then None
-      else
-        let x = Line2.meet_x probe l in
-        if x > lo_bound then Some (x, l) else None
-    in
-    let exception Found of (float * Line2.t) option in
-    try
-      if first_bp < nb && neg first_bp then begin
-        (* crossing before the first candidate breakpoint: it lies in
-           segment [first_bp] (which starts before that breakpoint). *)
-        raise (Found (crossing_in_segment first_bp after))
-      end;
-      (* binary search for the first negative breakpoint beyond. *)
-      let lo = ref first_bp and hi = ref nb in
-      (* invariant: all breakpoints in [first_bp, lo) are non-negative *)
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if neg mid then hi := mid else lo := mid + 1
-      done;
-      if !lo < nb then
-        (* sign change between breakpoint lo-1 (or after) and lo:
-           inside segment lo. *)
-        raise (Found (crossing_in_segment !lo after));
-      (* no breakpoint is negative: the only possible crossing is on the
-         last (unbounded) segment, provided the gap is shrinking. *)
-      let last = size t - 1 in
-      if gap_slope t ~slope last < 0. then
-        raise (Found (crossing_in_segment last after));
-      None
-    with Found r -> r
-  end
-
 (* [Line2.parallel] and [Line2.meet_x] of the probe and envelope line
    [i], on the probe's own floats. *)
 let[@inline] parallel t ~slope i = Eps.equal slope (Line2.slope t.lines.(i))

@@ -29,14 +29,6 @@ val line_at : t -> float -> Line2.t
 (** The envelope line at abscissa [x] (at a breakpoint, the segment to
     the right). *)
 
-val first_crossing : t -> Line2.t -> after:float -> (float * Line2.t) option
-(** [first_crossing t probe ~after] is the smallest [x > after] at
-    which [probe] meets the envelope, together with the envelope line
-    there, assuming the probe is strictly on the envelope's outer side
-    at [after] (above an upper envelope / below it for Lower — i.e. the
-    side from which the envelope is the first obstacle).  [None] if the
-    ray never meets the envelope. *)
-
 val outer_interval : t -> slope:float -> icept:float -> float array -> bool
 (** [outer_interval t ~slope ~icept out] finds the open x-interval on
     which the probe [y = slope x + icept] is strictly on the envelope's

@@ -37,8 +37,4 @@ let below_point l (p : Point2.t) = Eps.lt (eval l (Point2.x p)) (Point2.y p)
 let above_point l (p : Point2.t) = Eps.lt (Point2.y p) (eval l (Point2.x p))
 let through_point l (p : Point2.t) = Eps.equal (eval l (Point2.x p)) (Point2.y p)
 
-(* Order of two lines along the vertical line at [x]: negative when [l]
-   is strictly lower there. *)
-let compare_at x l m = Eps.sign (eval l x -. eval m x)
-
 let pp ppf l = Format.fprintf ppf "y = %g x + %g" l.slope l.icept

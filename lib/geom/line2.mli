@@ -36,8 +36,4 @@ val below_point : t -> Point2.t -> bool
 val above_point : t -> Point2.t -> bool
 val through_point : t -> Point2.t -> bool
 
-val compare_at : float -> t -> t -> int
-(** Order of two lines along the vertical line at [x]: negative when
-    the first is strictly lower there. *)
-
 val pp : Format.formatter -> t -> unit

@@ -26,9 +26,6 @@ let above_point h (p : Point3.t) =
 (* The dual point of the plane, and the dual plane of a point. *)
 let dual_point h = Point3.make h.a h.b h.c
 
-let of_dual_point (p : Point3.t) =
-  { a = Point3.x p; b = Point3.y p; c = Point3.z p }
-
 let dual_plane_of_point (p : Point3.t) =
   { a = -.Point3.x p; b = -.Point3.y p; c = Point3.z p }
 

@@ -21,8 +21,6 @@ val above_point : t -> Point3.t -> bool
 val dual_point : t -> Point3.t
 (** The plane z = a x + b y + c ↦ the point (a, b, c). *)
 
-val of_dual_point : Point3.t -> t
-
 val dual_plane_of_point : Point3.t -> t
 (** The point (p₁, p₂, p₃) ↦ the plane z = -p₁ x - p₂ y + p₃
     (Lemma 2.1 preserves above/below). *)

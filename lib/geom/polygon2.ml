@@ -28,17 +28,6 @@ let area (t : t) =
   done;
   !s /. 2.
 
-let centroid (t : t) =
-  let n = Array.length t in
-  if n = 0 then invalid_arg "Polygon2.centroid: empty polygon";
-  let sx = ref 0. and sy = ref 0. in
-  Array.iter
-    (fun p ->
-      sx := !sx +. Point2.x p;
-      sy := !sy +. Point2.y p)
-    t;
-  Point2.make (!sx /. float_of_int n) (!sy /. float_of_int n)
-
 (* Clip by the halfplane {(x,y) | f(x,y) <= 0} where f is affine,
    given as f(x,y) = fa*x + fb*y + fc. *)
 let clip_halfplane (t : t) ~fa ~fb ~fc : t =

@@ -12,7 +12,6 @@ val of_box : xmin:float -> ymin:float -> xmax:float -> ymax:float -> t
 val vertices : t -> Point2.t array
 val is_empty : t -> bool
 val area : t -> float
-val centroid : t -> Point2.t
 
 val clip_halfplane : t -> fa:float -> fb:float -> fc:float -> t
 (** Intersection with the halfplane {(x, y) | fa·x + fb·y + fc ≤ 0};

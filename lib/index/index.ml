@@ -67,21 +67,20 @@ type 'a snapshot_ops = {
     ('a * Diskstore.Snapshot.info, Diskstore.Snapshot.error) result;
 }
 
-(* The snapshot capability of an adapter over a native structure with
+(* The snapshot operations of an adapter over a native structure with
    a snapshot format: [unwrap] reaches the native value to save,
    [wrap] rebuilds the adapter around a reopened one. *)
 let snapshot_of fmt ~wrap ~unwrap =
-  Some
-    {
-      snapshot_kind = Diskstore.Snapshot.kind fmt;
-      save =
-        (fun t ~path ~meta ~page_size ->
-          Diskstore.Snapshot.save_as fmt (unwrap t) ~path ~meta ?page_size ());
-      load =
-        (fun ~stats ~policy ~cache_pages path ->
-          Diskstore.Snapshot.open_as fmt ~stats ~policy ~cache_pages path
-          |> Result.map (fun (s, info) -> (wrap s, info)));
-    }
+  {
+    snapshot_kind = Diskstore.Snapshot.kind fmt;
+    save =
+      (fun t ~path ~meta ~page_size ->
+        Diskstore.Snapshot.save_as fmt (unwrap t) ~path ~meta ?page_size ());
+    load =
+      (fun ~stats ~policy ~cache_pages path ->
+        Diskstore.Snapshot.open_as fmt ~stats ~policy ~cache_pages path
+        |> Result.map (fun (s, info) -> (wrap s, info)));
+  }
 
 (* Optional dynamic-update capability.  Static structures leave it
    [None]; the Lsm wrapper provides it for any inner structure via the
@@ -160,9 +159,10 @@ module type S = sig
   (** Structure-specific diagnostic gauges (fallbacks, last-query node
       visits, ...) for the benches to print generically. *)
 
-  val snapshot : t snapshot_ops option
-  (** Persistence capability; [None] if the structure has no snapshot
-      format. *)
+  val snapshot : t snapshot_ops
+  (** Persistence: every structure saves to and reopens from a
+      snapshot (a single file, or a directory for the Shard and Lsm
+      wrappers), so this is part of the contract, not a capability. *)
 
   val update : t update_ops option
   (** Dynamic-update capability; [None] for the static structures.
@@ -215,7 +215,6 @@ let query_into (Instance ((module M), t)) q r = M.query_into t q r
 let estimate (Instance ((module M), t)) q = M.estimate t q
 let space_blocks (Instance ((module M), t)) = M.space_blocks t
 let counters (Instance ((module M), t)) = M.counters t
-let updatable (Instance ((module M), _)) = Option.is_some M.update
 
 (* The update capability of a packed instance, with the existential
    closed over: what the CLI's insert/delete/churn verbs drive. *)
@@ -236,6 +235,4 @@ let updater (Instance ((module M), t)) =
     M.update
 
 let snapshot_save (Instance ((module M), t)) ~path ~meta ~page_size =
-  match M.snapshot with
-  | None -> invalid_arg (M.name ^ ": no snapshot capability")
-  | Some ops -> ops.save t ~path ~meta ~page_size
+  M.snapshot.save t ~path ~meta ~page_size

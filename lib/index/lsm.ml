@@ -124,15 +124,6 @@ let rec rm_rf p =
     end
     else Sys.remove p
 
-(* A level snapshot is normally one file, CRC'd whole; a sharded inner
-   saves a directory, whose integrity the shard manifest already
-   guards per file — record crc 0 and skip the outer check. *)
-let level_crc path = if Sys.is_directory path then 0 else Manifest_dir.file_crc path
-
-let level_crc_ok path expected =
-  if Sys.is_directory path then expected = 0
-  else Manifest_dir.file_crc path = expected
-
 (* Live (handle, row) pairs recorded by a manifest, ascending by
    handle: what a rebuild-from-live oracle is built from. *)
 let manifest_live_rows m =
@@ -502,198 +493,145 @@ let make ?(memtable_cap = default_memtable_cap) ?build_domains:_
     let level_file slot = Printf.sprintf "level-%02d.snap" slot
 
     let snapshot =
-      match M.snapshot with
-      | None -> None
-      | Some inner_ops ->
-          Some
-            {
-              Index.snapshot_kind = lsm_kind;
-              save =
-                (fun t ~path ~meta ~page_size ->
-                  if Sys.file_exists path then begin
-                    if not (Sys.is_directory path) then
-                      invalid_arg
-                        (Printf.sprintf
-                           "Lsm.save: %s exists and is not a directory" path)
-                  end
-                  else Sys.mkdir path 0o755;
-                  let entries = ref [] in
-                  Array.iteri
-                    (fun s lvl_opt ->
-                      match lvl_opt with
-                      | None -> ()
-                      | Some lvl ->
-                          let f = level_file s in
-                          let dst = Filename.concat path f in
-                          (* write-then-rename: the level being saved
-                             may be backed by the file it replaces *)
-                          let tmp = dst ^ ".tmp" in
-                          rm_rf tmp;
-                          inner_ops.Index.save lvl.inner ~path:tmp ~meta
-                            ~page_size;
-                          if Sys.file_exists dst && Sys.is_directory dst then
-                            rm_rf dst;
-                          Sys.rename tmp dst;
-                          let dead =
-                            Seq.init (Array.length lvl.handles) Fun.id
-                            |> Seq.filter (fun j ->
-                                   Bytes.get lvl.dead j <> '\000')
-                            |> Array.of_seq
-                          in
-                          entries :=
-                            {
-                              slot = s;
-                              file = f;
-                              crc = level_crc dst;
-                              handles = lvl.handles;
-                              rows = lvl.rows;
-                              dead;
-                            }
-                            :: !entries)
-                    t.slots;
-                  let entries = Array.of_list (List.rev !entries) in
-                  (* drop level files from earlier saves whose slot is
-                     now empty *)
-                  Array.iter
-                    (fun f ->
-                      if
-                        String.length f >= 6
-                        && String.sub f 0 6 = "level-"
-                        && Filename.check_suffix f ".snap"
-                        && not
-                             (Array.exists
-                                (fun e -> String.equal e.file f)
-                                entries)
-                      then rm_rf (Filename.concat path f))
-                    (Sys.readdir path);
-                  let mem = ref [] in
-                  for i = t.mem_len - 1 downto 0 do
-                    if Bytes.get t.mem_dead i = '\000' then
-                      mem := (t.mem_handles.(i), t.mem_rows.(i)) :: !mem
-                  done;
-                  Manifest_dir.write_manifest path manifest_codec
-                    {
-                      inner_kind = inner_ops.Index.snapshot_kind;
-                      dim = t.dim;
-                      cap = t.cap;
-                      next_handle = t.next_handle;
-                      merges = t.merges;
-                      params = t.params;
-                      meta;
-                      mem = Array.of_list !mem;
-                      levels = entries;
-                    });
-              load =
-                (fun ~stats ~policy ~cache_pages path ->
-                  let ( let* ) = Result.bind in
-                  let* m = read_manifest path in
-                  let* () =
-                    if String.equal m.inner_kind inner_ops.Index.snapshot_kind
-                    then Ok ()
-                    else
-                      Error
-                        (Diskstore.Snapshot.Kind_mismatch
-                           {
-                             expected = inner_ops.Index.snapshot_kind;
-                             got = m.inner_kind;
-                           })
-                  in
-                  let k = Array.length m.levels in
-                  (* a disabled pool (0 pages) stays disabled per level *)
-                  let per_pages =
-                    if cache_pages = 0 then 0 else max 1 (cache_pages / max 1 k)
-                  in
-                  let rec load_levels i acc =
-                    if i = k then Ok (List.rev acc)
-                    else begin
-                      let e = m.levels.(i) in
-                      let p = Filename.concat path e.file in
-                      if not (Sys.file_exists p) then
-                        Error
-                          (Diskstore.Snapshot.Bad_header
-                             (Printf.sprintf "missing level file %s" e.file))
-                      else if not (level_crc_ok p e.crc) then
-                        Error
-                          (Diskstore.Snapshot.Bad_section_crc
-                             { section = e.file })
-                      else
-                        let* inner, info =
-                          inner_ops.Index.load ~stats ~policy
-                            ~cache_pages:per_pages p
-                        in
-                        load_levels (i + 1) ((e, inner, info) :: acc)
-                    end
-                  in
-                  let* loaded = load_levels 0 [] in
-                  let t =
-                    {
-                      stats;
-                      params = m.params;
-                      dim = m.dim;
-                      cap = m.cap;
-                      mem_handles = Array.make m.cap 0;
-                      mem_rows = Array.make m.cap [||];
-                      mem_dead = Bytes.make m.cap '\000';
-                      mem_len = Array.length m.mem;
-                      mem_dead_count = 0;
-                      slots = Array.make 4 None;
-                      next_handle = m.next_handle;
-                      live_count = 0;
-                      merges = m.merges;
-                      loc = Hashtbl.create 64;
-                    }
-                  in
-                  Array.iteri
-                    (fun i (h, row) ->
-                      t.mem_handles.(i) <- h;
-                      t.mem_rows.(i) <- row;
-                      t.live_count <- t.live_count + 1;
-                      Hashtbl.replace t.loc h (Mem i))
-                    m.mem;
-                  List.iter
-                    (fun ((e : level_entry), inner, _) ->
-                      let n = Array.length e.handles in
-                      let lvl =
-                        {
-                          inner;
-                          handles = e.handles;
-                          rows = e.rows;
-                          dead = Bytes.make n '\000';
-                          dead_count = Array.length e.dead;
-                        }
-                      in
-                      Array.iter (fun j -> Bytes.set lvl.dead j '\001') e.dead;
-                      install t e.slot lvl;
-                      t.live_count <- t.live_count + n - lvl.dead_count)
-                    loaded;
-                  let info =
-                    let version, page_size, block_size =
-                      match loaded with
-                      | (_, _, i) :: _ ->
-                          Diskstore.Snapshot.
-                            (i.version, i.page_size, i.block_size)
-                      | [] -> (1, 0, m.params.Index.block_size)
+      let inner_ops = M.snapshot in
+      {
+        Index.snapshot_kind = lsm_kind;
+        save =
+          (fun t ~path ~meta ~page_size ->
+            if Sys.file_exists path then begin
+              if not (Sys.is_directory path) then
+                invalid_arg
+                  (Printf.sprintf
+                     "Lsm.save: %s exists and is not a directory" path)
+            end
+            else Sys.mkdir path 0o755;
+            let entries = ref [] in
+            Array.iteri
+              (fun s lvl_opt ->
+                match lvl_opt with
+                | None -> ()
+                | Some lvl ->
+                    let f = level_file s in
+                    let dst = Filename.concat path f in
+                    (* write-then-rename: the level being saved
+                       may be backed by the file it replaces *)
+                    let tmp = dst ^ ".tmp" in
+                    rm_rf tmp;
+                    inner_ops.Index.save lvl.inner ~path:tmp ~meta ~page_size;
+                    if Sys.file_exists dst && Sys.is_directory dst then
+                      rm_rf dst;
+                    Sys.rename tmp dst;
+                    let dead =
+                      Seq.init (Array.length lvl.handles) Fun.id
+                      |> Seq.filter (fun j -> Bytes.get lvl.dead j <> '\000')
+                      |> Array.of_seq
                     in
-                    {
-                      Diskstore.Snapshot.kind = lsm_kind;
-                      meta = m.meta;
-                      version;
-                      page_size;
-                      block_size;
-                      n_blocks =
-                        List.fold_left
-                          (fun acc (_, _, i) ->
-                            acc + i.Diskstore.Snapshot.n_blocks)
-                          0 loaded;
-                      total_pages =
-                        List.fold_left
-                          (fun acc (_, _, i) ->
-                            acc + i.Diskstore.Snapshot.total_pages)
-                          0 loaded;
-                    }
-                  in
-                  Ok (t, info));
-            }
+                    entries :=
+                      {
+                        slot = s;
+                        file = f;
+                        crc = Manifest_dir.part_crc dst;
+                        handles = lvl.handles;
+                        rows = lvl.rows;
+                        dead;
+                      }
+                      :: !entries)
+              t.slots;
+            let entries = Array.of_list (List.rev !entries) in
+            (* drop level files from earlier saves whose slot is
+               now empty *)
+            Array.iter
+              (fun f ->
+                if
+                  String.length f >= 6
+                  && String.sub f 0 6 = "level-"
+                  && Filename.check_suffix f ".snap"
+                  && not
+                       (Array.exists (fun e -> String.equal e.file f) entries)
+                then rm_rf (Filename.concat path f))
+              (Sys.readdir path);
+            let mem = ref [] in
+            for i = t.mem_len - 1 downto 0 do
+              if Bytes.get t.mem_dead i = '\000' then
+                mem := (t.mem_handles.(i), t.mem_rows.(i)) :: !mem
+            done;
+            Manifest_dir.write_manifest path manifest_codec
+              {
+                inner_kind = inner_ops.Index.snapshot_kind;
+                dim = t.dim;
+                cap = t.cap;
+                next_handle = t.next_handle;
+                merges = t.merges;
+                params = t.params;
+                meta;
+                mem = Array.of_list !mem;
+                levels = entries;
+              });
+        load =
+          (fun ~stats ~policy ~cache_pages path ->
+            let ( let* ) = Result.bind in
+            let* m = read_manifest path in
+            let empty =
+              {
+                Diskstore.Snapshot.kind = lsm_kind;
+                meta = m.meta;
+                version = 1;
+                page_size = 0;
+                block_size = m.params.Index.block_size;
+                n_blocks = 0;
+                total_pages = 0;
+              }
+            in
+            let* inners, info =
+              Manifest_dir.load_parts inner_ops ~inner_kind:m.inner_kind
+                ~stats ~policy ~cache_pages ~empty path
+                (Array.map
+                   (fun (e : level_entry) -> (e.file, e.crc))
+                   m.levels)
+            in
+            let t =
+              {
+                stats;
+                params = m.params;
+                dim = m.dim;
+                cap = m.cap;
+                mem_handles = Array.make m.cap 0;
+                mem_rows = Array.make m.cap [||];
+                mem_dead = Bytes.make m.cap '\000';
+                mem_len = Array.length m.mem;
+                mem_dead_count = 0;
+                slots = Array.make 4 None;
+                next_handle = m.next_handle;
+                live_count = 0;
+                merges = m.merges;
+                loc = Hashtbl.create 64;
+              }
+            in
+            Array.iteri
+              (fun i (h, row) ->
+                t.mem_handles.(i) <- h;
+                t.mem_rows.(i) <- row;
+                t.live_count <- t.live_count + 1;
+                Hashtbl.replace t.loc h (Mem i))
+              m.mem;
+            Array.iter2
+              (fun (e : level_entry) inner ->
+                let n = Array.length e.handles in
+                let lvl =
+                  {
+                    inner;
+                    handles = e.handles;
+                    rows = e.rows;
+                    dead = Bytes.make n '\000';
+                    dead_count = Array.length e.dead;
+                  }
+                in
+                Array.iter (fun j -> Bytes.set lvl.dead j '\001') e.dead;
+                install t e.slot lvl;
+                t.live_count <- t.live_count + n - lvl.dead_count)
+              m.levels inners;
+            Ok (t, info));
+      }
   end)
 
 let open_snapshot ?(policy = Diskstore.Buffer_pool.Lru) ?(cache_pages = 64)
@@ -717,6 +655,5 @@ let open_snapshot ?(policy = Diskstore.Buffer_pool.Lru) ?(cache_pages = 64)
   let (module L : Index.S) =
     make ~memtable_cap:m.cap ~inner:(module Inner) ()
   in
-  let ops = Option.get L.snapshot in
-  let* t, info = ops.Index.load ~stats ~policy ~cache_pages path in
+  let* t, info = L.snapshot.Index.load ~stats ~policy ~cache_pages path in
   Ok (Index.Instance ((module L), t), info, m)

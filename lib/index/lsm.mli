@@ -104,6 +104,8 @@ val open_snapshot :
   result
 (** Reopen an Lsm directory: read the manifest, resolve the inner
     structure by snapshot kind through {!Registry}, CRC-check and load
-    each level, and replay the memtable log.  Handles (and therefore
+    each level through [Manifest_dir.load_parts] (the loader sharded
+    directories share), and replay the memtable log.  With no level,
+    the info's block size is the manifest's build-parameter one.  Handles (and therefore
     future [insert] handles) are stable across save/reopen.
     [build_domains] is ignored, as in {!make}. *)

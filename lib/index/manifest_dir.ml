@@ -20,7 +20,12 @@ let read_file_bytes path =
       really_input ic b 0 len;
       b)
 
-let file_crc path = Diskstore.Crc32.digest (read_file_bytes path)
+(* The CRC a MANIFEST records for one part: a file is CRC'd whole; a
+   part that is itself a directory (an Lsm level over a sharded inner)
+   records 0, since its own MANIFEST already guards its files. *)
+let part_crc path =
+  if Sys.is_directory path then 0
+  else Diskstore.Crc32.digest (read_file_bytes path)
 
 let write_manifest dir codec m =
   let payload = Emio.Codec.encode codec m in
@@ -56,6 +61,62 @@ let read_manifest dir codec =
             | exception Emio.Codec.Decode msg ->
                 Error (Diskstore.Snapshot.Bad_payload msg)
         end
+
+(* The one load path of a directory snapshot: reopen the [(file, crc)]
+   parts a MANIFEST names, in order, through the inner structure's
+   [ops].  The MANIFEST's [inner_kind] must be [ops]'; the buffer pool
+   splits evenly over the parts (a disabled pool stays disabled per
+   part); each part must exist and match its recorded CRC before the
+   inner loader runs.  The combined info takes version, page size and
+   block size from the first part and sums blocks and pages; [empty]
+   supplies kind and meta, and is the whole info when there are no
+   parts. *)
+let load_parts (ops : _ Index.snapshot_ops) ~inner_kind ~stats ~policy
+    ~cache_pages ~empty dir parts =
+  let ( let* ) = Result.bind in
+  let* () =
+    if String.equal inner_kind ops.snapshot_kind then Ok ()
+    else
+      Error
+        (Diskstore.Snapshot.Kind_mismatch
+           { expected = ops.snapshot_kind; got = inner_kind })
+  in
+  let n = Array.length parts in
+  let per_pages =
+    if cache_pages = 0 then 0 else max 1 (cache_pages / max 1 n)
+  in
+  let rec load i acc =
+    if i = n then Ok (List.rev acc)
+    else begin
+      let file, crc = parts.(i) in
+      let p = Filename.concat dir file in
+      if not (Sys.file_exists p) then
+        Error
+          (Diskstore.Snapshot.Bad_header
+             (Printf.sprintf "missing file %s" file))
+      else if part_crc p <> crc then
+        Error (Diskstore.Snapshot.Bad_section_crc { section = file })
+      else
+        let* part = ops.load ~stats ~policy ~cache_pages:per_pages p in
+        load (i + 1) (part :: acc)
+    end
+  in
+  let* loaded = load 0 [] in
+  let info =
+    match loaded with
+    | [] -> empty
+    | (_, first) :: _ ->
+        let sum f = List.fold_left (fun acc (_, i) -> acc + f i) 0 loaded in
+        {
+          empty with
+          Diskstore.Snapshot.version = first.Diskstore.Snapshot.version;
+          page_size = first.page_size;
+          block_size = first.block_size;
+          n_blocks = sum (fun i -> i.Diskstore.Snapshot.n_blocks);
+          total_pages = sum (fun i -> i.Diskstore.Snapshot.total_pages);
+        }
+  in
+  Ok (Array.of_list (List.map fst loaded), info)
 
 (* The versioned magic of the directory's MANIFEST payload, read
    without CRC verification or decoding: wire layout is

@@ -30,29 +30,12 @@ let all () = List.map (fun n -> Hashtbl.find table n) (names ())
 let for_dim dim =
   List.filter (fun (module M : Index.S) -> List.mem dim M.dims) (all ())
 
-(* Capability surface of a registered module, mirrored here so the CLI
-   and benches can enumerate what each kind supports without matching
-   on the module themselves. *)
-type capability = {
-  cap_snapshot : string option;
-  cap_updatable : bool;
-}
-
-let capabilities (module M : Index.S) =
-  {
-    cap_snapshot =
-      Option.map (fun ops -> ops.Index.snapshot_kind) M.snapshot;
-    cap_updatable = Option.is_some M.update;
-  }
-
 (* The module owning a snapshot [kind] tag, for generic reopening. *)
 let find_by_snapshot_kind kind =
   match
     List.find_opt
       (fun (module M : Index.S) ->
-        match M.snapshot with
-        | Some ops -> String.equal ops.Index.snapshot_kind kind
-        | None -> false)
+        String.equal M.snapshot.Index.snapshot_kind kind)
       (all ())
   with
   | Some m -> Ok m

@@ -16,14 +16,7 @@ val for_dim : int -> (module Index.S) list
 
 val find_by_snapshot_kind :
   string -> ((module Index.S), Diskstore.Snapshot.error) result
-(** The registered module whose snapshot capability owns [kind]; an
+(** The registered module whose snapshot format owns [kind]; an
     unowned kind is [Bad_header "no registered structure owns snapshot
     kind ..."]. *)
 
-type capability = {
-  cap_snapshot : string option;  (** snapshot kind, if persistable *)
-  cap_updatable : bool;  (** native insert/delete (see {!Lsm.make}) *)
-}
-
-val capabilities : (module Index.S) -> capability
-(** The optional-surface summary [lcsearch list] prints per kind. *)

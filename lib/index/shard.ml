@@ -201,7 +201,6 @@ let manifest_codec =
            (m.total, m.meta, m.entries) ))
        (pair (quad string u8 u32 u32) (triple int string (array entry_codec))))
 
-let file_crc = Manifest_dir.file_crc
 let write_manifest dir m = Manifest_dir.write_manifest dir manifest_codec m
 
 let read_manifest dir = Manifest_dir.read_manifest dir manifest_codec
@@ -363,129 +362,83 @@ let make ?build_domains ~inner:(module M : Index.S) ~shards ~partition () :
     let shard_file s = Printf.sprintf "shard-%03d.snap" s
 
     let snapshot =
-      match M.snapshot with
-      | None -> None
-      | Some inner_ops ->
-          Some
-            {
-              Index.snapshot_kind = sharded_kind;
-              save =
-                (fun t ~path ~meta ~page_size ->
-                  if Sys.file_exists path then begin
-                    if not (Sys.is_directory path) then
-                      invalid_arg
-                        (Printf.sprintf
-                           "Shard.save: %s exists and is not a directory" path)
-                  end
-                  else Sys.mkdir path 0o755;
-                  Array.iteri
-                    (fun s sh ->
-                      inner_ops.Index.save sh.inner
-                        ~path:(Filename.concat path (shard_file s))
-                        ~meta ~page_size)
-                    t.shards;
-                  let entries =
-                    Array.mapi
-                      (fun s sh ->
-                        {
-                          file = shard_file s;
-                          kind = inner_ops.Index.snapshot_kind;
-                          crc = file_crc (Filename.concat path (shard_file s));
-                          lo = sh.lo;
-                          hi = sh.hi;
-                          gids = sh.gids;
-                        })
-                      t.shards
-                  in
-                  write_manifest path
-                    {
-                      inner_kind = inner_ops.Index.snapshot_kind;
-                      partition = t.part;
-                      shards = Array.length t.shards;
-                      dim = t.dim;
-                      total =
-                        Array.fold_left
-                          (fun acc sh -> acc + Array.length sh.gids)
-                          0 t.shards;
-                      meta;
-                      entries;
-                    });
-              load =
-                (fun ~stats ~policy ~cache_pages path ->
-                  let ( let* ) = Result.bind in
-                  let* m = read_manifest path in
-                  let* () =
-                    if String.equal m.inner_kind inner_ops.Index.snapshot_kind
-                    then Ok ()
-                    else
-                      Error
-                        (Diskstore.Snapshot.Kind_mismatch
-                           {
-                             expected = inner_ops.Index.snapshot_kind;
-                             got = m.inner_kind;
-                           })
-                  in
-                  (* a disabled pool (0 pages) stays disabled per shard *)
-                  let per_pages =
-                    if cache_pages = 0 then 0 else max 1 (cache_pages / m.shards)
-                  in
-                  let rec load_shards s acc =
-                    if s = m.shards then Ok (List.rev acc)
-                    else begin
-                      let e = m.entries.(s) in
-                      let p = Filename.concat path e.file in
-                      if not (Sys.file_exists p) then
-                        Error
-                          (Diskstore.Snapshot.Bad_header
-                             (Printf.sprintf "missing shard file %s" e.file))
-                      else if file_crc p <> e.crc then
-                        Error
-                          (Diskstore.Snapshot.Bad_section_crc
-                             { section = e.file })
-                      else
-                        let* inner, info =
-                          inner_ops.Index.load ~stats ~policy
-                            ~cache_pages:per_pages p
-                        in
-                        load_shards (s + 1) ((e, inner, info) :: acc)
-                    end
-                  in
-                  let* loaded = load_shards 0 [] in
-                  let shards =
-                    Array.of_list
-                      (List.map
-                         (fun ((e : entry), inner, _) ->
-                           { inner; gids = e.gids; lo = e.lo; hi = e.hi })
-                         loaded)
-                  in
-                  let info =
-                    let first =
-                      match loaded with
-                      | (_, _, i) :: _ -> i
-                      | [] -> assert false (* shards >= 1 by codec check *)
-                    in
-                    {
-                      Diskstore.Snapshot.kind = sharded_kind;
-                      meta = m.meta;
-                      version = first.Diskstore.Snapshot.version;
-                      page_size = first.Diskstore.Snapshot.page_size;
-                      block_size = first.Diskstore.Snapshot.block_size;
-                      n_blocks =
-                        List.fold_left
-                          (fun acc (_, _, i) ->
-                            acc + i.Diskstore.Snapshot.n_blocks)
-                          0 loaded;
-                      total_pages =
-                        List.fold_left
-                          (fun acc (_, _, i) ->
-                            acc + i.Diskstore.Snapshot.total_pages)
-                          0 loaded;
-                    }
-                  in
-                  Ok
-                    ( { shards; dim = m.dim; part = m.partition; last_pruned = 0 },
-                      info ));
-            }
+      let inner_ops = M.snapshot in
+      {
+        Index.snapshot_kind = sharded_kind;
+        save =
+          (fun t ~path ~meta ~page_size ->
+            if Sys.file_exists path then begin
+              if not (Sys.is_directory path) then
+                invalid_arg
+                  (Printf.sprintf
+                     "Shard.save: %s exists and is not a directory" path)
+            end
+            else Sys.mkdir path 0o755;
+            Array.iteri
+              (fun s sh ->
+                inner_ops.Index.save sh.inner
+                  ~path:(Filename.concat path (shard_file s))
+                  ~meta ~page_size)
+              t.shards;
+            let entries =
+              Array.mapi
+                (fun s sh ->
+                  {
+                    file = shard_file s;
+                    kind = inner_ops.Index.snapshot_kind;
+                    crc =
+                      Manifest_dir.part_crc
+                        (Filename.concat path (shard_file s));
+                    lo = sh.lo;
+                    hi = sh.hi;
+                    gids = sh.gids;
+                  })
+                t.shards
+            in
+            write_manifest path
+              {
+                inner_kind = inner_ops.Index.snapshot_kind;
+                partition = t.part;
+                shards = Array.length t.shards;
+                dim = t.dim;
+                total =
+                  Array.fold_left
+                    (fun acc sh -> acc + Array.length sh.gids)
+                    0 t.shards;
+                meta;
+                entries;
+              });
+        load =
+          (fun ~stats ~policy ~cache_pages path ->
+            let ( let* ) = Result.bind in
+            let* m = read_manifest path in
+            (* [empty] is never the answer: the codec requires a shard *)
+            let empty =
+              {
+                Diskstore.Snapshot.kind = sharded_kind;
+                meta = m.meta;
+                version = 1;
+                page_size = 0;
+                block_size = 0;
+                n_blocks = 0;
+                total_pages = 0;
+              }
+            in
+            let* inners, info =
+              Manifest_dir.load_parts inner_ops ~inner_kind:m.inner_kind
+                ~stats ~policy ~cache_pages ~empty path
+                (Array.map (fun (e : entry) -> (e.file, e.crc)) m.entries)
+            in
+            let shards =
+              Array.map2
+                (fun (e : entry) inner ->
+                  { inner; gids = e.gids; lo = e.lo; hi = e.hi })
+                m.entries inners
+            in
+            Ok
+              ( { shards; dim = m.dim; part = m.partition; last_pruned = 0 },
+                info ));
+      }
   end)
 
 let of_manifest m =
@@ -498,6 +451,5 @@ let open_snapshot ?(policy = Diskstore.Buffer_pool.Lru) ?(cache_pages = 64)
   let ( let* ) = Result.bind in
   let* m = read_manifest path in
   let* (module Sh : Index.S) = of_manifest m in
-  let ops = Option.get Sh.snapshot in
-  let* t, info = ops.Index.load ~stats ~policy ~cache_pages path in
+  let* t, info = Sh.snapshot.Index.load ~stats ~policy ~cache_pages path in
   Ok (Index.Instance ((module Sh), t), info, m)

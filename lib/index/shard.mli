@@ -111,9 +111,10 @@ val open_snapshot :
 (** Reopen a sharded snapshot directory generically: read the
     manifest, look the inner structure up by snapshot kind in the
     {!Registry}, {!make} a sharded wrapper with the manifest's K and
-    partitioner, and load every shard (each shard's buffer pool gets
-    [cache_pages / K] pages, min 1).  Shard files are CRC-checked
-    against their manifest entries before loading; a missing shard
-    file is rejected with [Bad_header].  The returned info aggregates
-    the per-shard infos ([n_blocks]/[total_pages] summed) under kind
-    {!sharded_kind}. *)
+    partitioner, and load every shard through [Manifest_dir.load_parts],
+    the loader Lsm directories share (each shard's buffer pool gets
+    [cache_pages / K] pages, min 1; a disabled pool stays disabled).
+    Shard files are CRC-checked against their manifest entries before
+    loading; a missing shard file is rejected with [Bad_header].  The
+    returned info aggregates the per-shard infos
+    ([n_blocks]/[total_pages] summed) under kind {!sharded_kind}. *)

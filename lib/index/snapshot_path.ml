@@ -135,8 +135,9 @@ let open_ ?(policy = Diskstore.Buffer_pool.Lru) ?(cache_pages = 64) ~stats
           let* (module M : Index.S) =
             Registry.find_by_snapshot_kind info.Diskstore.Snapshot.kind
           in
-          let ops = Option.get M.snapshot in
-          let* t, info = ops.Index.load ~stats ~policy ~cache_pages path in
+          let* t, info =
+            M.snapshot.Index.load ~stats ~policy ~cache_pages path
+          in
           Ok (Index.Instance ((module M), t), info, File info)
       | `Sharded ->
           Result.map

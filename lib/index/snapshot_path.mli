@@ -70,7 +70,7 @@ val open_ :
   string ->
   (Index.instance * Diskstore.Snapshot.info * header, string) result
 (** Reopen any layout behind one {!Index.instance}: single files load
-    through their registry owner's snapshot capability, directories
+    through their registry owner's snapshot operations, directories
     through {!Shard.open_snapshot} or {!Lsm.open_snapshot}.  Load-time
     verification I/O is charged to [stats]. *)
 

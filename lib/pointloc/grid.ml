@@ -8,8 +8,6 @@ type 'a t = {
   dir_block : int; (* directory slots per block *)
 }
 
-let grid_side t = t.side
-
 let space_blocks t =
   Emio.Run.block_count t.directory + Emio.Run.block_count t.buckets
 

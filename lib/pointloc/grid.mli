@@ -32,9 +32,6 @@ val locate : 'a t -> float -> float -> 'a option
 
 val space_blocks : 'a t -> int
 
-val grid_side : 'a t -> int
-(** Number of cells per axis. *)
-
 (** {2 Persistence} *)
 
 type 'a portable

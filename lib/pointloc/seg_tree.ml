@@ -29,8 +29,6 @@ type 'a t = {
   n_segments : int;
 }
 
-let segment_count t = t.n_segments
-
 let rec node_space n =
   Emio.Run.block_count n.run
   + (match n.left with Some l -> node_space l | None -> 0)

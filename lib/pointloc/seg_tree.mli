@@ -31,7 +31,6 @@ val locate_above : 'a t -> float -> float -> 'a option
     abscissa [x], among segments whose x-span contains [x]. *)
 
 val space_blocks : 'a t -> int
-val segment_count : 'a t -> int
 
 (** {2 Persistence} *)
 

@@ -207,12 +207,6 @@ let add t conn =
   Mutex.unlock t.m;
   wake t
 
-let conn_count t =
-  Mutex.lock t.m;
-  let n = List.length t.conns in
-  Mutex.unlock t.m;
-  n
-
 let stop t =
   Mutex.lock t.m;
   if not t.stopping then begin

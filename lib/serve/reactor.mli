@@ -34,8 +34,6 @@ val add : t -> Conn.t -> unit
 (** Register an accepted connection (fd already non-blocking) and
     wire its wakeup to this reactor. *)
 
-val conn_count : t -> int
-
 val stop : t -> unit
 (** Begin drain (idempotent): stop reading, flush remaining responses
     bounded by the grace, then close everything. *)

@@ -17,9 +17,6 @@ type config = {
   default_deadline_ms : int;
   read_timeout_s : float;
   write_timeout_s : float;
-  cache_pages : int;
-  policy : Diskstore.Buffer_pool.policy;
-  resident : bool;
   max_frame : int;
   dispatch_delay_s : float;
   verbose : bool;
@@ -39,9 +36,6 @@ let default_config =
     default_deadline_ms = 200;
     read_timeout_s = 30.;
     write_timeout_s = 10.;
-    cache_pages = 64;
-    policy = Diskstore.Buffer_pool.Lru;
-    resident = true;
     max_frame = Frame.default_max_frame;
     dispatch_delay_s = 0.;
     verbose = false;
@@ -386,16 +380,14 @@ let acceptor_loop t =
 (* ---------- lifecycle ---------- *)
 
 let load_entries cfg ~dispatchers =
-  if cfg.resident then Diskstore.File_backend.set_resident_on_reopen true;
+  Diskstore.File_backend.set_resident_on_reopen true;
   let entries =
     Fun.protect
       ~finally:(fun () -> Diskstore.File_backend.set_resident_on_reopen false)
       (fun () ->
         List.map
           (fun path ->
-            match
-              Meta.load ~policy:cfg.policy ~cache_pages:cfg.cache_pages path
-            with
+            match Meta.load path with
             | Error m -> failwith m
             | Ok l ->
                 ( l.Meta.name,
@@ -422,30 +414,10 @@ let load_entries cfg ~dispatchers =
   if entries = [] then failwith "no snapshots to serve";
   entries
 
-let start cfg =
+let start (cfg : config) =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  (* Not silent clamps: the user who asked for fan-out should hear at
-     startup why they are not getting it. *)
-  if (not cfg.resident) && cfg.domains > 1 then
-    Printf.eprintf
-      "serve: --no-resident forces sequential dispatch; requested %d \
-       domains, using 1\n\
-       %!"
-      cfg.domains;
-  let requested_dispatchers = max 1 cfg.dispatchers in
-  let dispatchers =
-    if cfg.resident then requested_dispatchers
-    else begin
-      if requested_dispatchers > 1 then
-        Printf.eprintf
-          "serve: --no-resident forces a single dispatcher; requested %d, \
-           using 1\n\
-           %!"
-          requested_dispatchers;
-      1
-    end
-  in
+  let dispatchers = max 1 cfg.dispatchers in
   let readers = max 1 cfg.readers in
   let entries = load_entries cfg ~dispatchers in
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -462,9 +434,7 @@ let start cfg =
       in
       {
         cfg;
-        (* domain fan-out over a shared buffer pool is unsafe; without
-           resident payloads the server serves sequentially *)
-        domains = (if cfg.resident then max 1 cfg.domains else 1);
+        domains = max 1 cfg.domains;
         dispatchers;
         readers;
         listen_fd;

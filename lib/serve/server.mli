@@ -29,11 +29,11 @@
 
     Queries execute {e only} on the dispatcher shards (plus the domain
     pool the lease holder drives), which is what makes the engine's
-    domain-local scratch state safe.  Concurrent fan-out over a
-    reopened snapshot additionally requires resident payloads
-    ({!Diskstore.File_backend.set_resident_on_reopen}); with
-    [resident = false] the
-    server forces [domains = 1] {e and} a single dispatcher. *)
+    domain-local scratch state safe.  Every snapshot is reopened with
+    resident payloads ({!Diskstore.File_backend.set_resident_on_reopen}):
+    each block is decoded once at load and no query reads the buffer
+    pool, which is what makes concurrent fan-out over a reopened
+    snapshot safe. *)
 
 type config = {
   host : string;
@@ -41,9 +41,7 @@ type config = {
   snapshots : string list;  (** snapshot files to serve, one structure each *)
   queue_capacity : int;  (** per-dispatcher admission ring capacity *)
   batch_max : int;  (** dispatcher batch size *)
-  dispatchers : int;
-      (** dispatcher shards; clamped to 1 without resident payloads,
-          warned at startup *)
+  dispatchers : int;  (** dispatcher shards, at least 1 *)
   readers : int;  (** reactor event-loop threads, at least 1 *)
   coalesce_us : int;
       (** cross-request coalescing window in microseconds; 0 disables
@@ -53,11 +51,6 @@ type config = {
   read_timeout_s : float;  (** per-connection idle timeout *)
   write_timeout_s : float;
       (** drain grace for flushing response outboxes at stop *)
-  cache_pages : int;
-  policy : Diskstore.Buffer_pool.policy;
-  resident : bool;
-      (** hold payloads in memory, decoded once at reopen; required for
-          any fan-out *)
   max_frame : int;
   dispatch_delay_s : float;
       (** test hook: sleep this long before executing each batch, to
@@ -92,13 +85,12 @@ val port : t -> int
 (** The actually-bound port (useful with [config.port = 0]). *)
 
 val effective_domains : t -> int
-(** The domain count count-only batches actually fan out over — 1
-    whenever [resident = false], whatever [config.domains] asked for
-    (the clamp is also warned about at startup). *)
+(** The domain count count-only batches fan out over:
+    [config.domains], at least 1. *)
 
 val effective_dispatchers : t -> int
-(** Dispatcher shards actually running — [config.dispatchers] (at
-    least 1), clamped to 1 without resident payloads. *)
+(** Dispatcher shards actually running: [config.dispatchers], at
+    least 1. *)
 
 val effective_readers : t -> int
 (** Reactor event-loop threads (at least 1). *)

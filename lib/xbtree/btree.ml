@@ -14,10 +14,6 @@ let length t = t.length
 let height t = t.height
 let stats t = Emio.Store.stats t.leaves
 
-let relink_stats t stats =
-  Emio.Store.set_stats t.leaves stats;
-  Emio.Store.set_stats t.internals stats
-
 let space_blocks t =
   Emio.Store.blocks_used t.leaves + Emio.Store.blocks_used t.internals
 

@@ -32,10 +32,6 @@ val space_blocks : ('k, 'v) t -> int
 
 val stats : ('k, 'v) t -> Emio.Io_stats.t
 
-val relink_stats : ('k, 'v) t -> Emio.Io_stats.t -> unit
-(** Repoint both node stores at a fresh stats sink (used when a tree
-    is revived from a snapshot skeleton in a new process). *)
-
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Some value with exactly this key, if any.  O(log_B n) I/Os. *)
 

@@ -1,5 +1,5 @@
 (* Cost_ctx: scoped I/O accounting, nesting, trace events, and the
-   snapshot-reopen stats regression (the Store.set_stats footgun). *)
+   snapshot-reopen stats regression. *)
 
 module Index = Lcsearch_index.Index
 module Registry = Lcsearch_index.Registry
@@ -131,7 +131,7 @@ let test_query_engine_batch () =
       check "no writes" 0 c.Query_engine.writes)
     costs
 
-(* The set_stats regression: after a snapshot reopen with a fresh stats sink,
+(* The reopen-stats regression: after a snapshot reopen with a fresh stats sink,
    query I/O must be charged to the reopening process (observable both
    through the fresh ambient sink and through a scoped context), not
    leak into the marshalled copy of the builder's stats. *)
@@ -139,7 +139,7 @@ let test_snapshot_reopen_stats () =
   List.iter
     (fun name ->
       let (module M : Index.S) = Registry.find_exn name in
-      let ops = Option.get M.snapshot in
+      let ops = M.snapshot in
       let rng = Workload.rng 13 in
       let pts = Workload.uniform2 rng ~n:2048 ~range:100. in
       let build_stats = Emio.Io_stats.create () in

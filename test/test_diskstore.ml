@@ -640,92 +640,90 @@ module Workloads = Lcsearch_index.Workloads
 let sorted_rows rows = List.sort compare (List.map Array.to_list rows)
 
 let snapshot_corpus_case (module M : Index.S) () =
-  match M.snapshot with
-  | None -> ()
-  | Some ops ->
-      let dim = List.hd M.dims in
-      let rng = Workload.rng (4000 + (Hashtbl.hash M.name mod 101)) in
-      let ds =
-        Workloads.dataset rng ~kind:Workloads.Uniform ~dim ~n:400
-          (module M : Index.S)
-      in
-      let qs = Workloads.queries rng ds ~fraction:0.08 ~count:4 in
-      let stats = Emio.Io_stats.create () in
-      let params = { Index.default_params with Index.block_size = 16 } in
-      let t = M.build ~params ~stats ds in
-      let path = temp_path () in
-      ops.Index.save t ~path ~meta:"corpus" ~page_size:(Some 512);
-      let load p =
-        ops.Index.load
-          ~stats:(Emio.Io_stats.create ())
-          ~policy:Diskstore.Buffer_pool.Lru ~cache_pages:8 p
-      in
-      let (module Oracle : Index.S) = Registry.find_exn "scan" in
-      let oracle = Oracle.build ~params:Index.default_params ~stats ds in
-      (match load path with
+  let ops = M.snapshot in
+  let dim = List.hd M.dims in
+  let rng = Workload.rng (4000 + (Hashtbl.hash M.name mod 101)) in
+  let ds =
+    Workloads.dataset rng ~kind:Workloads.Uniform ~dim ~n:400
+      (module M : Index.S)
+  in
+  let qs = Workloads.queries rng ds ~fraction:0.08 ~count:4 in
+  let stats = Emio.Io_stats.create () in
+  let params = { Index.default_params with Index.block_size = 16 } in
+  let t = M.build ~params ~stats ds in
+  let path = temp_path () in
+  ops.Index.save t ~path ~meta:"corpus" ~page_size:(Some 512);
+  let load p =
+    ops.Index.load
+      ~stats:(Emio.Io_stats.create ())
+      ~policy:Diskstore.Buffer_pool.Lru ~cache_pages:8 p
+  in
+  let (module Oracle : Index.S) = Registry.find_exn "scan" in
+  let oracle = Oracle.build ~params:Index.default_params ~stats ds in
+  (match load path with
+  | Error e ->
+      Alcotest.failf "%s: load failed: %a" M.name Diskstore.Snapshot.pp_error
+        e
+  | Ok (loaded, info) ->
+      Alcotest.(check string) (M.name ^ ": kind") ops.Index.snapshot_kind
+        info.Diskstore.Snapshot.kind;
+      List.iteri
+        (fun i q ->
+          check_bool
+            (Printf.sprintf "%s query %d: reopened = oracle" M.name i)
+            true
+            (sorted_rows (M.query loaded q)
+            = sorted_rows (Oracle.query oracle q));
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "%s query %d: reopened estimate" M.name i)
+            (M.estimate t q) (M.estimate loaded q))
+        qs);
+  let whole = read_file path in
+  let n = String.length whole in
+  List.iter
+    (fun keep ->
+      let keep = max 0 (min keep (n - 1)) in
+      let stub = temp_path () in
+      write_file stub (String.sub whole 0 keep);
+      match load stub with
+      | Error
+          ( Diskstore.Snapshot.Truncated _
+          | Diskstore.Snapshot.Bad_checksum _
+          | Diskstore.Snapshot.Bad_header _ | Diskstore.Snapshot.Bad_magic
+          | Diskstore.Snapshot.Bad_section_crc _ ) ->
+          ()
+      | Ok _ ->
+          Alcotest.failf "%s: truncation to %d bytes accepted" M.name keep
       | Error e ->
-          Alcotest.failf "%s: load failed: %a" M.name Diskstore.Snapshot.pp_error
-            e
-      | Ok (loaded, info) ->
-          Alcotest.(check string) (M.name ^ ": kind") ops.Index.snapshot_kind
-            info.Diskstore.Snapshot.kind;
-          List.iteri
-            (fun i q ->
-              check_bool
-                (Printf.sprintf "%s query %d: reopened = oracle" M.name i)
-                true
-                (sorted_rows (M.query loaded q)
-                = sorted_rows (Oracle.query oracle q));
-              Alcotest.(check (float 0.))
-                (Printf.sprintf "%s query %d: reopened estimate" M.name i)
-                (M.estimate t q) (M.estimate loaded q))
-            qs);
-      let whole = read_file path in
-      let n = String.length whole in
-      List.iter
-        (fun keep ->
-          let keep = max 0 (min keep (n - 1)) in
-          let stub = temp_path () in
-          write_file stub (String.sub whole 0 keep);
-          match load stub with
-          | Error
-              ( Diskstore.Snapshot.Truncated _
-              | Diskstore.Snapshot.Bad_checksum _
-              | Diskstore.Snapshot.Bad_header _ | Diskstore.Snapshot.Bad_magic
-              | Diskstore.Snapshot.Bad_section_crc _ ) ->
-              ()
-          | Ok _ ->
-              Alcotest.failf "%s: truncation to %d bytes accepted" M.name keep
-          | Error e ->
-              Alcotest.failf "%s: truncation to %d: wrong error %a" M.name keep
-                Diskstore.Snapshot.pp_error e)
-        [ 0; 1; 15; 100; 256; 300; n / 2; n - 200; n - 1 ];
-      List.iter
-        (fun off ->
-          let off = max 0 (min off (n - 1)) in
-          let corrupt = Bytes.of_string whole in
-          Bytes.set corrupt off
-            (Char.chr (Char.code (Bytes.get corrupt off) lxor 0x01));
-          let stub = temp_path () in
-          write_file stub (Bytes.to_string corrupt);
-          match load stub with
-          | Error _ -> ()
-          | Ok _ -> Alcotest.failf "%s: flipped byte at %d accepted" M.name off)
-        [ 0; 9; 40; 257; 300; 512; n / 2; (3 * n) / 4; n - 10 ];
-      (* paths that are no snapshot file at all — a directory, a path
-         that cannot be opened — are typed errors too, never exceptions *)
-      List.iter
-        (fun p ->
-          (match load p with
-          | Error (Diskstore.Snapshot.Bad_header _) -> ()
-          | Ok _ -> Alcotest.failf "%s: %s accepted" M.name p
-          | Error e ->
-              Alcotest.failf "%s: %s: wrong error %a" M.name p
-                Diskstore.Snapshot.pp_error e);
-          match Diskstore.Snapshot.read_info p with
-          | Error (Diskstore.Snapshot.Bad_header _) -> ()
-          | _ -> Alcotest.failf "read_info %s: expected Bad_header" p)
-        [ Filename.get_temp_dir_name (); path ^ ".missing" ]
+          Alcotest.failf "%s: truncation to %d: wrong error %a" M.name keep
+            Diskstore.Snapshot.pp_error e)
+    [ 0; 1; 15; 100; 256; 300; n / 2; n - 200; n - 1 ];
+  List.iter
+    (fun off ->
+      let off = max 0 (min off (n - 1)) in
+      let corrupt = Bytes.of_string whole in
+      Bytes.set corrupt off
+        (Char.chr (Char.code (Bytes.get corrupt off) lxor 0x01));
+      let stub = temp_path () in
+      write_file stub (Bytes.to_string corrupt);
+      match load stub with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s: flipped byte at %d accepted" M.name off)
+    [ 0; 9; 40; 257; 300; 512; n / 2; (3 * n) / 4; n - 10 ];
+  (* paths that are no snapshot file at all — a directory, a path
+     that cannot be opened — are typed errors too, never exceptions *)
+  List.iter
+    (fun p ->
+      (match load p with
+      | Error (Diskstore.Snapshot.Bad_header _) -> ()
+      | Ok _ -> Alcotest.failf "%s: %s accepted" M.name p
+      | Error e ->
+          Alcotest.failf "%s: %s: wrong error %a" M.name p
+            Diskstore.Snapshot.pp_error e);
+      match Diskstore.Snapshot.read_info p with
+      | Error (Diskstore.Snapshot.Bad_header _) -> ()
+      | _ -> Alcotest.failf "read_info %s: expected Bad_header" p)
+    [ Filename.get_temp_dir_name (); path ^ ".missing" ]
 
 (* A file that passes every CRC but whose skeleton is junk fails in
    skeleton decoding, after the file is open: the open must report
@@ -739,37 +737,31 @@ let test_junk_skeleton_closes_file () =
   let fds = open_fds () in
   List.iter
     (fun (module M : Index.S) ->
-      match M.snapshot with
-      | None -> ()
-      | Some ops ->
-          Diskstore.Snapshot.save ~path ~kind:ops.Index.snapshot_kind
-            ~block_size:16 ~payload:[||]
-            ~skeleton:(Bytes.of_string "not a skeleton") ();
-          for _ = 1 to 200 do
-            match
-              ops.Index.load ~stats:(Emio.Io_stats.create ())
-                ~policy:Diskstore.Buffer_pool.Lru ~cache_pages:4 path
-            with
-            | Error (Diskstore.Snapshot.Bad_payload _) -> ()
-            | Ok _ -> Alcotest.failf "%s: junk skeleton accepted" M.name
-            | Error e ->
-                Alcotest.failf "%s: wrong error %a" M.name
-                  Diskstore.Snapshot.pp_error e
-          done)
+      let ops = M.snapshot in
+      Diskstore.Snapshot.save ~path ~kind:ops.Index.snapshot_kind
+        ~block_size:16 ~payload:[||]
+        ~skeleton:(Bytes.of_string "not a skeleton") ();
+      for _ = 1 to 200 do
+        match
+          ops.Index.load ~stats:(Emio.Io_stats.create ())
+            ~policy:Diskstore.Buffer_pool.Lru ~cache_pages:4 path
+        with
+        | Error (Diskstore.Snapshot.Bad_payload _) -> ()
+        | Ok _ -> Alcotest.failf "%s: junk skeleton accepted" M.name
+        | Error e ->
+            Alcotest.failf "%s: wrong error %a" M.name
+              Diskstore.Snapshot.pp_error e
+      done)
     (Registry.all ());
   check "no descriptor leaked" fds (open_fds ())
 
 let snapshot_corpus_tests =
-  List.filter_map
+  List.map
     (fun (module M : Index.S) ->
-      match M.snapshot with
-      | None -> None
-      | Some ops ->
-          Some
-            (Alcotest.test_case
-               (Printf.sprintf "corpus %s" ops.Index.snapshot_kind)
-               `Quick
-               (snapshot_corpus_case (module M : Index.S))))
+      Alcotest.test_case
+        (Printf.sprintf "corpus %s" M.snapshot.Index.snapshot_kind)
+        `Quick
+        (snapshot_corpus_case (module M : Index.S)))
     (Registry.all ())
 
 let () =

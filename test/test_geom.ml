@@ -86,45 +86,6 @@ let prop_envelope_matches_brute kind name =
         (fun x -> close (Envelope2.eval env x) (brute_eval kind lines x))
         xs)
 
-(* Brute-force first crossing: intersect the probe with every line and
-   keep the smallest x > after that actually lies on the envelope. *)
-let brute_first_crossing kind lines probe ~after =
-  let on_env x =
-    close (brute_eval kind lines x) (Line2.eval probe x)
-  in
-  List.filter_map
-    (fun l ->
-      if Line2.parallel probe l then None
-      else
-        let x = Line2.meet_x probe l in
-        if x > after +. 1e-7 && on_env x then Some x else None)
-    lines
-  |> List.fold_left min infinity
-
-let prop_first_crossing kind name =
-  QCheck.Test.make ~count:500 ~name
-    (QCheck.make
-       QCheck.Gen.(
-         triple (gen_lines 12) (float_range (-5.) 5.) (float_range (-8.) 8.)))
-    (fun (lines, probe_slope, after) ->
-      let env = Envelope2.build kind (Array.of_list lines) in
-      (* pick a probe that is strictly on the outer side at [after] *)
-      let margin = 1.0 in
-      let icept_at_after =
-        match kind with
-        | Envelope2.Upper -> Envelope2.eval env after +. margin
-        | Envelope2.Lower -> Envelope2.eval env after -. margin
-      in
-      let probe =
-        line probe_slope (icept_at_after -. (probe_slope *. after))
-      in
-      let brute = brute_first_crossing kind lines probe ~after in
-      match Envelope2.first_crossing env probe ~after with
-      | None -> brute = infinity
-      | Some (x, l) ->
-          close x brute
-          && close (Line2.eval l x) (Line2.eval probe x))
-
 (* outer_interval against a dense scan. *)
 let prop_outer_interval kind name =
   QCheck.Test.make ~count:300 ~name
@@ -168,7 +129,7 @@ let prop_outer_interval kind name =
       done;
       !ok)
 
-(* outer_interval and first_crossing read the envelope at breakpoint j
+(* outer_interval reads the envelope at breakpoint j
    on segment j, which is right only while the breakpoints strictly
    increase.  Integer lines give parallel families and many lines
    through one point; the pencil adds lines through (1, 2) whose
@@ -234,20 +195,11 @@ let test_envelope_duplicate_slopes () =
 let test_envelope_single_line () =
   let env = Envelope2.build Envelope2.Upper [| line 2. 3. |] in
   Alcotest.(check int) "one segment" 1 (Envelope2.size env);
-  Alcotest.(check (float 1e-9)) "eval" 7. (Envelope2.eval env 2.);
-  (* probe above, converging: crossing exists *)
-  (match Envelope2.first_crossing env (line 0. 10.) ~after:0. with
-  | Some (x, _) -> Alcotest.(check (float 1e-9)) "crossing" 3.5 x
-  | None -> Alcotest.fail "expected crossing");
-  (* probe above, diverging: none *)
-  Alcotest.(check bool) "no crossing" true
-    (Envelope2.first_crossing env (line 3. 10.) ~after:0. = None)
+  Alcotest.(check (float 1e-9)) "eval" 7. (Envelope2.eval env 2.)
 
 let test_envelope_empty () =
   let env = Envelope2.build Envelope2.Lower [||] in
-  Alcotest.(check bool) "empty" true (Envelope2.is_empty env);
-  Alcotest.(check bool) "no crossing" true
-    (Envelope2.first_crossing env (line 0. 0.) ~after:0. = None)
+  Alcotest.(check bool) "empty" true (Envelope2.is_empty env)
 
 let () =
   Alcotest.run "geom"
@@ -273,10 +225,6 @@ let () =
           QCheck_alcotest.to_alcotest
             (prop_envelope_matches_brute Envelope2.Upper
                "upper envelope = brute max");
-          QCheck_alcotest.to_alcotest
-            (prop_first_crossing Envelope2.Lower "first_crossing (lower)");
-          QCheck_alcotest.to_alcotest
-            (prop_first_crossing Envelope2.Upper "first_crossing (upper)");
           QCheck_alcotest.to_alcotest
             (prop_outer_interval Envelope2.Lower "outer_interval (lower)");
           QCheck_alcotest.to_alcotest

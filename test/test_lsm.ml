@@ -238,7 +238,7 @@ let meta =
     }
 
 let save_lsm (type a) (module L : Index.S with type t = a) (t : a) path =
-  let ops = Option.get L.snapshot in
+  let ops = L.snapshot in
   Alcotest.(check string) "snapshot kind" Lsm.lsm_kind ops.Index.snapshot_kind;
   ops.Index.save t ~path ~meta ~page_size:None
 
@@ -502,7 +502,7 @@ let test_manifest_commit () =
       let stats = Emio.Io_stats.create () in
       let t = W.build ~params:build_params ~stats ds in
       let path = temp_dir () in
-      (Option.get W.snapshot).Index.save t ~path ~meta ~page_size:None;
+      W.snapshot.Index.save t ~path ~meta ~page_size:None;
       Alcotest.(check (list string))
         (label ^ ": no temp file left") [] (tmp_files path);
       let observe () =
@@ -520,6 +520,86 @@ let test_manifest_commit () =
       ("lsm", Lsm.make ~memtable_cap:16 ~inner:(module M) ());
       ("lsm over shard", Lsm.make ~memtable_cap:16 ~inner:sharded ());
     ]
+
+(* ---- the directory loader shared with Shard ---- *)
+
+let test_wrong_inner_kind () =
+  let path = build_saved_h2 () in
+  (* the MANIFEST's inner kind is checked before any part is read:
+     with the parts gone, only that check can answer *)
+  Array.iter
+    (fun f ->
+      if not (String.equal f "MANIFEST") then
+        Sys.remove (Filename.concat path f))
+    (Sys.readdir path);
+  let (module P : Index.S) = Registry.find_exn "ptree" in
+  let (module H : Index.S) = Registry.find_exn "h2" in
+  let (module L : Index.S) = Lsm.make ~memtable_cap:16 ~inner:(module P) () in
+  match
+    L.snapshot.Index.load ~stats:(Emio.Io_stats.create ())
+      ~policy:Diskstore.Buffer_pool.Lru ~cache_pages:64 path
+  with
+  | Ok _ -> Alcotest.fail "an Lsm(h2) directory loaded as Lsm(ptree)"
+  | Error e ->
+      Alcotest.(check bool)
+        (Diskstore.Snapshot.error_to_string e)
+        true
+        (e
+        = Diskstore.Snapshot.Kind_mismatch
+            {
+              expected = P.snapshot.Index.snapshot_kind;
+              got = H.snapshot.Index.snapshot_kind;
+            })
+
+(* The pool splits over the levels, and a disabled pool stays
+   disabled: repeated queries never hit with 0 pages, and do with 64. *)
+let test_pool_split () =
+  let path = build_saved_h2 () in
+  let qs =
+    List.map
+      (fun a0 -> { Index.a0; a = [| 0.25 |] })
+      [ -20.; 0.; 20.; 40. ]
+  in
+  let hits cache_pages =
+    let stats = Emio.Io_stats.create () in
+    match Lsm.open_snapshot ~cache_pages ~stats path with
+    | Error e ->
+        Alcotest.failf "reopen failed: %s"
+          (Diskstore.Snapshot.error_to_string e)
+    | Ok (inst, _, _) ->
+        Emio.Io_stats.reset stats;
+        for _ = 1 to 3 do
+          List.iter (fun q -> ignore (Index.query_count inst q : int)) qs
+        done;
+        Emio.Io_stats.cache_hits stats
+  in
+  Alcotest.(check int) "no hits without a pool" 0 (hits 0);
+  Alcotest.(check bool) "hits with 64 pages" true (hits 64 > 0)
+
+(* With no level to read sizes from, the reopened info falls back to
+   the block size recorded in the manifest's build parameters. *)
+let test_memtable_only () =
+  let (module M : Index.S) = Registry.find_exn "h2" in
+  let (module L : Index.S) = Lsm.make ~memtable_cap:16 ~inner:(module M) () in
+  let params = { build_params with Index.block_size = 32 } in
+  let t = L.build ~params ~stats:(Emio.Io_stats.create ()) (Index.Pts2 [||]) in
+  let u = Option.get L.update in
+  List.iter
+    (fun row -> ignore (u.Index.insert t row : int))
+    [ [| 1.; 2. |]; [| 3.; 4. |]; [| 5.; 6. |] ];
+  let path = temp_dir () in
+  save_lsm (module L) t path;
+  match Lsm.open_snapshot ~stats:(Emio.Io_stats.create ()) path with
+  | Error e ->
+      Alcotest.failf "reopen failed: %s" (Diskstore.Snapshot.error_to_string e)
+  | Ok (inst, info, m) ->
+      Alcotest.(check int) "no levels" 0 (Array.length m.Lsm.levels);
+      Alcotest.(check int) "block size from params" 32
+        info.Diskstore.Snapshot.block_size;
+      Alcotest.(check int) "no blocks" 0 info.Diskstore.Snapshot.n_blocks;
+      Alcotest.(check int) "no pages" 0 info.Diskstore.Snapshot.total_pages;
+      Alcotest.(check int) "memtable answers" 3
+        (Index.query_count inst { Index.a0 = 100.; a = [| 0. |] })
 
 (* ---- composition: Lsm over the sharded wrapper ---- *)
 
@@ -622,5 +702,8 @@ let () =
           Alcotest.test_case "missing level file" `Quick test_missing_level_file;
           Alcotest.test_case "non-lsm paths" `Quick test_not_lsm_paths;
           Alcotest.test_case "manifest commit" `Quick test_manifest_commit;
+          Alcotest.test_case "wrong inner kind" `Quick test_wrong_inner_kind;
+          Alcotest.test_case "pool split" `Quick test_pool_split;
+          Alcotest.test_case "memtable only" `Quick test_memtable_only;
         ] );
     ]

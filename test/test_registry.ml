@@ -138,7 +138,7 @@ let test_scan_d_snapshot_roundtrip () =
   let t =
     M.build ~params:Index.default_params ~stats:(Emio.Io_stats.create ()) ds
   in
-  let ops = Option.get M.snapshot in
+  let ops = M.snapshot in
   let path = temp_snapshot () in
   ops.Index.save t ~path ~meta:"" ~page_size:None;
   match
@@ -212,31 +212,29 @@ let conformance_case ~kind (module M : Index.S) ~dim () =
            (Workloads.kind_name kind) i)
         (List.length got) (M.query_count t q))
     qs;
-  match M.snapshot with
-  | None -> ()
-  | Some ops ->
-      let path = temp_snapshot () in
-      ops.Index.save t ~path ~meta:"" ~page_size:None;
-      (match
-         ops.Index.load
-           ~stats:(Emio.Io_stats.create ())
-           ~policy:Diskstore.Buffer_pool.Lru ~cache_pages:8 path
-       with
-      | Error e ->
-          Alcotest.failf "%s d=%d %s: snapshot reload failed: %s" M.name dim
-            (Workloads.kind_name kind)
-            (Diskstore.Snapshot.error_to_string e)
-      | Ok (reopened, _) ->
-          List.iteri
-            (fun i q ->
-              check_ids ~stage:"reopened" reopened i q;
-              Alcotest.(check bool)
-                (Printf.sprintf "%s d=%d %s query %d: reopened rows" M.name
-                   dim (Workloads.kind_name kind) i)
-                true
-                (sorted_rows (M.query reopened q)
-                = sorted_rows (Oracle.query oracle q)))
-            qs)
+  let ops = M.snapshot in
+  let path = temp_snapshot () in
+  ops.Index.save t ~path ~meta:"" ~page_size:None;
+  (match
+     ops.Index.load
+       ~stats:(Emio.Io_stats.create ())
+       ~policy:Diskstore.Buffer_pool.Lru ~cache_pages:8 path
+   with
+  | Error e ->
+      Alcotest.failf "%s d=%d %s: snapshot reload failed: %s" M.name dim
+        (Workloads.kind_name kind)
+        (Diskstore.Snapshot.error_to_string e)
+  | Ok (reopened, _) ->
+      List.iteri
+        (fun i q ->
+          check_ids ~stage:"reopened" reopened i q;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s d=%d %s query %d: reopened rows" M.name
+               dim (Workloads.kind_name kind) i)
+            true
+            (sorted_rows (M.query reopened q)
+            = sorted_rows (Oracle.query oracle q)))
+        qs)
 
 let conformance_tests =
   List.concat_map

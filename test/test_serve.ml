@@ -500,7 +500,7 @@ let layout_module ?(shards = 1) ?(dynamic = false) name =
    process's query stream. *)
 let build_snapshot ?(shards = 1) ?(dynamic = false) name ~n ~seed =
   let module M = (val layout_module ~shards ~dynamic name : Index.S) in
-  let ops = Option.get M.snapshot in
+  let ops = M.snapshot in
   let dim = List.hd M.dims in
   let rng = Workload.rng seed in
   let ds = Workloads.dataset rng ~kind:Workloads.Uniform ~dim ~n (module M : Index.S) in
@@ -1050,33 +1050,22 @@ let test_e2e_stats_query () =
           Alcotest.failf "expected Stats, got %s"
             (Format.asprintf "%a" Protocol.pp m))
 
-(* The one remaining dispatcher clamp: without resident payloads the
-   server runs a single dispatcher (and no domain fan-out); resident,
-   it runs what was asked for. *)
-let test_e2e_dispatcher_clamp () =
+(* Every payload is resident, so the server runs the dispatchers and
+   domain fan-out it was asked for. *)
+let test_e2e_dispatchers_as_configured () =
   let h2 = build_snapshot "h2" ~n:256 ~seed:83 in
-  List.iter
-    (fun (resident, want_dispatchers, want_domains) ->
-      let cfg =
-        {
-          Server.default_config with
-          port = 0;
-          snapshots = [ h2 ];
-          dispatchers = 3;
-          domains = 2;
-          resident;
-        }
-      in
-      with_server cfg (fun srv ->
-          check
-            (Printf.sprintf "resident=%b: effective dispatchers" resident)
-            want_dispatchers
-            (Server.effective_dispatchers srv);
-          check
-            (Printf.sprintf "resident=%b: effective domains" resident)
-            want_domains
-            (Server.effective_domains srv)))
-    [ (true, 3, 2); (false, 1, 1) ]
+  let cfg =
+    {
+      Server.default_config with
+      port = 0;
+      snapshots = [ h2 ];
+      dispatchers = 3;
+      domains = 2;
+    }
+  in
+  with_server cfg (fun srv ->
+      check "effective dispatchers" 3 (Server.effective_dispatchers srv);
+      check "effective domains" 2 (Server.effective_domains srv))
 
 (* stop() must drain: the queued backlog is executed and answered
    before connections close. *)
@@ -1206,7 +1195,7 @@ let () =
             test_every_layout;
           Alcotest.test_case "resident reads charge a cold fetch" `Quick
             test_resident_charges_cold_fetch;
-          Alcotest.test_case "dispatcher clamp without resident payloads"
-            `Quick test_e2e_dispatcher_clamp;
+          Alcotest.test_case "dispatchers and domains as configured" `Quick
+            test_e2e_dispatchers_as_configured;
         ] );
     ]

@@ -162,7 +162,7 @@ let test_str_pruning () =
 (* ---- sharded snapshots ---- *)
 
 let save_sharded (type a) (module Sh : Index.S with type t = a) (t : a) path =
-  let ops = Option.get Sh.snapshot in
+  let ops = Sh.snapshot in
   let meta =
     Snapshot_path.meta_to_string
       {
@@ -367,6 +367,66 @@ let test_non_sharded_path () =
 
 (* ---- batch engine drives a sharded instance like any other ---- *)
 
+(* ---- the directory loader shared with Lsm ---- *)
+
+let test_wrong_inner_kind () =
+  let path = build_saved_h2 () in
+  (* the MANIFEST's inner kind is checked before any part is read:
+     with the parts gone, only that check can answer *)
+  Array.iter
+    (fun f ->
+      if not (String.equal f "MANIFEST") then
+        Sys.remove (Filename.concat path f))
+    (Sys.readdir path);
+  let (module P : Index.S) = Registry.find_exn "ptree" in
+  let (module H : Index.S) = Registry.find_exn "h2" in
+  let (module Sh : Index.S) =
+    Shard.make ~inner:(module P) ~shards:4 ~partition:Shard.Str ()
+  in
+  match
+    Sh.snapshot.Index.load ~stats:(Emio.Io_stats.create ())
+      ~policy:Diskstore.Buffer_pool.Lru ~cache_pages:64 path
+  with
+  | Ok _ -> Alcotest.fail "a Shard(h2) directory loaded as Shard(ptree)"
+  | Error e ->
+      Alcotest.(check bool)
+        (Diskstore.Snapshot.error_to_string e)
+        true
+        (e
+        = Diskstore.Snapshot.Kind_mismatch
+            {
+              expected = P.snapshot.Index.snapshot_kind;
+              got = H.snapshot.Index.snapshot_kind;
+            })
+
+(* The pool splits over the shards, and a disabled pool stays
+   disabled: repeated queries never hit with 0 pages, and do with 64. *)
+let test_pool_split () =
+  let (module M : Index.S), ds, qs =
+    make_case ~inner:"h2" ~dim:2 ~kind:Workloads.Uniform ~n:256
+  in
+  let (module Sh : Index.S) =
+    Shard.make ~inner:(module M) ~shards:4 ~partition:Shard.Str ()
+  in
+  let t = Sh.build ~params:build_params ~stats:(Emio.Io_stats.create ()) ds in
+  let path = temp_dir () in
+  ignore (save_sharded (module Sh) t path : _ Index.snapshot_ops);
+  let hits cache_pages =
+    let stats = Emio.Io_stats.create () in
+    match Shard.open_snapshot ~cache_pages ~stats path with
+    | Error e ->
+        Alcotest.failf "reopen failed: %s"
+          (Diskstore.Snapshot.error_to_string e)
+    | Ok (inst, _, _) ->
+        Emio.Io_stats.reset stats;
+        for _ = 1 to 3 do
+          List.iter (fun q -> ignore (Index.query_count inst q : int)) qs
+        done;
+        Emio.Io_stats.cache_hits stats
+  in
+  Alcotest.(check int) "no hits without a pool" 0 (hits 0);
+  Alcotest.(check bool) "hits with 64 pages" true (hits 64 > 0)
+
 let test_batch_engine () =
   let (module M : Index.S), ds, qs =
     make_case ~inner:"ptree" ~dim:2 ~kind:Workloads.Uniform ~n:512
@@ -439,5 +499,7 @@ let () =
           Alcotest.test_case "corrupted shard file" `Quick
             test_corrupted_shard_file;
           Alcotest.test_case "non-sharded paths" `Quick test_non_sharded_path;
+          Alcotest.test_case "wrong inner kind" `Quick test_wrong_inner_kind;
+          Alcotest.test_case "pool split" `Quick test_pool_split;
         ] );
     ]
