@@ -1007,12 +1007,11 @@ let serve_cmd =
       $ read_timeout $ verbose)
 
 let loadgen_once host port snapshots mode_name concurrency qps duration warmup
-    mix_name zipf_s pool fraction want_ids deadline_ms check seed writers
-    server_domains out verbose =
+    mix_name zipf_s pool fraction want_ids deadline_ms check seed out verbose =
   let mode =
     match mode_name with
     | "closed" -> Serve.Loadgen.Closed concurrency
-    | "open" -> Serve.Loadgen.Open qps
+    | "open" -> Serve.Loadgen.Open { qps; conns = concurrency }
     | m -> die "unknown mode %S (closed or open)" m
   in
   let mix =
@@ -1036,8 +1035,6 @@ let loadgen_once host port snapshots mode_name concurrency qps duration warmup
       deadline_ms;
       check;
       seed;
-      writers;
-      server_domains;
       verbose;
     }
   in
@@ -1065,7 +1062,10 @@ let loadgen_cmd =
   let concurrency =
     Arg.(
       value & opt int 4
-      & info [ "c"; "concurrency" ] ~doc:"Closed-loop worker threads.")
+      & info [ "c"; "concurrency" ]
+          ~doc:
+            "Connections, in both modes: closed loop keeps one request \
+             outstanding on each; open loop deals its arrivals over them.")
   in
   let qps =
     Arg.(
@@ -1104,23 +1104,6 @@ let loadgen_cmd =
       value & opt int 0
       & info [ "deadline-ms" ] ~doc:"Per-request deadline (0 = server default).")
   in
-  let writers =
-    Arg.(
-      value & opt int 1
-      & info [ "writers" ]
-          ~doc:
-            "Open-loop writer connections; each paces its share of --qps.  \
-             One writer tops out around tens of kQPS — raise this to reach \
-             higher arrival rates.  Ignored in closed-loop mode.")
-  in
-  let server_domains =
-    Arg.(
-      value & opt int 0
-      & info [ "server-domains" ]
-          ~doc:
-            "The server's effective domain count (from its startup banner), \
-             recorded in the summary JSON meta; 0 = unknown.")
-  in
   let out =
     Arg.(
       value
@@ -1139,7 +1122,7 @@ let loadgen_cmd =
           "Reopen each snapshot in-process and verify every response's \
            count, I/O cost words, and ids against the sequential \
            single-query engine; exit nonzero on any mismatch."
-      $ seed_arg () $ writers $ server_domains $ out $ verbose)
+      $ seed_arg () $ out $ verbose)
 
 let info_text () =
   print_string

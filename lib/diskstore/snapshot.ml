@@ -38,6 +38,7 @@ type error =
   | Bad_section_crc of { section : string }
   | Bad_payload of string
   | Kind_mismatch of { expected : string; got : string }
+  | Missing_file of string
 
 let pp_error ppf = function
   | Bad_magic -> Format.fprintf ppf "not a snapshot file (bad magic)"
@@ -53,6 +54,7 @@ let pp_error ppf = function
   | Bad_payload msg -> Format.fprintf ppf "corrupt snapshot payload: %s" msg
   | Kind_mismatch { expected; got } ->
       Format.fprintf ppf "snapshot holds a %S index, expected %S" got expected
+  | Missing_file file -> Format.fprintf ppf "missing file %s" file
 
 let error_to_string e = Format.asprintf "%a" pp_error e
 

@@ -37,6 +37,7 @@ type error =
           its header CRC even though each page checks out *)
   | Bad_payload of string  (** skeleton or payload bytes fail to decode *)
   | Kind_mismatch of { expected : string; got : string }
+  | Missing_file of string  (** a part a directory MANIFEST names is absent *)
 
 val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string

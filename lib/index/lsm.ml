@@ -13,10 +13,11 @@
      times over its lifetime (the logarithmic method's amortized
      charge);
 
-   - deterministic accounting: every level (re)build runs under a
-     private Io_stats sink, outside the caller's query contexts, that
-     is folded into the caller's exactly once — so summed I/O totals
-     are bit-equal to the inner structure's own build charges. *)
+   - deterministic accounting: every level (re)build and every level
+     query charges the caller's Io_stats sink (and the installed
+     Cost_ctx stack) directly, on the calling domain — so summed build
+     totals are bit-equal to the inner structure's own build charges,
+     and a query's ambient delta equals its Cost_ctx count. *)
 
 let lsm_kind = "lcsearch.lsm"
 let default_memtable_cap = 64
@@ -209,19 +210,13 @@ let make ?(memtable_cap = default_memtable_cap) ?build_domains:_
       let rec go i = if cap * (1 lsl i) >= n then i else go (i + 1) in
       go 0
 
-    (* Build one level's inner structure outside the caller's query
-       contexts, charging a private sink folded into [t.stats] exactly
-       once — so build I/O never leaks into a query's cost and the
-       summed totals match a direct build. *)
+    (* Build one level's inner structure on [t.stats], the caller's
+       sink: its build charges land there and in the installed
+       contexts once, and its later queries charge the same sink. *)
     let build_level t handles rows =
       t.merges <- t.merges + 1;
       let ds = Index.dataset_of_rows (module M) ~dim:t.dim rows in
-      let per = Emio.Io_stats.create () in
-      let inner =
-        Emio.Cost_ctx.unscoped (fun () ->
-            M.build ~params:t.params ~stats:per ds)
-      in
-      Emio.Io_stats.merge_into ~src:per t.stats;
+      let inner = M.build ~params:t.params ~stats:t.stats ds in
       {
         inner;
         handles;
@@ -498,13 +493,7 @@ let make ?(memtable_cap = default_memtable_cap) ?build_domains:_
         Index.snapshot_kind = lsm_kind;
         save =
           (fun t ~path ~meta ~page_size ->
-            if Sys.file_exists path then begin
-              if not (Sys.is_directory path) then
-                invalid_arg
-                  (Printf.sprintf
-                     "Lsm.save: %s exists and is not a directory" path)
-            end
-            else Sys.mkdir path 0o755;
+            Manifest_dir.ensure_dir path;
             let entries = ref [] in
             Array.iteri
               (fun s lvl_opt ->

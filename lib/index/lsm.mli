@@ -22,9 +22,9 @@
     - {b levels} follow a binary counter: slot [i] holds at most
       [cap·2^i] points as one immutable built copy of the inner
       structure; a spill carries the occupied low slots into the first
-      free one, rebuilding on the PR-5 domain pool with a private
-      [Io_stats] sink folded into the caller's exactly once
-      (deterministic accounting across domain counts);
+      free one, rebuilding it on the calling domain; builds and
+      queries charge the caller's [Io_stats] sink directly, so the
+      totals match the inner structure's own;
     - {b queries} fan out across memtable + levels through the
       existing [Index.S] paths; every inner reports build-time ids, so
       tombstones are censored by id ({!Emio.Reporter.filter_from}),

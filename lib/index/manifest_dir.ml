@@ -27,6 +27,15 @@ let part_crc path =
   if Sys.is_directory path then 0
   else Diskstore.Crc32.digest (read_file_bytes path)
 
+(* The first step of every directory save: create [dir], or check
+   that the existing path is one. *)
+let ensure_dir dir =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+  else if not (Sys.is_directory dir) then
+    invalid_arg
+      (Printf.sprintf "Manifest_dir.ensure_dir: %s exists and is not a directory"
+         dir)
+
 let write_manifest dir codec m =
   let payload = Emio.Codec.encode codec m in
   let buf = Buffer.create (Bytes.length payload + 4) in
@@ -90,10 +99,7 @@ let load_parts (ops : _ Index.snapshot_ops) ~inner_kind ~stats ~policy
     else begin
       let file, crc = parts.(i) in
       let p = Filename.concat dir file in
-      if not (Sys.file_exists p) then
-        Error
-          (Diskstore.Snapshot.Bad_header
-             (Printf.sprintf "missing file %s" file))
+      if not (Sys.file_exists p) then Error (Diskstore.Snapshot.Missing_file file)
       else if part_crc p <> crc then
         Error (Diskstore.Snapshot.Bad_section_crc { section = file })
       else

@@ -367,13 +367,7 @@ let make ?build_domains ~inner:(module M : Index.S) ~shards ~partition () :
         Index.snapshot_kind = sharded_kind;
         save =
           (fun t ~path ~meta ~page_size ->
-            if Sys.file_exists path then begin
-              if not (Sys.is_directory path) then
-                invalid_arg
-                  (Printf.sprintf
-                     "Shard.save: %s exists and is not a directory" path)
-            end
-            else Sys.mkdir path 0o755;
+            Manifest_dir.ensure_dir path;
             Array.iteri
               (fun s sh ->
                 inner_ops.Index.save sh.inner

@@ -115,6 +115,6 @@ val open_snapshot :
     the loader Lsm directories share (each shard's buffer pool gets
     [cache_pages / K] pages, min 1; a disabled pool stays disabled).
     Shard files are CRC-checked against their manifest entries before
-    loading; a missing shard file is rejected with [Bad_header].  The
+    loading; a missing shard file is rejected with [Missing_file].  The
     returned info aggregates the per-shard infos
     ([n_blocks]/[total_pages] summed) under kind {!sharded_kind}. *)

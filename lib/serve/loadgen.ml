@@ -4,7 +4,7 @@ module Query_engine = Lcsearch_index.Query_engine
 module Histogram = Lcsearch_index.Histogram
 
 type mix = Uniform_mix | Zipf of float
-type mode = Closed of int | Open of float
+type mode = Closed of int | Open of { qps : float; conns : int }
 
 type config = {
   host : string;
@@ -20,8 +20,6 @@ type config = {
   deadline_ms : int;
   check : bool;
   seed : int;
-  writers : int;
-  server_domains : int;
   verbose : bool;
 }
 
@@ -40,8 +38,6 @@ let default_config =
     deadline_ms = 0;
     check = false;
     seed = 42;
-    writers = 1;
-    server_domains = 0;
     verbose = false;
   }
 
@@ -134,11 +130,11 @@ let make_sampler mix ~n_items =
         done;
         !lo
 
-(* ---------- shared accounting ---------- *)
+(* ---------- accounting ---------- *)
 
 type agg = {
-  m : Mutex.t;
-  hists : Histogram.t array; (* per target, post-warmup client RTTs in ns *)
+  hists : Histogram.t array; (* per target, post-warmup latencies in ns *)
+  late : Histogram.t; (* post-warmup generator lateness in ns *)
   reqs : int array; (* per target, whole run *)
   oks : int array;
   mutable sent : int;
@@ -165,8 +161,7 @@ let verify cfg (tgt : target) qidx ~count ~reads ~writes ~hits ~(ids : int array
          got = e.e_ids)
 
 let note_response cfg agg targets ~tidx ~qidx ~lat_ns ~measured msg =
-  Mutex.lock agg.m;
-  (match (msg : Protocol.msg) with
+  match (msg : Protocol.msg) with
   | Protocol.Result r ->
       agg.ok <- agg.ok + 1;
       agg.oks.(tidx) <- agg.oks.(tidx) + 1;
@@ -187,36 +182,72 @@ let note_response cfg agg targets ~tidx ~qidx ~lat_ns ~measured msg =
       agg.shed_drain <- agg.shed_drain + 1
   | Protocol.Error _ | Protocol.Query _ | Protocol.Stats _
   | Protocol.Stats_query _ ->
-      agg.errors <- agg.errors + 1);
-  Mutex.unlock agg.m
+      agg.errors <- agg.errors + 1
 
-let note_sent agg ~tidx =
-  Mutex.lock agg.m;
-  agg.sent <- agg.sent + 1;
-  agg.reqs.(tidx) <- agg.reqs.(tidx) + 1;
-  Mutex.unlock agg.m
+(* ---------- the wire: one select loop over non-blocking Conns ---------- *)
 
-let note_error agg =
-  Mutex.lock agg.m;
-  agg.errors <- agg.errors + 1;
-  Mutex.unlock agg.m
+(* How long the run waits for outstanding answers once it stops
+   issuing, and how long the stats round trip may take. *)
+let grace_s = 2.
 
-(* ---------- the wire ---------- *)
+let ns_of_s s = int_of_float (s *. 1e9)
 
 let connect cfg =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   try
     (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
-    Unix.setsockopt_float fd Unix.SO_SNDTIMEO 10.;
     Unix.connect fd
       (Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, cfg.port));
-    fd
+    Unix.set_nonblock fd;
+    Conn.create fd
   with Unix.Unix_error (e, _, _) ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
     failwith
       (Printf.sprintf "cannot connect to %s:%d: %s" cfg.host cfg.port
          (Unix.error_message e))
+
+let msg_id = function
+  | Protocol.Query q -> q.Protocol.id
+  | Protocol.Result r -> r.id
+  | Protocol.Shed s -> s.id
+  | Protocol.Error e -> e.id
+  | Protocol.Stats_query s -> s.id
+  | Protocol.Stats s -> s.id
+
+(* One select round over [conns]: resume partial writes the socket now
+   accepts, read what arrived and hand every complete frame to
+   [on_frame].  A connection the server closed, or whose byte stream
+   broke, goes to [on_hangup] instead. *)
+let pump conns ~timeout ~on_frame ~on_hangup =
+  let fds = List.map Conn.fd conns in
+  let wfds =
+    List.filter_map
+      (fun c -> if Conn.wants_write c then Some (Conn.fd c) else None)
+      conns
+  in
+  match Unix.select fds wfds [] (Float.max 0. timeout) with
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  | readable, writable, _ ->
+      List.iter
+        (fun c ->
+          if List.mem (Conn.fd c) writable then Conn.flush c;
+          if List.mem (Conn.fd c) readable then
+            match Conn.refill c with
+            | `Blocked -> ()
+            | `Eof -> on_hangup c
+            | `Data ->
+                let rec frames () =
+                  (* [on_frame] may hang up the connection *)
+                  if Conn.alive c then
+                    match Conn.next_frame c ~max_frame:Frame.default_max_frame with
+                    | `Msg m ->
+                        on_frame c m;
+                        frames ()
+                    | `More -> ()
+                    | `Broken _ -> on_hangup c
+                in
+                frames ())
+        conns
 
 let query_msg cfg (tgt : target) qidx ~id =
   let q = tgt.t_queries.(qidx) in
@@ -230,168 +261,131 @@ let query_msg cfg (tgt : target) qidx ~id =
       a = q.Index.a;
     }
 
-(* ---------- closed loop: one outstanding request per worker ---------- *)
+(* A request in flight: when it was due, and what the oracle needs. *)
+type request = { due : float; tidx : int; qidx : int }
 
-let closed_worker cfg targets agg sample ~stop_at ~warmup_until widx =
-  let fd = connect cfg in
-  let rng = Workload.rng (cfg.seed + (7919 * (widx + 1))) in
-  let nt = Array.length targets in
-  let seq = ref 0 in
-  (try
-     while Unix.gettimeofday () < stop_at do
-       let item = sample rng in
-       let tidx = item mod nt and qidx = item / nt in
-       let id = !seq land 0xffffffff in
-       incr seq;
-       note_sent agg ~tidx;
-       let t0 = Unix.gettimeofday () in
-       match Frame.write fd (query_msg cfg targets.(tidx) qidx ~id) with
-       | Error _ -> raise Exit
-       | Ok () -> (
-           (* window = 1: the next frame answers this request *)
-           match Frame.read fd with
-           | Ok msg ->
-               let lat_ns =
-                 int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
-               in
-               note_response cfg agg targets ~tidx ~qidx ~lat_ns
-                 ~measured:(t0 >= warmup_until) msg
-           | Error Frame.Timeout -> note_error agg
-           | Error _ -> raise Exit)
-     done
-   with Exit -> note_error agg);
-  try Unix.close fd with Unix.Unix_error _ -> ()
+type link = {
+  conn : Conn.t;
+  pending : (int, request) Hashtbl.t; (* by request id *)
+  mutable ready_at : float; (* when this link's last answer landed *)
+}
 
-(* ---------- open loop: paced arrivals, matched by id ---------- *)
-
-let msg_id = function
-  | Protocol.Query q -> q.Protocol.id
-  | Protocol.Result r -> r.id
-  | Protocol.Shed s -> s.id
-  | Protocol.Error e -> e.id
-  | Protocol.Stats_query s -> s.id
-  | Protocol.Stats s -> s.id
-
-(* One open-loop writer: its own connection, its own paced arrival
-   process at [qps], its own id-matched pending table.  The run spawns
-   [cfg.writers] of these so the generator itself stops being the
-   bottleneck — a single pacing thread tops out long before a
-   multi-shard server does. *)
-let open_writer cfg targets agg sample ~qps ~stop_at ~warmup_until widx =
-  let fd = connect cfg in
-  let nt = Array.length targets in
-  let pending : (int, float * int * int) Hashtbl.t = Hashtbl.create 4096 in
-  let plock = Mutex.create () in
-  let writer_done = ref false in
-  let reader =
-    Thread.create
-      (fun () ->
-        let rec go () =
-          let finished =
-            Mutex.lock plock;
-            let f = !writer_done && Hashtbl.length pending = 0 in
-            Mutex.unlock plock;
-            f
-          in
-          if not finished then
-            match Frame.read fd with
-            | Ok msg -> (
-                let id = msg_id msg in
-                Mutex.lock plock;
-                let found = Hashtbl.find_opt pending id in
-                if found <> None then Hashtbl.remove pending id;
-                Mutex.unlock plock;
-                match found with
-                | None ->
-                    note_error agg;
-                    go ()
-                | Some (t0, tidx, qidx) ->
-                    let lat_ns =
-                      int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
-                    in
-                    note_response cfg agg targets ~tidx ~qidx ~lat_ns
-                      ~measured:(t0 >= warmup_until) msg;
-                    go ())
-            | Error Frame.Timeout -> if not !writer_done then go ()
-            | Error _ -> ()
-        in
-        go ())
-      ()
+(* Both loop shapes on one thread.  Every request gets a due time
+   before it is written — closed loop: the moment its link's previous
+   answer landed (window 1); open loop: [start + k/qps], dealt
+   round-robin over the live links — and its latency runs from that
+   due time, so a stalled generator is charged to every request it
+   delays; [written - due] goes to the lateness histogram.  Issuing
+   stops at [stop_at]; answers are awaited until [stop_at + grace_s].
+   Every sent request leaves [pending] exactly once — answered, or
+   counted as an error when it is still unanswered at the end or its
+   link hangs up — so [sent = ok + sheds + errors]. *)
+let drive cfg targets agg sample links ~start ~warmup_until ~stop_at =
+  let rng = Workload.rng cfg.seed in
+  let nt = Array.length targets and n = Array.length links in
+  let give_up = stop_at +. grace_s in
+  let link_of c = Option.get (Array.find_opt (fun l -> l.conn == c) links) in
+  let up l = Conn.alive l.conn in
+  let hang_up l =
+    agg.errors <- agg.errors + Hashtbl.length l.pending;
+    Hashtbl.reset l.pending;
+    Conn.close l.conn
   in
-  let rng = Workload.rng (cfg.seed + (104729 * (widx + 1))) in
-  let interval = 1. /. Float.max 1e-6 qps in
-  let start = Unix.gettimeofday () in
   let seq = ref 0 in
-  (try
-     let rec go k =
-       let due = start +. (float_of_int k *. interval) in
-       let now = Unix.gettimeofday () in
-       if due >= stop_at then ()
-       else begin
-         if due > now then Thread.delay (due -. now);
-         let item = sample rng in
-         let tidx = item mod nt and qidx = item / nt in
-         let id = !seq land 0xffffffff in
-         incr seq;
-         note_sent agg ~tidx;
-         Mutex.lock plock;
-         Hashtbl.replace pending id (Unix.gettimeofday (), tidx, qidx);
-         Mutex.unlock plock;
-         match Frame.write fd (query_msg cfg targets.(tidx) qidx ~id) with
-         | Error _ -> raise Exit
-         | Ok () -> go (k + 1)
-       end
-     in
-     go 0
-   with Exit -> note_error agg);
-  (* let in-flight responses land, then release the reader *)
-  let grace = Unix.gettimeofday () +. 2. in
-  let rec wait () =
-    Mutex.lock plock;
-    let n = Hashtbl.length pending in
-    Mutex.unlock plock;
-    if n > 0 && Unix.gettimeofday () < grace then begin
-      Thread.delay 0.05;
-      wait ()
+  let issue l ~due =
+    let item = sample rng in
+    let tidx = item mod nt and qidx = item / nt in
+    let id = !seq land 0xffffffff in
+    incr seq;
+    agg.sent <- agg.sent + 1;
+    agg.reqs.(tidx) <- agg.reqs.(tidx) + 1;
+    Hashtbl.replace l.pending id { due; tidx; qidx };
+    if due >= warmup_until then
+      Histogram.record agg.late (ns_of_s (Unix.gettimeofday () -. due));
+    if not (Conn.send l.conn (query_msg cfg targets.(tidx) qidx ~id)) then
+      hang_up l
+  in
+  let on_frame c msg =
+    let l = link_of c in
+    let id = msg_id msg in
+    match Hashtbl.find_opt l.pending id with
+    | None -> hang_up l (* an answer to nothing: the stream is out of step *)
+    | Some r ->
+        Hashtbl.remove l.pending id;
+        let now = Unix.gettimeofday () in
+        l.ready_at <- now;
+        note_response cfg agg targets ~tidx:r.tidx ~qidx:r.qidx
+          ~lat_ns:(ns_of_s (now -. r.due))
+          ~measured:(r.due >= warmup_until) msg
+  in
+  (* open loop: request [k] is due at [start + k/qps] and goes to the
+     next live link after [rr] *)
+  let k = ref 0 and rr = ref 0 in
+  let open_due qps = start +. (float_of_int !k /. Float.max 1e-6 qps) in
+  let rec loop () =
+    let now = Unix.gettimeofday () in
+    (* issue what is due; [wake] is the next time a request falls due *)
+    let wake =
+      match cfg.mode with
+      | Closed _ when now < stop_at ->
+          Array.iter
+            (fun l ->
+              if up l && Hashtbl.length l.pending = 0 then
+                issue l ~due:l.ready_at)
+            links;
+          stop_at
+      | Closed _ -> give_up
+      | Open { qps; _ } ->
+          while
+            open_due qps <= now && open_due qps < stop_at
+            && Array.exists up links
+          do
+            while not (up links.(!rr mod n)) do incr rr done;
+            issue links.(!rr mod n) ~due:(open_due qps);
+            incr rr;
+            incr k
+          done;
+          if open_due qps < stop_at then open_due qps else give_up
+    in
+    let live = List.filter up (Array.to_list links) in
+    let outstanding = List.exists (fun l -> Hashtbl.length l.pending > 0) live in
+    if live <> [] && now < give_up && (wake < give_up || outstanding) then begin
+      pump
+        (List.map (fun l -> l.conn) live)
+        ~timeout:(wake -. now) ~on_frame
+        ~on_hangup:(fun c -> hang_up (link_of c));
+      loop ()
     end
   in
-  wait ();
-  writer_done := true;
-  (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-  Thread.join reader;
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let open_loop cfg targets agg sample ~qps ~stop_at ~warmup_until =
-  let writers = max 1 cfg.writers in
-  let per_writer = qps /. float_of_int writers in
-  let threads =
-    List.init writers (fun widx ->
-        Thread.create
-          (fun () ->
-            open_writer cfg targets agg sample ~qps:per_writer ~stop_at
-              ~warmup_until widx)
-          ())
-  in
-  List.iter Thread.join threads
+  loop ();
+  (* unanswered at the end of the grace *)
+  Array.iter hang_up links
 
 (* ---------- server-side counters (Stats_query) ---------- *)
 
 (* Fetched on a fresh connection after the run, so BENCH_SERVE.json
-   carries the server's own dispatcher/coalescing story, not a copy of
-   whatever flags the operator believed they passed.  None when the
-   server predates the stats verb or is already gone. *)
+   carries the server's own dispatcher/coalescing story.  None when
+   the server is gone or does not answer within the grace. *)
 let fetch_server_stats cfg =
   match connect cfg with
   | exception Failure _ -> None
-  | fd ->
-      let close () = try Unix.close fd with Unix.Unix_error _ -> () in
-      Fun.protect ~finally:close (fun () ->
-          match Frame.write fd (Protocol.Stats_query { id = 0 }) with
-          | Error _ -> None
-          | Ok () -> (
-              match Frame.read fd with
-              | Ok (Protocol.Stats { stats; _ }) -> Some stats
-              | Ok _ | Error _ -> None))
+  | conn ->
+      let got = ref None and over = ref false in
+      let give_up = Unix.gettimeofday () +. grace_s in
+      if Conn.send conn (Protocol.Stats_query { id = 0 }) then
+        while (not !over) && Unix.gettimeofday () < give_up do
+          pump [ conn ]
+            ~timeout:(give_up -. Unix.gettimeofday ())
+            ~on_frame:(fun _ msg ->
+              over := true;
+              match msg with
+              | Protocol.Stats { stats; _ } -> got := Some stats
+              | _ -> ())
+            ~on_hangup:(fun _ -> over := true)
+        done;
+      Conn.close conn;
+      Conn.close_fd conn;
+      !got
 
 (* ---------- the run ---------- *)
 
@@ -422,8 +416,8 @@ type summary = {
   mismatches : int;
   checked : bool;
   throughput_rps : float;
-  server_domains : int;
-  writers : int;
+  late_p50_us : float;
+  late_p99_us : float;
   server : Protocol.server_stats option;
   per_structure : structure_summary list;
 }
@@ -433,18 +427,18 @@ let mix_name = function
   | Zipf s -> Printf.sprintf "zipf-%.2f" s
 
 let us ns = float_of_int ns /. 1000.
+let pct h p = if Histogram.count h = 0 then 0. else us (Histogram.percentile h p)
 
 let structure_summary agg targets i =
   let h = agg.hists.(i) in
-  let pct p = if Histogram.count h = 0 then 0. else us (Histogram.percentile h p) in
   {
     s_name = targets.(i).t_name;
     s_requests = agg.reqs.(i);
     s_ok = agg.oks.(i);
-    s_p50_us = pct 0.5;
-    s_p90_us = pct 0.9;
-    s_p99_us = pct 0.99;
-    s_p999_us = pct 0.999;
+    s_p50_us = pct h 0.5;
+    s_p90_us = pct h 0.9;
+    s_p99_us = pct h 0.99;
+    s_p999_us = pct h 0.999;
     s_max_us = us (Histogram.max_recorded h);
     s_mean_us = (if Histogram.count h = 0 then 0. else Histogram.mean h /. 1000.);
   }
@@ -456,10 +450,13 @@ let run cfg =
   let targets = Array.of_list (List.map (target_of cfg) cfg.snapshots) in
   let n_items = Array.length targets * cfg.pool in
   let sample = make_sampler cfg.mix ~n_items in
+  let n_conns =
+    max 1 (match cfg.mode with Closed c -> c | Open { conns; _ } -> conns)
+  in
   let agg =
     {
-      m = Mutex.create ();
       hists = Array.map (fun _ -> Histogram.create ()) targets;
+      late = Histogram.create ();
       reqs = Array.make (Array.length targets) 0;
       oks = Array.make (Array.length targets) 0;
       sent = 0;
@@ -472,28 +469,25 @@ let run cfg =
       mismatches = 0;
     }
   in
+  let conns = List.init n_conns (fun _ -> connect cfg) in
   let start = Unix.gettimeofday () in
+  let links =
+    Array.of_list
+      (List.map
+         (fun conn -> { conn; pending = Hashtbl.create 64; ready_at = start })
+         conns)
+  in
   let warmup_until = start +. cfg.warmup_s in
   let stop_at = start +. cfg.duration_s in
-  (match cfg.mode with
-  | Closed c ->
-      let c = max 1 c in
-      let workers =
-        List.init c (fun widx ->
-            Thread.create
-              (fun () ->
-                closed_worker cfg targets agg sample ~stop_at ~warmup_until widx)
-              ())
-      in
-      List.iter Thread.join workers
-  | Open qps -> open_loop cfg targets agg sample ~qps ~stop_at ~warmup_until);
+  Fun.protect
+    ~finally:(fun () -> List.iter Conn.close_fd conns)
+    (fun () ->
+      drive cfg targets agg sample links ~start ~warmup_until ~stop_at);
   let measured_s = Float.max 1e-9 (Unix.gettimeofday () -. warmup_until) in
-  let server = fetch_server_stats cfg in
   {
     mode_name = (match cfg.mode with Closed _ -> "closed" | Open _ -> "open");
-    concurrency =
-      (match cfg.mode with Closed c -> max 1 c | Open _ -> max 1 cfg.writers);
-    target_qps = (match cfg.mode with Closed _ -> 0. | Open q -> q);
+    concurrency = n_conns;
+    target_qps = (match cfg.mode with Closed _ -> 0. | Open { qps; _ } -> qps);
     mix_name = mix_name cfg.mix;
     measured_s;
     sent = agg.sent;
@@ -505,12 +499,9 @@ let run cfg =
     mismatches = agg.mismatches;
     checked = cfg.check;
     throughput_rps = float_of_int agg.ok_measured /. measured_s;
-    server_domains =
-      (match server with
-      | Some s -> s.Protocol.domains
-      | None -> cfg.server_domains);
-    writers = max 1 cfg.writers;
-    server;
+    late_p50_us = pct agg.late 0.5;
+    late_p99_us = pct agg.late 0.99;
+    server = fetch_server_stats cfg;
     per_structure =
       List.init (Array.length targets) (structure_summary agg targets);
   }
@@ -543,19 +534,18 @@ let json_of_summary s =
       Printf.sprintf "  \"check\": {\"enabled\": %b, \"mismatches\": %d},\n"
         s.checked s.mismatches;
       Printf.sprintf "  \"throughput_rps\": %.1f,\n" s.throughput_rps;
+      Printf.sprintf
+        "  \"generator_lateness\": {\"p50_us\": %.1f, \"p99_us\": %.1f},\n"
+        s.late_p50_us s.late_p99_us;
       (match s.server with
       | Some sv ->
           Printf.sprintf
             "  \"meta\": {\"server_domains\": %d, \"server_dispatchers\": %d, \
-             \"server_readers\": %d, \"writers\": %d, \"server_batches\": %d, \
+             \"server_readers\": %d, \"server_batches\": %d, \
              \"server_coalesced\": %d, \"server_max_batch\": %d},\n"
             sv.Protocol.domains sv.Protocol.dispatchers sv.Protocol.readers
-            s.writers sv.Protocol.batches sv.Protocol.coalesced
-            sv.Protocol.max_batch
-      | None ->
-          Printf.sprintf
-            "  \"meta\": {\"server_domains\": %d, \"writers\": %d},\n"
-            s.server_domains s.writers);
+            sv.Protocol.batches sv.Protocol.coalesced sv.Protocol.max_batch
+      | None -> "  \"meta\": {},\n");
       "  \"structures\": [\n    ";
       String.concat ",\n    " (List.map structure s.per_structure);
       "\n  ]\n}\n";
@@ -570,11 +560,13 @@ let write_json ~path s =
 let pp_summary ppf s =
   Format.fprintf ppf
     "%s loop (%s mix): %d sent, %d ok, %.1f req/s over %.1fs@\n\
-     shed: %d queue-full, %d deadline, %d draining; %d errors%s@\n"
+     shed: %d queue-full, %d deadline, %d draining; %d errors%s@\n\
+     generator lateness: p50 %.1fus, p99 %.1fus@\n"
     s.mode_name s.mix_name s.sent s.ok s.throughput_rps s.measured_s s.shed_full
     s.shed_deadline s.shed_drain s.errors
     (if s.checked then Printf.sprintf "; %d oracle mismatches" s.mismatches
-     else "");
+     else "")
+    s.late_p50_us s.late_p99_us;
   (match s.server with
   | Some sv ->
       Format.fprintf ppf

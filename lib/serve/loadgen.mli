@@ -2,19 +2,29 @@
 
     Regenerates each target snapshot's workload from its meta string
     (same rng contract as [lcsearch query]), pregenerates a pool of
-    halfspace queries per structure, and drives a running server in
-    one of two shapes:
+    halfspace queries per structure, and drives a running server over
+    [c] non-blocking connections from one thread and one [select]
+    loop, in one of two shapes:
 
-    - {b closed loop} ([Closed c]): [c] worker threads, one connection
-      and one outstanding request each — throughput is latency-bound,
-      the classic "think-time zero" closed system;
-    - {b open loop} ([Open qps]): [writers] connections, each with a
-      writer pacing its share of the target arrival rate regardless of
-      completions and a reader matching responses by id — the shape
-      that actually exposes queueing collapse, where a closed loop
-      would politely slow down with the server.  One pacing thread
-      tops out around tens of kQPS; multi-writer open loop is what
-      reaches the 10⁵ range against a sharded server.
+    - {b closed loop} ([Closed c]): one outstanding request per
+      connection — throughput is latency-bound, the classic
+      "think-time zero" closed system;
+    - {b open loop} ([Open { qps; conns }]): request [k] is due at
+      [start + k/qps] whatever the completions, dealt round-robin over
+      the connections — the shape that exposes queueing collapse,
+      where a closed loop would politely slow down with the server.
+
+    Every request gets a due time before it is written (closed loop:
+    the moment its connection's previous answer landed), and its
+    latency is measured from that due time, so a stalled generator is
+    charged to every request it delays.  How late the generator wrote
+    each request (written − due) is reported separately as
+    [late_p50_us]/[late_p99_us].  Issuing stops after [duration_s];
+    outstanding answers are awaited for at most 2 s more.  Unanswered
+    requests, and requests on a connection the server closed, count as
+    [errors], so every summary satisfies
+    [sent = ok + shed_full + shed_deadline + shed_drain + errors].
+    The run ends early once every connection is closed.
 
     After the run the generator asks the server for its own counters
     ({!Protocol.Stats_query}) and stamps the effective dispatcher,
@@ -23,11 +33,11 @@
     ran, not what the operator passed on the command line.
 
     Requests pick a (structure, query) item uniformly or Zipfian
-    ([Zipf s], popularity by item rank).  Client-observed latencies go
-    into per-structure log-bucketed {!Lcsearch_index.Bench_kit.Histogram}s
-    (recorded after [warmup_s]); the summary carries p50/p99/p999 per
-    structure plus shed/error counts, and {!write_json} emits the
-    BENCH_SERVE.json consumed by the CI gate.
+    ([Zipf s], popularity by item rank).  Latencies go into
+    per-structure log-bucketed {!Lcsearch_index.Histogram}s (recorded
+    for requests due after [warmup_s]); the summary carries
+    p50/p99/p999 per structure plus shed/error counts, and
+    {!write_json} emits the BENCH_SERVE.json consumed by the CI gate.
 
     With [check = true] every target snapshot is also reopened
     in-process (resident) and each pool query run once through
@@ -38,7 +48,9 @@
     path diverged from the sequential one. *)
 
 type mix = Uniform_mix | Zipf of float
-type mode = Closed of int  (** worker count *) | Open of float  (** target qps *)
+type mode =
+  | Closed of int  (** connections *)
+  | Open of { qps : float;  (** target arrival rate *) conns : int }
 
 type config = {
   host : string;
@@ -54,10 +66,6 @@ type config = {
   deadline_ms : int;  (** 0 = server default *)
   check : bool;
   seed : int;
-  writers : int;  (** open-loop writer connections (ignored closed-loop) *)
-  server_domains : int;
-      (** fallback for the summary meta when the server cannot answer
-          a {!Protocol.Stats_query} (it normally can).  0 = unknown. *)
   verbose : bool;
 }
 
@@ -77,7 +85,7 @@ type structure_summary = {
 
 type summary = {
   mode_name : string;
-  concurrency : int;  (** closed-loop workers; open-loop writers *)
+  concurrency : int;  (** connections *)
   target_qps : float;  (** 0 for closed loop *)
   mix_name : string;
   measured_s : float;  (** post-warmup window *)
@@ -90,18 +98,18 @@ type summary = {
   mismatches : int;  (** oracle disagreements; 0 unless [check] *)
   checked : bool;
   throughput_rps : float;  (** ok responses per measured second *)
-  server_domains : int;
-      (** server-reported when the stats fetch succeeded, else
-          [config.server_domains]; 0 = unknown *)
-  writers : int;
+  late_p50_us : float;  (** generator lateness, written − due *)
+  late_p99_us : float;
   server : Protocol.server_stats option;
-      (** the server's own counters, fetched after the run *)
+      (** the server's own counters, fetched after the run; [None]
+          when it cannot answer *)
   per_structure : structure_summary list;
 }
 
 val run : config -> summary
 (** Raises [Failure] if a snapshot cannot be read or the server is
-    unreachable. *)
+    unreachable at the start.  Returns within [duration_s] plus the
+    2 s grace, plus at most another 2 s for the stats round trip. *)
 
 val write_json : path:string -> summary -> unit
 val pp_summary : Format.formatter -> summary -> unit

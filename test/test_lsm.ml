@@ -163,6 +163,7 @@ let test_cost_determinism () =
                 pool;
               t)
         in
+        let churn_total = Emio.Io_stats.total stats in
         let costs =
           List.map
             (fun q ->
@@ -171,7 +172,12 @@ let test_cost_determinism () =
               (r, Emio.Cost_ctx.reads c, Emio.Cost_ctx.writes c))
             qs
         in
-        (Emio.Io_stats.total stats, Emio.Cost_ctx.total ctx, costs))
+        Alcotest.(check int)
+          (Printf.sprintf "domains %d: queries charge the caller's Io_stats"
+             domains)
+          (List.fold_left (fun acc (_, r, w) -> acc + r + w) 0 costs)
+          (Emio.Io_stats.total stats - churn_total);
+        (churn_total, Emio.Cost_ctx.total ctx, costs))
       [ 1; 2; 4 ]
   in
   match runs with
@@ -452,12 +458,9 @@ let test_missing_level_file () =
   let f = List.hd (level_files path) in
   Sys.remove (Filename.concat path f);
   expect_open_error "missing level file" path (function
-    | Diskstore.Snapshot.Bad_header msg ->
-        let ls = String.length msg and lsub = String.length f in
-        let rec go i =
-          (i + lsub <= ls) && (String.sub msg i lsub = f || go (i + 1))
-        in
-        go 0
+    | Diskstore.Snapshot.Missing_file g as e ->
+        String.equal g f
+        && Diskstore.Snapshot.error_to_string e = "missing file " ^ f
     | _ -> false)
 
 let test_not_lsm_paths () =
@@ -550,6 +553,51 @@ let test_wrong_inner_kind () =
               expected = P.snapshot.Index.snapshot_kind;
               got = H.snapshot.Index.snapshot_kind;
             })
+
+(* Saving over a regular file is refused before anything is written. *)
+let test_save_over_file () =
+  let (module M : Index.S) = Registry.find_exn "h2" in
+  let (module L : Index.S) = Lsm.make ~memtable_cap:16 ~inner:(module M) () in
+  let t =
+    L.build ~params:build_params ~stats:(Emio.Io_stats.create ())
+      (Index.Pts2 [||])
+  in
+  let path = temp_dir () in
+  Out_channel.with_open_bin path (fun oc -> output_string oc "a file");
+  (match save_lsm (module L) t path with
+  | () -> Alcotest.fail "saved over a regular file"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "still a regular file" false (Sys.is_directory path)
+
+(* A reopened directory charges its queries to the sink it was opened
+   with: the ambient delta over the queries equals the sum of their
+   Cost_ctx reads and writes. *)
+let test_reopened_accounting () =
+  let path = build_saved_h2 () in
+  let qs =
+    List.map
+      (fun a0 -> { Index.a0; a = [| 0.25 |] })
+      [ -20.; 0.; 20.; 40. ]
+  in
+  let stats = Emio.Io_stats.create () in
+  match Lsm.open_snapshot ~stats path with
+  | Error e ->
+      Alcotest.failf "reopen failed: %s" (Diskstore.Snapshot.error_to_string e)
+  | Ok (inst, _, _) ->
+      let before = Emio.Io_stats.total stats in
+      let scoped =
+        List.fold_left
+          (fun acc q ->
+            let c = Emio.Cost_ctx.create () in
+            ignore
+              (Emio.Cost_ctx.with_ctx c (fun () -> Index.query_count inst q)
+                : int);
+            acc + Emio.Cost_ctx.reads c + Emio.Cost_ctx.writes c)
+          0 qs
+      in
+      Alcotest.(check bool) "queries read blocks" true (scoped > 0);
+      Alcotest.(check int) "ambient delta = Cost_ctx sum" scoped
+        (Emio.Io_stats.total stats - before)
 
 (* The pool splits over the levels, and a disabled pool stays
    disabled: repeated queries never hit with 0 pages, and do with 64. *)
@@ -704,6 +752,10 @@ let () =
           Alcotest.test_case "manifest commit" `Quick test_manifest_commit;
           Alcotest.test_case "wrong inner kind" `Quick test_wrong_inner_kind;
           Alcotest.test_case "pool split" `Quick test_pool_split;
+          Alcotest.test_case "reopened queries charge the caller" `Quick
+            test_reopened_accounting;
+          Alcotest.test_case "save over a regular file" `Quick
+            test_save_over_file;
           Alcotest.test_case "memtable only" `Quick test_memtable_only;
         ] );
     ]

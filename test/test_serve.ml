@@ -10,6 +10,7 @@ module Frame = Serve.Frame
 module Admission = Serve.Admission
 module Server = Serve.Server
 module Meta = Serve.Meta
+module Loadgen = Serve.Loadgen
 module Index = Lcsearch_index.Index
 module Workloads = Lcsearch_index.Workloads
 module Query_engine = Lcsearch_index.Query_engine
@@ -1142,6 +1143,96 @@ let test_e2e_shed_while_draining () =
   Alcotest.(check bool) "backlog served" true !seen_result;
   Alcotest.(check bool) "late arrival shed as Draining" true !seen_drain
 
+(* ---- the load generator against an in-process server ---- *)
+
+let loadgen_cfg srv snapshots mode =
+  {
+    Loadgen.default_config with
+    port = Server.port srv;
+    snapshots;
+    mode;
+    duration_s = 0.6;
+    warmup_s = 0.1;
+    pool = 8;
+    check = true;
+  }
+
+(* every request sent is answered, shed or counted as an error *)
+let check_accounting label (s : Loadgen.summary) =
+  check (label ^ ": sent = ok + sheds + errors") s.Loadgen.sent
+    (s.ok + s.shed_full + s.shed_deadline + s.shed_drain + s.errors);
+  check (label ^ ": oracle mismatches") 0 s.mismatches
+
+let test_loadgen_closed () =
+  let h2 = build_snapshot "h2" ~n:512 ~seed:71 in
+  let ptree = build_snapshot "ptree" ~n:512 ~seed:72 in
+  let cfg = { Server.default_config with port = 0; snapshots = [ h2; ptree ] } in
+  with_server cfg (fun srv ->
+      let s =
+        Loadgen.run
+          {
+            (loadgen_cfg srv [ h2; ptree ] (Loadgen.Closed 2)) with
+            want_ids = true;
+          }
+      in
+      check_accounting "closed" s;
+      check "closed: errors" 0 s.errors;
+      check "closed: two connections" 2 s.concurrency;
+      Alcotest.(check bool) "closed: answers measured" true
+        (s.ok > 0 && s.throughput_rps > 0.);
+      Alcotest.(check bool) "closed: both structures answered" true
+        (List.for_all (fun st -> st.Loadgen.s_ok > 0) s.per_structure))
+
+let test_loadgen_open () =
+  let h2 = build_snapshot "h2" ~n:512 ~seed:73 in
+  let cfg = { Server.default_config with port = 0; snapshots = [ h2 ] } in
+  with_server cfg (fun srv ->
+      let s =
+        Loadgen.run
+          (loadgen_cfg srv [ h2 ] (Loadgen.Open { qps = 300.; conns = 2 }))
+      in
+      check_accounting "open" s;
+      check "open: errors" 0 s.errors;
+      (* request k is due at k/qps: 0.6 s at 300 q/s is 180 requests *)
+      Alcotest.(check bool)
+        (Printf.sprintf "open: %d sent on schedule" s.sent)
+        true
+        (abs (s.sent - 180) <= 1);
+      Alcotest.(check bool) "open: lateness reported" true
+        (s.late_p50_us >= 0. && s.late_p99_us >= s.late_p50_us);
+      match s.server with
+      | Some st -> check "open: server domains" 1 st.Protocol.domains
+      | None -> Alcotest.fail "open: no server stats")
+
+(* The server goes away mid-run: the run ends early (every connection
+   closed) without raising, and what it sent still adds up. *)
+let test_loadgen_server_stops () =
+  let h2 = build_snapshot "h2" ~n:512 ~seed:74 in
+  let cfg = { Server.default_config with port = 0; snapshots = [ h2 ] } in
+  with_server cfg (fun srv ->
+      let stopper =
+        Thread.create
+          (fun () ->
+            Thread.delay 0.3;
+            Server.stop srv)
+          ()
+      in
+      let lcfg =
+        { (loadgen_cfg srv [ h2 ] (Loadgen.Closed 2)) with duration_s = 1.5 }
+      in
+      let t0 = Unix.gettimeofday () in
+      let s = Loadgen.run lcfg in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      Thread.join stopper;
+      check_accounting "stopped" s;
+      (* well within duration + grace: the closed connections end it *)
+      Alcotest.(check bool)
+        (Printf.sprintf "stopped: returned after %.2fs" elapsed)
+        true
+        (elapsed < lcfg.duration_s);
+      Alcotest.(check bool) "stopped: no stats from a stopped server" true
+        (s.server = None))
+
 let () =
   Alcotest.run "serve"
     [
@@ -1197,5 +1288,14 @@ let () =
             test_resident_charges_cold_fetch;
           Alcotest.test_case "dispatchers and domains as configured" `Quick
             test_e2e_dispatchers_as_configured;
+        ] );
+      ( "loadgen",
+        [
+          Alcotest.test_case "closed loop with ids, oracle-checked" `Quick
+            test_loadgen_closed;
+          Alcotest.test_case "open loop from due times" `Quick
+            test_loadgen_open;
+          Alcotest.test_case "server stopped mid-run" `Quick
+            test_loadgen_server_stops;
         ] );
     ]

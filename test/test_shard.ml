@@ -329,13 +329,8 @@ let test_missing_shard_file () =
   let path = build_saved_h2 () in
   Sys.remove (Filename.concat path "shard-002.snap");
   expect_open_error "missing shard file" path (function
-    | Diskstore.Snapshot.Bad_header msg ->
-        let sub = "shard-002.snap" in
-        let ls = String.length msg and lsub = String.length sub in
-        let rec go i =
-          i + lsub <= ls && (String.sub msg i lsub = sub || go (i + 1))
-        in
-        go 0
+    | Diskstore.Snapshot.Missing_file "shard-002.snap" as e ->
+        Diskstore.Snapshot.error_to_string e = "missing file shard-002.snap"
     | _ -> false)
 
 let test_corrupted_shard_file () =
@@ -398,6 +393,48 @@ let test_wrong_inner_kind () =
               expected = P.snapshot.Index.snapshot_kind;
               got = H.snapshot.Index.snapshot_kind;
             })
+
+(* Saving over a regular file is refused before anything is written. *)
+let test_save_over_file () =
+  let (module M : Index.S), ds, _ =
+    make_case ~inner:"h2" ~dim:2 ~kind:Workloads.Uniform ~n:64
+  in
+  let (module Sh : Index.S) =
+    Shard.make ~inner:(module M) ~shards:2 ~partition:Shard.Str ()
+  in
+  let t = Sh.build ~params:build_params ~stats:(Emio.Io_stats.create ()) ds in
+  let path = temp_dir () in
+  Out_channel.with_open_bin path (fun oc -> output_string oc "a file");
+  (match save_sharded (module Sh) t path with
+  | _ -> Alcotest.fail "saved over a regular file"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "still a regular file" false (Sys.is_directory path)
+
+(* A reopened directory charges its queries to the sink it was opened
+   with: the ambient delta over the queries equals the sum of their
+   Cost_ctx reads and writes. *)
+let test_reopened_accounting () =
+  let _, _, qs = make_case ~inner:"h2" ~dim:2 ~kind:Workloads.Uniform ~n:256 in
+  let path = build_saved_h2 () in
+  let stats = Emio.Io_stats.create () in
+  match Shard.open_snapshot ~stats path with
+  | Error e ->
+      Alcotest.failf "reopen failed: %s" (Diskstore.Snapshot.error_to_string e)
+  | Ok (inst, _, _) ->
+      let before = Emio.Io_stats.total stats in
+      let scoped =
+        List.fold_left
+          (fun acc q ->
+            let c = Emio.Cost_ctx.create () in
+            ignore
+              (Emio.Cost_ctx.with_ctx c (fun () -> Index.query_count inst q)
+                : int);
+            acc + Emio.Cost_ctx.reads c + Emio.Cost_ctx.writes c)
+          0 qs
+      in
+      Alcotest.(check bool) "queries read blocks" true (scoped > 0);
+      Alcotest.(check int) "ambient delta = Cost_ctx sum" scoped
+        (Emio.Io_stats.total stats - before)
 
 (* The pool splits over the shards, and a disabled pool stays
    disabled: repeated queries never hit with 0 pages, and do with 64. *)
@@ -501,5 +538,9 @@ let () =
           Alcotest.test_case "non-sharded paths" `Quick test_non_sharded_path;
           Alcotest.test_case "wrong inner kind" `Quick test_wrong_inner_kind;
           Alcotest.test_case "pool split" `Quick test_pool_split;
+          Alcotest.test_case "reopened queries charge the caller" `Quick
+            test_reopened_accounting;
+          Alcotest.test_case "save over a regular file" `Quick
+            test_save_over_file;
         ] );
     ]
