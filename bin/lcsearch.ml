@@ -1007,7 +1007,7 @@ let serve_cmd =
       $ read_timeout $ verbose)
 
 let loadgen_once host port snapshots mode_name concurrency qps duration warmup
-    mix_name zipf_s pool fraction want_ids deadline_ms check seed out verbose =
+    mix_name zipf_s pool fraction want_ids deadline_ms check seed out =
   let mode =
     match mode_name with
     | "closed" -> Serve.Loadgen.Closed concurrency
@@ -1035,7 +1035,6 @@ let loadgen_once host port snapshots mode_name concurrency qps duration warmup
       deadline_ms;
       check;
       seed;
-      verbose;
     }
   in
   let summary = try Serve.Loadgen.run cfg with Failure m -> die "%s" m in
@@ -1110,7 +1109,6 @@ let loadgen_cmd =
       & opt (some string) (Some "BENCH_SERVE.json")
       & info [ "json" ] ~docv:"PATH" ~doc:"Summary JSON output path.")
   in
-  let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Chatty output.") in
   Cmd.v
     (Cmd.info "loadgen"
        ~doc:"Drive a running lcsearch serve and measure tail latency")
@@ -1122,7 +1120,7 @@ let loadgen_cmd =
           "Reopen each snapshot in-process and verify every response's \
            count, I/O cost words, and ids against the sequential \
            single-query engine; exit nonzero on any mismatch."
-      $ seed_arg () $ out $ verbose)
+      $ seed_arg () $ out)
 
 let info_text () =
   print_string

@@ -11,7 +11,6 @@ type t = {
 }
 
 let side t = t.side
-let length t = t.length
 let block_size t = Emio.Store.block_size (Emio.Run.store t.buckets)
 
 let space_blocks t =
@@ -91,8 +90,8 @@ let read_bucket t c f =
   let start, len =
     (Emio.Run.read_block t.directory (c / t.dir_block)).(c mod t.dir_block)
   in
-  (* in-place range scan: the same bucket blocks are charged as the old
-     materializing read_range, but no per-bucket copy is built *)
+  (* in-place range scan: one read per bucket block, no per-bucket
+     copy *)
   if len > 0 then Emio.Run.iter_range f t.buckets ~pos:start ~len
 
 (* The shared traversal: list, id-sink and counting callers run the

@@ -21,8 +21,6 @@ val query_ids_into :
 val query_window : t -> Rect.t -> Geom.Point2.t list
 
 val space_blocks : t -> int
-val length : t -> int
-val block_size : t -> int
 val side : t -> int
 
 (** {2 Persistence} *)

@@ -37,8 +37,6 @@ let query_count t ~slope ~icept =
     0 t.run
 
 let space_blocks t = Emio.Run.block_count t.run
-let length t = t.length
-let block_size t = Emio.Store.block_size (Emio.Run.store t.run)
 
 (* The d-dimensional variant: the same Θ(n)-I/O scan over coordinate
    rows.  It is the conformance oracle for every structure the 2-D
@@ -86,8 +84,6 @@ let query_count_d t ~a0 ~a =
     0 t.drun
 
 let dim_d t = t.ddim
-let length_d t = t.dlength
-let block_size_d t = Emio.Store.block_size (Emio.Run.store t.drun)
 let space_blocks_d t = Emio.Run.block_count t.drun
 
 (* -- persistence: one snapshot kind covers both the 2-D and the

@@ -19,8 +19,6 @@ val query_ids_into :
     point's build-time index (its scan position), no list. *)
 
 val space_blocks : t -> int
-val length : t -> int
-val block_size : t -> int
 
 (** {1 The d-dimensional scan}
 
@@ -49,8 +47,6 @@ val query_ids_into_d :
     answering row's build-time index, no list. *)
 
 val dim_d : d -> int
-val length_d : d -> int
-val block_size_d : d -> int
 val space_blocks_d : d -> int
 
 (** {1 Persistence} *)

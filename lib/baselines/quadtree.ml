@@ -16,7 +16,6 @@ type t = {
   mutable max_depth_seen : int;
 }
 
-let length t = t.length
 let block_size t = Emio.Store.block_size t.leaves
 let depth t = t.max_depth_seen
 

@@ -21,8 +21,6 @@ val query_ids_into :
     appending each answering point's build-time index, no list. *)
 
 val space_blocks : t -> int
-val length : t -> int
-val block_size : t -> int
 val depth : t -> int
 
 (** {2 Persistence} *)

@@ -15,7 +15,6 @@ type t = {
   height : int;
 }
 
-let length t = t.length
 let block_size t = Emio.Store.block_size t.leaves
 let height t = t.height
 

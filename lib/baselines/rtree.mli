@@ -31,8 +31,6 @@ val query_window : t -> Rect.t -> Geom.Point2.t list
 (** Classical isothetic (window) range query. *)
 
 val space_blocks : t -> int
-val length : t -> int
-val block_size : t -> int
 val height : t -> int
 
 val snapshot_format : kind:string -> t Diskstore.Snapshot.format

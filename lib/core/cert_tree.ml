@@ -38,7 +38,6 @@ type t = {
   mutable visited : int;
 }
 
-let length t = t.length
 let block_size t = Emio.Store.block_size t.leaves
 let last_visited_nodes t = t.visited
 let certificate_items t = t.cert_items

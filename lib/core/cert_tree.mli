@@ -45,8 +45,6 @@ val query_count : t -> a0:float -> a:float array -> int
 val query_ids_into : t -> a0:float -> a:float array -> Emio.Reporter.t -> unit
 (** Same traversal, appending ids to a reusable {!Emio.Reporter}. *)
 
-val length : t -> int
-val block_size : t -> int
 val space_blocks : t -> int
 
 val last_visited_nodes : t -> int

@@ -6,9 +6,6 @@ type t = {
   beta : int;
 }
 
-let length t = Array.length t.points
-let space_blocks t = Lowest_planes.space_blocks t.lp
-
 let log_base b x = log x /. log b
 
 let compute_beta ~block_size n_points =
@@ -29,34 +26,6 @@ let build ~stats ~block_size ?(cache_blocks = 0) ?(seed = 0) ?(copies = 3)
    along the vertical line at the center until one of them exceeds the
    lifted threshold r^2 - |c|^2.  Failed attempts roll back to the
    reporter mark, so retries build no intermediate lists. *)
-let query_ids_into t ~center ~radius r =
-  let n = Array.length t.points in
-  if n = 0 then ()
-  else begin
-    let x = Point2.x center and y = Point2.y center in
-    let threshold = (radius *. radius) -. (x *. x) -. (y *. y) +. Eps.eps in
-    let rec go k =
-      let k = min k n in
-      let m = Emio.Reporter.mark r in
-      let pushed, retrieved =
-        Lowest_planes.k_lowest_into t.lp ~x ~y ~k ~threshold r
-      in
-      if pushed < retrieved || k >= n then ()
-      else begin
-        Emio.Reporter.truncate r m;
-        go (2 * k)
-      end
-    in
-    go t.beta
-  end
-
-let query_ids t ~center ~radius =
-  let r = Emio.Reporter.create () in
-  query_ids_into t ~center ~radius r;
-  Emio.Reporter.to_list r
-
-let query t ~center ~radius =
-  List.map (fun id -> t.points.(id)) (query_ids t ~center ~radius)
 
 let query_count t ~center ~radius =
   let n = Array.length t.points in

@@ -1,10 +1,10 @@
-(** Circular range reporting via the lifting map — the reporting twin
-    of Theorem 4.3.
+(** Circular range counting via the lifting map — the disk twin of
+    Theorem 4.3.
 
     A point p lies within distance r of a center c iff p's lifted
     plane (z = |p|² - 2 p·(x,y)) passes below the point
-    (c, r² - |c|²), so "report all points in a disk" is exactly the
-    halfspace reporting problem of §4 on the lifted planes:
+    (c, r² - |c|²), so "the points in a disk" are exactly the answer
+    to the halfspace problem of §4 on the lifted planes:
     O(n log₂ n) expected blocks, O(log_B n + t) expected I/Os. *)
 
 type t
@@ -19,17 +19,7 @@ val build :
   Geom.Point2.t array ->
   t
 
-val query : t -> center:Geom.Point2.t -> radius:float -> Geom.Point2.t list
-(** All input points within (closed) distance [radius] of [center]. *)
-
 val query_count : t -> center:Geom.Point2.t -> radius:float -> int
-(** Same doubling protocol, counting only (no result materialized). *)
-
-val query_ids_into :
-  t -> center:Geom.Point2.t -> radius:float -> Emio.Reporter.t -> unit
-(** Appends the ids (indices into the build-time array) of the points
-    inside the disk to a reusable {!Emio.Reporter}; failed doubling
-    attempts roll back via {!Emio.Reporter.mark}/{!Emio.Reporter.truncate}. *)
-
-val length : t -> int
-val space_blocks : t -> int
+(** Number of input points within (closed) distance [radius] of
+    [center], by the §4.2 doubling protocol on the lifted planes
+    (no result materialized). *)

@@ -61,7 +61,6 @@ let scratch_for t =
   sc
 
 let length t = t.length
-let block_size t = t.block_size
 let layers t = Array.length t.layer_list
 let last_clusters_visited t = t.last_clusters_visited
 let last_layers_visited t = t.last_layers_visited
@@ -265,7 +264,7 @@ let iter_entries t ~slope ~icept report =
   t.last_clusters_visited <- 0;
   while (not !halted) && !i < Array.length t.layer_list do
     if Emio.Cost_ctx.tracing () then
-      Emio.Cost_ctx.emit (Level { label = "h2"; index = !i });
+      Emio.Cost_ctx.emit (Level { label = "h2" });
     (match t.layer_list.(!i) with
     | Scan run ->
         Emio.Run.iter

@@ -54,8 +54,6 @@ val lambdas : t -> int array
 val space_blocks : t -> int
 (** Disk blocks used — Theorem 3.5 promises O(n). *)
 
-val block_size : t -> int
-
 val last_clusters_visited : t -> int
 (** Total clusters scanned by the most recent query, summed over the
     layers it visited — Lemma 3.4 bounds this by O(T_i/λ_i + 1) per

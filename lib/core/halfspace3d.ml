@@ -6,8 +6,6 @@ type t = {
   beta : int;
 }
 
-let length t = Array.length t.points
-let block_size t = Lowest_planes.block_size t.lp
 let space_blocks t = Lowest_planes.space_blocks t.lp
 let fallbacks t = Lowest_planes.fallbacks t.lp
 

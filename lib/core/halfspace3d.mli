@@ -28,18 +28,13 @@ val query : t -> a:float -> b:float -> c:float -> Geom.Point3.t list
 
 val query_count : t -> a:float -> b:float -> c:float -> int
 
-val query_ids : t -> a:float -> b:float -> c:float -> int list
-(** Indices into the build-time point array ({!Tradeoff3d} composes on
-    these). *)
-
 val query_ids_into : t -> a:float -> b:float -> c:float -> Emio.Reporter.t -> unit
-(** Same protocol as {!query_ids}, appending ids to a reusable
-    {!Emio.Reporter}; failed doubling attempts roll back via
+(** Same protocol as {!query}, appending ids (indices into the
+    build-time point array) to a reusable {!Emio.Reporter}; failed
+    doubling attempts roll back via
     {!Emio.Reporter.mark}/{!Emio.Reporter.truncate}, so queries build
     no intermediate lists. *)
 
-val length : t -> int
-val block_size : t -> int
 val space_blocks : t -> int
 
 val fallbacks : t -> int

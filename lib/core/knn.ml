@@ -2,7 +2,6 @@ open Geom
 
 type t = { lp : Lowest_planes.t; points : Point2.t array }
 
-let length t = Array.length t.points
 let space_blocks t = Lowest_planes.space_blocks t.lp
 
 let build ~stats ~block_size ?(cache_blocks = 0) ?(seed = 0) ?(copies = 3)

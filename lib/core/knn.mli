@@ -25,5 +25,4 @@ val nearest : t -> Geom.Point2.t -> k:int -> (Geom.Point2.t * float) list
 (** The [min k N] nearest input points, with their distances, ordered
     by increasing distance. *)
 
-val length : t -> int
 val space_blocks : t -> int

@@ -46,7 +46,6 @@ type t = {
   mutable fallback_count : int;
 }
 
-let length t = t.n
 let fallbacks t = t.fallback_count
 
 let layer_count t =
@@ -323,13 +322,12 @@ let load_all t sc ~x ~y ~ids =
   done
 
 (* Buffer items [pos, pos+len) of a conflict run, evaluating each
-   plane at (x, y) during the one charged scan — the zero-copy twin of
-   the old [read_range]-then-map pipeline, reading exactly the same
-   blocks.  The count of heights strictly below [cutoff] (the envelope
-   height, for §4.1's below-test) accumulates in the same pass so the
-   caller never walks the scratch a second time, and [ids = false]
-   skips the id stores for count-only retrievals that will never read
-   them. *)
+   plane at (x, y) during the one charged scan (one read per touched
+   block, no intermediate copy).  The count of heights strictly below
+   [cutoff] (the envelope height, for §4.1's below-test) accumulates
+   in the same pass so the caller never walks the scratch a second
+   time, and [ids = false] skips the id stores for count-only
+   retrievals that will never read them. *)
 let load_range sc run ~pos ~len ~x ~y ~ids ~cutoff =
   scratch_reserve sc len;
   sc.slen <- 0;
@@ -687,5 +685,3 @@ let portable_codec =
 let payload t =
   let store = Emio.Run.store t.all_planes in
   (Emio.Store.block_size store, Emio.Store.export_bytes store)
-
-let block_size t = Emio.Store.block_size (Emio.Run.store t.all_planes) / stride

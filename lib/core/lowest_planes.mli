@@ -62,9 +62,6 @@ val k_lowest_count :
     reporter, no allocation — the count query paths run the doubling
     protocol on this. *)
 
-val length : t -> int
-(** Number of planes N. *)
-
 val layer_count : t -> int
 (** Number of envelope layers per copy. *)
 
@@ -106,7 +103,3 @@ val portable_codec : portable Emio.Codec.t
 val payload : t -> int * bytes array
 (** The all-planes store's block size and blocks, codec-encoded — a
     snapshot payload section. *)
-
-val block_size : t -> int
-(** The build-time block size B (the payload store packs 4B floats
-    per block). *)

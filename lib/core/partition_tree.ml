@@ -17,7 +17,6 @@ type t = {
   mutable visited : int;
 }
 
-let length t = t.length
 let block_size t = Emio.Store.block_size t.leaves
 let dim t = t.dim
 let last_visited_nodes t = t.visited
@@ -124,11 +123,11 @@ let rec report_subtree t ~report = function
    same (I/O-identical) walk without materializing anything. *)
 let query_with t ~classify_cell ~keep_point ~report =
   t.visited <- 0;
-  let rec go ~depth = function
+  let rec go = function
     | Leaf id ->
         t.visited <- t.visited + 1;
         if Emio.Cost_ctx.tracing () then
-          Emio.Cost_ctx.emit (Node { label = "ptree"; depth });
+          Emio.Cost_ctx.emit (Node { label = "ptree" });
         let items = Emio.Store.read t.leaves id in
         for i = 0 to Array.length items - 1 do
           let it = items.(i) in
@@ -137,17 +136,17 @@ let query_with t ~classify_cell ~keep_point ~report =
     | Node id ->
         t.visited <- t.visited + 1;
         if Emio.Cost_ctx.tracing () then
-          Emio.Cost_ctx.emit (Node { label = "ptree"; depth });
+          Emio.Cost_ctx.emit (Node { label = "ptree" });
         let children = Emio.Store.read t.internals id in
         for i = 0 to Array.length children - 1 do
           let child = children.(i) in
           match classify_cell child.cell with
           | Cells.R_inside -> report_subtree t ~report child.sub
           | Cells.R_disjoint -> ()
-          | Cells.R_crossing -> go ~depth:(depth + 1) child.sub
+          | Cells.R_crossing -> go child.sub
         done
   in
-  match t.root with None -> () | Some root -> go ~depth:0 root
+  match t.root with None -> () | Some root -> go root
 
 let simplex_classify constrs cell = Cells.classify_region cell constrs
 

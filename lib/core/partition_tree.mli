@@ -50,8 +50,6 @@ val query_halfspace_iter : t -> a0:float -> a:float array -> (int -> unit) -> un
     traversal order — the primitive the [_into]/[_count] variants and
     delegating structures ({!Shallow_tree}) are built on. *)
 
-val length : t -> int
-val block_size : t -> int
 val dim : t -> int
 val space_blocks : t -> int
 

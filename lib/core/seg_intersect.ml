@@ -32,13 +32,8 @@ and next = L2 of node | L3 of level3 | L_none (* leaves: the run itself answers 
 type t = {
   root : node option; (* level-1 root (splitting by p1) *)
   verticals : seg Emio.Run.t;
-  length : int;
-  store : seg Emio.Store.t;
   cell_store : Cells.cell Emio.Store.t;
-  block_size : int;
 }
-
-let length t = t.length
 
 let rec node_space n =
   (match n.leaf with Some run -> Emio.Run.block_count run | None -> 0)
@@ -143,10 +138,7 @@ let build ~stats ~block_size ?(cache_blocks = 0) segments =
   {
     root;
     verticals = Emio.Run.of_list store (List.rev !verticals);
-    length = Array.length segments;
-    store;
     cell_store;
-    block_size;
   }
 
 (* --- query ------------------------------------------------------------ *)

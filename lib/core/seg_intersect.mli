@@ -35,5 +35,4 @@ val query : t -> Geom.Point2.t -> Geom.Point2.t -> int list
 (** Indices (into the build array) of the segments intersecting the
     closed query segment. *)
 
-val length : t -> int
 val space_blocks : t -> int

@@ -18,7 +18,6 @@ type t = {
   mutable secondary_uses : int;
 }
 
-let length t = t.length
 let block_size t = Emio.Store.block_size t.leaves
 let dim t = t.dim
 let last_secondary_uses t = t.secondary_uses

@@ -35,12 +35,6 @@ val query_halfspace_into :
 val query_halfspace_count : t -> a0:float -> a:float array -> int
 (** Same traversal, counting only — allocation-free reporting. *)
 
-val query_halfspace_iter :
-  t -> a0:float -> a:float array -> (int -> unit) -> unit
-(** Visitor form underlying the variants above. *)
-
-val length : t -> int
-val block_size : t -> int
 val dim : t -> int
 val space_blocks : t -> int
 

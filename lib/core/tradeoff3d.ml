@@ -27,10 +27,8 @@ type t = {
   mutable secondary_queries : int;
 }
 
-let length t = t.length
 let block_size t = Emio.Store.block_size t.pid_store
 let leaf_capacity t = t.leaf_capacity
-let exponent t = t.exponent
 let last_secondary_queries t = t.secondary_queries
 
 let space_blocks t =
@@ -140,8 +138,6 @@ let query_ids t ~a ~b ~c =
   let r = Emio.Reporter.create () in
   query_ids_into t ~a ~b ~c r;
   Emio.Reporter.to_list r
-
-let query t ~a ~b ~c = query_ids t ~a ~b ~c
 
 let query_count t ~a ~b ~c =
   t.secondary_queries <- 0;

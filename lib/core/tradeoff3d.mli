@@ -22,9 +22,6 @@ val build :
 val query_ids : t -> a:float -> b:float -> c:float -> int list
 (** Indices of the points with [z <= a x + b y + c]. *)
 
-val query : t -> a:float -> b:float -> c:float -> int list
-(** Alias of {!query_ids}. *)
-
 val query_count : t -> a:float -> b:float -> c:float -> int
 (** Same traversal, counting only — no result list is materialized
     (the §4 leaf structures are asked to count too). *)
@@ -35,8 +32,6 @@ val query_ids_into :
     reusable {!Emio.Reporter}; §4 leaf answers are remapped to global
     ids in place via {!Emio.Reporter.rewrite_from}. *)
 
-val length : t -> int
-val block_size : t -> int
 val leaf_capacity : t -> int
 val space_blocks : t -> int
 
@@ -46,9 +41,6 @@ val last_secondary_queries : t -> int
 val points : t -> Geom.Point3.t array
 (** The build-time points, reassembled from the §4 leaf structures in
     pid order. *)
-
-val exponent : t -> float
-(** The [a] the structure was built with (leaf capacity B^a). *)
 
 (** {2 Persistence} *)
 

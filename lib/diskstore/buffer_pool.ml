@@ -39,9 +39,6 @@ let create ~file ~policy ~capacity =
   }
 
 let file t = t.file
-let policy t = t.policy
-let capacity t = t.capacity
-let resident t = Hashtbl.length t.frames
 let stats t = Block_file.stats t.file
 
 let write_back t page frame =

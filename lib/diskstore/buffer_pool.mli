@@ -40,10 +40,5 @@ val drop : t -> unit
     phases, or to measure cold-cache behaviour. *)
 
 val file : t -> Block_file.t
-val policy : t -> policy
-val capacity : t -> int
-
-val resident : t -> int
-(** Frames currently cached. *)
 
 val stats : t -> Emio.Io_stats.t

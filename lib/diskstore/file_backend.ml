@@ -36,8 +36,6 @@ let create ?(base_page = 0) pool =
     resident = None;
   }
 
-let pool t = t.pool
-let table t = Array.sub t.table 0 t.n_blocks
 let name t = "file:" ^ Block_file.path (Buffer_pool.file t.pool)
 let blocks_used t = t.n_blocks
 
@@ -128,33 +126,7 @@ let of_table ?(base_page = 0) ?payloads ~table pool =
     table;
   b
 
-let write t id data =
-  check_id t "write" id;
-  let first, old_len = t.table.(id) in
-  let len = Bytes.length data in
-  if span_pages t len <= span_pages t old_len then begin
-    (* fits in the existing span: overwrite in place *)
-    write_span t ~first data;
-    t.table.(id) <- (first, len)
-  end
-  else begin
-    (* relocate to a fresh span at the end (the old pages become
-       garbage; snapshots re-pack, so the leak is bounded by updates
-       within one session) *)
-    let first = t.next_page in
-    write_span t ~first data;
-    t.table.(id) <- (first, len);
-    t.next_page <- first + span_pages t len
-  end;
-  (* the handed-over payloads no longer match the file *)
-  t.resident <- None
-
 let drop_cache t = Buffer_pool.drop t.pool
-let flush t = Buffer_pool.flush t.pool
-
-let close t =
-  Buffer_pool.flush t.pool;
-  Block_file.close (Buffer_pool.file t.pool)
 
 module Backend_impl = struct
   type nonrec t = t
@@ -162,13 +134,10 @@ module Backend_impl = struct
   let name = name
   let alloc = alloc
   let read = read
-  let write = write
   let take_resident = take_resident
   let charge_read = charge_read
   let blocks_used = blocks_used
   let drop_cache = drop_cache
-  let flush = flush
-  let close = close
 end
 
 let backend t = Emio.Store_intf.Backend ((module Backend_impl), t)

@@ -25,9 +25,9 @@ val of_table :
 (** Reopen over an existing page layout (used by {!Snapshot.open_as}).
     [payloads], one per table entry, are the block bytes the caller
     has already read and verified; the backend holds them only until
-    a store opened over it ({!Emio.Store.of_backend}) takes them with
-    {!take_resident} and decodes each block once.  {!read} always goes
-    through the buffer pool. *)
+    a store opened over it ({!Emio.Store.of_backend}) takes them
+    through the backend's [take_resident] and decodes each block once.
+    The backend's [read] always goes through the buffer pool. *)
 
 val set_resident_on_reopen : bool -> unit
 (** Process-wide switch: when [true], every subsequent
@@ -38,32 +38,6 @@ val set_resident_on_reopen : bool -> unit
 val resident_on_reopen : unit -> bool
 (** The current value of the {!set_resident_on_reopen} switch. *)
 
-val charge_read : t -> int -> unit
-(** Charge the block's [span_pages] model reads to the backend's
-    {!Emio.Io_stats} — what a cold pool fetch of it faults — without
-    fetching anything.  This is what a resident read costs.
-    @raise Invalid_argument on a bad block id. *)
-
-val take_resident : t -> bytes array option
-(** Hand the payloads given to {!of_table} to the caller and forget
-    them ([None] if there were none, or if a {!write} made them
-    stale).  The caller becomes their only holder and serves reads
-    itself, charging each through {!charge_read}. *)
-
 val backend : t -> Emio.Store_intf.backend
 (** First-class module wrapper to pass to [Emio.Store.create ~backend]
     or [Emio.Store.of_backend]. *)
-
-val alloc : t -> bytes -> int
-val read : t -> int -> bytes
-val write : t -> int -> bytes -> unit
-val blocks_used : t -> int
-
-val table : t -> (int * int) array
-(** Copy of the live block table, for persisting. *)
-
-val pool : t -> Buffer_pool.t
-val name : t -> string
-val drop_cache : t -> unit
-val flush : t -> unit
-val close : t -> unit

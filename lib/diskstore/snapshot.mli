@@ -39,7 +39,6 @@ type error =
   | Kind_mismatch of { expected : string; got : string }
   | Missing_file of string  (** a part a directory MANIFEST names is absent *)
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 type info = {
@@ -51,9 +50,6 @@ type info = {
   n_blocks : int;
   total_pages : int;
 }
-
-val default_page_size : int
-(** 4096. *)
 
 val save :
   path:string ->

@@ -86,8 +86,6 @@ let write_i64 buf v =
 
 (* -- primitives --------------------------------------------------- *)
 
-let unit = { write = (fun _ () -> ()); read = (fun _ _ -> ()) }
-
 let bool =
   {
     write = (fun buf v -> write_u8 buf (if v then 1 else 0));

@@ -28,7 +28,6 @@ val read : 'a t -> bytes -> int ref -> 'a
 
 (** {2 Primitives} *)
 
-val unit : unit t
 val bool : bool t
 
 val u8 : int t

@@ -6,18 +6,16 @@
    queries' contexts. *)
 
 type event =
-  | Block_read of { id : int; hit : bool }
-  | Block_write of { id : int; hit : bool }
-  | Node of { label : string; depth : int }
-  | Level of { label : string; index : int }
+  | Block_read of { hit : bool }
+  | Block_write
+  | Node of { label : string }
+  | Level of { label : string }
 
 type t = {
   mutable reads : int;
   mutable writes : int;
   mutable hits : int;
-  mutable evictions : int;
   mutable bytes_read : int;
-  mutable bytes_written : int;
   trace : (event -> unit) option;
 }
 
@@ -26,9 +24,7 @@ let create ?trace () =
     reads = 0;
     writes = 0;
     hits = 0;
-    evictions = 0;
     bytes_read = 0;
-    bytes_written = 0;
     trace;
   }
 
@@ -39,17 +35,13 @@ let reset t =
   t.reads <- 0;
   t.writes <- 0;
   t.hits <- 0;
-  t.evictions <- 0;
-  t.bytes_read <- 0;
-  t.bytes_written <- 0
+  t.bytes_read <- 0
 
 let reads t = t.reads
 let writes t = t.writes
 let total t = t.reads + t.writes
 let hits t = t.hits
-let evictions t = t.evictions
 let bytes_read t = t.bytes_read
-let bytes_written t = t.bytes_written
 
 (* The installed-context stack lives in domain-local storage (a
    [Domain.DLS] key), so each domain of a parallel batch charges
@@ -148,27 +140,17 @@ let note_hit_traced () =
    under private stats/contexts — e.g. on worker domains whose DLS
    never saw the caller's stack — and afterwards replay the totals
    into whatever contexts the caller has installed. *)
-let note_bulk ~reads ~writes ~hits ~evictions ~bytes_read ~bytes_written =
+let note_bulk ~reads ~writes ~hits ~bytes_read =
   List.iter
     (fun c ->
       c.reads <- c.reads + reads;
       c.writes <- c.writes + writes;
       c.hits <- c.hits + hits;
-      c.evictions <- c.evictions + evictions;
-      c.bytes_read <- c.bytes_read + bytes_read;
-      c.bytes_written <- c.bytes_written + bytes_written)
+      c.bytes_read <- c.bytes_read + bytes_read)
     (Domain.DLS.get stack)
-
-let note_eviction () =
-  List.iter (fun c -> c.evictions <- c.evictions + 1) (Domain.DLS.get stack)
 
 let note_bytes_read n =
   List.iter (fun c -> c.bytes_read <- c.bytes_read + n) (Domain.DLS.get stack)
-
-let note_bytes_written n =
-  List.iter
-    (fun c -> c.bytes_written <- c.bytes_written + n)
-    (Domain.DLS.get stack)
 
 let emit ev =
   List.iter

@@ -20,13 +20,13 @@
     query plans, flamegraph-style breakdowns, and regression traces. *)
 
 type event =
-  | Block_read of { id : int; hit : bool }
+  | Block_read of { hit : bool }
       (** A store block access ([hit] = served by the LRU for free). *)
-  | Block_write of { id : int; hit : bool }
-  | Node of { label : string; depth : int }
-      (** A structure visited an internal node (e.g. ["ptree"]). *)
-  | Level of { label : string; index : int }
-      (** A structure advanced to layer/level [index] (e.g. ["h2"]). *)
+  | Block_write
+  | Node of { label : string }
+      (** A structure visited a node (e.g. ["ptree"]). *)
+  | Level of { label : string }
+      (** A structure advanced to its next layer/level (e.g. ["h2"]). *)
 
 type t
 
@@ -57,9 +57,7 @@ val reads : t -> int
 val writes : t -> int
 val total : t -> int
 val hits : t -> int
-val evictions : t -> int
 val bytes_read : t -> int
-val bytes_written : t -> int
 
 val active : unit -> bool
 (** Is any context installed?  (Cheap; lets hot paths skip work.) *)
@@ -77,17 +75,13 @@ val emit : event -> unit
 val note_read : unit -> unit
 val note_write : unit -> unit
 val note_hit : unit -> unit
-val note_eviction : unit -> unit
 val note_bytes_read : int -> unit
-val note_bytes_written : int -> unit
 
 val note_bulk :
   reads:int ->
   writes:int ->
   hits:int ->
-  evictions:int ->
   bytes_read:int ->
-  bytes_written:int ->
   unit
 (** Charge every installed context with a batch of counts at once —
     how a delegating layer (see [Lcsearch_index.Shard]) replays I/O

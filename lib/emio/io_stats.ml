@@ -57,16 +57,14 @@ let record_hit_traced t =
   Cost_ctx.note_hit_traced ()
 
 let record_eviction t =
-  t.evictions <- t.evictions + 1;
-  Cost_ctx.note_eviction ()
+  t.evictions <- t.evictions + 1
 
 let record_bytes_read t n =
   t.bytes_read <- t.bytes_read + n;
   Cost_ctx.note_bytes_read n
 
 let record_bytes_written t n =
-  t.bytes_written <- t.bytes_written + n;
-  Cost_ctx.note_bytes_written n
+  t.bytes_written <- t.bytes_written + n
 
 (* Fold [src]'s counters into [t], mirroring into any installed
    Cost_ctx exactly as the equivalent record_* sequence would. *)
@@ -78,8 +76,7 @@ let merge_into ~src t =
   t.bytes_read <- t.bytes_read + src.bytes_read;
   t.bytes_written <- t.bytes_written + src.bytes_written;
   Cost_ctx.note_bulk ~reads:src.reads ~writes:src.writes ~hits:src.hits
-    ~evictions:src.evictions ~bytes_read:src.bytes_read
-    ~bytes_written:src.bytes_written
+    ~bytes_read:src.bytes_read
 
 let reset t =
   t.reads <- 0;
@@ -88,10 +85,3 @@ let reset t =
   t.evictions <- 0;
   t.bytes_read <- 0;
   t.bytes_written <- 0
-
-let checkpoint t = total t
-
-let pp ppf t =
-  Format.fprintf ppf
-    "reads=%d writes=%d hits=%d evictions=%d bytes_read=%d bytes_written=%d"
-    t.reads t.writes t.hits t.evictions t.bytes_read t.bytes_written

@@ -68,8 +68,3 @@ val merge_into : src:t -> t -> unit
 val reset : t -> unit
 (** Zero all counters (including byte and eviction counters).  Used
     between the build phase and the query phase of an experiment. *)
-
-val checkpoint : t -> int
-(** Snapshot of [total t]; [total t - checkpoint] measures a span. *)
-
-val pp : Format.formatter -> t -> unit

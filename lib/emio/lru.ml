@@ -26,8 +26,6 @@ let create ~capacity =
   let head, tail = make_sentinels () in
   { capacity; table = Hashtbl.create 64; head; tail }
 
-let capacity t = t.capacity
-
 let unlink node =
   node.prev.next <- node.next;
   node.next.prev <- node.prev
@@ -69,13 +67,6 @@ let touch_report t id =
         (false, evicted)
 
 let touch t id = fst (touch_report t id)
-
-let remove t id =
-  match Hashtbl.find_opt t.table id with
-  | None -> ()
-  | Some node ->
-      unlink node;
-      Hashtbl.remove t.table id
 
 let clear t =
   Hashtbl.reset t.table;

@@ -6,8 +6,6 @@ type t
 
 val create : capacity:int -> t
 
-val capacity : t -> int
-
 val mem : t -> int -> bool
 
 val touch : t -> int -> bool
@@ -20,8 +18,6 @@ val touch_report : t -> int -> bool * int option
 (** Like {!touch}, but also reports the id evicted to make room (if
     any) so callers managing per-id payloads — e.g. a buffer pool
     writing back dirty pages — can act on the victim. *)
-
-val remove : t -> int -> unit
 
 val clear : t -> unit
 

@@ -16,10 +16,6 @@ let add r x =
   r.buf.(r.len) <- x;
   r.len <- r.len + 1
 
-let get r i =
-  if i < 0 || i >= r.len then invalid_arg "Reporter.get: out of bounds";
-  r.buf.(i)
-
 let mark r = r.len
 
 let truncate r m =
@@ -43,11 +39,6 @@ let filter_from r m keep =
     end
   done;
   r.len <- !w
-
-let iter f r =
-  for i = 0 to r.len - 1 do
-    f r.buf.(i)
-  done
 
 let fold f init r =
   let acc = ref init in

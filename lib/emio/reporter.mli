@@ -34,10 +34,6 @@ val length : t -> int
 val add : t -> int -> unit
 (** Append one id (amortized O(1), allocation-free once warm). *)
 
-val get : t -> int -> int
-(** [get r i] is the [i]-th id reported (insertion order).  Raises
-    [Invalid_argument] out of bounds. *)
-
 val mark : t -> int
 (** The current length, to be passed to {!truncate} or
     {!rewrite_from} later. *)
@@ -58,9 +54,6 @@ val filter_from : t -> int -> (int -> bool) -> unit
     fails [keep], compacting the survivors in place (order preserved,
     allocation-free) — how a dynamized wrapper censors tombstoned ids
     out of an inner structure's answers. *)
-
-val iter : (int -> unit) -> t -> unit
-(** Insertion-order iteration. *)
 
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 

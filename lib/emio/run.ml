@@ -30,7 +30,6 @@ let of_blocks store blocks =
 let of_list store items = of_array store (Array.of_list items)
 
 let store t = t.store
-let empty store = { store; block_ids = [||]; length = 0 }
 let length t = t.length
 let block_count t = Array.length t.block_ids
 
@@ -63,26 +62,6 @@ let to_array t =
 
 let read_block t i = Store.read t.store t.block_ids.(i)
 
-let read_range t ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > t.length then
-    invalid_arg "Run.read_range: out of bounds";
-  if len = 0 then [||]
-  else begin
-    let b = Store.block_size t.store in
-    let first = pos / b and last = (pos + len - 1) / b in
-    let pieces =
-      List.init
-        (last - first + 1)
-        (fun i ->
-          let block = read_block t (first + i) in
-          let block_lo = (first + i) * b in
-          let lo = max 0 (pos - block_lo) in
-          let hi = min (Array.length block) (pos + len - block_lo) in
-          Array.sub block lo (hi - lo))
-    in
-    Array.concat pieces
-  end
-
 let iter_range f t ~pos ~len =
   if pos < 0 || len < 0 || pos + len > t.length then
     invalid_arg "Run.iter_range: out of bounds";
@@ -99,15 +78,6 @@ let iter_range f t ~pos ~len =
       done
     done
   end
-
-let iter_prefix_blocks f t =
-  let n = Array.length t.block_ids in
-  let rec go i =
-    if i < n then
-      let continue_scan = f (Store.read t.store t.block_ids.(i)) in
-      if continue_scan then go (i + 1)
-  in
-  go 0
 
 (* -- persistence -------------------------------------------------- *)
 

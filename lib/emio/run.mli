@@ -18,8 +18,6 @@ val of_blocks : 'a Store.t -> 'a array array -> 'a t
 
 val of_list : 'a Store.t -> 'a list -> 'a t
 
-val empty : 'a Store.t -> 'a t
-
 val store : 'a t -> 'a Store.t
 (** The store the run's blocks live in. *)
 
@@ -36,26 +34,13 @@ val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val to_array : 'a t -> 'a array
 (** Full scan into memory. *)
 
-val iter_blocks : ('a array -> unit) -> 'a t -> unit
-(** Scan block by block (same I/O cost as {!iter}). *)
-
 val read_block : 'a t -> int -> 'a array
 (** [read_block r i] fetches the [i]-th block of the run (one read). *)
 
-val read_range : 'a t -> pos:int -> len:int -> 'a array
-(** Items [pos, pos+len): costs one read per touched block, i.e.
-    O(⌈len/B⌉ + 1). *)
-
 val iter_range : ('a -> unit) -> 'a t -> pos:int -> len:int -> unit
-(** Visit items [pos, pos+len) in place: the same blocks (and charges)
-    as {!read_range} — one read per touched block — but with no
-    intermediate copies, so the query hot paths can scan conflict
-    lists and buckets without allocating. *)
-
-val iter_prefix_blocks : ('a array -> bool) -> 'a t -> unit
-(** Scan blocks left to right while the callback returns [true]:
-    the filtering-search idiom — stop paying I/Os once enough output
-    has been found. *)
+(** Visit items [pos, pos+len) in place: one read per touched block,
+    i.e. O(⌈len/B⌉ + 1), with no intermediate copies, so the query hot
+    paths can scan conflict lists and buckets without allocating. *)
 
 (** {2 Persistence}
 

@@ -59,14 +59,12 @@ let create ~stats ~block_size ?(cache_blocks = 0) ?codec ?backend () =
   { stats; block_size; state; cache_blocks; lru; codec }
 
 let block_size t = t.block_size
-let stats t = t.stats
 let cache_blocks t = t.cache_blocks
 
 let blocks_used t =
   match t.state with Mem m -> m.used | Ext e -> e.allocated
 
 let is_external t = match t.state with Mem _ -> false | Ext _ -> true
-let backend t = match t.state with Mem _ -> None | Ext e -> Some e.backend
 
 let grow m =
   let capacity = Array.length m.blocks in
@@ -100,7 +98,7 @@ let alloc t data =
         if hit then Io_stats.record_hit_traced t.stats
         else Io_stats.record_write_traced t.stats
       in
-      if traced then Cost_ctx.emit (Block_write { id; hit });
+      if traced then Cost_ctx.emit Block_write;
       id
   | Ext ({ backend = Store_intf.Backend ((module B), b); _ } as e) ->
       let codec = block_codec t "alloc" in
@@ -116,7 +114,7 @@ let alloc t data =
           m.blocks.(id) <- Codec.decode codec bytes;
           m.used <- m.used + 1
       | None -> ());
-      if Cost_ctx.tracing () then Cost_ctx.emit (Block_write { id; hit = false });
+      if Cost_ctx.tracing () then Cost_ctx.emit Block_write;
       id
 
 (* An external read: the resident block itself, charged as the
@@ -139,32 +137,11 @@ let read (t : 'a t) id : 'a array =
         if hit then Io_stats.record_hit_traced t.stats
         else Io_stats.record_read_traced t.stats
       in
-      if traced then Cost_ctx.emit (Block_read { id; hit });
+      if traced then Cost_ctx.emit (Block_read { hit });
       m.blocks.(id)
   | Ext e ->
-      if Cost_ctx.tracing () then Cost_ctx.emit (Block_read { id; hit = false });
+      if Cost_ctx.tracing () then Cost_ctx.emit (Block_read { hit = false });
       fetch t e id
-
-let write t id data =
-  check_block t data;
-  match t.state with
-  | Mem m ->
-      if id < 0 || id >= m.used then invalid_arg "Store.write: bad block id";
-      m.blocks.(id) <- data;
-      let hit = touch_cache t id in
-      let traced =
-        if hit then Io_stats.record_hit_traced t.stats
-        else Io_stats.record_write_traced t.stats
-      in
-      if traced then Cost_ctx.emit (Block_write { id; hit })
-  | Ext ({ backend = Store_intf.Backend ((module B), b); _ } as e) ->
-      if Cost_ctx.tracing () then Cost_ctx.emit (Block_write { id; hit = false });
-      let codec = block_codec t "write" in
-      let bytes = Codec.encode codec data in
-      B.write b id bytes;
-      match e.resident with
-      | Some m -> m.blocks.(id) <- Codec.decode codec bytes
-      | None -> ()
 
 let drop_cache t =
   match t.state with
@@ -173,16 +150,6 @@ let drop_cache t =
          reachable only from that domain *)
       Option.iter (fun key -> Lru.clear (Domain.DLS.get key)) t.lru
   | Ext { backend = Store_intf.Backend ((module B), b); _ } -> B.drop_cache b
-
-let flush t =
-  match t.state with
-  | Mem _ -> ()
-  | Ext { backend = Store_intf.Backend ((module B), b); _ } -> B.flush b
-
-let close t =
-  match t.state with
-  | Mem _ -> ()
-  | Ext { backend = Store_intf.Backend ((module B), b); _ } -> B.close b
 
 let export_bytes t =
   match t.state with

@@ -51,7 +51,6 @@ val create :
     (via {!to_blocks}) may omit it. *)
 
 val block_size : 'a t -> int
-val stats : 'a t -> Io_stats.t
 
 val cache_blocks : 'a t -> int
 (** The [cache_blocks] this store was created with (recorded, and
@@ -69,9 +68,6 @@ val read : 'a t -> int -> 'a array
     @raise Invalid_argument on a bad block id (simulator mode).
     @raise Codec.Decode if an external block's bytes are corrupt. *)
 
-val write : 'a t -> int -> 'a array -> unit
-(** Overwrite an existing block; charges one write. *)
-
 val blocks_used : 'a t -> int
 (** Number of allocated blocks: the structure's space in disk blocks. *)
 
@@ -82,14 +78,6 @@ val drop_cache : 'a t -> unit
 
 val is_external : 'a t -> bool
 (** [true] iff the store runs over an external (file) backend. *)
-
-val backend : 'a t -> Store_intf.backend option
-
-val flush : 'a t -> unit
-(** Force dirty pages to stable storage (no-op for the simulator). *)
-
-val close : 'a t -> unit
-(** Release backend resources (no-op for the simulator). *)
 
 val export_bytes : 'a t -> bytes array
 (** Every block, codec-encoded — the payload a [Diskstore.Snapshot]
@@ -139,6 +127,6 @@ val of_backend :
     share it.  A read then returns the decoded block and charges
     {!Store_intf.BACKEND.charge_read}, exactly what the backend's own
     read would have charged, with the same {!Cost_ctx} events;
-    {!write} and {!alloc} keep the decoded array current (with a fresh
-    decode of the written bytes, never the caller's array).
+    {!alloc} keeps the decoded array current (with a fresh decode of
+    the written bytes, never the caller's array).
     @raise Codec.Decode if a resident block's bytes are corrupt. *)

@@ -23,10 +23,6 @@ module type BACKEND = sig
       corrupt block (snapshot loading verifies checksums up front, so
       this only fires on concurrent file damage). *)
 
-  val write : t -> int -> bytes -> unit
-  (** Overwrite an existing block payload (the new payload may have a
-      different length). *)
-
   val take_resident : t -> bytes array option
   (** [Some payloads] (indexed by block id) if the backend holds every
       payload in memory.  The caller becomes their only holder: the
@@ -44,12 +40,6 @@ module type BACKEND = sig
 
   val drop_cache : t -> unit
   (** Flush and empty any cache (buffer pool) the backend maintains. *)
-
-  val flush : t -> unit
-  (** Force dirty state to stable storage (write-back + fsync). *)
-
-  val close : t -> unit
-  (** Release file descriptors.  The backend must not be used after. *)
 end
 
 type backend = Backend : (module BACKEND with type t = 'b) * 'b -> backend

@@ -6,11 +6,9 @@ type t = {
   bps : float array; (* bps.(i) separates lines.(i) and lines.(i+1) *)
 }
 
-let kind t = t.kind
 let size t = Array.length t.lines
 let is_empty t = size t = 0
 let breakpoints t = t.bps
-let lines t = t.lines
 
 (* Along a lower envelope slopes strictly decrease left to right; along
    an upper envelope they strictly increase.  We therefore process

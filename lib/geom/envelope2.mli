@@ -14,20 +14,12 @@ type t
 val build : kind -> Line2.t array -> t
 (** O(m log m).  Duplicate and dominated lines are dropped. *)
 
-val kind : t -> kind
-
 val size : t -> int
 (** Number of segments of the envelope. *)
-
-val is_empty : t -> bool
 
 val eval : t -> float -> float
 (** Height of the envelope at [x].  Raises [Invalid_argument] on an
     empty envelope. *)
-
-val line_at : t -> float -> Line2.t
-(** The envelope line at abscissa [x] (at a breakpoint, the segment to
-    the right). *)
 
 val outer_interval : t -> slope:float -> icept:float -> float array -> bool
 (** [outer_interval t ~slope ~icept out] finds the open x-interval on
@@ -42,5 +34,3 @@ val outer_interval : t -> slope:float -> icept:float -> float array -> bool
 
 val breakpoints : t -> float array
 (** The segment boundaries, left to right: strictly increasing. *)
-
-val lines : t -> Line2.t array

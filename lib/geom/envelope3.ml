@@ -8,7 +8,6 @@ type triangle = {
 type t = {
   triangles : triangle array;
   sample : int array;
-  clip : float * float * float * float;
 }
 
 (* A face-polygon corner, before conflict resolution. *)
@@ -301,7 +300,7 @@ let build ~planes ~hull ~clip =
           :: !triangles
       done)
     face_arr;
-  { triangles = Array.of_list !triangles; sample; clip }
+  { triangles = Array.of_list !triangles; sample }
 
 let contains_tri (tri : triangle) x y =
   let p = Point2.make x y in

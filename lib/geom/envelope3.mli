@@ -28,7 +28,6 @@ type triangle = {
 type t = {
   triangles : triangle array;
   sample : int array;  (** ids of the planes in R *)
-  clip : float * float * float * float;  (** xmin, ymin, xmax, ymax *)
 }
 
 val build :

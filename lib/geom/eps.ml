@@ -9,7 +9,5 @@
 
 let eps = 1e-9
 
-let sign x = if x > eps then 1 else if x < -.eps then -1 else 0
 let equal x y = Float.abs (x -. y) <= eps
 let lt x y = x < y -. eps
-let leq x y = x <= y +. eps

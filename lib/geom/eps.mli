@@ -9,9 +9,5 @@
 
 val eps : float
 
-val sign : float -> int
-(** -1, 0 or +1, with a dead zone of ±{!eps}. *)
-
 val equal : float -> float -> bool
 val lt : float -> float -> bool
-val leq : float -> float -> bool

@@ -13,28 +13,15 @@ let icept l = l.icept
 
 let eval l x = (l.slope *. x) +. l.icept
 
-let equal l m = Eps.equal l.slope m.slope && Eps.equal l.icept m.icept
-
 (* Total order by (slope, intercept); the §3 clusters are stored in this
    order so that set difference C_k \ C_{k+1} is a linear merge. *)
-let compare l m =
-  let c = Float.compare l.slope m.slope in
-  if c <> 0 then c else Float.compare l.icept m.icept
 
 let parallel l m = Eps.equal l.slope m.slope
 
 (* x-coordinate of the intersection of two non-parallel lines. *)
 let meet_x l m = (m.icept -. l.icept) /. (l.slope -. m.slope)
 
-let meet l m =
-  if parallel l m then None
-  else
-    let x = meet_x l m in
-    Some (Point2.make x (eval l x))
-
 (* Strict comparisons of a line against a point, with tolerance. *)
 let below_point l (p : Point2.t) = Eps.lt (eval l (Point2.x p)) (Point2.y p)
 let above_point l (p : Point2.t) = Eps.lt (Point2.y p) (eval l (Point2.x p))
 let through_point l (p : Point2.t) = Eps.equal (eval l (Point2.x p)) (Point2.y p)
-
-let pp ppf l = Format.fprintf ppf "y = %g x + %g" l.slope l.icept

@@ -14,26 +14,14 @@ val icept : t -> float
 val eval : t -> float -> float
 (** Height of the line at the given abscissa. *)
 
-val equal : t -> t -> bool
-
-val compare : t -> t -> int
-(** Total order by (slope, intercept); the §3 clusters are stored in
-    this order so neighbouring clusters can be merged and diffed by a
-    linear pass. *)
-
 val parallel : t -> t -> bool
 
 val meet_x : t -> t -> float
 (** Abscissa of the intersection of two non-parallel lines (division by
     ~0 if parallel — check {!parallel} first). *)
 
-val meet : t -> t -> Point2.t option
-(** [None] for parallel lines. *)
-
 val below_point : t -> Point2.t -> bool
 (** The line passes strictly below the point (within tolerance). *)
 
 val above_point : t -> Point2.t -> bool
 val through_point : t -> Point2.t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -15,14 +15,6 @@ let c p = p.c
 
 let eval h x y = (h.a *. x) +. (h.b *. y) +. h.c
 
-let equal h g = Eps.equal h.a g.a && Eps.equal h.b g.b && Eps.equal h.c g.c
-
-let below_point h (p : Point3.t) =
-  Eps.lt (eval h (Point3.x p) (Point3.y p)) (Point3.z p)
-
-let above_point h (p : Point3.t) =
-  Eps.lt (Point3.z p) (eval h (Point3.x p) (Point3.y p))
-
 (* The dual point of the plane, and the dual plane of a point. *)
 let dual_point h = Point3.make h.a h.b h.c
 
@@ -36,5 +28,3 @@ let dual_plane_of_point (p : Point3.t) =
 let lift (p : Point2.t) =
   let a = Point2.x p and b = Point2.y p in
   { a = -2. *. a; b = -2. *. b; c = (a *. a) +. (b *. b) }
-
-let pp ppf h = Format.fprintf ppf "z = %g x + %g y + %g" h.a h.b h.c

@@ -11,13 +11,6 @@ val c : t -> float
 val eval : t -> float -> float -> float
 (** Height of the plane above (x, y). *)
 
-val equal : t -> t -> bool
-
-val below_point : t -> Point3.t -> bool
-(** The plane passes strictly below the point (within tolerance). *)
-
-val above_point : t -> Point3.t -> bool
-
 val dual_point : t -> Point3.t
 (** The plane z = a x + b y + c ↦ the point (a, b, c). *)
 
@@ -29,5 +22,3 @@ val lift : Point2.t -> t
 (** The lifting map of Theorem 4.3: (a, b) ↦ z = a² + b² - 2a x - 2b y.
     The vertical order of lifted planes at (x, y) is the order of
     distance from (x, y). *)
-
-val pp : Format.formatter -> t -> unit

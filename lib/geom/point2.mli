@@ -17,9 +17,6 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 (** Lexicographic (x, then y): the sweep order used everywhere. *)
 
-val dist2 : t -> t -> float
-(** Squared Euclidean distance. *)
-
 val dist : t -> t -> float
 
 val orient : t -> t -> t -> int

@@ -25,8 +25,6 @@ let dot a b = (a.x *. b.x) +. (a.y *. b.y) +. (a.z *. b.z)
    right-hand rule. *)
 let orient3 a b c d = dot (cross (sub b a) (sub c a)) (sub d a)
 
-let pp ppf p = Format.fprintf ppf "(%g, %g, %g)" p.x p.y p.z
-
 let codec =
   Emio.Codec.map
     ~decode:(fun (x, y, z) -> { x; y; z })

@@ -20,7 +20,5 @@ val orient3 : t -> t -> t -> t -> float
     (a, b, c) oriented by the right-hand rule.  The visibility
     predicate of the incremental hull ({!Hull3}). *)
 
-val pp : Format.formatter -> t -> unit
-
 val codec : t Emio.Codec.t
 (** Three IEEE-754 floats — the on-disk form of a point. *)

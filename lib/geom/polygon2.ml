@@ -19,15 +19,6 @@ let of_box ~xmin ~ymin ~xmax ~ymax : t =
 let vertices (t : t) = t
 let is_empty (t : t) = Array.length t = 0
 
-let area (t : t) =
-  let n = Array.length t in
-  let s = ref 0. in
-  for i = 0 to n - 1 do
-    let p = t.(i) and q = t.((i + 1) mod n) in
-    s := !s +. ((Point2.x p *. Point2.y q) -. (Point2.x q *. Point2.y p))
-  done;
-  !s /. 2.
-
 (* Clip by the halfplane {(x,y) | f(x,y) <= 0} where f is affine,
    given as f(x,y) = fa*x + fb*y + fc. *)
 let clip_halfplane (t : t) ~fa ~fb ~fc : t =
@@ -54,15 +45,4 @@ let clip_halfplane (t : t) ~fa ~fb ~fc : t =
     done;
     let result = Array.of_list (List.rev !out) in
     if Array.length result < 3 then [||] else result
-  end
-
-let contains (t : t) p =
-  let n = Array.length t in
-  if n < 3 then false
-  else begin
-    let inside = ref true in
-    for i = 0 to n - 1 do
-      if Point2.orient t.(i) t.((i + 1) mod n) p < 0 then inside := false
-    done;
-    !inside
   end

@@ -11,12 +11,8 @@ type t = Point2.t array
 val of_box : xmin:float -> ymin:float -> xmax:float -> ymax:float -> t
 val vertices : t -> Point2.t array
 val is_empty : t -> bool
-val area : t -> float
 
 val clip_halfplane : t -> fa:float -> fb:float -> fc:float -> t
 (** Intersection with the halfplane {(x, y) | fa·x + fb·y + fc ≤ 0};
     results with fewer than three vertices collapse to the empty
     polygon. *)
-
-val contains : t -> Point2.t -> bool
-(** Closed containment (tolerant). *)

@@ -5,8 +5,6 @@ type 'a t = { mutable data : 'a array; mutable len : int }
 
 let create () = { data = [||]; len = 0 }
 
-let length v = v.len
-
 let push v x =
   if v.len = Array.length v.data then begin
     let cap = max 8 (2 * Array.length v.data) in
@@ -24,10 +22,6 @@ let push_idx v x =
 let get v i =
   if i < 0 || i >= v.len then invalid_arg "Vec.get: out of bounds";
   v.data.(i)
-
-let set v i x =
-  if i < 0 || i >= v.len then invalid_arg "Vec.set: out of bounds";
-  v.data.(i) <- x
 
 let iter f v =
   for i = 0 to v.len - 1 do

@@ -4,13 +4,11 @@
 type 'a t
 
 val create : unit -> 'a t
-val length : 'a t -> int
 val push : 'a t -> 'a -> unit
 
 val push_idx : 'a t -> 'a -> int
 (** Push and return the element's index. *)
 
 val get : 'a t -> int -> 'a
-val set : 'a t -> int -> 'a -> unit
 val iter : ('a -> unit) -> 'a t -> unit
 val to_array : 'a t -> 'a array

@@ -25,7 +25,6 @@ type result = {
   q_reads : int list;  (** per-query charged reads, in execution order *)
   q_reads_total : int;
   q_results_total : int;  (** points reported, summed over queries *)
-  estimate : float;  (** Table-1 cost hint for the last query *)
   counters : (string * int) list;
 }
 
@@ -48,9 +47,6 @@ let measure ?(kind = Workloads.Uniform) ?(queries = 25) ?(fraction = 0.02)
   let q_reads =
     Array.to_list (Array.map (fun c -> c.Query_engine.reads) costs)
   in
-  let estimate =
-    match qs with [] -> 0. | q :: _ -> Index.estimate inst q
-  in
   {
     name = M.name;
     kind;
@@ -63,7 +59,6 @@ let measure ?(kind = Workloads.Uniform) ?(queries = 25) ?(fraction = 0.02)
     q_reads_total = List.fold_left ( + ) 0 q_reads;
     q_results_total =
       Array.fold_left (fun acc c -> acc + c.Query_engine.result) 0 costs;
-    estimate;
     counters = Index.counters inst;
   }
 
@@ -113,7 +108,6 @@ let json_of_result r =
       Printf.sprintf "\"query_reads_p50\": %d, " (q_reads_p50 r);
       Printf.sprintf "\"query_reads_p95\": %d, " (q_reads_p95 r);
       Printf.sprintf "\"results_total\": %d, " r.q_results_total;
-      Printf.sprintf "\"estimate\": %.3f, " r.estimate;
       Printf.sprintf "\"counters\": {%s}" counters;
       "}";
     ]

@@ -87,17 +87,6 @@ let appended r run =
   run r;
   Emio.Reporter.length r - m
 
-let blocks_of ~n ~bs = max 1 ((n + bs - 1) / bs)
-
-(* log_B n for the Table-1 estimates; clamped away from the degenerate
-   bases/arguments so the hint is always finite and >= 1. *)
-let logb ~bs n =
-  let b = float_of_int (max 2 bs) and x = float_of_int (max 2 n) in
-  Stdlib.max 1. (log x /. log b)
-
-let eps = 0.1
-(* The ε of the n^{..+ε} Table-1 bounds, as the estimates realize it. *)
-
 module H2 = struct
   type t = Core.Halfspace2d.t
 
@@ -126,10 +115,6 @@ module H2 = struct
   let query_into t q r =
     let slope, icept = q2 ~name q in
     appended r (Core.Halfspace2d.query_ids_into t ~slope ~icept)
-
-  let estimate t _q =
-    let bs = Core.Halfspace2d.block_size t in
-    logb ~bs (blocks_of ~n:(Core.Halfspace2d.length t) ~bs)
 
   let space_blocks = Core.Halfspace2d.space_blocks
 
@@ -177,10 +162,6 @@ module H3 = struct
     let a, b, c = q3 ~name q in
     appended r (Core.Halfspace3d.query_ids_into t ~a ~b ~c)
 
-  let estimate t _q =
-    let bs = Core.Halfspace3d.block_size t in
-    logb ~bs (blocks_of ~n:(Core.Halfspace3d.length t) ~bs)
-
   let space_blocks = Core.Halfspace3d.space_blocks
   let counters t = [ ("fallbacks", Core.Halfspace3d.fallbacks t) ]
   let update = None
@@ -224,12 +205,6 @@ module Ptree = struct
   let query_into t q r =
     let a0, a = qd ~name ~dim:(Core.Partition_tree.dim t.s) q in
     appended r (Core.Partition_tree.query_halfspace_into t.s ~a0 ~a)
-
-  let estimate t _q =
-    let d = float_of_int (Core.Partition_tree.dim t.s) in
-    let bs = Core.Partition_tree.block_size t.s in
-    let n = blocks_of ~n:(Array.length t.pts) ~bs in
-    float_of_int n ** (1. -. (1. /. d) +. eps)
 
   let space_blocks t = Core.Partition_tree.space_blocks t.s
 
@@ -285,13 +260,6 @@ module Shallow = struct
     let a0, a = qd ~name ~dim:(Core.Shallow_tree.dim t.s) q in
     appended r (Core.Shallow_tree.query_halfspace_into t.s ~a0 ~a)
 
-  let estimate t _q =
-    let d = Core.Shallow_tree.dim t.s in
-    let bs = Core.Shallow_tree.block_size t.s in
-    let n = blocks_of ~n:(Array.length t.pts) ~bs in
-    let expo = 1. -. (1. /. float_of_int (max 1 (d / 2))) +. eps in
-    float_of_int n ** Stdlib.max eps expo
-
   let space_blocks t = Core.Shallow_tree.space_blocks t.s
 
   let counters t =
@@ -340,13 +308,6 @@ module Tradeoff = struct
   let query_into t q r =
     let a, b, c = q3 ~name q in
     appended r (Core.Tradeoff3d.query_ids_into t.s ~a ~b ~c)
-
-  let estimate t _q =
-    let bs = Core.Tradeoff3d.block_size t.s in
-    let n = float_of_int (blocks_of ~n:(Array.length t.pts) ~bs) in
-    let b = float_of_int (max 2 bs) in
-    let a = Core.Tradeoff3d.exponent t.s in
-    Stdlib.max 1. ((n /. (b ** (a -. 1.))) ** ((2. /. 3.) +. eps))
 
   let space_blocks t = Core.Tradeoff3d.space_blocks t.s
 
@@ -402,10 +363,6 @@ module Cert = struct
     let a0, a = qc ~name q in
     appended r (Core.Cert_tree.query_ids_into t.s ~a0 ~a)
 
-  let estimate t _q =
-    let bs = Core.Cert_tree.block_size t.s in
-    logb ~bs (blocks_of ~n:(Array.length t.pts) ~bs)
-
   let space_blocks t = Core.Cert_tree.space_blocks t.s
 
   let counters t =
@@ -460,10 +417,6 @@ module Make_rtree (V : RTREE_VARIANT) = struct
     let slope, icept = q2 ~name q in
     appended r (Baselines.Rtree.query_ids_into t ~slope ~icept)
 
-  let estimate t _q =
-    let bs = Baselines.Rtree.block_size t in
-    sqrt (float_of_int (blocks_of ~n:(Baselines.Rtree.length t) ~bs))
-
   let space_blocks = Baselines.Rtree.space_blocks
   let counters t = [ ("height", Baselines.Rtree.height t) ]
   let update = None
@@ -516,10 +469,6 @@ module Quadtree = struct
     let slope, icept = q2 ~name q in
     appended r (Baselines.Quadtree.query_ids_into t ~slope ~icept)
 
-  let estimate t _q =
-    let bs = Baselines.Quadtree.block_size t in
-    sqrt (float_of_int (blocks_of ~n:(Baselines.Quadtree.length t) ~bs))
-
   let space_blocks = Baselines.Quadtree.space_blocks
   let counters t = [ ("depth", Baselines.Quadtree.depth t) ]
   let update = None
@@ -556,10 +505,6 @@ module Gridfile = struct
   let query_into t q r =
     let slope, icept = q2 ~name q in
     appended r (Baselines.Grid_file.query_ids_into t ~slope ~icept)
-
-  let estimate t _q =
-    let bs = Baselines.Grid_file.block_size t in
-    sqrt (float_of_int (blocks_of ~n:(Baselines.Grid_file.length t) ~bs))
 
   let space_blocks = Baselines.Grid_file.space_blocks
   let counters t = [ ("side", Baselines.Grid_file.side t) ]
@@ -619,14 +564,6 @@ module Scan = struct
     | L.Td s ->
         let a0, a = qd ~name ~dim:(L.dim_d s) q in
         appended r (L.query_ids_into_d s ~a0 ~a)
-
-  let estimate t _q =
-    let n, bs =
-      match t with
-      | L.T2 s -> (L.length s, L.block_size s)
-      | L.Td s -> (L.length_d s, L.block_size_d s)
-    in
-    float_of_int (blocks_of ~n ~bs)
 
   let space_blocks = function
     | L.T2 s -> L.space_blocks s

@@ -148,11 +148,6 @@ module type S = sig
       appended, which equals [query_count].  Same traversal and I/O
       charge as [query]. *)
 
-  val estimate : t -> query -> float
-  (** Rough predicted query cost in I/Os from the structure's Table-1
-      bound (the non-output term, with epsilon ~ 0.1): a planning hint,
-      not a promise. *)
-
   val space_blocks : t -> int
 
   val counters : t -> (string * int) list
@@ -212,7 +207,6 @@ let name (Instance ((module M), _)) = M.name
 let query (Instance ((module M), t)) q = M.query t q
 let query_count (Instance ((module M), t)) q = M.query_count t q
 let query_into (Instance ((module M), t)) q r = M.query_into t q r
-let estimate (Instance ((module M), t)) q = M.estimate t q
 let space_blocks (Instance ((module M), t)) = M.space_blocks t
 let counters (Instance ((module M), t)) = M.counters t
 

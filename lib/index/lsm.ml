@@ -451,13 +451,6 @@ let make ?(memtable_cap = default_memtable_cap) ?build_domains:_
       done;
       !total
 
-    let estimate t q =
-      Array.fold_left
-        (fun acc -> function
-          | None -> acc
-          | Some lvl -> acc +. M.estimate lvl.inner q)
-        0. t.slots
-
     let space_blocks t =
       Array.fold_left
         (fun acc -> function

@@ -332,17 +332,6 @@ let make ?build_domains ~inner:(module M : Index.S) ~shards ~partition () :
           Emio.Reporter.rewrite_from r m (fun local -> gids.(local));
           c)
 
-    let estimate t q =
-      t.last_pruned <- 0;
-      Array.fold_left
-        (fun acc sh ->
-          if pruned sh q then begin
-            t.last_pruned <- t.last_pruned + 1;
-            acc
-          end
-          else acc +. M.estimate sh.inner q)
-        0. t.shards
-
     let space_blocks t =
       Array.fold_left (fun acc sh -> acc + M.space_blocks sh.inner) 0 t.shards
 

@@ -38,8 +38,8 @@ val make :
     the effective count is clamped to the dataset size so no shard is
     empty) and scatter-gathers queries over them.  [query_into]
     translates each shard's local ids to global dataset ids via
-    {!Emio.Reporter.rewrite_from}; [query_count], [space_blocks] and
-    [estimate] sum over (non-pruned) shards.  Each inner structure is
+    {!Emio.Reporter.rewrite_from}; [query_count] and [space_blocks]
+    sum over (non-pruned) shards.  Each inner structure is
     built with a per-shard cache budget of [cache_blocks / K].
 
     [build_domains] caps the build fan-out (default

@@ -19,8 +19,6 @@ val constr_of_halfspace : dim:int -> a0:float -> a:float array -> constr
 (** The paper's query form [x_d <= a0 + Σ a_i x_i] (with [a] of length
     d-1) as a constraint. *)
 
-val eval_constr : constr -> point -> float
-
 val satisfies : constr -> point -> bool
 (** [eval <= eps]: closed halfspace with tolerance. *)
 

@@ -20,7 +20,6 @@ type config = {
   deadline_ms : int;
   check : bool;
   seed : int;
-  verbose : bool;
 }
 
 let default_config =
@@ -38,7 +37,6 @@ let default_config =
     deadline_ms = 0;
     check = false;
     seed = 42;
-    verbose = false;
   }
 
 (* ---------- targets: replayed query pools + optional oracle ---------- *)

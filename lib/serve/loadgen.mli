@@ -66,7 +66,6 @@ type config = {
   deadline_ms : int;  (** 0 = server default *)
   check : bool;
   seed : int;
-  verbose : bool;
 }
 
 val default_config : config

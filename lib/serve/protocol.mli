@@ -58,8 +58,8 @@ type msg =
       hits : int;
       elapsed_ns : int;  (** server-side sojourn: enqueue to response *)
       ids : int array;
-          (** answer ids, empty unless [want_ids] and the structure
-              reports ids *)
+          (** answer ids (build-time dataset indices); empty unless
+              the request set [want_ids] *)
     }
   | Shed of { id : int; reason : shed_reason }
   | Error of { id : int; code : error_code; message : string }
@@ -72,6 +72,4 @@ type msg =
 val codec : msg Emio.Codec.t
 (** Raises {!Emio.Codec.Decode} on malformed input, like every codec. *)
 
-val shed_reason_name : shed_reason -> string
-val error_code_name : error_code -> string
 val pp : Format.formatter -> msg -> unit

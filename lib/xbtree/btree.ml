@@ -10,9 +10,7 @@ type ('k, 'v) t = {
   cmp : 'k -> 'k -> int;
 }
 
-let length t = t.length
 let height t = t.height
-let stats t = Emio.Store.stats t.leaves
 
 let space_blocks t =
   Emio.Store.blocks_used t.leaves + Emio.Store.blocks_used t.internals
@@ -128,51 +126,6 @@ let predecessor t x =
     done;
     !result
   end
-
-let find t x =
-  match predecessor t x with
-  | Some (k, v) when t.cmp k x = 0 -> Some v
-  | _ -> None
-
-let iter_range t ~lo ~hi f =
-  if t.length > 0 && t.cmp lo hi <= 0 then begin
-    let leaf_id = ref (descend t lo) in
-    (* duplicates equal to [lo] may spill into earlier leaves *)
-    let stepping_back = ref true in
-    while !stepping_back && !leaf_id > 0 do
-      let prev = Emio.Store.read t.leaves (!leaf_id - 1) in
-      let len = Array.length prev in
-      if len > 0 && t.cmp (fst prev.(len - 1)) lo >= 0 then
-        leaf_id := !leaf_id - 1
-      else stepping_back := false
-    done;
-    let finished = ref false in
-    while not !finished do
-      let block = Emio.Store.read t.leaves !leaf_id in
-      Array.iter
-        (fun (k, v) ->
-          if t.cmp k hi > 0 then finished := true
-          else if t.cmp lo k <= 0 then f k v)
-        block;
-      incr leaf_id;
-      if !leaf_id >= t.n_leaves then finished := true
-    done
-  end
-
-let range t ~lo ~hi =
-  let acc = ref [] in
-  iter_range t ~lo ~hi (fun k v -> acc := (k, v) :: !acc);
-  List.rev !acc
-
-let to_list t =
-  let acc = ref [] in
-  for i = t.n_leaves - 1 downto 0 do
-    let block = Emio.Store.read t.leaves i in
-    for j = Array.length block - 1 downto 0 do
-      acc := block.(j) :: !acc
-    done
-  done;
-  !acc
 
 (* -- persistence: the tree minus its comparator ------------------- *)
 

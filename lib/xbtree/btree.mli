@@ -1,15 +1,13 @@
 (** An external-memory B+-tree over a {!Emio.Store}.
 
-    Each node occupies one disk block and has fan-out Θ(B), so a search
-    costs O(log_B n) I/Os and a range report costs O(log_B n + t) I/Os
-    — the classical bounds the paper cites as the one-dimensional
-    optimum (§1.2).  The tree is bulk-loaded from sorted data; the
-    paper's structures are static, so no dynamic updates are needed
-    (a dynamic variant is an explicit open problem, §7).
+    Each node occupies one disk block and has fan-out Θ(B), so a
+    predecessor search costs O(log_B n) I/Os — the classical bound the
+    paper cites as the one-dimensional optimum (§1.2).  The tree is
+    bulk-loaded from sorted data; the paper's structures are static, so
+    no dynamic updates are needed (a dynamic variant is an explicit
+    open problem, §7).
 
-    Used as: the boundary-point tree T_i and slope tree T* of §3, the
-    one-dimensional baseline of the benchmarks, and a building block of
-    the kd-B-tree baseline. *)
+    Used as the boundary-point tree T_i and slope tree T* of §3. *)
 
 type ('k, 'v) t
 
@@ -24,28 +22,13 @@ val bulk_load :
     [Invalid_argument] if they are not sorted.  Equal keys are allowed
     and preserved.  O(n) block writes. *)
 
-val length : ('k, 'v) t -> int
 val height : ('k, 'v) t -> int
 
 val space_blocks : ('k, 'v) t -> int
 (** Total blocks occupied (leaves + internal nodes). *)
 
-val stats : ('k, 'v) t -> Emio.Io_stats.t
-
-val find : ('k, 'v) t -> 'k -> 'v option
-(** Some value with exactly this key, if any.  O(log_B n) I/Os. *)
-
 val predecessor : ('k, 'v) t -> 'k -> ('k * 'v) option
 (** Greatest entry with key <= the probe.  O(log_B n) I/Os. *)
-
-val range : ('k, 'v) t -> lo:'k -> hi:'k -> ('k * 'v) list
-(** All entries with lo <= key <= hi, in key order.
-    O(log_B n + t) I/Os. *)
-
-val iter_range : ('k, 'v) t -> lo:'k -> hi:'k -> ('k -> 'v -> unit) -> unit
-
-val to_list : ('k, 'v) t -> ('k * 'v) list
-(** Full scan in key order, O(n) I/Os. *)
 
 (** {2 Persistence}
 

@@ -102,19 +102,22 @@ let test_rtree_window () =
   let points = Workload.uniform2 rng ~n:500 ~range:10. in
   let stats = Emio.Io_stats.create () in
   let t = Baselines.Rtree.build ~stats ~block_size:8 points in
+  let g = Baselines.Grid_file.build ~stats ~block_size:8 points in
   for _ = 1 to 20 do
     let x0 = Random.State.float rng 16. -. 8. in
     let y0 = Random.State.float rng 16. -. 8. in
     let w =
       { Baselines.Rect.x0; y0; x1 = x0 +. 4.; y1 = y0 +. 4. }
     in
-    let got = List.length (Baselines.Rtree.query_window t w) in
     let want =
       Array.fold_left
         (fun acc p -> if Baselines.Rect.contains w p then acc + 1 else acc)
         0 points
     in
-    Alcotest.(check int) "window count" want got
+    Alcotest.(check int) "rtree window count" want
+      (List.length (Baselines.Rtree.query_window t w));
+    Alcotest.(check int) "gridfile window count" want
+      (List.length (Baselines.Grid_file.query_window g w))
   done
 
 (* §1.2: on the diagonal adversary, the quadtree and R-tree degrade to

@@ -40,7 +40,6 @@ let test_primitive_edges () =
   Alcotest.(check string) "empty string" "" (rt C.string "");
   check_bool "bool true" true (rt C.bool true);
   check_bool "bool false" false (rt C.bool false);
-  Alcotest.(check unit) "unit" () (rt C.unit ());
   (* a bool is one byte on the wire, and only 0/1 decode *)
   expect_decode "bad bool tag" (fun () -> C.decode C.bool (Bytes.make 1 '\002'))
 

@@ -77,7 +77,7 @@ let test_trace_block_events () =
   check "hits mirrored" 2 (Emio.Cost_ctx.hits ctx)
 
 (* Structure-level events: the §3 structure emits per-layer Level
-   events, the §5 tree per-node Node events with depths. *)
+   events, the §5 tree per-node Node events. *)
 let test_trace_structure_events () =
   let rng = Workload.rng 11 in
   let pts = Workload.uniform2 rng ~n:512 ~range:100. in

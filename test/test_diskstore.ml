@@ -23,6 +23,8 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
+let snapshot_error = Diskstore.Snapshot.error_to_string
+
 (* ---------- CRC32 ---------- *)
 
 let test_crc32_vectors () =
@@ -252,10 +254,9 @@ let test_store_over_file_backend () =
       check "blocks used" 2 (Emio.Store.blocks_used store);
       Alcotest.(check (array int)) "read back" [| 1; 2; 3; 4 |]
         (Emio.Store.read store id0);
-      Emio.Store.write store id1 [| 9; 9; 9 |];
-      Alcotest.(check (array int)) "after write" [| 9; 9; 9 |]
+      Alcotest.(check (array int)) "read back short block" [| 5; 6 |]
         (Emio.Store.read store id1);
-      Emio.Store.flush store;
+      Diskstore.Buffer_pool.flush pool;
       check_bool "physical bytes written" true
         (Emio.Io_stats.bytes_written stats > 0))
 
@@ -274,7 +275,7 @@ let open_h2 = Diskstore.Snapshot.open_as h2_format
 
 let expect_loaded = function
   | Ok v -> v
-  | Error e -> Alcotest.failf "load failed: %a" Diskstore.Snapshot.pp_error e
+  | Error e -> Alcotest.failf "load failed: %s" (snapshot_error e)
 
 let test_snapshot_h2_roundtrip () =
   let points = build_points 4242 600 in
@@ -375,7 +376,7 @@ let test_snapshot_kind_mismatch () =
       Alcotest.(check string) "expected" "lcsearch.h2" expected;
       Alcotest.(check string) "got" "lcsearch.scan" got
   | Ok _ -> Alcotest.fail "kind mismatch not detected"
-  | Error e -> Alcotest.failf "wrong error: %a" Diskstore.Snapshot.pp_error e
+  | Error e -> Alcotest.failf "wrong error: %s" (snapshot_error e)
 
 let saved_h2_snapshot () =
   let points = build_points 1234 300 in
@@ -394,12 +395,12 @@ let test_snapshot_bad_magic () =
   (match load_h2 path with
   | Error Diskstore.Snapshot.Bad_magic -> ()
   | Ok _ -> Alcotest.fail "garbage accepted"
-  | Error e -> Alcotest.failf "wrong error: %a" Diskstore.Snapshot.pp_error e);
+  | Error e -> Alcotest.failf "wrong error: %s" (snapshot_error e));
   write_file path "short";
   match load_h2 path with
   | Error (Diskstore.Snapshot.Truncated _) -> ()
   | Ok _ -> Alcotest.fail "5-byte file accepted"
-  | Error e -> Alcotest.failf "wrong error: %a" Diskstore.Snapshot.pp_error e
+  | Error e -> Alcotest.failf "wrong error: %s" (snapshot_error e)
 
 (* every truncation point must yield a typed error, never a crash or a
    silently wrong structure *)
@@ -420,8 +421,8 @@ let test_snapshot_truncation_corpus () =
           ()
       | Ok _ -> Alcotest.failf "truncation to %d bytes accepted" keep
       | Error e ->
-          Alcotest.failf "truncation to %d: wrong error %a" keep
-            Diskstore.Snapshot.pp_error e)
+          Alcotest.failf "truncation to %d: wrong error %s" keep
+            (snapshot_error e))
     [ 0; 1; 15; 100; 256; 300; n / 2; n - 200; n - 1 ]
 
 (* flipping any single byte must be caught by a page CRC (or the header
@@ -460,7 +461,7 @@ let test_snapshot_pages_verified_once () =
   let info =
     match Diskstore.Snapshot.read_info path with
     | Ok info -> info
-    | Error e -> Alcotest.failf "read_info: %a" Diskstore.Snapshot.pp_error e
+    | Error e -> Alcotest.failf "read_info: %s" (snapshot_error e)
   in
   let psz = info.Diskstore.Snapshot.page_size in
   let cap = psz - Diskstore.Block_file.header_bytes in
@@ -476,7 +477,7 @@ let test_snapshot_pages_verified_once () =
            with
           | Ok _ -> ()
           | Error e ->
-              Alcotest.failf "%s load: %a" mode Diskstore.Snapshot.pp_error e);
+              Alcotest.failf "%s load: %s" mode (snapshot_error e));
           check (mode ^ ": one read per page after the header") last
             (Emio.Io_stats.reads stats);
           List.iter
@@ -492,8 +493,8 @@ let test_snapshot_pages_verified_once () =
                   check (Printf.sprintf "%s: %s page" mode section) page got
               | Ok _ -> Alcotest.failf "%s: flipped %s page accepted" mode section
               | Error e ->
-                  Alcotest.failf "%s: flipped %s page: wrong error %a" mode
-                    section Diskstore.Snapshot.pp_error e)
+                  Alcotest.failf "%s: flipped %s page: wrong error %s" mode
+                    section (snapshot_error e))
             [ ("table", 1); ("payload", 1 + table_pages); ("last skeleton", last) ]))
     [ false; true ]
 
@@ -537,7 +538,7 @@ let test_snapshot_untiled_table_rejected () =
   match load_h2 stub with
   | Error (Diskstore.Snapshot.Bad_header _) -> ()
   | Ok _ -> Alcotest.fail "untiled block table accepted"
-  | Error e -> Alcotest.failf "wrong error: %a" Diskstore.Snapshot.pp_error e
+  | Error e -> Alcotest.failf "wrong error: %s" (snapshot_error e)
 
 (* a v1 (closure-marshalled) snapshot must be rejected with the typed
    Unsupported_version error, not misparsed *)
@@ -566,7 +567,7 @@ let test_snapshot_v1_rejected () =
   match load_h2 stub with
   | Error (Diskstore.Snapshot.Unsupported_version 1) -> ()
   | Ok _ -> Alcotest.fail "v1 snapshot accepted"
-  | Error e -> Alcotest.failf "wrong error: %a" Diskstore.Snapshot.pp_error e
+  | Error e -> Alcotest.failf "wrong error: %s" (snapshot_error e)
 
 let test_snapshot_load_is_cold_process_safe () =
   (* the load path must not depend on any state of the saving run:
@@ -662,21 +663,19 @@ let snapshot_corpus_case (module M : Index.S) () =
   let oracle = Oracle.build ~params:Index.default_params ~stats ds in
   (match load path with
   | Error e ->
-      Alcotest.failf "%s: load failed: %a" M.name Diskstore.Snapshot.pp_error
-        e
+      Alcotest.failf "%s: load failed: %s" M.name (snapshot_error e)
   | Ok (loaded, info) ->
       Alcotest.(check string) (M.name ^ ": kind") ops.Index.snapshot_kind
         info.Diskstore.Snapshot.kind;
+      Alcotest.(check int) (M.name ^ ": reopened space_blocks")
+        (M.space_blocks t) (M.space_blocks loaded);
       List.iteri
         (fun i q ->
           check_bool
             (Printf.sprintf "%s query %d: reopened = oracle" M.name i)
             true
             (sorted_rows (M.query loaded q)
-            = sorted_rows (Oracle.query oracle q));
-          Alcotest.(check (float 0.))
-            (Printf.sprintf "%s query %d: reopened estimate" M.name i)
-            (M.estimate t q) (M.estimate loaded q))
+            = sorted_rows (Oracle.query oracle q)))
         qs);
   let whole = read_file path in
   let n = String.length whole in
@@ -695,8 +694,8 @@ let snapshot_corpus_case (module M : Index.S) () =
       | Ok _ ->
           Alcotest.failf "%s: truncation to %d bytes accepted" M.name keep
       | Error e ->
-          Alcotest.failf "%s: truncation to %d: wrong error %a" M.name keep
-            Diskstore.Snapshot.pp_error e)
+          Alcotest.failf "%s: truncation to %d: wrong error %s" M.name keep
+            (snapshot_error e))
     [ 0; 1; 15; 100; 256; 300; n / 2; n - 200; n - 1 ];
   List.iter
     (fun off ->
@@ -718,8 +717,8 @@ let snapshot_corpus_case (module M : Index.S) () =
       | Error (Diskstore.Snapshot.Bad_header _) -> ()
       | Ok _ -> Alcotest.failf "%s: %s accepted" M.name p
       | Error e ->
-          Alcotest.failf "%s: %s: wrong error %a" M.name p
-            Diskstore.Snapshot.pp_error e);
+          Alcotest.failf "%s: %s: wrong error %s" M.name p
+            (snapshot_error e));
       match Diskstore.Snapshot.read_info p with
       | Error (Diskstore.Snapshot.Bad_header _) -> ()
       | _ -> Alcotest.failf "read_info %s: expected Bad_header" p)
@@ -749,8 +748,8 @@ let test_junk_skeleton_closes_file () =
         | Error (Diskstore.Snapshot.Bad_payload _) -> ()
         | Ok _ -> Alcotest.failf "%s: junk skeleton accepted" M.name
         | Error e ->
-            Alcotest.failf "%s: wrong error %a" M.name
-              Diskstore.Snapshot.pp_error e
+            Alcotest.failf "%s: wrong error %s" M.name
+              (snapshot_error e)
       done)
     (Registry.all ());
   check "no descriptor leaked" fds (open_fds ())

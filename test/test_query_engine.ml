@@ -21,8 +21,6 @@ let test_reporter_basics () =
     Emio.Reporter.add r i
   done;
   check "length" 100 (Emio.Reporter.length r);
-  check "get 0" 0 (Emio.Reporter.get r 0);
-  check "get 99" 99 (Emio.Reporter.get r 99);
   Alcotest.(check (list int))
     "to_list insertion order"
     (List.init 100 Fun.id)
@@ -30,9 +28,6 @@ let test_reporter_basics () =
   check "fold sums" (99 * 100 / 2) (Emio.Reporter.fold ( + ) 0 r);
   Emio.Reporter.clear r;
   check "clear empties" 0 (Emio.Reporter.length r);
-  (match Emio.Reporter.get r 0 with
-  | _ -> Alcotest.fail "get past length must raise"
-  | exception Invalid_argument _ -> ());
   Emio.Reporter.add r 7;
   Alcotest.(check (array int)) "reusable after clear" [| 7 |]
     (Emio.Reporter.to_array r)
@@ -90,8 +85,6 @@ module Counting_backend = struct
     | Some b -> Bytes.copy b
     | None -> failwith "Counting_backend: unknown block"
 
-  let write t id payload = Hashtbl.replace t.blocks id (Bytes.copy payload)
-
   let take_resident t =
     if t.resident then
       Some (Array.init t.next (fun id -> Bytes.copy (Hashtbl.find t.blocks id)))
@@ -100,8 +93,6 @@ module Counting_backend = struct
   let charge_read t _ = t.charged <- t.charged + 1
   let blocks_used t = Hashtbl.length t.blocks
   let drop_cache t = t.drops <- t.drops + 1
-  let flush _ = ()
-  let close _ = ()
 end
 
 let counting_backend () =
@@ -142,24 +133,6 @@ let test_external_reads_reach_backend () =
       check "cache_blocks is still recorded" cache_blocks
         (Emio.Store.cache_blocks store))
     [ 0; 4 ]
-
-(* A write stores the encoded bytes: the next read fetches them from
-   the backend, and never sees the caller's array. *)
-let test_external_write () =
-  let store, b = counting_store ~cache_blocks:2 in
-  let id = Emio.Store.alloc store [| 1; 2 |] in
-  ignore (Emio.Store.read store id);
-  Emio.Store.write store id [| 9; 8 |];
-  let before = b.Counting_backend.phys_reads in
-  Alcotest.(check (array int)) "read after write sees new payload" [| 9; 8 |]
-    (Emio.Store.read store id);
-  check "the read reached the backend" (before + 1)
-    b.Counting_backend.phys_reads;
-  let a = [| 5; 6 |] in
-  Emio.Store.write store id a;
-  a.(0) <- 42;
-  Alcotest.(check (array int)) "no aliasing of the written array" [| 5; 6 |]
-    (Emio.Store.read store id)
 
 (* drop_cache on an external store is the backend's own drop_cache;
    reads before and after it cost the same. *)
@@ -206,27 +179,13 @@ let test_resident_reads () =
     "a charged miss is traced like a backend read" true
     (!events
     = [
-        Emio.Cost_ctx.Block_read { id = 1; hit = false };
-        Emio.Cost_ctx.Block_read { id = 1; hit = false };
+        Emio.Cost_ctx.Block_read { hit = false };
+        Emio.Cost_ctx.Block_read { hit = false };
       ]);
   (match Emio.Store.read store 2 with
   | _ -> Alcotest.fail "reading past the last block must raise"
   | exception Invalid_argument _ -> ());
   check "a bad id charges nothing" 2 b.Counting_backend.charged
-
-let test_resident_write () =
-  let store, b = resident_store [ [| 1; 2 |] ] in
-  let a = [| 5; 6 |] in
-  Emio.Store.write store 0 a;
-  Alcotest.(check (array int)) "write shows on the next read" [| 5; 6 |]
-    (Emio.Store.read store 0);
-  a.(0) <- 42;
-  Alcotest.(check (array int)) "the caller's array is not aliased" [| 5; 6 |]
-    (Emio.Store.read store 0);
-  Alcotest.(check (array int)) "the write reached the backend" [| 5; 6 |]
-    (Emio.Codec.decode (Emio.Codec.array Emio.Codec.int)
-       (Hashtbl.find b.Counting_backend.blocks 0));
-  check "still no backend read" 0 b.Counting_backend.phys_reads
 
 let test_resident_alloc () =
   let store, b = resident_store [ [| 1 |] ] in
@@ -660,14 +619,12 @@ let () =
         [
           Alcotest.test_case "every read reaches the backend" `Quick
             test_external_reads_reach_backend;
-          Alcotest.test_case "write" `Quick test_external_write;
           Alcotest.test_case "drop_cache" `Quick test_external_drop_cache;
         ] );
       ( "resident",
         [
           Alcotest.test_case "reads share one decoded array" `Quick
             test_resident_reads;
-          Alcotest.test_case "write" `Quick test_resident_write;
           Alcotest.test_case "alloc" `Quick test_resident_alloc;
           Alcotest.test_case "charges every read" `Quick
             test_resident_charges;

@@ -78,12 +78,7 @@ let conformance_case ~inner ~dim ~kind ~partition ~shards () =
       Alcotest.(check int) (label "query_into count") want_c got_c;
       Alcotest.(check bool) (label "global ids") true (want_ids = got_ids);
       Alcotest.(check int) (label "one id per answer") got_c
-        (List.length got_ids);
-      let est = Sh.estimate sharded q in
-      Alcotest.(check bool)
-        (label "estimate finite and non-negative")
-        true
-        (Float.is_finite est && est >= 0.))
+        (List.length got_ids))
     qs
 
 (* ---- accounting: summed per-shard I/Os deterministic across runs

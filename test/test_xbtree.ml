@@ -1,5 +1,5 @@
-(* Tests for the external B+-tree: correctness against a sorted-array
-   oracle, plus the O(log_B n) / O(log_B n + t) I/O bounds. *)
+(* Tests for the external B+-tree: predecessor search against a
+   sorted-array oracle, plus the O(log_B n) I/O bound. *)
 
 let build ?(block_size = 4) keys =
   let stats = Emio.Io_stats.create () in
@@ -7,15 +7,6 @@ let build ?(block_size = 4) keys =
   (Xbtree.Btree.bulk_load ~stats ~block_size ~cmp:compare entries, stats)
 
 let sorted n = Array.init n (fun i -> i * 2) (* even keys 0,2,...,2n-2 *)
-
-let test_find () =
-  let t, _ = build (sorted 100) in
-  Alcotest.(check (option int)) "hit" (Some 420) (Xbtree.Btree.find t 42);
-  Alcotest.(check (option int)) "miss odd" None (Xbtree.Btree.find t 43);
-  Alcotest.(check (option int)) "below range" None (Xbtree.Btree.find t (-5));
-  Alcotest.(check (option int)) "above range" None (Xbtree.Btree.find t 500);
-  Alcotest.(check (option int)) "first" (Some 0) (Xbtree.Btree.find t 0);
-  Alcotest.(check (option int)) "last" (Some 1980) (Xbtree.Btree.find t 198)
 
 let test_predecessor () =
   let t, _ = build (sorted 100) in
@@ -25,30 +16,22 @@ let test_predecessor () =
   Alcotest.(check (option int)) "below all" None (pred (-1));
   Alcotest.(check (option int)) "above all" (Some 198) (pred 1000)
 
-let test_range () =
-  let t, _ = build (sorted 50) in
-  let got = List.map fst (Xbtree.Btree.range t ~lo:10 ~hi:20) in
-  Alcotest.(check (list int)) "inclusive range" [ 10; 12; 14; 16; 18; 20 ] got;
-  Alcotest.(check (list int)) "empty range" []
-    (List.map fst (Xbtree.Btree.range t ~lo:21 ~hi:21));
-  Alcotest.(check (list int)) "inverted range" []
-    (List.map fst (Xbtree.Btree.range t ~lo:20 ~hi:10))
-
 let test_duplicates () =
   let keys = Array.make 20 7 in
   let t, _ = build ~block_size:3 keys in
-  Alcotest.(check int) "all duplicates reported" 20
-    (List.length (Xbtree.Btree.range t ~lo:7 ~hi:7));
-  Alcotest.(check (option int)) "find dup" (Some 70) (Xbtree.Btree.find t 7)
+  (* 7 leaves + 3 + 1 internal nodes: every duplicate is kept *)
+  Alcotest.(check int) "all duplicates stored" 11 (Xbtree.Btree.space_blocks t);
+  Alcotest.(check (option int)) "pred dup" (Some 7)
+    (Option.map fst (Xbtree.Btree.predecessor t 7));
+  Alcotest.(check (option int)) "pred below dups" None
+    (Option.map fst (Xbtree.Btree.predecessor t 6))
 
 let test_empty_and_tiny () =
   let t, _ = build [||] in
-  Alcotest.(check (option int)) "empty find" None (Xbtree.Btree.find t 1);
   Alcotest.(check bool) "empty pred" true (Xbtree.Btree.predecessor t 1 = None);
-  Alcotest.(check (list int)) "empty range" []
-    (List.map fst (Xbtree.Btree.range t ~lo:0 ~hi:9));
   let t1, _ = build [| 5 |] in
-  Alcotest.(check (option int)) "singleton" (Some 50) (Xbtree.Btree.find t1 5);
+  Alcotest.(check bool) "singleton" true
+    (Xbtree.Btree.predecessor t1 5 = Some (5, 50));
   Alcotest.(check int) "height 1" 1 (Xbtree.Btree.height t1)
 
 let test_rejects_unsorted () =
@@ -65,18 +48,9 @@ let test_io_bounds () =
   let t, stats = build ~block_size:16 (sorted 4096) in
   Alcotest.(check int) "height" 3 (Xbtree.Btree.height t);
   Emio.Io_stats.reset stats;
-  ignore (Xbtree.Btree.find t 1234);
+  ignore (Xbtree.Btree.predecessor t 1234);
   Alcotest.(check int) "search costs height I/Os" 3
-    (Emio.Io_stats.reads stats);
-  (* range of T entries costs height + ceil(T/B) +- 1 *)
-  Emio.Io_stats.reset stats;
-  let got = Xbtree.Btree.range t ~lo:0 ~hi:1000 in
-  Alcotest.(check int) "T entries" 501 (List.length got);
-  let reads = Emio.Io_stats.reads stats in
-  Alcotest.(check bool)
-    (Printf.sprintf "range reads %d <= height + T/B + 2" reads)
-    true
-    (reads <= 3 + (501 / 16) + 2)
+    (Emio.Io_stats.reads stats)
 
 let test_space_linear () =
   let t, _ = build ~block_size:16 (sorted 4096) in
@@ -103,43 +77,20 @@ let prop_matches_oracle =
               (fun acc (k, _) -> if k <= x then Some k else acc)
               None entries
           in
-          let got_pred = Option.map fst (Xbtree.Btree.predecessor t x) in
-          let oracle_mem = Array.exists (fun (k, _) -> k = x) entries in
-          let got_mem = Xbtree.Btree.find t x <> None in
-          oracle_pred = got_pred && oracle_mem = got_mem)
+          oracle_pred = Option.map fst (Xbtree.Btree.predecessor t x))
         probes)
-
-let prop_range_matches_oracle =
-  QCheck.Test.make ~count:300 ~name:"range matches filter oracle"
-    QCheck.(
-      triple
-        (list_of_size Gen.(0 -- 150) (int_range 0 60))
-        (int_range (-5) 65) (int_range (-5) 65))
-    (fun (keys, a, b) ->
-      let lo = min a b and hi = max a b in
-      let sorted_keys = List.sort compare keys in
-      let entries = Array.of_list (List.map (fun k -> (k, k)) sorted_keys) in
-      let stats = Emio.Io_stats.create () in
-      let t =
-        Xbtree.Btree.bulk_load ~stats ~block_size:4 ~cmp:compare entries
-      in
-      let oracle = List.filter (fun k -> lo <= k && k <= hi) sorted_keys in
-      List.map fst (Xbtree.Btree.range t ~lo ~hi) = oracle)
 
 let () =
   Alcotest.run "xbtree"
     [
       ( "btree",
         [
-          Alcotest.test_case "find" `Quick test_find;
           Alcotest.test_case "predecessor" `Quick test_predecessor;
-          Alcotest.test_case "range" `Quick test_range;
           Alcotest.test_case "duplicates" `Quick test_duplicates;
           Alcotest.test_case "empty and tiny" `Quick test_empty_and_tiny;
           Alcotest.test_case "rejects unsorted" `Quick test_rejects_unsorted;
           Alcotest.test_case "io bounds" `Quick test_io_bounds;
           Alcotest.test_case "linear space" `Quick test_space_linear;
           QCheck_alcotest.to_alcotest prop_matches_oracle;
-          QCheck_alcotest.to_alcotest prop_range_matches_oracle;
         ] );
     ]
