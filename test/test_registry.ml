@@ -2,11 +2,13 @@
    conformance suite: every registered structure must report exactly
    the points the linear-scan oracle reports, over every workload kind
    and every dimension it supports — both in memory and again after a
-   snapshot save / fresh reopen. *)
+   snapshot save / fresh reopen — and, at dims 2 and 3, every answer
+   size from empty to full. *)
 
 module Index = Lcsearch_index.Index
 module Registry = Lcsearch_index.Registry
 module Workloads = Lcsearch_index.Workloads
+module Shard = Lcsearch_index.Shard
 
 let contains s sub =
   let ls = String.length s and lsub = String.length sub in
@@ -252,6 +254,108 @@ let conformance_tests =
         M.dims)
     (Registry.all ())
 
+(* ---- selectivity: the conformance queries all select ~5%; these
+   sweep from empty to full answers, against a brute-force filter of
+   the dataset's rows (so scan is checked too) ---- *)
+
+(* [row] satisfies [q] when x_d <= a0 + sum_i a_i x_i. *)
+let satisfies (q : Index.query) row =
+  let d = Array.length row in
+  let rhs = ref q.a0 in
+  Array.iteri (fun i a -> rhs := !rhs +. (a *. row.(i))) q.a;
+  row.(d - 1) <= !rhs
+
+(* Random queries with coefficients inside the builders' clip box and
+   intercepts spanning well past the coordinate ranges, so many answers
+   are empty or full, plus flat and steep queries that hold for no
+   point and for every point. *)
+let sweep_queries rng ~dim =
+  let flat a0 = { Index.a0; a = Array.make (dim - 1) 0. } in
+  let steep a0 =
+    { Index.a0; a = Array.make (dim - 1) Workloads.coeff_clamp }
+  in
+  let random () =
+    let a0 = Random.State.float rng 1000. -. 500. in
+    let a =
+      Array.init (dim - 1) (fun _ ->
+          Random.State.float rng (2. *. Workloads.coeff_clamp)
+          -. Workloads.coeff_clamp)
+    in
+    { Index.a0; a }
+  in
+  [ flat (-1e4); flat 1e4; steep (-1e4); steep 1e4 ]
+  @ List.init 40 (fun _ -> random ())
+
+let selectivity_case (module M : Index.S) ~dim () =
+  let n = 128 in
+  let rng = Workload.rng (77 + dim + (Hashtbl.hash M.name mod 53)) in
+  let ds = Workloads.dataset rng ~kind:Workloads.Uniform ~dim ~n (module M) in
+  let t =
+    M.build ~params:Index.default_params ~stats:(Emio.Io_stats.create ()) ds
+  in
+  let rows = Index.rows_of_dataset ds in
+  let sizes =
+    List.mapi
+      (fun i q ->
+        let label what =
+          Printf.sprintf "%s d=%d query %d: %s" M.name dim i what
+        in
+        let want =
+          sorted_rows (List.filter (satisfies q) (Array.to_list rows))
+        in
+        Alcotest.(check bool)
+          (label "rows = brute force") true
+          (sorted_rows (M.query t q) = want);
+        Alcotest.(check int)
+          (label "query_count") (List.length want) (M.query_count t q);
+        let r = Emio.Reporter.create () in
+        let c = M.query_into t q r in
+        let ids = List.sort_uniq Int.compare (Emio.Reporter.to_list r) in
+        Alcotest.(check int) (label "query_into count") (List.length want) c;
+        Alcotest.(check bool)
+          (label "id rows = brute force") true
+          (List.length ids = c
+          && List.for_all (fun id -> id >= 0 && id < n) ids
+          && sorted_rows (List.map (fun id -> rows.(id)) ids) = want);
+        List.length want)
+      (sweep_queries rng ~dim)
+  in
+  (match sizes with
+  | none :: all :: steep_none :: steep_all :: _ ->
+      Alcotest.(check (list int))
+        "flat and steep extremes" [ 0; n; 0; n ]
+        [ none; all; steep_none; steep_all ]
+  | _ -> assert false);
+  Alcotest.(check bool)
+    "some random answer is neither empty nor full" true
+    (List.exists (fun k -> k > 0 && k < n) sizes)
+
+let selectivity_tests =
+  List.concat_map
+    (fun (module M : Index.S) ->
+      List.filter_map
+        (fun dim ->
+          if not (List.mem dim M.dims) then None
+          else
+            Some
+              (Alcotest.test_case
+                 (Printf.sprintf "%s d=%d empty to full" M.name dim)
+                 `Quick
+                 (selectivity_case (module M : Index.S) ~dim)))
+        [ 2; 3 ])
+    (Registry.all ())
+  @ List.map
+      (fun (inner, dim) ->
+        let (module Sh : Index.S) =
+          Shard.make ~inner:(Registry.find_exn inner) ~shards:4
+            ~partition:Shard.Str ()
+        in
+        Alcotest.test_case
+          (Printf.sprintf "%s sharded d=%d empty to full" inner dim)
+          `Quick
+          (selectivity_case (module Sh : Index.S) ~dim))
+      [ ("h2", 2); ("ptree", 3) ]
+
 let () =
   Alcotest.run "registry"
     [
@@ -272,4 +376,5 @@ let () =
             test_scan_d_snapshot_roundtrip;
         ] );
       ("conformance", conformance_tests);
+      ("selectivity", selectivity_tests);
     ]

@@ -1,5 +1,5 @@
 (* Tests for the external B+-tree: predecessor search against a
-   sorted-array oracle, plus the O(log_B n) I/O bound. *)
+   sorted-array oracle, the O(log_B n) I/O bound, and persistence. *)
 
 let build ?(block_size = 4) keys =
   let stats = Emio.Io_stats.create () in
@@ -57,6 +57,56 @@ let test_space_linear () =
   (* leaves = 256, internals = 16 + 1 *)
   Alcotest.(check int) "space" 273 (Xbtree.Btree.space_blocks t)
 
+(* The persisted form is everything but the comparator: a decoded
+   tree, given [cmp] again, answers and costs like the original. *)
+let test_portable_roundtrip () =
+  let t, _ = build ~block_size:4 (sorted 60) in
+  let codec = Xbtree.Btree.portable_codec Emio.Codec.int Emio.Codec.int in
+  let bytes = Emio.Codec.encode codec (Xbtree.Btree.to_portable t) in
+  let stats = Emio.Io_stats.create () in
+  let back =
+    Xbtree.Btree.of_portable ~stats ~cmp:compare
+      (Emio.Codec.decode codec bytes)
+  in
+  Alcotest.(check int)
+    "height" (Xbtree.Btree.height t)
+    (Xbtree.Btree.height back);
+  Alcotest.(check int) "space" (Xbtree.Btree.space_blocks t)
+    (Xbtree.Btree.space_blocks back);
+  List.iter
+    (fun x ->
+      Alcotest.(check (option (pair int int)))
+        (Printf.sprintf "predecessor %d" x)
+        (Xbtree.Btree.predecessor t x)
+        (Xbtree.Btree.predecessor back x))
+    [ -1; 0; 1; 57; 58; 118; 119; 500 ];
+  Emio.Io_stats.reset stats;
+  ignore (Xbtree.Btree.predecessor back 77);
+  Alcotest.(check int) "search costs height I/Os on the revived stats"
+    (Xbtree.Btree.height back) (Emio.Io_stats.reads stats)
+
+(* "Predecessor" follows [cmp], not the polymorphic order: under a
+   descending comparator it is the least key >= the probe. *)
+let test_custom_cmp () =
+  let desc a b = compare b a in
+  let keys = [| 90; 70; 50; 30; 10 |] in
+  let stats = Emio.Io_stats.create () in
+  let t =
+    Xbtree.Btree.bulk_load ~stats ~block_size:2 ~cmp:desc
+      (Array.map (fun k -> (k, -k)) keys)
+  in
+  let pred x = Xbtree.Btree.predecessor t x in
+  Alcotest.(check (option (pair int int))) "exact" (Some (50, -50)) (pred 50);
+  Alcotest.(check (option (pair int int))) "between" (Some (70, -70)) (pred 60);
+  Alcotest.(check (option (pair int int))) "before the first" None (pred 95);
+  Alcotest.(check (option (pair int int))) "past the last" (Some (10, -10))
+    (pred 0);
+  Alcotest.check_raises "ascending input rejected under desc"
+    (Invalid_argument "Btree.bulk_load: entries not sorted") (fun () ->
+      ignore
+        (Xbtree.Btree.bulk_load ~stats ~block_size:2 ~cmp:desc
+           [| (1, 0); (2, 0) |]))
+
 let prop_matches_oracle =
   QCheck.Test.make ~count:300 ~name:"btree matches sorted-array oracle"
     QCheck.(
@@ -91,6 +141,9 @@ let () =
           Alcotest.test_case "rejects unsorted" `Quick test_rejects_unsorted;
           Alcotest.test_case "io bounds" `Quick test_io_bounds;
           Alcotest.test_case "linear space" `Quick test_space_linear;
+          Alcotest.test_case "portable roundtrip" `Quick
+            test_portable_roundtrip;
+          Alcotest.test_case "custom comparator" `Quick test_custom_cmp;
           QCheck_alcotest.to_alcotest prop_matches_oracle;
         ] );
     ]
