@@ -9,7 +9,7 @@
 
    Page [i] lives at byte offset [i * page_size].  Reads validate the
    checksum and report corruption or truncation as a typed error.
-   Physical I/O (one page per read/write, plus byte counts) is recorded
+   Physical I/O (one page per read/write, plus bytes read) is recorded
    in the attached Io_stats. *)
 
 let header_bytes = 8
@@ -45,13 +45,9 @@ let create ~stats ~path ~page_size =
   let fd = Unix.openfile path [ O_RDWR; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644 in
   { fd; path; page_size; stats; pages = 0; closed = false }
 
-let open_existing ?(read_only = true) ~stats ~path ~page_size () =
+let open_existing ~stats ~path ~page_size () =
   check_page_size page_size;
-  let flags =
-    (if read_only then [ Unix.O_RDONLY ] else [ Unix.O_RDWR ])
-    @ [ Unix.O_CLOEXEC ]
-  in
-  let fd = Unix.openfile path flags 0o644 in
+  let fd = Unix.openfile path [ O_RDONLY; O_CLOEXEC ] 0 in
   let size = (Unix.fstat fd).st_size in
   (* a trailing partial page is readable territory for the caller to
      reject as Short_page, so round up *)
@@ -115,8 +111,7 @@ let write_page t page payload =
   put_u32 buf 4 crc;
   pwrite_all t buf (page * t.page_size);
   if page >= t.pages then t.pages <- page + 1;
-  Emio.Io_stats.record_write t.stats;
-  Emio.Io_stats.record_bytes_written t.stats t.page_size
+  Emio.Io_stats.record_write t.stats
 
 let read_page t page =
   check_open t;
@@ -141,10 +136,6 @@ let read_page t page =
       end
     end
   end
-
-let flush t =
-  check_open t;
-  Unix.fsync t.fd
 
 let close t =
   if not t.closed then begin

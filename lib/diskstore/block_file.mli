@@ -7,8 +7,12 @@
     payload, so every read is integrity-checked and a single flipped
     byte anywhere in a page — or corruption/truncation — surfaces as a
     typed {!read_error} instead of garbage data.  Every physical page
-    transfer is recorded in the attached {!Emio.Io_stats}, including
-    byte counts. *)
+    transfer is recorded in the attached {!Emio.Io_stats}, and so are
+    the bytes read.
+
+    Pages are written only by {!Snapshot.save}, into a fresh file from
+    {!create} that {!replace_atomically} then renames into place; a
+    file reopened with {!open_existing} is read-only. *)
 
 type t
 
@@ -28,13 +32,8 @@ val create : stats:Emio.Io_stats.t -> path:string -> page_size:int -> t
 (** Create (or truncate) a page file, opened read-write. *)
 
 val open_existing :
-  ?read_only:bool ->
-  stats:Emio.Io_stats.t ->
-  path:string ->
-  page_size:int ->
-  unit ->
-  t
-(** Open an existing page file ([read_only] defaults to [true]).
+  stats:Emio.Io_stats.t -> path:string -> page_size:int -> unit -> t
+(** Open an existing page file, read-only.
     Raises [Unix.Unix_error] if the path does not exist. *)
 
 val path : t -> string
@@ -57,9 +56,6 @@ val write_page : t -> int -> bytes -> unit
 
 val read_page : t -> int -> (bytes, read_error) result
 (** Fetch and verify page [i]'s payload.  One physical read. *)
-
-val flush : t -> unit
-(** [fsync] the descriptor. *)
 
 val close : t -> unit
 (** Close the descriptor; idempotent. *)

@@ -1,18 +1,17 @@
-(* A write-back page cache over a Block_file with pluggable eviction.
+(* A read cache of pages over a Block_file with pluggable eviction.
 
-   The pool holds up to [capacity] page payloads.  Reads and writes of
-   resident pages are free cache hits; a miss costs one physical page
-   read, and evicting a dirty frame costs one physical page write
-   (write-back).  Hits and evictions are recorded in the file's
-   Io_stats; the physical transfers are recorded by Block_file itself,
-   so after a [flush] the stats read like a real device trace:
-   reads = page faults, writes = write-backs, hits = saved I/Os. *)
+   The pool holds up to [capacity] page payloads.  Reads of resident
+   pages are free cache hits; a miss costs one physical page read.
+   Hits and evictions are recorded in the file's Io_stats; the
+   physical reads are recorded by Block_file itself, so the stats read
+   like a real device trace: reads = page faults, hits = saved I/Os.
+   Nothing is ever written: a snapshot file is written once, whole, by
+   Snapshot.save. *)
 
 type policy = Lru | Clock
 
 type frame = {
-  mutable data : bytes;
-  mutable dirty : bool;
+  data : bytes;
   mutable referenced : bool; (* CLOCK second-chance bit *)
 }
 
@@ -41,19 +40,11 @@ let create ~file ~policy ~capacity =
 let file t = t.file
 let stats t = Block_file.stats t.file
 
-let write_back t page frame =
-  if frame.dirty then begin
-    Block_file.write_page t.file page frame.data;
-    frame.dirty <- false
-  end
-
 let evict t page =
-  match Hashtbl.find_opt t.frames page with
-  | None -> ()
-  | Some frame ->
-      write_back t page frame;
-      Hashtbl.remove t.frames page;
-      Emio.Io_stats.record_eviction (stats t)
+  if Hashtbl.mem t.frames page then begin
+    Hashtbl.remove t.frames page;
+    Emio.Io_stats.record_eviction (stats t)
+  end
 
 (* Claim a CLOCK slot for [page], evicting the victim the hand settles
    on.  Each frame gets a second chance: a set reference bit is cleared
@@ -82,55 +73,32 @@ let clock_claim t page =
   in
   sweep ()
 
-let insert t page data dirty =
-  let frame = { data; dirty; referenced = true } in
+let insert t page data =
   (match t.policy with
   | Lru ->
       let _hit, evicted = Emio.Lru.touch_report t.lru page in
       (match evicted with Some victim -> evict t victim | None -> ())
   | Clock -> clock_claim t page);
-  Hashtbl.replace t.frames page frame
-
-let touch t page frame =
-  match t.policy with
-  | Lru -> ignore (Emio.Lru.touch t.lru page)
-  | Clock -> frame.referenced <- true
+  Hashtbl.replace t.frames page { data; referenced = true }
 
 let read_page t page =
   if t.capacity = 0 then Block_file.read_page t.file page
   else
     match Hashtbl.find_opt t.frames page with
     | Some frame ->
-        touch t page frame;
+        (match t.policy with
+        | Lru -> ignore (Emio.Lru.touch t.lru page)
+        | Clock -> frame.referenced <- true);
         Emio.Io_stats.record_hit (stats t);
         Ok frame.data
     | None -> (
         match Block_file.read_page t.file page with
         | Error _ as e -> e
         | Ok data ->
-            insert t page data false;
+            insert t page data;
             Ok data)
 
-let write_page t page data =
-  if t.capacity = 0 then Block_file.write_page t.file page data
-  else
-    match Hashtbl.find_opt t.frames page with
-    | Some frame ->
-        frame.data <- data;
-        frame.dirty <- true;
-        touch t page frame;
-        Emio.Io_stats.record_hit (stats t)
-    | None -> insert t page data true
-
-let flush t =
-  (* deterministic order: ascending page number *)
-  Hashtbl.fold (fun page frame acc -> (page, frame) :: acc) t.frames []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.iter (fun (page, frame) -> write_back t page frame);
-  Block_file.flush t.file
-
 let drop t =
-  flush t;
   Hashtbl.reset t.frames;
   Emio.Lru.clear t.lru;
   Array.fill t.slots 0 (Array.length t.slots) (-1);

@@ -1,28 +1,30 @@
-(** The file-backed implementation of {!Emio.Store_intf.BACKEND}.
+(** The file-backed implementation of {!Emio.Store_intf.BACKEND}: a
+    read-only view of a snapshot's payload pages.
 
-    Each logical store block — already codec-encoded to bytes by
-    {!Emio.Store} — occupies a span of consecutive checksummed pages in
-    a {!Block_file}, read and written through a {!Buffer_pool}.  The
-    block table (block id → first page, byte length) is kept in memory
-    and persisted by {!Snapshot}.
+    Each logical store block — codec-encoded to bytes by
+    {!Emio.Store.export_bytes} and written once by {!Snapshot.save} —
+    occupies a span of consecutive checksummed pages in a
+    {!Block_file}, read through a {!Buffer_pool}.  The block table
+    (block id → first page, byte length) comes from the snapshot and
+    never changes.
 
-    Plug it into any structure with
+    {!Snapshot.open_as} builds one per reopened file and hands it to
+    the structure's [of_skeleton], which opens its payload store over
+    it:
     {[
-      let pool = Buffer_pool.create ~file ~policy:Lru ~capacity:64 in
-      let be = File_backend.(backend (create pool)) in
-      let t = Core.Halfspace2d.build ~stats ~block_size ~backend:be pts
+      let store =
+        Emio.Store.of_backend ~stats ~block_size ~codec
+          (File_backend.backend fb)
     ]} *)
 
 type t
 
-val create : ?base_page:int -> Buffer_pool.t -> t
-(** Fresh backend with an empty block table, allocating pages from
-    [base_page] (default 0) upward. *)
-
 val of_table :
   ?base_page:int -> ?payloads:bytes array -> table:(int * int) array ->
   Buffer_pool.t -> t
-(** Reopen over an existing page layout (used by {!Snapshot.open_as}).
+(** A view over an existing page layout (used by {!Snapshot.open_as}):
+    block [i] spans pages from [base_page + fst table.(i)] (default
+    base 0) and holds [snd table.(i)] bytes.  The table is not copied.
     [payloads], one per table entry, are the block bytes the caller
     has already read and verified; the backend holds them only until
     a store opened over it ({!Emio.Store.of_backend}) takes them
@@ -39,5 +41,4 @@ val resident_on_reopen : unit -> bool
 (** The current value of the {!set_resident_on_reopen} switch. *)
 
 val backend : t -> Emio.Store_intf.backend
-(** First-class module wrapper to pass to [Emio.Store.create ~backend]
-    or [Emio.Store.of_backend]. *)
+(** First-class module wrapper to pass to {!Emio.Store.of_backend}. *)

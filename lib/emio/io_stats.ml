@@ -4,7 +4,6 @@ type t = {
   mutable hits : int;
   mutable evictions : int;
   mutable bytes_read : int;
-  mutable bytes_written : int;
 }
 
 let create () =
@@ -14,7 +13,6 @@ let create () =
     hits = 0;
     evictions = 0;
     bytes_read = 0;
-    bytes_written = 0;
   }
 
 let reads t = t.reads
@@ -23,7 +21,6 @@ let total t = t.reads + t.writes
 let cache_hits t = t.hits
 let evictions t = t.evictions
 let bytes_read t = t.bytes_read
-let bytes_written t = t.bytes_written
 
 (* Every record is mirrored into the installed Cost_ctx stack (if
    any), so per-query scoped accounting never needs to reset these
@@ -63,9 +60,6 @@ let record_bytes_read t n =
   t.bytes_read <- t.bytes_read + n;
   Cost_ctx.note_bytes_read n
 
-let record_bytes_written t n =
-  t.bytes_written <- t.bytes_written + n
-
 (* Fold [src]'s counters into [t], mirroring into any installed
    Cost_ctx exactly as the equivalent record_* sequence would. *)
 let merge_into ~src t =
@@ -74,7 +68,6 @@ let merge_into ~src t =
   t.hits <- t.hits + src.hits;
   t.evictions <- t.evictions + src.evictions;
   t.bytes_read <- t.bytes_read + src.bytes_read;
-  t.bytes_written <- t.bytes_written + src.bytes_written;
   Cost_ctx.note_bulk ~reads:src.reads ~writes:src.writes ~hits:src.hits
     ~bytes_read:src.bytes_read
 
@@ -83,5 +76,4 @@ let reset t =
   t.writes <- 0;
   t.hits <- 0;
   t.evictions <- 0;
-  t.bytes_read <- 0;
-  t.bytes_written <- 0
+  t.bytes_read <- 0

@@ -8,10 +8,11 @@
 
     The same counters serve the real file-backed store
     ([Diskstore.Block_file] / [Diskstore.Buffer_pool]): there a read or
-    write is one physical page transfer, [bytes_read]/[bytes_written]
-    record the raw byte traffic, and [evictions] counts buffer-pool
-    frame replacements.  The in-memory simulator never records bytes or
-    evictions, so those stay zero for model-level experiments. *)
+    write is one physical page transfer, [bytes_read] records the raw
+    bytes read, and [evictions] counts buffer-pool frame replacements.
+    A reopened snapshot is read-only, so its [writes] stay zero.  The
+    in-memory simulator never records bytes or evictions, so those stay
+    zero for model-level experiments. *)
 
 type t
 
@@ -36,9 +37,6 @@ val evictions : t -> int
 val bytes_read : t -> int
 (** Physical bytes read from disk (always [0] for the simulator). *)
 
-val bytes_written : t -> int
-(** Physical bytes written to disk (always [0] for the simulator). *)
-
 (** The [record_*] functions also mirror each count into any installed
     {!Cost_ctx} (see {!Cost_ctx.with_ctx}), leaving these ambient
     counters themselves untouched by the scoping machinery. *)
@@ -48,7 +46,6 @@ val record_write : t -> unit
 val record_hit : t -> unit
 val record_eviction : t -> unit
 val record_bytes_read : t -> int -> unit
-val record_bytes_written : t -> int -> unit
 
 val record_read_traced : t -> bool
 (** Like {!record_read} but additionally reports whether some

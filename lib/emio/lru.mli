@@ -17,7 +17,7 @@ val touch : t -> int -> bool
 val touch_report : t -> int -> bool * int option
 (** Like {!touch}, but also reports the id evicted to make room (if
     any) so callers managing per-id payloads — e.g. a buffer pool
-    writing back dirty pages — can act on the victim. *)
+    dropping the evicted page's frame — can act on the victim. *)
 
 val clear : t -> unit
 

@@ -2,12 +2,11 @@ type 'a mem = { mutable blocks : 'a array array; mutable used : int }
 
 type 'a ext = {
   backend : Store_intf.backend;
-  mutable allocated : int;
-  resident : 'a mem option;
+  resident : 'a array array option;
       (* over a resident backend: every block, decoded once by
-         [of_backend].  Immutable while the structure is read-only, so
-         domains share it; a read returns the block itself and charges
-         what the backend's own read would. *)
+         [of_backend].  Immutable, so domains share it; a read returns
+         the block itself and charges what the backend's own read
+         would. *)
 }
 
 type 'a state = Mem of 'a mem | Ext of 'a ext
@@ -23,7 +22,7 @@ type 'a state = Mem of 'a mem | Ext of 'a ext
 type 'a t = {
   stats : Io_stats.t;
   block_size : int;
-  mutable state : 'a state;
+  state : 'a state;
   cache_blocks : int;
   lru : Lru.t Domain.DLS.key option;
   (* block codec = Codec.array of the element codec: the wire format of
@@ -37,34 +36,30 @@ let block_codec t op =
   | Some c -> c
   | None -> invalid_arg ("Store." ^ op ^ ": store has no codec")
 
-let create ~stats ~block_size ?(cache_blocks = 0) ?codec ?backend () =
+let make ~stats ~block_size ~cache_blocks ~codec state =
   if block_size <= 0 then invalid_arg "Store.create: block_size must be > 0";
   if cache_blocks < 0 then
     invalid_arg "Store.create: cache_blocks must be >= 0";
-  let codec = Option.map Codec.array codec in
-  let state =
-    match backend with
-    | None -> Mem { blocks = Array.make 16 [||]; used = 0 }
-    | Some backend ->
-        if codec = None then
-          invalid_arg "Store.create: an external backend requires a codec";
-        Ext { backend; allocated = 0; resident = None }
-  in
   let lru =
     match state with
     | Mem _ when cache_blocks > 0 ->
         Some (Domain.DLS.new_key (fun () -> Lru.create ~capacity:cache_blocks))
     | Mem _ | Ext _ -> None
   in
+  let codec = Option.map Codec.array codec in
   { stats; block_size; state; cache_blocks; lru; codec }
+
+let create ~stats ~block_size ?(cache_blocks = 0) ?codec () =
+  make ~stats ~block_size ~cache_blocks ~codec
+    (Mem { blocks = Array.make 16 [||]; used = 0 })
 
 let block_size t = t.block_size
 let cache_blocks t = t.cache_blocks
 
 let blocks_used t =
-  match t.state with Mem m -> m.used | Ext e -> e.allocated
-
-let is_external t = match t.state with Mem _ -> false | Ext _ -> true
+  match t.state with
+  | Mem m -> m.used
+  | Ext { backend = Store_intf.Backend ((module B), b); _ } -> B.blocks_used b
 
 let grow m =
   let capacity = Array.length m.blocks in
@@ -100,38 +95,14 @@ let alloc t data =
       in
       if traced then Cost_ctx.emit Block_write;
       id
-  | Ext ({ backend = Store_intf.Backend ((module B), b); _ } as e) ->
-      let codec = block_codec t "alloc" in
-      let bytes = Codec.encode codec data in
-      let id = B.alloc b bytes in
-      e.allocated <- e.allocated + 1;
-      (match e.resident with
-      | Some m ->
-          (* store the decoded bytes, as a non-resident read would
-             return them — never the caller's array *)
-          assert (id = m.used);
-          grow m;
-          m.blocks.(id) <- Codec.decode codec bytes;
-          m.used <- m.used + 1
-      | None -> ());
-      if Cost_ctx.tracing () then Cost_ctx.emit Block_write;
-      id
+  | Ext _ -> invalid_arg "Store.alloc: external store is read-only"
 
-(* An external read: the resident block itself, charged as the
-   backend's own read would be, or the backend's bytes decoded. *)
-let fetch t e id =
-  let (Store_intf.Backend ((module B), b)) = e.backend in
-  match e.resident with
-  | Some m ->
-      if id < 0 || id >= m.used then invalid_arg "Store.read: bad block id";
-      B.charge_read b id;
-      m.blocks.(id)
-  | None -> Codec.decode (block_codec t "read") (B.read b id)
+let bad_id () = invalid_arg "Store.read: bad block id"
 
 let read (t : 'a t) id : 'a array =
   match t.state with
   | Mem m ->
-      if id < 0 || id >= m.used then invalid_arg "Store.read: bad block id";
+      if id < 0 || id >= m.used then bad_id ();
       let hit = touch_cache t id in
       let traced =
         if hit then Io_stats.record_hit_traced t.stats
@@ -139,9 +110,16 @@ let read (t : 'a t) id : 'a array =
       in
       if traced then Cost_ctx.emit (Block_read { hit });
       m.blocks.(id)
-  | Ext e ->
+  | Ext { backend = Store_intf.Backend ((module B), b); resident } -> (
+      if id < 0 || id >= B.blocks_used b then bad_id ();
       if Cost_ctx.tracing () then Cost_ctx.emit (Block_read { hit = false });
-      fetch t e id
+      (* the resident block itself, charged as the backend's own read
+         would be, or the backend's bytes decoded *)
+      match resident with
+      | Some blocks ->
+          B.charge_read b id;
+          blocks.(id)
+      | None -> Codec.decode (block_codec t "read") (B.read b id))
 
 let drop_cache t =
   match t.state with
@@ -165,32 +143,20 @@ let to_blocks t =
   | Ext _ -> invalid_arg "Store.to_blocks: external store"
 
 let of_blocks ~stats ~block_size ?(cache_blocks = 0) ?codec blocks =
-  let t = create ~stats ~block_size ~cache_blocks ?codec () in
-  (match t.state with
-  | Mem m ->
-      Array.iter
-        (fun b ->
-          if Array.length b > block_size then
-            raise (Codec.Decode "Store.of_blocks: block larger than block_size"))
-        blocks;
-      m.blocks <- (if Array.length blocks = 0 then Array.make 16 [||] else Array.copy blocks);
-      m.used <- Array.length blocks
-  | Ext _ -> assert false);
-  t
+  Array.iter
+    (fun b ->
+      if Array.length b > block_size then
+        raise (Codec.Decode "Store.of_blocks: block larger than block_size"))
+    blocks;
+  let used = Array.length blocks in
+  let blocks = if used = 0 then Array.make 16 [||] else Array.copy blocks in
+  make ~stats ~block_size ~cache_blocks ~codec (Mem { blocks; used })
 
 let of_backend ~stats ~block_size ?(cache_blocks = 0) ~codec backend =
-  let t = create ~stats ~block_size ~cache_blocks ~codec ~backend () in
   let (Store_intf.Backend ((module B), b)) = backend in
   (* decode a resident backend's blocks here, once, before any query
      (or domain fan-out) can read them *)
-  let resident =
-    Option.map
-      (fun payloads ->
-        let blocks = Array.map (Codec.decode (block_codec t "of_backend")) payloads in
-        {
-          blocks = (if Array.length blocks = 0 then Array.make 16 [||] else blocks);
-          used = Array.length blocks;
-        })
-      (B.take_resident b)
-  in
-  { t with state = Ext { backend; allocated = B.blocks_used b; resident } }
+  let decode = Codec.decode (Codec.array codec) in
+  let resident = Option.map (Array.map decode) (B.take_resident b) in
+  make ~stats ~block_size ~cache_blocks ~codec:(Some codec)
+    (Ext { backend; resident })

@@ -1,29 +1,32 @@
-(** A disk of blocks of ['a], over one of two interchangeable backends.
+(** A disk of blocks of ['a], in one of two modes.
 
-    The default backend is the purely in-memory {e simulator}: each
-    block stores at most [block_size] items, and reading or writing a
-    block charges one I/O to the attached {!Io_stats}, unless the block
-    is resident in the store's LRU cache (see [cache_blocks]), in which
-    case the access is a free cache hit — this models the paper's main
-    memory of M = [cache_blocks] blocks.  All of the paper's structures
-    are laid out in stores like this one, so the I/O counts our
-    benchmarks report are exactly the quantity Table 1 bounds.
+    A store made by {!create} is the purely in-memory {e simulator}:
+    each block stores at most [block_size] items, and reading or
+    writing a block charges one I/O to the attached {!Io_stats}, unless
+    the block is resident in the store's LRU cache (see
+    [cache_blocks]), in which case the access is a free cache hit —
+    this models the paper's main memory of M = [cache_blocks] blocks.
+    All of the paper's structures are built in stores like this one,
+    so the I/O counts our benchmarks report are exactly the quantity
+    Table 1 bounds.
 
-    Passing [?backend] instead plugs in an external byte-level backend
-    (see {!Store_intf.BACKEND}, implemented by [Diskstore.File_backend]):
-    blocks are serialized through the store's {!Codec.t} and handed to
-    the backend, which lays them out as fixed-size checksummed pages on
-    a real file and records physical page reads/writes, buffer-pool
+    A store made by {!of_backend} is a read-only view over an external
+    byte-level backend (see {!Store_intf.BACKEND}, implemented by
+    [Diskstore.File_backend]) that already holds every block: a
+    reopened snapshot.  Each read decodes the backend's bytes through
+    the store's {!Codec.t}; the backend reads fixed-size checksummed
+    pages from a real file and records physical page reads, buffer-pool
     hits and evictions, and byte counts through its own {!Io_stats}.
     The store itself charges nothing in that mode, so model-level
     accounting is never mixed with physical accounting, and it keeps
     no cache: every read goes to the backend, whose buffer pool is the
-    only cache of non-resident pages.
+    only cache of non-resident pages.  Bytes reach a file only through
+    [Diskstore.Snapshot.save], from {!export_bytes}.
 
     Serialization never uses [Marshal]: any store that needs to touch
     bytes (external mode, {!export_bytes}) must be given the element
-    codec at creation time, which is what makes the on-disk form
-    architecture- and compiler-independent. *)
+    codec, which is what makes the on-disk form architecture- and
+    compiler-independent. *)
 
 type 'a t
 
@@ -32,23 +35,19 @@ val create :
   block_size:int ->
   ?cache_blocks:int ->
   ?codec:'a Codec.t ->
-  ?backend:Store_intf.backend ->
   unit ->
   'a t
-(** [cache_blocks] defaults to [0] (cold cache: every access charged).
-    On the simulator backend it is the paper's main memory M: every
-    domain that touches the store gets a private LRU of exactly
+(** An empty simulator store.  [cache_blocks] defaults to [0] (cold
+    cache: every access charged).  It is the paper's main memory M:
+    every domain that touches the store gets a private LRU of exactly
     [cache_blocks] blocks, created on its first access, and resident
     blocks cost nothing — so a batch over D domains models D memories
-    of M blocks each.  An external backend records the value (see
-    {!cache_blocks}) but does not use it.  [backend] defaults to the
-    in-memory simulator.
+    of M blocks each.
 
     [codec] is the {e element} codec; the store derives the per-block
-    wire format from it.  It is required when [backend] is given
-    (raises [Invalid_argument] otherwise) and by {!export_bytes};
-    a pure simulator store that is only ever embedded in a skeleton
-    (via {!to_blocks}) may omit it. *)
+    wire format from it.  It is required by {!export_bytes}; a store
+    that is only ever embedded in a skeleton (via {!to_blocks}) may
+    omit it. *)
 
 val block_size : 'a t -> int
 
@@ -58,14 +57,16 @@ val cache_blocks : 'a t -> int
 
 val alloc : 'a t -> 'a array -> int
 (** Store a fresh block (length ≤ [block_size]); charges one write and
-    returns the new block id. *)
+    returns the new block id.
+    @raise Invalid_argument on an external store, which is read-only. *)
 
 val read : 'a t -> int -> 'a array
 (** Fetch a block; charges one read on a cache miss.  The returned
     array is the store's own copy and must not be mutated: in
     simulator mode and over a resident backend (see {!of_backend}) it
     is the stored block itself, shared by every reader.
-    @raise Invalid_argument on a bad block id (simulator mode).
+    @raise Invalid_argument on a bad block id, before anything is
+    charged or traced.
     @raise Codec.Decode if an external block's bytes are corrupt. *)
 
 val blocks_used : 'a t -> int
@@ -73,18 +74,13 @@ val blocks_used : 'a t -> int
 
 val drop_cache : 'a t -> unit
 (** Empty the calling domain's LRU cache or the backend's buffer pool
-    (e.g. between build and query phases).  Dirty pages are written
-    back first. *)
-
-val is_external : 'a t -> bool
-(** [true] iff the store runs over an external (file) backend. *)
+    (e.g. between build and query phases). *)
 
 val export_bytes : 'a t -> bytes array
 (** Every block, codec-encoded — the payload a [Diskstore.Snapshot]
     persists.  Simulator mode encodes through the codec
     ([Invalid_argument] if the store has none); for external stores
-    this returns the backend's raw payloads (only valid when the store
-    is the backend's sole user). *)
+    this returns the backend's raw payloads. *)
 
 (** {2 Snapshot reconstruction}
 
@@ -115,8 +111,8 @@ val of_backend :
   codec:'a Codec.t ->
   Store_intf.backend ->
   'a t
-(** External-mode store over an already-populated backend; block ids
-    [0 .. blocks_used - 1] are readable immediately.  [cache_blocks]
+(** Read-only external-mode store over an already-populated backend;
+    block ids [0 .. blocks_used - 1] are readable immediately.  [cache_blocks]
     is only recorded (a reopened structure re-saves the value it was
     built with); every read reaches the backend.
 
@@ -126,7 +122,5 @@ val of_backend :
     structure is read-only — so concurrent readers on several domains
     share it.  A read then returns the decoded block and charges
     {!Store_intf.BACKEND.charge_read}, exactly what the backend's own
-    read would have charged, with the same {!Cost_ctx} events;
-    {!alloc} keeps the decoded array current (with a fresh decode of
-    the written bytes, never the caller's array).
+    read would have charged, with the same {!Cost_ctx} events.
     @raise Codec.Decode if a resident block's bytes are corrupt. *)

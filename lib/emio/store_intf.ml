@@ -1,22 +1,17 @@
 (* The byte-level backend signature behind Store: a pluggable "disk".
 
    The simulator keeps blocks as OCaml arrays and charges model I/Os;
-   an external backend (Diskstore.File_backend) receives each block
-   already marshalled to bytes and is free to lay it out on a real
-   device, cache it in a buffer pool, and record physical I/O itself.
-   Backends are passed around as first-class modules paired with their
-   state (the [backend] GADT), so a single ['a Store.t] type covers
-   every structure in the repo without functorizing each one. *)
+   an external backend (Diskstore.File_backend) serves blocks that a
+   snapshot already laid out on a real device, as codec-encoded bytes,
+   and is free to cache them in a buffer pool and record physical I/O
+   itself.  Backends are read-only: a snapshot file is written once,
+   whole, by Diskstore.Snapshot.save.  They are passed around as
+   first-class modules paired with their state (the [backend] GADT),
+   so a single ['a Store.t] type covers every structure in the repo
+   without functorizing each one. *)
 
 module type BACKEND = sig
   type t
-
-  val name : t -> string
-  (** Human-readable backend identifier (e.g. ["file:/tmp/h2.idx"]). *)
-
-  val alloc : t -> bytes -> int
-  (** Store a fresh block payload; returns its block id.  The backend
-      records whatever physical I/O the allocation costs. *)
 
   val read : t -> int -> bytes
   (** Fetch a block payload.  Raises [Failure] on an unreadable or
@@ -36,12 +31,10 @@ module type BACKEND = sig
       already holds (see {!take_resident}). *)
 
   val blocks_used : t -> int
-  (** Number of blocks allocated through this backend. *)
+  (** Number of blocks the backend holds. *)
 
   val drop_cache : t -> unit
-  (** Flush and empty any cache (buffer pool) the backend maintains. *)
+  (** Empty any cache (buffer pool) the backend maintains. *)
 end
 
 type backend = Backend : (module BACKEND with type t = 'b) * 'b -> backend
-
-let backend_name (Backend ((module B), b)) = B.name b

@@ -1,6 +1,6 @@
 (* Tests for the persistent block store: CRC32, checksummed page I/O,
-   the buffer pool (LRU + CLOCK eviction, dirty write-back), the file
-   backend behind Emio.Store, and snapshot save/load robustness. *)
+   the read-only buffer pool (LRU + CLOCK eviction), the file backend
+   behind Emio.Store, and snapshot save/load robustness. *)
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -72,10 +72,7 @@ let test_block_file_roundtrip () =
       Alcotest.(check string)
         "page 2" ""
         (expect_payload (Diskstore.Block_file.read_page file 2));
-      check "bytes written = 3 pages" (3 * 128)
-        (Emio.Io_stats.bytes_written stats);
       check "writes" 3 (Emio.Io_stats.writes stats);
-      Diskstore.Block_file.flush file;
       (* reopen from disk *)
       let stats2 = Emio.Io_stats.create () in
       let ro =
@@ -92,7 +89,6 @@ let test_block_file_corruption () =
   with_block_file (fun path _stats file ->
       Diskstore.Block_file.write_page file 0 (Bytes.of_string "payload-zero");
       Diskstore.Block_file.write_page file 1 (Bytes.of_string "payload-one");
-      Diskstore.Block_file.flush file;
       (* flip one payload byte of page 1 *)
       let raw = Bytes.of_string (read_file path) in
       let off = 128 + 8 + 3 in
@@ -123,6 +119,23 @@ let test_block_file_corruption () =
       (match Diskstore.Block_file.read_page ro 1 with
       | Error (Diskstore.Block_file.Short_page { page = 1 }) -> ()
       | _ -> Alcotest.fail "expected Short_page");
+      Diskstore.Block_file.close ro)
+
+(* A reopened page file is opened read-only: a write through it fails
+   and leaves the page as it was. *)
+let test_block_file_reopen_read_only () =
+  with_block_file (fun path _stats file ->
+      Diskstore.Block_file.write_page file 0 (Bytes.of_string "kept");
+      let ro =
+        Diskstore.Block_file.open_existing ~stats:(Emio.Io_stats.create ())
+          ~path ~page_size:128 ()
+      in
+      (match Diskstore.Block_file.write_page ro 0 (Bytes.of_string "over") with
+      | () -> Alcotest.fail "a write through a reopened file must fail"
+      | exception Unix.Unix_error (Unix.EBADF, _, _) -> ());
+      Alcotest.(check string)
+        "page intact" "kept"
+        (expect_payload (Diskstore.Block_file.read_page ro 0));
       Diskstore.Block_file.close ro)
 
 (* ---------- Buffer_pool ---------- *)
@@ -188,77 +201,42 @@ let test_pool_clock_second_chance () =
       ignore (pool_read pool 1);
       check "1 evicted" 1 (Emio.Io_stats.reads stats))
 
-let test_pool_dirty_writeback_on_eviction () =
-  with_pool ~policy:Diskstore.Buffer_pool.Lru ~capacity:1
+(* drop empties the pool, and the next read of a dropped page is a
+   fault again; nothing is ever written. *)
+let test_pool_drop_empties () =
+  with_pool ~policy:Diskstore.Buffer_pool.Lru ~capacity:2
     (fun _path stats pool ->
       let file = Diskstore.Buffer_pool.file pool in
+      for i = 0 to 1 do
+        Diskstore.Block_file.write_page file i
+          (Bytes.of_string (Printf.sprintf "page%d" i))
+      done;
       Emio.Io_stats.reset stats;
-      Diskstore.Buffer_pool.write_page pool 0 (Bytes.of_string "dirty-zero");
-      check "write buffered, no physical I/O" 0 (Emio.Io_stats.writes stats);
-      Diskstore.Buffer_pool.write_page pool 1 (Bytes.of_string "dirty-one");
-      check "eviction wrote page 0 back" 1 (Emio.Io_stats.writes stats);
-      check "eviction recorded" 1 (Emio.Io_stats.evictions stats);
-      (* page 0 must be physically readable now, bypassing the pool *)
-      Alcotest.(check string)
-        "written-back content" "dirty-zero"
-        (expect_payload (Diskstore.Block_file.read_page file 0));
-      Diskstore.Buffer_pool.flush pool;
-      Alcotest.(check string)
-        "flushed content" "dirty-one"
-        (expect_payload (Diskstore.Block_file.read_page file 1)))
+      ignore (pool_read pool 0);
+      ignore (pool_read pool 1);
+      ignore (pool_read pool 0);
+      check "one hit before the drop" 1 (Emio.Io_stats.cache_hits stats);
+      Diskstore.Buffer_pool.drop pool;
+      Alcotest.(check string) "dropped page reads back" "page0"
+        (pool_read pool 0);
+      check "a fault after the drop" 3 (Emio.Io_stats.reads stats);
+      check "no hit after the drop" 1 (Emio.Io_stats.cache_hits stats);
+      check "a drop is not an eviction" 0 (Emio.Io_stats.evictions stats);
+      check "no writes" 0 (Emio.Io_stats.writes stats))
 
-(* The same write sequence through a write-back pool (after flush) and
-   through a pool-free (capacity 0) path must leave identical files. *)
-let test_pool_flush_byte_identical () =
-  let sequence pool =
-    for i = 0 to 9 do
-      Diskstore.Buffer_pool.write_page pool i
-        (Bytes.of_string (Printf.sprintf "v1-page-%d" i))
-    done;
-    (* overwrite some resident and some evicted pages *)
-    List.iter
-      (fun i ->
-        Diskstore.Buffer_pool.write_page pool i
-          (Bytes.of_string (Printf.sprintf "v2-page-%d" i)))
-      [ 3; 0; 7 ];
-    ignore (pool_read pool 5);
-    Diskstore.Buffer_pool.flush pool
-  in
-  let run ~policy ~capacity =
-    with_pool ~policy ~capacity (fun path _stats pool ->
-        sequence pool;
-        read_file path)
-  in
-  let reference = run ~policy:Diskstore.Buffer_pool.Lru ~capacity:0 in
-  check_bool "lru pool file identical" true
-    (run ~policy:Diskstore.Buffer_pool.Lru ~capacity:3 = reference);
-  check_bool "clock pool file identical" true
-    (run ~policy:Diskstore.Buffer_pool.Clock ~capacity:3 = reference);
-  check_bool "big pool file identical" true
-    (run ~policy:Diskstore.Buffer_pool.Lru ~capacity:64 = reference)
-
-(* ---------- Emio.Store over the file backend ---------- *)
-
-let test_store_over_file_backend () =
-  with_pool ~policy:Diskstore.Buffer_pool.Lru ~capacity:4
+(* A pool of capacity 0 caches nothing: every read is a fault. *)
+let test_pool_capacity_zero () =
+  with_pool ~policy:Diskstore.Buffer_pool.Clock ~capacity:0
     (fun _path stats pool ->
-      let fb = Diskstore.File_backend.create pool in
-      let store =
-        Emio.Store.create ~stats ~block_size:4 ~codec:Emio.Codec.int
-          ~backend:(Diskstore.File_backend.backend fb) ()
-      in
-      check_bool "external" true (Emio.Store.is_external store);
-      let id0 = Emio.Store.alloc store [| 1; 2; 3; 4 |] in
-      let id1 = Emio.Store.alloc store [| 5; 6 |] in
-      check "ids sequential" 1 id1;
-      check "blocks used" 2 (Emio.Store.blocks_used store);
-      Alcotest.(check (array int)) "read back" [| 1; 2; 3; 4 |]
-        (Emio.Store.read store id0);
-      Alcotest.(check (array int)) "read back short block" [| 5; 6 |]
-        (Emio.Store.read store id1);
-      Diskstore.Buffer_pool.flush pool;
-      check_bool "physical bytes written" true
-        (Emio.Io_stats.bytes_written stats > 0))
+      Diskstore.Block_file.write_page (Diskstore.Buffer_pool.file pool) 0
+        (Bytes.of_string "page0");
+      Emio.Io_stats.reset stats;
+      for _ = 1 to 3 do
+        Alcotest.(check string) "read back" "page0" (pool_read pool 0)
+      done;
+      check "every read a fault" 3 (Emio.Io_stats.reads stats);
+      check "no hits" 0 (Emio.Io_stats.cache_hits stats);
+      check "no evictions" 0 (Emio.Io_stats.evictions stats))
 
 (* ---------- Snapshots ---------- *)
 
@@ -276,6 +254,59 @@ let open_h2 = Diskstore.Snapshot.open_as h2_format
 let expect_loaded = function
   | Ok v -> v
   | Error e -> Alcotest.failf "load failed: %s" (snapshot_error e)
+
+(* ---------- Emio.Store over the file backend ---------- *)
+
+(* A bare int store as a snapshot: its blocks are the payload and the
+   skeleton is its block size, so a reopen is a Store.of_backend over
+   the file. *)
+let int_store_format =
+  Diskstore.Snapshot.format ~kind:"test.ints" ~version:1 ~codec:Emio.Codec.int
+    ~payload:(fun s -> (Emio.Store.block_size s, Emio.Store.export_bytes s))
+    ~to_skeleton:Emio.Store.block_size
+    ~of_skeleton:(fun ~stats ~backend block_size ->
+      Emio.Store.of_backend ~stats ~block_size ~codec:Emio.Codec.int backend)
+
+(* Reads and drop_cache through a reopened store, at pool sizes 0 and
+   2, answer the saved blocks, never write, and leave the file's bytes
+   as they were. *)
+let test_store_over_file_backend () =
+  let blocks =
+    Array.init 6 (fun i -> Array.init (1 + (i mod 4)) (fun j -> (100 * i) + j))
+  in
+  let store =
+    Emio.Store.create ~stats:(Emio.Io_stats.create ()) ~block_size:4
+      ~codec:Emio.Codec.int ()
+  in
+  Array.iter (fun b -> ignore (Emio.Store.alloc store b)) blocks;
+  let path = temp_path () in
+  Diskstore.Snapshot.save_as int_store_format store ~path ~page_size:128 ();
+  let saved = read_file path in
+  List.iter
+    (fun cache_pages ->
+      let stats = Emio.Io_stats.create () in
+      let reopened, _ =
+        expect_loaded
+          (Diskstore.Snapshot.open_as int_store_format ~stats ~cache_pages path)
+      in
+      check "blocks used" 6 (Emio.Store.blocks_used reopened);
+      Emio.Io_stats.reset stats;
+      List.iter
+        (fun id ->
+          Alcotest.(check (array int))
+            (Printf.sprintf "cache_pages %d: block %d" cache_pages id)
+            blocks.(id)
+            (Emio.Store.read reopened id);
+          if id = 3 then Emio.Store.drop_cache reopened)
+        [ 0; 1; 0; 3; 5; 3; 2; 4; 0 ];
+      check_bool "pages read" true (Emio.Io_stats.reads stats > 0);
+      check (Printf.sprintf "cache_pages %d: no writes" cache_pages) 0
+        (Emio.Io_stats.writes stats);
+      check_bool
+        (Printf.sprintf "cache_pages %d: file bytes unchanged" cache_pages)
+        true
+        (read_file path = saved))
+    [ 0; 2 ]
 
 let test_snapshot_h2_roundtrip () =
   let points = build_points 4242 600 in
@@ -771,6 +802,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_block_file_roundtrip;
           Alcotest.test_case "corruption" `Quick test_block_file_corruption;
+          Alcotest.test_case "reopened read-only" `Quick
+            test_block_file_reopen_read_only;
         ] );
       ( "buffer_pool",
         [
@@ -778,13 +811,16 @@ let () =
             test_pool_lru_eviction_order;
           Alcotest.test_case "clock second chance" `Quick
             test_pool_clock_second_chance;
-          Alcotest.test_case "dirty write-back" `Quick
-            test_pool_dirty_writeback_on_eviction;
-          Alcotest.test_case "flush byte-identical" `Quick
-            test_pool_flush_byte_identical;
+          Alcotest.test_case "drop empties the pool" `Quick
+            test_pool_drop_empties;
+          Alcotest.test_case "capacity 0 caches nothing" `Quick
+            test_pool_capacity_zero;
         ] );
       ( "file_backend",
-        [ Alcotest.test_case "store roundtrip" `Quick test_store_over_file_backend ]
+        [
+          Alcotest.test_case "reopened store never writes" `Quick
+            test_store_over_file_backend;
+        ]
       );
       ( "snapshot",
         [

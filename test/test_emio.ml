@@ -86,18 +86,14 @@ let test_stats_physical_counters () =
   let id2 = Emio.Store.alloc store [| 2 |] in
   ignore (Emio.Store.read store id1);
   ignore (Emio.Store.read store id2);
-  check "simulator writes no bytes" 0 (Emio.Io_stats.bytes_written stats);
   check "simulator reads no bytes" 0 (Emio.Io_stats.bytes_read stats);
   check "simulator records no evictions" 0 (Emio.Io_stats.evictions stats);
   Emio.Io_stats.record_bytes_read stats 4096;
-  Emio.Io_stats.record_bytes_written stats 8192;
   Emio.Io_stats.record_eviction stats;
   check "bytes read recorded" 4096 (Emio.Io_stats.bytes_read stats);
-  check "bytes written recorded" 8192 (Emio.Io_stats.bytes_written stats);
   check "eviction recorded" 1 (Emio.Io_stats.evictions stats);
   Emio.Io_stats.reset stats;
   check "reset clears bytes read" 0 (Emio.Io_stats.bytes_read stats);
-  check "reset clears bytes written" 0 (Emio.Io_stats.bytes_written stats);
   check "reset clears evictions" 0 (Emio.Io_stats.evictions stats);
   check "reset clears reads" 0 (Emio.Io_stats.reads stats)
 

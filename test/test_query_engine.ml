@@ -56,63 +56,51 @@ let test_reporter_mark_truncate_rewrite () =
 
 (* ---- stores over an external backend ---- *)
 
-(* A byte backend that stores payloads in memory and counts the
-   physical reads it serves, so tests can observe exactly which store
-   reads reach the backend.  In resident mode
-   it hands every payload to a store opened over it ([take_resident]),
-   which then only charges reads ([charged]) instead of fetching. *)
+(* A read-only byte backend over payloads given up front, as a
+   reopened snapshot's would be.  It counts the physical reads it
+   serves, so tests can observe exactly which store reads reach the
+   backend.  In resident mode it hands every payload to a store opened
+   over it ([take_resident]), which then only charges reads
+   ([charged]) instead of fetching. *)
 module Counting_backend = struct
   type t = {
-    blocks : (int, bytes) Hashtbl.t;
-    mutable next : int;
+    blocks : bytes array;
     mutable phys_reads : int;
     mutable charged : int;
     mutable drops : int;
-    mutable resident : bool;
+    resident : bool;
   }
-
-  let name _ = "test:counting"
-
-  let alloc t payload =
-    let id = t.next in
-    t.next <- id + 1;
-    Hashtbl.replace t.blocks id (Bytes.copy payload);
-    id
 
   let read t id =
     t.phys_reads <- t.phys_reads + 1;
-    match Hashtbl.find_opt t.blocks id with
-    | Some b -> Bytes.copy b
-    | None -> failwith "Counting_backend: unknown block"
+    Bytes.copy t.blocks.(id)
 
   let take_resident t =
-    if t.resident then
-      Some (Array.init t.next (fun id -> Bytes.copy (Hashtbl.find t.blocks id)))
-    else None
+    if t.resident then Some (Array.map Bytes.copy t.blocks) else None
 
   let charge_read t _ = t.charged <- t.charged + 1
-  let blocks_used t = Hashtbl.length t.blocks
+  let blocks_used t = Array.length t.blocks
   let drop_cache t = t.drops <- t.drops + 1
 end
 
-let counting_backend () =
-  {
-    Counting_backend.blocks = Hashtbl.create 16;
-    next = 0;
-    phys_reads = 0;
-    charged = 0;
-    drops = 0;
-    resident = false;
-  }
-
-let counting_store ~cache_blocks =
-  let b = counting_backend () in
+(* A store opened over a backend holding [blocks], encoded as a
+   snapshot's payload would be. *)
+let counting_store ?(resident = false) ~cache_blocks blocks =
+  let encode = Emio.Codec.encode (Emio.Codec.array Emio.Codec.int) in
+  let b =
+    {
+      Counting_backend.blocks = Array.of_list (List.map encode blocks);
+      phys_reads = 0;
+      charged = 0;
+      drops = 0;
+      resident;
+    }
+  in
   let store =
-    Emio.Store.create
+    Emio.Store.of_backend
       ~stats:(Emio.Io_stats.create ())
       ~block_size:4 ~cache_blocks ~codec:Emio.Codec.int
-      ~backend:(Emio.Store_intf.Backend ((module Counting_backend), b))
-      ()
+      (Emio.Store_intf.Backend ((module Counting_backend), b))
   in
   (store, b)
 
@@ -121,11 +109,11 @@ let counting_store ~cache_blocks =
 let test_external_reads_reach_backend () =
   List.iter
     (fun cache_blocks ->
-      let store, b = counting_store ~cache_blocks in
-      let id = Emio.Store.alloc store [| 1 |] in
-      ignore (Emio.Store.read store id);
-      ignore (Emio.Store.read store id);
-      ignore (Emio.Store.read store id);
+      let store, b = counting_store ~cache_blocks [ [| 1 |] ] in
+      Alcotest.(check (array int)) "decoded payload" [| 1 |]
+        (Emio.Store.read store 0);
+      ignore (Emio.Store.read store 0);
+      ignore (Emio.Store.read store 0);
       check
         (Printf.sprintf "cache_blocks %d: one backend read per Store.read"
            cache_blocks)
@@ -137,33 +125,60 @@ let test_external_reads_reach_backend () =
 (* drop_cache on an external store is the backend's own drop_cache;
    reads before and after it cost the same. *)
 let test_external_drop_cache () =
-  let store, b = counting_store ~cache_blocks:4 in
-  let id = Emio.Store.alloc store [| 1 |] in
-  ignore (Emio.Store.read store id);
+  let store, b = counting_store ~cache_blocks:4 [ [| 1 |] ] in
+  ignore (Emio.Store.read store 0);
   Emio.Store.drop_cache store;
   check "drop_cache reaches the backend" 1 b.Counting_backend.drops;
-  ignore (Emio.Store.read store id);
+  ignore (Emio.Store.read store 0);
   check "one backend read each side of the drop" 2
     b.Counting_backend.phys_reads
 
+(* A store over a backend is read-only, resident or not. *)
+let test_external_alloc_rejected () =
+  List.iter
+    (fun resident ->
+      let store, _ = counting_store ~resident ~cache_blocks:0 [ [| 1 |] ] in
+      (match Emio.Store.alloc store [| 2 |] with
+      | _ -> Alcotest.fail "alloc on an external store must raise"
+      | exception Invalid_argument _ -> ());
+      check
+        (Printf.sprintf "resident %b: blocks used unchanged" resident)
+        1
+        (Emio.Store.blocks_used store))
+    [ false; true ]
+
+(* A bad block id is rejected before the read is traced or charged, on
+   either kind of external store. *)
+let test_external_bad_id_untraced () =
+  List.iter
+    (fun resident ->
+      let store, b =
+        counting_store ~resident ~cache_blocks:0 [ [| 1 |]; [| 2 |] ]
+      in
+      let events = ref [] in
+      let ctx =
+        Emio.Cost_ctx.create ~trace:(fun e -> events := e :: !events) ()
+      in
+      Emio.Cost_ctx.with_ctx ctx (fun () ->
+          List.iter
+            (fun id ->
+              match Emio.Store.read store id with
+              | _ -> Alcotest.failf "reading block %d must raise" id
+              | exception Invalid_argument _ -> ())
+            [ -1; 2 ]);
+      let label what = Printf.sprintf "resident %b: %s" resident what in
+      check (label "no event") 0 (List.length !events);
+      check (label "no charge") 0 b.Counting_backend.charged;
+      check (label "no backend read") 0 b.Counting_backend.phys_reads;
+      check (label "nothing scoped") 0 (Emio.Cost_ctx.total ctx))
+    [ false; true ]
+
 (* ---- resident backends: every block decoded once, at of_backend ---- *)
 
-(* [blocks] written through an ordinary store, then reopened over the
-   same backend switched to resident mode. *)
-let resident_store blocks =
-  let store, b = counting_store ~cache_blocks:0 in
-  List.iter (fun data -> ignore (Emio.Store.alloc store data)) blocks;
-  b.Counting_backend.resident <- true;
-  let store =
-    Emio.Store.of_backend
-      ~stats:(Emio.Io_stats.create ())
-      ~block_size:4 ~codec:Emio.Codec.int
-      (Emio.Store_intf.Backend ((module Counting_backend), b))
-  in
-  (store, b)
-
 let test_resident_reads () =
-  let store, b = resident_store [ [| 1; 2 |]; [| 3; 4 |] ] in
+  let store, b =
+    counting_store ~resident:true ~cache_blocks:0 [ [| 1; 2 |]; [| 3; 4 |] ]
+  in
   let events = ref [] in
   let ctx = Emio.Cost_ctx.create ~trace:(fun e -> events := e :: !events) () in
   let first, again =
@@ -187,23 +202,6 @@ let test_resident_reads () =
   | exception Invalid_argument _ -> ());
   check "a bad id charges nothing" 2 b.Counting_backend.charged
 
-let test_resident_alloc () =
-  let store, b = resident_store [ [| 1 |] ] in
-  (* enough fresh blocks to outgrow the decoded array several times *)
-  let fresh = Array.init 40 (fun i -> [| i; -i |]) in
-  let ids = Array.map (Emio.Store.alloc store) fresh in
-  Array.iteri (fun i a -> a.(0) <- 1000 + i) fresh;
-  Array.iteri
-    (fun i id ->
-      Alcotest.(check (array int))
-        (Printf.sprintf "allocated block %d reads back" id)
-        [| i; -i |] (Emio.Store.read store id))
-    ids;
-  Alcotest.(check (array int)) "the reopened block is intact" [| 1 |]
-    (Emio.Store.read store 0);
-  check "blocks used" 41 (Emio.Store.blocks_used store);
-  check "no backend read" 0 b.Counting_backend.phys_reads
-
 (* A resident store opened with cache_blocks > 0 charges every read,
    exactly as the same store over the non-resident backend fetches. *)
 let test_resident_charges () =
@@ -217,20 +215,11 @@ let test_resident_charges () =
         count () - before)
       pattern
   in
-  let cold_store, cold = counting_store ~cache_blocks:2 in
-  List.iter (fun data -> ignore (Emio.Store.alloc cold_store data)) blocks;
+  let cold_store, cold = counting_store ~cache_blocks:2 blocks in
   let cold_costs =
     costs (cold_store, fun () -> cold.Counting_backend.phys_reads)
   in
-  let written, b = counting_store ~cache_blocks:0 in
-  List.iter (fun data -> ignore (Emio.Store.alloc written data)) blocks;
-  b.Counting_backend.resident <- true;
-  let store =
-    Emio.Store.of_backend
-      ~stats:(Emio.Io_stats.create ())
-      ~block_size:4 ~cache_blocks:2 ~codec:Emio.Codec.int
-      (Emio.Store_intf.Backend ((module Counting_backend), b))
-  in
+  let store, b = counting_store ~resident:true ~cache_blocks:2 blocks in
   let resident_costs = costs (store, fun () -> b.Counting_backend.charged) in
   Alcotest.(check (list int)) "charged like the non-resident fetches"
     cold_costs resident_costs;
@@ -241,19 +230,6 @@ let test_resident_charges () =
 
 (* ---- codec requirements: anything that touches bytes needs the
    element codec; the pure simulator path never does ---- *)
-
-let test_backend_requires_codec () =
-  let b = counting_backend () in
-  match
-    Emio.Store.create
-      ~stats:(Emio.Io_stats.create ())
-      ~block_size:4
-      ~backend:(Emio.Store_intf.Backend ((module Counting_backend), b))
-      ()
-  with
-  | (_ : int Emio.Store.t) ->
-      Alcotest.fail "external backend without a codec must be rejected"
-  | exception Invalid_argument _ -> ()
 
 let test_export_requires_codec () =
   let store = Emio.Store.create ~stats:(Emio.Io_stats.create ())
@@ -268,8 +244,7 @@ let test_export_requires_codec () =
     (Array.length (Emio.Store.to_blocks store))
 
 let test_to_blocks_external_rejected () =
-  let store, _ = counting_store ~cache_blocks:0 in
-  ignore (Emio.Store.alloc store [| 1 |]);
+  let store, _ = counting_store ~cache_blocks:0 [ [| 1 |] ] in
   match Emio.Store.to_blocks store with
   | _ -> Alcotest.fail "to_blocks on an external store must raise"
   | exception Invalid_argument _ -> ()
@@ -620,19 +595,20 @@ let () =
           Alcotest.test_case "every read reaches the backend" `Quick
             test_external_reads_reach_backend;
           Alcotest.test_case "drop_cache" `Quick test_external_drop_cache;
+          Alcotest.test_case "alloc rejected, read-only" `Quick
+            test_external_alloc_rejected;
+          Alcotest.test_case "a bad id is neither traced nor charged" `Quick
+            test_external_bad_id_untraced;
         ] );
       ( "resident",
         [
           Alcotest.test_case "reads share one decoded array" `Quick
             test_resident_reads;
-          Alcotest.test_case "alloc" `Quick test_resident_alloc;
           Alcotest.test_case "charges every read" `Quick
             test_resident_charges;
         ] );
       ( "codec guard",
         [
-          Alcotest.test_case "backend requires codec" `Quick
-            test_backend_requires_codec;
           Alcotest.test_case "export_bytes requires codec" `Quick
             test_export_requires_codec;
           Alcotest.test_case "to_blocks rejects external" `Quick

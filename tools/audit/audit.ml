@@ -1,10 +1,12 @@
 (* Public-surface audit.  Reads the .cmt/.cmti files under a dune build
-   root (run [dune build @check] first) and prints three lists for the
+   root (run [dune build @check] first) and prints four lists for the
    units under [lib/]:
 
    1. values declared in a .mli that no other unit references;
    2. such values referenced from [test/] and from no caller;
-   3. record fields that no code reads.
+   3. record fields that no code reads;
+   4. optional arguments of .mli values that no other unit passes,
+      tagged "(test only)" when only [test/] passes them.
 
    Callers are units under [lib/], [bin/], [bench/], [examples/] and
    [perfbench/]; tests are units under [test/]; other directories are
@@ -16,7 +18,10 @@
    read by a [Texp_field] or a record pattern in any unit; building a
    record or copying it with [{ r with ... }] is not a read.  A .ml and
    its .mli number their uids separately, so labels are matched by
-   (unit, type, field).
+   (unit, type, field).  An optional argument is passed by an
+   application that gives it explicitly; a reference that is not
+   applied (a value passed on, or a module used whole) passes all of
+   them.
 
    Usage: audit.exe BUILD_ROOT (e.g. _build/default).  Exits 1 when
    list 1 or list 3 is non-empty. *)
@@ -61,19 +66,24 @@ let unit_of_uid = function
   | Shape.Uid.Item { comp_unit; _ } -> Some comp_unit
   | _ -> None
 
-(* (name, uid, loc) of every value of [sg], through nested structures;
-   [f] sees each nested structure's name and signature. *)
+(* (name, description) of every value of [sg], through nested
+   structures; [f] sees each nested structure's name and signature. *)
 let rec sig_values ?(f = fun _ _ -> ()) prefix sg =
   List.concat_map
     (function
-      | Types.Sig_value (id, vd, _) ->
-          [ (prefix ^ Ident.name id, vd.Types.val_uid, vd.val_loc) ]
+      | Types.Sig_value (id, vd, _) -> [ (prefix ^ Ident.name id, vd) ]
       | Sig_module (id, _, { md_type = Mty_signature s; _ }, _, _) ->
           let p = prefix ^ Ident.name id in
           f p s;
           sig_values ~f (p ^ ".") s
       | _ -> [])
     sg
+
+let rec optional_args ty =
+  match Types.get_desc ty with
+  | Tarrow (Optional l, _, r, _) -> l :: optional_args r
+  | Tarrow (_, _, r, _) -> optional_args r
+  | _ -> []
 
 let () =
   let units = units Sys.argv.(1) in
@@ -90,7 +100,7 @@ let () =
     | parts -> parts
   in
   let split p = unit_path (String.split_on_char '.' (Path.name p)) in
-  let declared = ref [] (* (unit, (name, uid, loc)) of every .mli value *)
+  let declared = ref [] (* (unit, (name, desc)) of every .mli value *)
   and modules = Hashtbl.create 64 (* "Unit" or "Unit.Sub" -> uids held *)
   and intfs = Hashtbl.create 64 (* lib units with a .mli *)
   and impl_names = Hashtbl.create 256 (* .ml uid -> name *)
@@ -142,7 +152,9 @@ let () =
           let it = decls `Intf m in
           it.signature it s;
           Hashtbl.replace intfs m ();
-          let uids sg = List.map (fun (_, u, _) -> u) (sig_values "" sg) in
+          let uids sg =
+            List.map (fun (_, vd) -> vd.Types.val_uid) (sig_values "" sg)
+          in
           let f p sg = Hashtbl.replace modules (m ^ "." ^ p) (uids sg) in
           let vs = sig_values ~f "" s.sig_type in
           Hashtbl.replace modules m (uids s.sig_type);
@@ -151,7 +163,7 @@ let () =
           let it = decls `Impl m in
           it.structure it s;
           List.iter
-            (fun (n, u, _) -> Hashtbl.replace impl_names u n)
+            (fun (n, vd) -> Hashtbl.replace impl_names vd.Types.val_uid n)
             (sig_values "" s.str_type)
       | _ -> ())
     units;
@@ -161,6 +173,8 @@ let () =
       (Hashtbl.find_opt modules (String.concat "." (split p)))
   in
   let refs = Hashtbl.create 1024 and read = Hashtbl.create 256 in
+  (* (uid, `Arg label | `All) -> kinds of the other units passing it *)
+  let passes = Hashtbl.create 1024 in
   List.iter
     (fun (k, (c : Cmt_format.cmt_infos)) ->
       let m = c.cmt_modname in
@@ -173,6 +187,11 @@ let () =
         | Some _ -> Hashtbl.add refs (`Uid uid) k
         | None -> ()
       in
+      let pass uid arg =
+        match unit_of_uid uid with
+        | Some u when u <> m -> Hashtbl.add passes (uid, arg) k
+        | _ -> ()
+      in
       let read_label (l : Types.label_description) =
         let side =
           match unit_of_uid l.lbl_uid with
@@ -183,16 +202,41 @@ let () =
           (fun key -> Hashtbl.replace read key ())
           (Hashtbl.find_opt labels (side, l.lbl_uid))
       in
+      let use_whole uid =
+        use uid;
+        pass uid `All
+      in
       let rec whole : Types.module_type -> unit = function
         | Mty_signature sg ->
-            List.iter (fun (_, u, _) -> use u) (sig_values "" sg)
-        | Mty_alias p | Mty_ident p -> List.iter use (module_uids p)
+            List.iter
+              (fun (_, vd) -> use_whole vd.Types.val_uid)
+              (sig_values "" sg)
+        | Mty_alias p | Mty_ident p -> List.iter use_whole (module_uids p)
         | Mty_functor (_, r) -> whole r
       in
       let default = Tast_iterator.default_iterator in
+      (* The function of the application being visited: the iterator
+         reaches it next, and it passes only the arguments given.  An
+         omitted optional argument is filled in with a ghost [None]. *)
+      let applied = ref None in
       let expr it e =
         (match e.exp_desc with
-        | Texp_ident (_, _, vd) -> use vd.val_uid
+        | Texp_apply (({ exp_desc = Texp_ident (_, _, vd); _ } as fn), args)
+          ->
+            applied := Some fn;
+            List.iter
+              (function
+                | ( (Asttypes.Labelled l | Optional l),
+                    Some (a : expression) )
+                  when not a.exp_loc.loc_ghost ->
+                    pass vd.val_uid (`Arg l)
+                | _ -> ())
+              args
+        | Texp_ident (_, _, vd) -> (
+            use vd.val_uid;
+            match !applied with
+            | Some fn when fn == e -> ()
+            | _ -> pass vd.val_uid `All)
         | Texp_field (_, _, l) -> read_label l
         | _ -> ());
         default.expr it e
@@ -242,7 +286,7 @@ let () =
   in
   let list1, list2 =
     List.fold_left
-      (fun (l1, l2) (m, (n, uid, loc)) ->
+      (fun (l1, l2) (m, (n, { Types.val_uid = uid; val_loc = loc; _ })) ->
         match Hashtbl.find_all refs (`Uid uid) with
         | [] ->
             let inside = Hashtbl.mem refs (`Inside (m, n)) in
@@ -257,6 +301,22 @@ let () =
         if Hashtbl.mem read key then acc else line loc (ty ^ "." ^ f) :: acc)
       fields []
   in
+  let list4 =
+    List.concat_map
+      (fun (_, (n, { Types.val_uid = uid; val_loc = loc; val_type; _ })) ->
+        List.filter_map
+          (fun l ->
+            let ks =
+              Hashtbl.find_all passes (uid, `All)
+              @ Hashtbl.find_all passes (uid, `Arg l)
+            in
+            if ks = [] then Some (line loc (n ^ " ?" ^ l))
+            else if List.for_all (( = ) Test) ks then
+              Some (line loc (n ^ " ?" ^ l ^ "  (test only)"))
+            else None)
+          (optional_args val_type))
+      !declared
+  in
   let print title l =
     Printf.printf "== %s (%d)\n" title (List.length l);
     List.iter (fun (p, s) -> Printf.printf "%s  %s\n" p s) (List.sort compare l)
@@ -264,4 +324,5 @@ let () =
   print "1. lib/ values with no reference outside their own module" list1;
   print "2. lib/ values referenced only from test/" list2;
   print "3. lib/ record fields no code reads" list3;
+  print "4. lib/ optional arguments no other unit passes" list4;
   if list1 <> [] || list3 <> [] then exit 1

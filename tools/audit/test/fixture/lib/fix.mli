@@ -5,6 +5,8 @@ val size : config -> int
 val dead : int -> int
 val inside : int -> int
 val tested : int -> int
+val opt : ?unused:int -> ?tested:int -> ?used:int -> int -> int
+val opt_passed_on : ?x:int -> unit -> int
 
 module Packed : sig
   val f : int -> int
