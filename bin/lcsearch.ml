@@ -1146,22 +1146,33 @@ let info_cmd =
 
 let () =
   let doc = "external-memory halfspace range searching (PODS'98 reproduction)" in
-  exit
-    (Cmd.eval
-       (Cmd.group (Cmd.info "lcsearch" ~version:"1.0.0" ~doc)
-          [
-            list_cmd;
-            run_cmd;
-            sweep_cmd;
-            build_cmd;
-            query_cmd;
-            inspect_cmd;
-            insert_cmd;
-            delete_cmd;
-            churn_cmd;
-            serve_cmd;
-            loadgen_cmd;
-            knn_cmd;
-            segments_cmd;
-            info_cmd;
-          ]))
+  let main =
+    Cmd.group
+      (Cmd.info "lcsearch" ~version:"1.0.0" ~doc)
+      [
+        list_cmd;
+        run_cmd;
+        sweep_cmd;
+        build_cmd;
+        query_cmd;
+        inspect_cmd;
+        insert_cmd;
+        delete_cmd;
+        churn_cmd;
+        serve_cmd;
+        loadgen_cmd;
+        knn_cmd;
+        segments_cmd;
+        info_cmd;
+      ]
+  in
+  (* A parameter the library rejects (a block size below 1, a negative
+     cache) is the caller's error: one line and exit 1.  Anything else
+     stays cmdliner's internal error. *)
+  match Cmd.eval ~catch:false main with
+  | code -> exit code
+  | exception Invalid_argument m -> die "lcsearch: %s" m
+  | exception e ->
+      Printf.eprintf "lcsearch: internal error, uncaught exception:\n%s\n"
+        (Printexc.to_string e);
+      exit Cmd.Exit.internal_error

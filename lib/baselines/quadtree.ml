@@ -31,8 +31,11 @@ let quadrants (r : Rect.t) =
     { Rect.x0 = mx; y0 = r.Rect.y0; x1 = r.Rect.x1; y1 = my };
   |]
 
-let build ~stats ~block_size ?(cache_blocks = 0) ?(max_depth = 40) points =
-  if max_depth < 1 then invalid_arg "Quadtree.build: need max_depth >= 1";
+(* Depth cap: a cell holding more than B coincident points would
+   otherwise split forever. *)
+let max_depth = 40
+
+let build ~stats ~block_size ?(cache_blocks = 0) points =
   let leaves =
     Emio.Store.create ~stats ~block_size ~cache_blocks
       ~codec:Point2.indexed_codec ()

@@ -10,7 +10,8 @@ type t
 
 val build :
   stats:Emio.Io_stats.t -> block_size:int -> ?cache_blocks:int ->
-  ?max_depth:int -> Geom.Point2.t array -> t
+  Geom.Point2.t array -> t
+(** Cells split until they hold at most B points or reach depth 40. *)
 
 val query_halfplane : t -> slope:float -> icept:float -> Geom.Point2.t list
 val query_count : t -> slope:float -> icept:float -> int

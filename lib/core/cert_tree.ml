@@ -120,13 +120,8 @@ let certificates ~cert_cap points =
         Some (at lower, at upper)
     | _ -> None
 
-let build ~stats ~block_size ?(cache_blocks = 0) ?cert_cap points =
-  let cert_cap =
-    match cert_cap with
-    | Some c when c < 0 -> invalid_arg "Cert_tree.build: need cert_cap >= 0"
-    | Some c -> max 4 c
-    | None -> 2 * block_size
-  in
+let build ~stats ~block_size ?(cache_blocks = 0) points =
+  let cert_cap = 2 * block_size in
   let leaves =
     Emio.Store.create ~stats ~block_size ~cache_blocks ~codec:item_codec ()
   in

@@ -29,12 +29,10 @@ val build :
   stats:Emio.Io_stats.t ->
   block_size:int ->
   ?cache_blocks:int ->
-  ?cert_cap:int ->
   Geom.Point3.t array ->
   t
-(** [cert_cap] (default 2·B) bounds each stored certificate; larger
-    hulls are dropped rather than truncated (truncation would be
-    unsound). *)
+(** Each stored certificate holds at most 2·B points; larger hulls are
+    dropped rather than truncated (truncation would be unsound). *)
 
 val query_ids : t -> a0:float -> a:float array -> int list
 (** Indices of the points with [z <= a0 + a.(0) x + a.(1) y]. *)

@@ -13,13 +13,9 @@ let compute_beta ~block_size n_points =
   let b = float_of_int block_size in
   max 1 (int_of_float (ceil (b *. max 1. (log_base b n))))
 
-let build ~stats ~block_size ?(cache_blocks = 0) ?(seed = 0) ?(copies = 3)
-    ?clip points =
+let build ~stats ~block_size ?clip points =
   let planes = Array.map Plane3.lift points in
-  let lp =
-    Lowest_planes.build ~stats ~block_size ~cache_blocks ~seed ~copies ?clip
-      planes
-  in
+  let lp = Lowest_planes.build ~stats ~block_size ?clip planes in
   { lp; points; beta = compute_beta ~block_size (Array.length points) }
 
 (* Same doubling protocol as §4.2: fetch the k lowest lifted planes

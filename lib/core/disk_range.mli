@@ -12,9 +12,6 @@ type t
 val build :
   stats:Emio.Io_stats.t ->
   block_size:int ->
-  ?cache_blocks:int ->
-  ?seed:int ->
-  ?copies:int ->
   ?clip:float * float * float * float ->
   Geom.Point2.t array ->
   t

@@ -16,13 +16,9 @@ let compute_beta ~block_size n_points =
   let b = float_of_int block_size in
   max 1 (int_of_float (ceil (b *. max 1. (log_base b n))))
 
-let build ~stats ~block_size ?(cache_blocks = 0) ?(seed = 0) ?(copies = 3)
-    ?clip points =
+let build ~stats ~block_size ?(cache_blocks = 0) ?clip points =
   let planes = Array.map Plane3.dual_plane_of_point points in
-  let lp =
-    Lowest_planes.build ~stats ~block_size ~cache_blocks ~seed ~copies ?clip
-      planes
-  in
+  let lp = Lowest_planes.build ~stats ~block_size ~cache_blocks ?clip planes in
   { lp; points; beta = compute_beta ~block_size (Array.length points) }
 
 (* §4.2: probe k = beta, 2 beta, 4 beta, ... until one of the k lowest
@@ -83,14 +79,14 @@ type portable = {
   hp_beta : int;
 }
 
-let to_portable ?(embed_payload = true) t =
+let to_portable ~embed_payload t =
   {
     hp_lp = Lowest_planes.to_portable ~embed_payload t.lp;
     hp_points = t.points;
     hp_beta = t.beta;
   }
 
-let of_portable ~stats ?backend p =
+let of_portable ~stats ~backend p =
   {
     lp = Lowest_planes.of_portable ~stats ?backend p.hp_lp;
     points = p.hp_points;
@@ -108,4 +104,5 @@ let snapshot =
   Diskstore.Snapshot.format ~kind:"lcsearch.h3" ~version:2 ~codec:portable_codec
     ~payload:(fun t -> Lowest_planes.payload t.lp)
     ~to_skeleton:(to_portable ~embed_payload:false)
-    ~of_skeleton:(fun ~stats ~backend -> of_portable ~stats ~backend)
+    ~of_skeleton:(fun ~stats ~backend ->
+      of_portable ~stats ~backend:(Some backend))

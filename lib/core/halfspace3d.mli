@@ -15,8 +15,6 @@ val build :
   stats:Emio.Io_stats.t ->
   block_size:int ->
   ?cache_blocks:int ->
-  ?seed:int ->
-  ?copies:int ->
   ?clip:float * float * float * float ->
   Geom.Point3.t array ->
   t
@@ -47,14 +45,15 @@ val points : t -> Geom.Point3.t array
 
 type portable
 
-val to_portable : ?embed_payload:bool -> t -> portable
-(** Plain-data form; with [~embed_payload:false] (the snapshot case)
-    the all-planes payload must come back through [of_portable]'s
-    [backend]. *)
+val to_portable : embed_payload:bool -> t -> portable
+(** Plain-data form.  [~embed_payload:true] embeds the all-planes
+    payload (a component of another structure's skeleton); with
+    [false] (the snapshot case) it must come back through
+    [of_portable]'s [backend]. *)
 
 val of_portable :
   stats:Emio.Io_stats.t ->
-  ?backend:Emio.Store_intf.backend ->
+  backend:Emio.Store_intf.backend option ->
   portable ->
   t
 

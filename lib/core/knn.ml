@@ -4,13 +4,9 @@ type t = { lp : Lowest_planes.t; points : Point2.t array }
 
 let space_blocks t = Lowest_planes.space_blocks t.lp
 
-let build ~stats ~block_size ?(cache_blocks = 0) ?(seed = 0) ?(copies = 3)
-    ?clip points =
+let build ~stats ~block_size ?clip points =
   let planes = Array.map Plane3.lift points in
-  let lp =
-    Lowest_planes.build ~stats ~block_size ~cache_blocks ~seed ~copies ?clip
-      planes
-  in
+  let lp = Lowest_planes.build ~stats ~block_size ?clip planes in
   { lp; points }
 
 let nearest t q ~k =

@@ -208,7 +208,7 @@ let payload_codec =
     ~encode:(fun p -> ((p.plane_id, p.kstart, p.klen), (p.pa, p.pb, p.pc)))
     Emio.Codec.(pair (triple int int int) (triple float float float))
 
-let build ~stats ~block_size ?(cache_blocks = 0) ?(seed = 0) ?(copies = 3)
+let build ~stats ~block_size ?(cache_blocks = 0) ?(copies = 3)
     ?(clip = (-1000., -1000., 1000., 1000.)) ?(use_segtree = false) planes =
   if copies < 1 then invalid_arg "Lowest_planes.build: need copies >= 1";
   (let x0, y0, x1, y1 = clip in
@@ -243,8 +243,10 @@ let build ~stats ~block_size ?(cache_blocks = 0) ?(seed = 0) ?(copies = 3)
   let prefixes = Array.init max_i (fun i -> 4 * (1 lsl i)) in
   let copies_arr =
     Array.init copies (fun c ->
+        (* a fixed seed (the leading 0): every copy's order, and so
+           the snapshot bytes, is a function of c and n alone *)
         let order =
-          Hull3.random_order (Random.State.make [| seed; c; n; 0x3d |]) n
+          Hull3.random_order (Random.State.make [| 0; c; n; 0x3d |]) n
         in
         {
           layers =

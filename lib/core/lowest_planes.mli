@@ -18,7 +18,6 @@ val build :
   stats:Emio.Io_stats.t ->
   block_size:int ->
   ?cache_blocks:int ->
-  ?seed:int ->
   ?copies:int ->
   ?clip:float * float * float * float ->
   ?use_segtree:bool ->

@@ -216,7 +216,7 @@ type portable = {
   tp_leaf_blocks : item array array option;
 }
 
-let to_portable ?(embed_payload = true) t =
+let to_portable ~embed_payload t =
   {
     tp_internal_blocks = Emio.Store.to_blocks t.internals;
     tp_root = t.root;
@@ -228,7 +228,7 @@ let to_portable ?(embed_payload = true) t =
       (if embed_payload then Some (Emio.Store.to_blocks t.leaves) else None);
   }
 
-let of_portable ~stats ?backend p =
+let of_portable ~stats ~backend p =
   let block_size = p.tp_block_size and cache_blocks = p.tp_cache_blocks in
   let leaves =
     match (p.tp_leaf_blocks, backend) with
@@ -274,4 +274,5 @@ let snapshot =
     ~codec:portable_codec
     ~payload:(fun t -> (block_size t, Emio.Store.export_bytes t.leaves))
     ~to_skeleton:(to_portable ~embed_payload:false)
-    ~of_skeleton:(fun ~stats ~backend -> of_portable ~stats ~backend)
+    ~of_skeleton:(fun ~stats ~backend ->
+      of_portable ~stats ~backend:(Some backend))

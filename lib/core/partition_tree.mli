@@ -66,15 +66,15 @@ val points : t -> Partition.Cells.point array
 
 type portable
 
-val to_portable : ?embed_payload:bool -> t -> portable
-(** Plain-data form.  [embed_payload] (default [true]) also embeds the
-    leaf blocks — needed when the tree is a component of another
+val to_portable : embed_payload:bool -> t -> portable
+(** Plain-data form.  [~embed_payload:true] also embeds the leaf
+    blocks — needed when the tree is a component of another
     structure; the standalone snapshot keeps leaves as the payload
-    section instead. *)
+    section instead and passes [of_portable] their [backend]. *)
 
 val of_portable :
   stats:Emio.Io_stats.t ->
-  ?backend:Emio.Store_intf.backend ->
+  backend:Emio.Store_intf.backend option ->
   portable ->
   t
 

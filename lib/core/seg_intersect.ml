@@ -50,24 +50,21 @@ let space_blocks t =
 
 let coords (p : Point2.t) = [| Point2.x p; Point2.y p |]
 
-let build_level3 ~stats ~block_size ~cache_blocks segs =
+let build_level3 ~stats ~block_size segs =
   let duals = Array.map (fun s -> s.dual) segs in
   {
-    tree = Partition_tree.build ~stats ~block_size ~cache_blocks ~dim:2 duals;
+    tree = Partition_tree.build ~stats ~block_size ~dim:2 duals;
     segs3 = segs;
   }
 
 (* Build a level (1 or 2): kd-split on the selected endpoint; every
    node carries the next level over its subtree. *)
-let rec build_level ~stats ~block_size ~cache_blocks ~store ~cell_store ~level
-    segs =
+let rec build_level ~stats ~block_size ~store ~cell_store ~level segs =
   let key = if level = 1 then fun s -> s.p1 else fun s -> s.p2 in
   let next_of subset =
     if level = 1 then
-      L2
-        (build_level ~stats ~block_size ~cache_blocks ~store ~cell_store
-           ~level:2 subset)
-    else L3 (build_level3 ~stats ~block_size ~cache_blocks subset)
+      L2 (build_level ~stats ~block_size ~store ~cell_store ~level:2 subset)
+    else L3 (build_level3 ~stats ~block_size subset)
   in
   let points = Array.map (fun s -> coords (key s)) segs in
   let nv = Array.length segs in
@@ -89,8 +86,7 @@ let rec build_level ~stats ~block_size ~cache_blocks ~store ~cell_store ~level
         (fun (cell, idxs) ->
           let subset = Array.map (fun i -> segs.(i)) idxs in
           let child =
-            build_level ~stats ~block_size ~cache_blocks ~store ~cell_store
-              ~level subset
+            build_level ~stats ~block_size ~store ~cell_store ~level subset
           in
           { child with cell })
         parts
@@ -109,9 +105,9 @@ let rec build_level ~stats ~block_size ~cache_blocks ~store ~cell_store ~level
 
 let slope_limit = 1e7
 
-let build ~stats ~block_size ?(cache_blocks = 0) segments =
-  let store = Emio.Store.create ~stats ~block_size ~cache_blocks () in
-  let cell_store = Emio.Store.create ~stats ~block_size ~cache_blocks () in
+let build ~stats ~block_size segments =
+  let store = Emio.Store.create ~stats ~block_size () in
+  let cell_store = Emio.Store.create ~stats ~block_size () in
   let verticals = ref [] and regular = ref [] in
   Array.iteri
     (fun sid (a, b) ->
@@ -131,9 +127,7 @@ let build ~stats ~block_size ?(cache_blocks = 0) segments =
   let root =
     if Array.length regular = 0 then None
     else
-      Some
-        (build_level ~stats ~block_size ~cache_blocks ~store ~cell_store
-           ~level:1 regular)
+      Some (build_level ~stats ~block_size ~store ~cell_store ~level:1 regular)
   in
   {
     root;

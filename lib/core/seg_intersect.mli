@@ -27,7 +27,6 @@ type t
 val build :
   stats:Emio.Io_stats.t ->
   block_size:int ->
-  ?cache_blocks:int ->
   (Geom.Point2.t * Geom.Point2.t) array ->
   t
 

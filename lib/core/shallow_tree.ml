@@ -213,7 +213,8 @@ let to_portable t =
     sp_secondaries =
       Hashtbl.fold
         (fun id (pt, pids) acc ->
-          (id, (Partition_tree.to_portable pt, pids)) :: acc)
+          let pp = Partition_tree.to_portable ~embed_payload:true pt in
+          (id, (pp, pids)) :: acc)
         t.secondaries []
       |> List.sort compare |> Array.of_list;
     sp_root = t.root;
@@ -229,7 +230,8 @@ let of_portable ~stats ~backend p =
   let secondaries = Hashtbl.create 64 in
   Array.iter
     (fun (id, (pt, pids)) ->
-      Hashtbl.add secondaries id (Partition_tree.of_portable ~stats pt, pids))
+      let pt = Partition_tree.of_portable ~stats ~backend:None pt in
+      Hashtbl.add secondaries id (pt, pids))
     p.sp_secondaries;
   {
     leaves =

@@ -41,10 +41,8 @@ let space_blocks t =
 
 let coords_of_point3 p = [| Point3.x p; Point3.y p; Point3.z p |]
 
-let build ~stats ~block_size ?(cache_blocks = 0) ?(seed = 0) ?(a = 1.5) ?clip
-    ?(copies = 3) points =
+let build ~stats ~block_size ?(cache_blocks = 0) ?(a = 1.5) ?clip points =
   if a <= 1. then invalid_arg "Tradeoff3d.build: need a > 1";
-  if copies < 1 then invalid_arg "Tradeoff3d.build: need copies >= 1";
   let leaf_capacity =
     max (4 * block_size)
       (int_of_float (Float.pow (float_of_int block_size) a))
@@ -57,10 +55,7 @@ let build ~stats ~block_size ?(cache_blocks = 0) ?(seed = 0) ?(a = 1.5) ?clip
   let make_leaf (items : (Point3.t * int) array) =
     let pts = Array.map fst items in
     let pids = Array.map snd items in
-    let hs =
-      Halfspace3d.build ~stats ~block_size ~cache_blocks ~seed ~copies ?clip
-        pts
-    in
+    let hs = Halfspace3d.build ~stats ~block_size ~cache_blocks ?clip pts in
     Leaf
       (Vec.push_idx leaves
          { hs; run = Emio.Run.of_array pid_store pids; pids })
@@ -215,7 +210,7 @@ let to_portable t =
     op_leaves =
       Array.map
         (fun l ->
-          { lp_hs = Halfspace3d.to_portable l.hs;
+          { lp_hs = Halfspace3d.to_portable ~embed_payload:true l.hs;
             lp_run = Emio.Run.to_portable l.run;
             lp_pids = l.pids })
         (Vec.to_array t.leaves);
@@ -238,7 +233,7 @@ let of_portable ~stats ~backend p =
     (fun lp ->
       ignore
         (Vec.push_idx leaves
-           { hs = Halfspace3d.of_portable ~stats lp.lp_hs;
+           { hs = Halfspace3d.of_portable ~stats ~backend:None lp.lp_hs;
              run = Emio.Run.of_portable pid_store lp.lp_run;
              pids = lp.lp_pids }))
     p.op_leaves;

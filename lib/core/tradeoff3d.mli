@@ -10,10 +10,8 @@ val build :
   stats:Emio.Io_stats.t ->
   block_size:int ->
   ?cache_blocks:int ->
-  ?seed:int ->
   ?a:float ->
   ?clip:float * float * float * float ->
-  ?copies:int ->
   Geom.Point3.t array ->
   t
 (** [a] (default 1.5) sets the leaf capacity B^a; requires [a > 1].

@@ -101,8 +101,7 @@ let chunked_writes file ~first data =
   done;
   np
 
-let save ~path ~kind ?(meta = "") ?(page_size = default_page_size) ~block_size
-    ~payload ~skeleton () =
+let save ~path ~kind ~meta ~page_size ~block_size ~payload ~skeleton =
   let blocks = payload in
   let n_blocks = Array.length blocks in
   let cap = cap_of ~page_size in
@@ -424,11 +423,10 @@ let format ~kind ~version ~codec ~payload ~to_skeleton ~of_skeleton =
 
 let kind (Fmt f) = f.kind
 
-let save_as (Fmt f) t ~path ?meta ?page_size () =
+let save_as (Fmt f) t ~path ?(meta = "") ?(page_size = default_page_size) () =
   let block_size, payload = f.payload t in
-  save ~path ~kind:f.kind ?meta ?page_size ~block_size ~payload
+  save ~path ~kind:f.kind ~meta ~page_size ~block_size ~payload
     ~skeleton:(Emio.Codec.encode f.codec (f.to_skeleton t))
-    ()
 
 (* The one place a loaded file becomes a structure.  Decoding and
    reconstruction run on checksummed but untrusted bytes, so the

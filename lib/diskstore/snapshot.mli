@@ -54,12 +54,11 @@ type info = {
 val save :
   path:string ->
   kind:string ->
-  ?meta:string ->
-  ?page_size:int ->
+  meta:string ->
+  page_size:int ->
   block_size:int ->
   payload:bytes array ->
   skeleton:bytes ->
-  unit ->
   unit
 (** Write a snapshot: [payload] (one [bytes] per store block, in id
     order — from {!Emio.Store.export_bytes}) becomes the payload

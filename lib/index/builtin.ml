@@ -70,17 +70,6 @@ let qd ~name ~dim (q : Index.query) =
       (Printf.sprintf "%s.query: expected a %d-d halfspace" name dim);
   (q.a0, q.a)
 
-(* Positive-int extra parameter, validated. *)
-let extra_int ~name ~key lookup =
-  match lookup key with
-  | None -> None
-  | Some v ->
-      let i = int_of_float v in
-      if float_of_int i <> v || i < 1 then
-        invalid_arg
-          (Printf.sprintf "%s.build: %s must be a positive integer" name key)
-      else Some i
-
 (* Run a native id sink and return how many ids it appended. *)
 let appended r run =
   let m = Emio.Reporter.mark r in
@@ -99,9 +88,9 @@ module H2 = struct
   let preferred ~dim:_ = `Pts2
 
   let build ~(params : Index.build_params) ~stats ds =
-    ignore (Index.extra_lookup ~name ~allowed:[] params : string -> float option);
+    Index.check_params ~name params;
     Core.Halfspace2d.build ~stats ~block_size:params.block_size
-      ~cache_blocks:params.cache_blocks ~seed:params.seed (as_pts2 ~name ds)
+      ~cache_blocks:params.cache_blocks (as_pts2 ~name ds)
 
   let query t q =
     let slope, icept = q2 ~name q in
@@ -143,11 +132,9 @@ module H3 = struct
   let preferred ~dim:_ = `Pts3
 
   let build ~(params : Index.build_params) ~stats ds =
-    let lookup = Index.extra_lookup ~name ~allowed:[ "copies" ] params in
-    let copies = extra_int ~name ~key:"copies" lookup in
+    Index.check_params ~name params;
     Core.Halfspace3d.build ~stats ~block_size:params.block_size
-      ~cache_blocks:params.cache_blocks ~seed:params.seed ?copies ~clip:clip3
-      (as_pts3 ~name ds)
+      ~cache_blocks:params.cache_blocks ~clip:clip3 (as_pts3 ~name ds)
 
   let query t q =
     let a, b, c = q3 ~name q in
@@ -182,7 +169,7 @@ module Ptree = struct
   let preferred ~dim:_ = `PtsD
 
   let build ~(params : Index.build_params) ~stats ds =
-    ignore (Index.extra_lookup ~name ~allowed:[] params : string -> float option);
+    Index.check_params ~name params;
     let dim = check_dims ~name ~dims ds in
     let pts = rows_of_dataset ds in
     let s =
@@ -230,18 +217,12 @@ module Shallow = struct
   let preferred ~dim:_ = `PtsD
 
   let build ~(params : Index.build_params) ~stats ds =
-    let lookup = Index.extra_lookup ~name ~allowed:[ "shallow_factor" ] params in
-    let shallow_factor =
-      match lookup "shallow_factor" with
-      | None -> None
-      | Some f when f > 0. -> Some f
-      | Some _ -> invalid_arg (name ^ ".build: shallow_factor must be > 0")
-    in
+    Index.check_params ~name params;
     let dim = check_dims ~name ~dims ds in
     let pts = rows_of_dataset ds in
     let s =
       Core.Shallow_tree.build ~stats ~block_size:params.block_size
-        ~cache_blocks:params.cache_blocks ?shallow_factor ~dim pts
+        ~cache_blocks:params.cache_blocks ~dim pts
     in
     { s; pts }
 
@@ -284,13 +265,11 @@ module Tradeoff = struct
   let preferred ~dim:_ = `Pts3
 
   let build ~(params : Index.build_params) ~stats ds =
-    let lookup = Index.extra_lookup ~name ~allowed:[ "a" ] params in
-    let a = match lookup "a" with None -> 1.5 | Some a -> a in
-    if a <= 1. then invalid_arg (name ^ ".build: exponent a must be > 1");
+    Index.check_params ~name params;
     let pts = as_pts3 ~name ds in
     let s =
       Core.Tradeoff3d.build ~stats ~block_size:params.block_size
-        ~cache_blocks:params.cache_blocks ~seed:params.seed ~a ~clip:clip3 pts
+        ~cache_blocks:params.cache_blocks ~clip:clip3 pts
     in
     { s; pts }
 
@@ -336,12 +315,11 @@ module Cert = struct
   let preferred ~dim:_ = `Pts3
 
   let build ~(params : Index.build_params) ~stats ds =
-    let lookup = Index.extra_lookup ~name ~allowed:[ "cert_cap" ] params in
-    let cert_cap = extra_int ~name ~key:"cert_cap" lookup in
+    Index.check_params ~name params;
     let pts = as_pts3 ~name ds in
     let s =
       Core.Cert_tree.build ~stats ~block_size:params.block_size
-        ~cache_blocks:params.cache_blocks ?cert_cap pts
+        ~cache_blocks:params.cache_blocks pts
     in
     { s; pts }
 
@@ -400,7 +378,7 @@ module Make_rtree (V : RTREE_VARIANT) = struct
   let preferred ~dim:_ = `Pts2
 
   let build ~(params : Index.build_params) ~stats ds =
-    ignore (Index.extra_lookup ~name ~allowed:[] params : string -> float option);
+    Index.check_params ~name params;
     Baselines.Rtree.build ~stats ~block_size:params.block_size
       ~cache_blocks:params.cache_blocks ~packing:V.packing (as_pts2 ~name ds)
 
@@ -451,10 +429,9 @@ module Quadtree = struct
   let preferred ~dim:_ = `Pts2
 
   let build ~(params : Index.build_params) ~stats ds =
-    let lookup = Index.extra_lookup ~name ~allowed:[ "max_depth" ] params in
-    let max_depth = extra_int ~name ~key:"max_depth" lookup in
+    Index.check_params ~name params;
     Baselines.Quadtree.build ~stats ~block_size:params.block_size
-      ~cache_blocks:params.cache_blocks ?max_depth (as_pts2 ~name ds)
+      ~cache_blocks:params.cache_blocks (as_pts2 ~name ds)
 
   let query t q =
     let slope, icept = q2 ~name q in
@@ -489,7 +466,7 @@ module Gridfile = struct
   let preferred ~dim:_ = `Pts2
 
   let build ~(params : Index.build_params) ~stats ds =
-    ignore (Index.extra_lookup ~name ~allowed:[] params : string -> float option);
+    Index.check_params ~name params;
     Baselines.Grid_file.build ~stats ~block_size:params.block_size
       ~cache_blocks:params.cache_blocks (as_pts2 ~name ds)
 
@@ -528,7 +505,7 @@ module Scan = struct
   let preferred ~dim = if dim = 2 then `Pts2 else `PtsD
 
   let build ~(params : Index.build_params) ~stats ds =
-    ignore (Index.extra_lookup ~name ~allowed:[] params : string -> float option);
+    Index.check_params ~name params;
     let dim = check_dims ~name ~dims ds in
     let block_size = params.block_size and cache_blocks = params.cache_blocks in
     match ds with

@@ -31,30 +31,26 @@ type query_kind = Halfspace | Window
 
 let query_kind_name = function Halfspace -> "halfspace" | Window -> "window"
 
-(* Structure-independent build parameters.  Structure-specific knobs
-   (the tradeoff exponent a, the quadtree depth cap, ...) travel in
-   [extra]; adapters validate their keys and raise Invalid_argument on
-   unknown ones. *)
-type build_params = {
-  block_size : int;
-  cache_blocks : int;
-  seed : int;
-  extra : (string * float) list;
-}
+(* The build parameters every structure takes: the block size B and
+   the simulator's main memory M in blocks (0 = no cache).  Each
+   Table-1 bound is a function of N, T, B and M alone; the paper's
+   other constants (§4's three copies, §6's leaf exponent a, the
+   shallow threshold) are fixed inside the structures. *)
+type build_params = { block_size : int; cache_blocks : int }
 
-let default_params = { block_size = 64; cache_blocks = 0; seed = 0; extra = [] }
+let default_params = { block_size = 64; cache_blocks = 0 }
 
-(* Validate [params.extra] against the adapter's [allowed] keys and
-   return a lookup function. *)
-let extra_lookup ~name ~allowed params =
-  List.iter
-    (fun (k, _) ->
-      if not (List.mem k allowed) then
-        invalid_arg
-          (Printf.sprintf "%s.build: unknown parameter %S (allowed: %s)" name k
-             (if allowed = [] then "none" else String.concat ", " allowed)))
-    params.extra;
-  fun key -> List.assoc_opt key params.extra
+(* The check every [S.build] makes first: B >= 1 and M >= 0, raised as
+   "name.build: ..." like the adapters' other parameter errors. *)
+let check_params ~name p =
+  if p.block_size < 1 then
+    invalid_arg
+      (Printf.sprintf "%s.build: block_size must be >= 1 (got %d)" name
+         p.block_size);
+  if p.cache_blocks < 0 then
+    invalid_arg
+      (Printf.sprintf "%s.build: cache_blocks must be >= 0 (got %d)" name
+         p.cache_blocks)
 
 type 'a snapshot_ops = {
   snapshot_kind : string;
@@ -124,8 +120,8 @@ module type S = sig
 
   val build : params:build_params -> stats:Emio.Io_stats.t -> dataset -> t
   (** Error convention (uniform across every registered structure):
-      malformed build parameters — unsupported dimension, unknown or
-      out-of-range [extra] key, non-positive sizes — raise
+      malformed build parameters — unsupported dimension, a block
+      size below 1 or a negative cache ({!check_params}) — raise
       [Invalid_argument] with a ["Structure.build: reason"] message,
       never [Failure].  [Failure] is reserved for I/O-level damage
       (e.g. a corrupt backend read). *)

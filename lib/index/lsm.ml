@@ -66,13 +66,19 @@ let entry_codec =
        (triple u32 string u32)
        (triple (array int) (array (array float)) (array int)))
 
+(* Two slots of the MANIFEST's params tuple (an int and a list of
+   named floats) carry no build parameter: they are always written as
+   0 and [] so the format, and every existing directory, keeps its
+   bytes, and anything else fails to decode. *)
 let params_codec =
   let open Emio.Codec in
   map
     ~decode:(fun (block_size, cache_blocks, seed, extra) ->
-      { Index.block_size; cache_blocks; seed; extra })
+      if seed <> 0 || extra <> [] then
+        raise (Decode "lsm build params: unsupported seed or extra slot");
+      { Index.block_size; cache_blocks })
     ~encode:(fun (p : Index.build_params) ->
-      (p.block_size, p.cache_blocks, p.seed, p.extra))
+      (p.block_size, p.cache_blocks, 0, []))
     (quad u32 u32 int (list (pair string float)))
 
 let manifest_codec =
@@ -344,6 +350,9 @@ let make ?(memtable_cap = default_memtable_cap) ?build_domains:_
         }
 
     let build ~(params : Index.build_params) ~stats ds =
+      (* checked up front: an empty dataset builds no level until the
+         first spill *)
+      Index.check_params ~name params;
       let dim = Index.dataset_dim ds in
       let n = Index.dataset_length ds in
       let t =

@@ -239,6 +239,7 @@ let make ?build_domains ~inner:(module M : Index.S) ~shards ~partition () :
     let preferred = M.preferred
 
     let build ~(params : Index.build_params) ~stats ds =
+      Index.check_params ~name params;
       let dim = Index.dataset_dim ds in
       let n = Index.dataset_length ds in
       let k = max 1 (min shards (max 1 n)) in

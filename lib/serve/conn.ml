@@ -8,7 +8,9 @@
    residue of a partial write waits for the reactor's writability
    notification. *)
 
-let default_max_outbox = 8 * 1024 * 1024
+(* Queued unwritten response bytes past which a peer that is not
+   reading is dropped. *)
+let max_outbox = 8 * 1024 * 1024
 
 type t = {
   fd : Unix.file_descr;
@@ -17,7 +19,6 @@ type t = {
   outbox : Bytes.t Queue.t; (* whole encoded frames awaiting the wire *)
   mutable out_off : int; (* bytes of the queue head already written *)
   mutable out_bytes : int; (* total unwritten bytes across the queue *)
-  max_outbox : int;
   mutable alive : bool; (* false: peer gone, sends are no-ops *)
   mutable closing : bool; (* stop reading; hang up once flushed *)
   mutable wake : unit -> unit; (* reactor wakeup, set on registration *)
@@ -27,7 +28,7 @@ type t = {
   mutable acc_len : int;
 }
 
-let create ?(max_outbox = default_max_outbox) fd =
+let create fd =
   let peer =
     match Unix.getpeername fd with
     | Unix.ADDR_INET (a, p) ->
@@ -42,7 +43,6 @@ let create ?(max_outbox = default_max_outbox) fd =
     outbox = Queue.create ();
     out_off = 0;
     out_bytes = 0;
-    max_outbox;
     alive = true;
     closing = false;
     wake = (fun () -> ());
@@ -95,7 +95,7 @@ let send t msg =
   Mutex.lock t.m;
   let ok =
     if not t.alive then false
-    else if t.out_bytes + Bytes.length buf > t.max_outbox then begin
+    else if t.out_bytes + Bytes.length buf > max_outbox then begin
       (* the peer is not reading its responses: drop it rather than
          buffer without bound *)
       die_locked t;
@@ -160,8 +160,8 @@ let refill t =
           _ ) ->
       `Eof
 
-let next_frame t ~max_frame =
-  match Frame.parse ~max_frame t.acc t.acc_len with
+let next_frame t =
+  match Frame.parse t.acc t.acc_len with
   | Frame.Parsed (msg, used) ->
       let rest = t.acc_len - used in
       if rest > 0 then Bytes.blit t.acc used t.acc 0 rest;

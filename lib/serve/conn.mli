@@ -21,10 +21,9 @@
 
 type t
 
-val create : ?max_outbox:int -> Unix.file_descr -> t
+val create : Unix.file_descr -> t
 (** The fd should already be non-blocking (the acceptor's job).
-    [max_outbox] bounds queued unwritten response bytes (default
-    8 MiB). *)
+    Queued unwritten response bytes are bounded at 8 MiB. *)
 
 val fd : t -> Unix.file_descr
 val peer : t -> string
@@ -73,9 +72,7 @@ val refill : t -> [ `Data | `Blocked | `Eof ]
     covers both orderly EOF and connection resets. *)
 
 val next_frame :
-  t ->
-  max_frame:int ->
-  [ `Msg of Protocol.msg | `More | `Broken of Frame.read_error ]
+  t -> [ `Msg of Protocol.msg | `More | `Broken of Frame.read_error ]
 (** Extract the next complete frame from the accumulator, compacting
     consumed bytes.  [`More]: wait for another {!refill}. *)
 

@@ -3,7 +3,8 @@
    encode/decode pair exists so the rejection matrix (truncation,
    oversize, codec garbage) is testable without opening a socket. *)
 
-let default_max_frame = 4 * 1024 * 1024
+(* Largest payload a frame may announce. *)
+let frame_cap = 4 * 1024 * 1024
 
 type read_error =
   | Closed
@@ -42,11 +43,12 @@ type parsed =
   | Need of int  (** total buffered bytes required before re-parsing *)
   | Broken of read_error  (** unrecoverable: the stream cannot resync *)
 
-let parse ?(max_frame = default_max_frame) buf len =
+let parse buf len =
   if len < 4 then Need 4
   else begin
     let length = frame_length buf in
-    if length > max_frame then Broken (Oversized { length; max = max_frame })
+    if length > frame_cap then
+      Broken (Oversized { length; max = frame_cap })
     else if len < 4 + length then Need (4 + length)
     else
       match Emio.Codec.decode Protocol.codec (Bytes.sub buf 4 length) with
@@ -54,7 +56,7 @@ let parse ?(max_frame = default_max_frame) buf len =
       | exception Emio.Codec.Decode m -> Broken (Malformed m)
   end
 
-let decode ?(max_frame = default_max_frame) buf =
+let decode ?(max_frame = frame_cap) buf =
   let got = Bytes.length buf in
   if got < 4 then Error (Truncated { expected = 4; got })
   else
@@ -91,7 +93,7 @@ let read_exact fd buf len =
   in
   go 0
 
-let read ?(max_frame = default_max_frame) fd =
+let read fd =
   let hdr = Bytes.create 4 in
   match read_exact fd hdr 4 with
   | `Closed -> Error Closed
@@ -99,7 +101,8 @@ let read ?(max_frame = default_max_frame) fd =
   | `Short got -> Error (Truncated { expected = 4; got })
   | `Ok -> (
       let length = frame_length hdr in
-      if length > max_frame then Error (Oversized { length; max = max_frame })
+      if length > frame_cap then
+        Error (Oversized { length; max = frame_cap })
       else
         let payload = Bytes.create length in
         match read_exact fd payload length with

@@ -1,8 +1,8 @@
 (** Length-prefixed framing of {!Protocol} messages over a stream.
 
     Every frame is a 4-byte little-endian payload length followed by
-    the {!Protocol.codec} bytes.  The length is validated against a cap
-    {e before} the payload is read — a hostile or corrupt length can
+    the {!Protocol.codec} bytes.  The length is validated against a
+    4 MiB cap {e before} the payload is read — a hostile or corrupt length can
     cost at most one rejected frame, never an unbounded allocation.
 
     Every way a read can go wrong is a constructor of {!read_error},
@@ -10,9 +10,6 @@
     [Closed], EOF mid-frame is [Truncated], a blown [SO_RCVTIMEO] is
     [Timeout], a length over the cap is [Oversized], and payload bytes
     the codec rejects are [Malformed]. *)
-
-val default_max_frame : int
-(** 4 MiB. *)
 
 type read_error =
   | Closed  (** orderly EOF between frames *)
@@ -32,7 +29,8 @@ val encode : Protocol.msg -> bytes
 
 val decode : ?max_frame:int -> bytes -> (Protocol.msg, read_error) result
 (** Decode a buffer holding exactly one frame; extra trailing bytes are
-    [Malformed], a short buffer is [Truncated]. *)
+    [Malformed], a short buffer is [Truncated].  [max_frame] defaults
+    to the 4 MiB cap. *)
 
 type parsed =
   | Parsed of Protocol.msg * int
@@ -43,16 +41,17 @@ type parsed =
       (** oversized length or codec garbage — a torn length-prefixed
           stream cannot resync, so the connection must hang up *)
 
-val parse : ?max_frame:int -> bytes -> int -> parsed
+val parse : bytes -> int -> parsed
 (** [parse buf len] examines the first [len] bytes of a read
     accumulator.  Incremental: a frame may arrive over any number of
-    socket reads, and the length is validated against the cap as soon
-    as the 4-byte prefix is in, before any payload accumulates. *)
+    socket reads, and the length is validated against the 4 MiB cap as
+    soon as the 4-byte prefix is in, before any payload accumulates. *)
 
 (** {2 File-descriptor paths} *)
 
-val read : ?max_frame:int -> Unix.file_descr -> (Protocol.msg, read_error) result
-(** Blocking read of one frame (honors [SO_RCVTIMEO] if set). *)
+val read : Unix.file_descr -> (Protocol.msg, read_error) result
+(** Blocking read of one frame of at most 4 MiB (honors
+    [SO_RCVTIMEO] if set). *)
 
 val write : Unix.file_descr -> Protocol.msg -> (unit, write_error) result
 (** Blocking write of one frame (honors [SO_SNDTIMEO] if set); EPIPE

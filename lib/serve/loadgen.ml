@@ -237,7 +237,7 @@ let pump conns ~timeout ~on_frame ~on_hangup =
                 let rec frames () =
                   (* [on_frame] may hang up the connection *)
                   if Conn.alive c then
-                    match Conn.next_frame c ~max_frame:Frame.default_max_frame with
+                    match Conn.next_frame c with
                     | `Msg m ->
                         on_frame c m;
                         frames ()

@@ -21,9 +21,9 @@ type loaded = {
   header : Snapshot_path.header;
 }
 
-let load ?policy ?cache_pages path =
+let load ?cache_pages path =
   let stats = Emio.Io_stats.create () in
-  match Snapshot_path.open_ ?policy ?cache_pages ~stats path with
+  match Snapshot_path.open_ ?cache_pages ~stats path with
   | Error e -> Error (path ^ ": " ^ e)
   | Ok (inst, info, header) ->
       (* the wrappers keep their inner structure's name, so every

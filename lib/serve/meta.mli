@@ -23,11 +23,7 @@ type loaded = {
   header : Lcsearch_index.Snapshot_path.header;
 }
 
-val load :
-  ?policy:Diskstore.Buffer_pool.policy ->
-  ?cache_pages:int ->
-  string ->
-  (loaded, string) result
+val load : ?cache_pages:int -> string -> (loaded, string) result
 (** Reopen [path] (single file, sharded or LSM directory).  Load-time
     verification I/O is charged to a throwaway stats sink.  Honors
     {!Diskstore.File_backend.set_resident_on_reopen}. *)

@@ -26,15 +26,17 @@ type t = {
   mutable stopping : bool; (* guarded by m *)
   mutable stop_at : float; (* grace deadline, set by stop *)
   mutable thread : Thread.t option;
-  max_frame : int;
   idle_timeout_s : float;
-  drain_grace_s : float;
   on_msg : Conn.t -> Protocol.msg -> unit;
   on_broken : Conn.t -> Frame.read_error -> unit;
   log : string -> unit;
 }
 
 let wake_byte = Bytes.make 1 '!'
+
+(* How long {!stop} keeps flushing response outboxes before it closes
+   the connections anyway. *)
+let drain_grace_s = 10.
 
 let wake t =
   try ignore (Unix.single_write t.pipe_w wake_byte 0 1)
@@ -62,7 +64,7 @@ let drain_pipe t =
 let service_read t conn =
   let rec frames () =
     if Conn.alive conn && not (Conn.closing conn) then
-      match Conn.next_frame conn ~max_frame:t.max_frame with
+      match Conn.next_frame conn with
       | `Msg msg ->
           t.on_msg conn msg;
           frames ()
@@ -175,8 +177,7 @@ let loop t =
   in
   go ()
 
-let start ~max_frame ~idle_timeout_s ~drain_grace_s ~on_msg ~on_broken ~log ()
-    =
+let start ~idle_timeout_s ~on_msg ~on_broken ~log () =
   let pipe_r, pipe_w = Unix.pipe () in
   Unix.set_nonblock pipe_r;
   Unix.set_nonblock pipe_w;
@@ -189,9 +190,7 @@ let start ~max_frame ~idle_timeout_s ~drain_grace_s ~on_msg ~on_broken ~log ()
       stopping = false;
       stop_at = infinity;
       thread = None;
-      max_frame;
       idle_timeout_s;
-      drain_grace_s;
       on_msg;
       on_broken;
       log;
@@ -211,7 +210,7 @@ let stop t =
   Mutex.lock t.m;
   if not t.stopping then begin
     t.stopping <- true;
-    t.stop_at <- Unix.gettimeofday () +. t.drain_grace_s
+    t.stop_at <- Unix.gettimeofday () +. drain_grace_s
   end;
   Mutex.unlock t.m;
   wake t

@@ -13,14 +13,13 @@
     Idle connections are culled after [idle_timeout_s] of read
     silence.  {!stop} enters drain: no more reads, outboxes keep
     flushing until empty or the grace expires, then every connection
-    is closed and the thread exits. *)
+    is closed and the thread exits.  Frames are capped at 4 MiB and the
+    drain grace is 10 s. *)
 
 type t
 
 val start :
-  max_frame:int ->
   idle_timeout_s:float ->
-  drain_grace_s:float ->
   on_msg:(Conn.t -> Protocol.msg -> unit) ->
   on_broken:(Conn.t -> Frame.read_error -> unit) ->
   log:(string -> unit) ->
@@ -36,7 +35,7 @@ val add : t -> Conn.t -> unit
 
 val stop : t -> unit
 (** Begin drain (idempotent): stop reading, flush remaining responses
-    bounded by the grace, then close everything. *)
+    for at most the 10 s grace, then close everything. *)
 
 val join : t -> unit
 (** Wait for the loop to exit and release the self-pipe. *)

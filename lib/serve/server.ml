@@ -16,8 +16,6 @@ type config = {
   domains : int;
   default_deadline_ms : int;
   read_timeout_s : float;
-  write_timeout_s : float;
-  max_frame : int;
   dispatch_delay_s : float;
   verbose : bool;
 }
@@ -35,8 +33,6 @@ let default_config =
     domains = 1;
     default_deadline_ms = 200;
     read_timeout_s = 30.;
-    write_timeout_s = 10.;
-    max_frame = Frame.default_max_frame;
     dispatch_delay_s = 0.;
     verbose = false;
   }
@@ -415,6 +411,10 @@ let load_entries cfg ~dispatchers =
   entries
 
 let start (cfg : config) =
+  (* a ring popped [~max:0] at a time never drains, and stop would
+     wait on it forever *)
+  if cfg.batch_max < 1 then
+    failwith (Printf.sprintf "batch size must be >= 1 (got %d)" cfg.batch_max);
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let dispatchers = max 1 cfg.dispatchers in
@@ -463,9 +463,7 @@ let start (cfg : config) =
   in
   t.reactors <-
     Array.init readers (fun _ ->
-        Reactor.start ~max_frame:cfg.max_frame
-          ~idle_timeout_s:cfg.read_timeout_s
-          ~drain_grace_s:cfg.write_timeout_s ~on_msg:(on_msg t)
+        Reactor.start ~idle_timeout_s:cfg.read_timeout_s ~on_msg:(on_msg t)
           ~on_broken:(on_broken t)
           ~log:(fun m -> log t "%s" m)
           ());

@@ -40,7 +40,7 @@ type config = {
   port : int;  (** 0 = ephemeral; read the bound port with {!port} *)
   snapshots : string list;  (** snapshot files to serve, one structure each *)
   queue_capacity : int;  (** per-dispatcher admission ring capacity *)
-  batch_max : int;  (** dispatcher batch size *)
+  batch_max : int;  (** dispatcher batch size, at least 1 *)
   dispatchers : int;  (** dispatcher shards, at least 1 *)
   readers : int;  (** reactor event-loop threads, at least 1 *)
   coalesce_us : int;
@@ -49,9 +49,6 @@ type config = {
   domains : int;  (** fan-out for count-only batches *)
   default_deadline_ms : int;  (** for requests with [deadline_ms = 0] *)
   read_timeout_s : float;  (** per-connection idle timeout *)
-  write_timeout_s : float;
-      (** drain grace for flushing response outboxes at stop *)
-  max_frame : int;
   dispatch_delay_s : float;
       (** test hook: sleep this long before executing each batch, to
           deterministically provoke queue-full and deadline sheds *)
@@ -79,7 +76,7 @@ val start : config -> t
 (** Load the snapshots, bind, and spawn the acceptor, the reactor
     pool, and the dispatcher shards.  Raises [Failure] with a readable
     message if a snapshot cannot be served (unreadable, unknown kind,
-    duplicate structure name). *)
+    duplicate structure name) or [batch_max] is below 1. *)
 
 val port : t -> int
 (** The actually-bound port (useful with [config.port = 0]). *)

@@ -768,9 +768,9 @@ let test_junk_skeleton_closes_file () =
   List.iter
     (fun (module M : Index.S) ->
       let ops = M.snapshot in
-      Diskstore.Snapshot.save ~path ~kind:ops.Index.snapshot_kind
-        ~block_size:16 ~payload:[||]
-        ~skeleton:(Bytes.of_string "not a skeleton") ();
+      Diskstore.Snapshot.save ~path ~kind:ops.Index.snapshot_kind ~meta:""
+        ~page_size:4096 ~block_size:16 ~payload:[||]
+        ~skeleton:(Bytes.of_string "not a skeleton");
       for _ = 1 to 200 do
         match
           ops.Index.load ~stats:(Emio.Io_stats.create ())

@@ -91,6 +91,40 @@ let test_shallow_tree_tiny () =
   Alcotest.(check int) "one of two" 1
     (List.length (Core.Shallow_tree.query_halfspace t ~a0:0.5 ~a:[| 0. |]))
 
+(* The §6 constants the registry adapters fix (leaf exponent a = 1.5,
+   shallow factor 2) keep their range checks on the natives. *)
+let expect_invalid_arg label prefix f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Invalid_argument" label
+  | exception Invalid_argument msg ->
+      Alcotest.(check string)
+        (label ^ ": message prefix")
+        prefix
+        (String.sub msg 0 (min (String.length msg) (String.length prefix)))
+
+let test_tradeoff_exponent_range () =
+  let pts = Workload.uniform3 (Workload.rng 22) ~n:64 ~range:50. in
+  List.iter
+    (fun a ->
+      expect_invalid_arg
+        (Printf.sprintf "tradeoff a = %g" a)
+        "Tradeoff3d.build:"
+        (fun () ->
+          Core.Tradeoff3d.build ~stats:(stats ()) ~block_size:8 ~a pts))
+    [ 1.0; 0.5 ]
+
+let test_shallow_factor_range () =
+  let pts = Workload.uniform_d (Workload.rng 23) ~n:64 ~dim:3 ~range:50. in
+  List.iter
+    (fun shallow_factor ->
+      expect_invalid_arg
+        (Printf.sprintf "shallow_factor = %g" shallow_factor)
+        "Shallow_tree.build:"
+        (fun () ->
+          Core.Shallow_tree.build ~stats:(stats ()) ~block_size:8
+            ~shallow_factor ~dim:3 pts))
+    [ 0.; -1. ]
+
 (* --- B-tree ------------------------------------------------------------ *)
 
 let test_btree_all_equal_keys_spanning_leaves () =
@@ -232,6 +266,10 @@ let () =
           Alcotest.test_case "constant constraint" `Quick
             test_ptree_constant_constraint;
           Alcotest.test_case "tiny shallow tree" `Quick test_shallow_tree_tiny;
+          Alcotest.test_case "tradeoff a <= 1" `Quick
+            test_tradeoff_exponent_range;
+          Alcotest.test_case "shallow factor <= 0" `Quick
+            test_shallow_factor_range;
         ] );
       ( "btree",
         [

@@ -85,13 +85,13 @@ let test_snapshot_kinds () =
 (* ---- error convention: malformed build parameters raise
    Invalid_argument (never Failure) with a "name.build:" prefix ---- *)
 
-let expect_invalid_arg label f =
+let expect_invalid_arg ?(entry = ".build:") label f =
   match f () with
   | _ -> Alcotest.failf "%s: expected Invalid_argument, got a value" label
   | exception Invalid_argument msg ->
       Alcotest.(check bool)
-        (label ^ ": message names the build entry point")
-        true (contains msg ".build:")
+        (Printf.sprintf "%s: %S names %s" label msg entry)
+        true (contains msg entry)
   | exception Failure msg ->
       Alcotest.failf "%s: raised Failure %S (reserved for I/O damage)" label
         msg
@@ -99,28 +99,53 @@ let expect_invalid_arg label f =
 let small_pts2 = Workload.uniform2 (Workload.rng 21) ~n:64 ~range:100.
 let small_pts3 = Workload.uniform3 (Workload.rng 22) ~n:64 ~range:50.
 
-let build name ?(extra = []) ds =
-  Index.build (Registry.find_exn name)
-    ~params:{ Index.default_params with extra }
+let build name ds =
+  Index.build (Registry.find_exn name) ~params:Index.default_params
     ~stats:(Emio.Io_stats.create ()) ds
 
+let small_dataset (module M : Index.S) =
+  match M.preferred ~dim:(List.hd M.dims) with
+  | `Pts3 -> Index.Pts3 small_pts3
+  | _ -> Index.Pts2 small_pts2
+
+(* B < 1 and M < 0 are rejected up front by every structure and by
+   both wrappers (an Lsm over an empty dataset included, whose first
+   inner build would otherwise wait for the first spill). *)
 let test_error_convention () =
-  expect_invalid_arg "unknown extra key" (fun () ->
-      build "h2" ~extra:[ ("bogus", 1.) ] (Index.Pts2 small_pts2));
-  expect_invalid_arg "tradeoff a <= 1" (fun () ->
-      build "tradeoff" ~extra:[ ("a", 1.0) ] (Index.Pts3 small_pts3));
-  expect_invalid_arg "quadtree max_depth < 1" (fun () ->
-      build "quadtree" ~extra:[ ("max_depth", 0.) ] (Index.Pts2 small_pts2));
-  expect_invalid_arg "cert cert_cap < 0" (fun () ->
-      build "cert" ~extra:[ ("cert_cap", -1.) ] (Index.Pts3 small_pts3));
-  expect_invalid_arg "shallow shallow_factor <= 0" (fun () ->
-      build "shallow" ~extra:[ ("shallow_factor", 0.) ] (Index.Pts3 small_pts3));
+  let bad =
+    [
+      ("block_size 0", { Index.default_params with block_size = 0 });
+      ("block_size -1", { Index.default_params with block_size = -1 });
+      ("cache_blocks -1", { Index.default_params with cache_blocks = -1 });
+    ]
+  in
+  let h2 = Registry.find_exn "h2" in
+  let wrappers =
+    [
+      ( "sharded h2",
+        Shard.make ~inner:h2 ~shards:2 ~partition:Shard.Str (),
+        Index.Pts2 small_pts2 );
+      ("lsm h2", Lcsearch_index.Lsm.make ~inner:h2 (), Index.Pts2 small_pts2);
+      ("lsm h2, empty", Lcsearch_index.Lsm.make ~inner:h2 (), Index.Pts2 [||]);
+    ]
+  in
+  List.iter
+    (fun (label, (module M : Index.S), ds) ->
+      List.iter
+        (fun (what, params) ->
+          expect_invalid_arg ~entry:(M.name ^ ".build:")
+            (Printf.sprintf "%s %s" label what)
+            (fun () -> M.build ~params ~stats:(Emio.Io_stats.create ()) ds))
+        bad)
+    (List.map
+       (fun (module M : Index.S) ->
+         (M.name, (module M : Index.S), small_dataset (module M)))
+       (Registry.all ())
+    @ wrappers);
   expect_invalid_arg "h2 rejects a 3-d dataset" (fun () ->
       build "h2" (Index.Pts3 small_pts3));
   expect_invalid_arg "h3 rejects a 2-d dataset" (fun () ->
-      build "h3" (Index.Pts2 small_pts2));
-  expect_invalid_arg "non-integral extra" (fun () ->
-      build "quadtree" ~extra:[ ("max_depth", 2.5) ] (Index.Pts2 small_pts2))
+      build "h3" (Index.Pts2 small_pts2))
 
 let temp_snapshot () =
   let path = Filename.temp_file "lcsearch_registry" ".snapshot" in

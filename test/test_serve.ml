@@ -7,6 +7,7 @@
 
 module Protocol = Serve.Protocol
 module Frame = Serve.Frame
+module Conn = Serve.Conn
 module Admission = Serve.Admission
 module Server = Serve.Server
 module Meta = Serve.Meta
@@ -20,6 +21,11 @@ module Lsm = Lcsearch_index.Lsm
 module Snapshot_path = Lcsearch_index.Snapshot_path
 
 let check = Alcotest.(check int)
+
+let contains s sub =
+  let ls = String.length s and lsub = String.length sub in
+  let rec go i = i + lsub <= ls && (String.sub s i lsub = sub || go (i + 1)) in
+  go 0
 
 (* ---- message equality (floats bitwise, so a roundtrip property
    holds even for weird payloads) ---- *)
@@ -184,12 +190,13 @@ let test_truncation () =
   done
 
 let test_oversized () =
+  let cap = 4 * 1024 * 1024 in
   let b = Bytes.make 4 '\000' in
-  Bytes.set_int32_le b 0 (Int32.of_int (Frame.default_max_frame + 1));
+  Bytes.set_int32_le b 0 (Int32.of_int (cap + 1));
   (match Frame.decode b with
   | Error (Frame.Oversized { length; max }) ->
-      check "oversized length" (Frame.default_max_frame + 1) length;
-      check "oversized cap" Frame.default_max_frame max
+      check "oversized length" (cap + 1) length;
+      check "oversized cap: 4 MiB" cap max
   | r -> expect_error "oversized" "(oversized)" r);
   (* a tighter per-call cap applies before any payload inspection *)
   let f = Frame.encode sample_msg in
@@ -322,6 +329,40 @@ let test_write_some_closed_peer () =
   in
   poke 10;
   Unix.close a
+
+(* A peer that never reads is dropped once its queued responses pass
+   8 MiB, not buffered without bound. *)
+let test_conn_outbox_bound () =
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        [ a; b ])
+  @@ fun () ->
+  Unix.set_nonblock a;
+  (try Unix.setsockopt_int a Unix.SO_SNDBUF 4096
+   with Unix.Unix_error _ -> ());
+  let conn = Conn.create a in
+  let msg =
+    Protocol.Error
+      { id = 1; code = Protocol.Bad_request; message = String.make 65536 'x' }
+  in
+  let frame = Bytes.length (Frame.encode msg) in
+  let rec fill sent =
+    if sent > 64 * 1024 * 1024 then Alcotest.fail "outbox never overflowed"
+    else if Conn.send conn msg then fill (sent + frame)
+    else sent
+  in
+  let accepted = fill 0 in
+  let mib = 1024 * 1024 in
+  Alcotest.(check bool) "dropped" false (Conn.alive conn);
+  Alcotest.(check bool)
+    (Printf.sprintf "kept %d bytes, past 8 MiB before the drop" accepted)
+    true
+    (accepted + frame > 8 * mib && accepted <= 9 * mib);
+  Alcotest.(check bool) "later sends are no-ops" false (Conn.send conn msg)
 
 (* ---- admission queue ---- *)
 
@@ -1065,6 +1106,21 @@ let test_e2e_dispatchers_as_configured () =
       check "effective dispatchers" 3 (Server.effective_dispatchers srv);
       check "effective domains" 2 (Server.effective_domains srv))
 
+(* A dispatcher popping zero requests at a time would never drain its
+   ring, and stop would wait on it forever: start refuses. *)
+let test_e2e_batch_below_one () =
+  List.iter
+    (fun batch_max ->
+      match Server.start { Server.default_config with port = 0; batch_max } with
+      | _ ->
+          (* not stopped: that is the call that would hang *)
+          Alcotest.failf "batch_max = %d was accepted" batch_max
+      | exception Failure m ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S names the batch size" m)
+            true (contains m "batch size"))
+    [ 0; -1 ]
+
 (* stop() must drain: the queued backlog is executed and answered
    before connections close. *)
 let test_e2e_drain () =
@@ -1255,6 +1311,8 @@ let () =
             test_write_some_partial_and_blocked;
           Alcotest.test_case "write to a closed peer" `Quick
             test_write_some_closed_peer;
+          Alcotest.test_case "outbox bound drops a non-reader" `Quick
+            test_conn_outbox_bound;
         ] );
       ( "admission",
         [
@@ -1285,6 +1343,8 @@ let () =
             test_resident_charges_cold_fetch;
           Alcotest.test_case "dispatchers and domains as configured" `Quick
             test_e2e_dispatchers_as_configured;
+          Alcotest.test_case "batch size below 1 refused" `Quick
+            test_e2e_batch_below_one;
         ] );
       ( "loadgen",
         [

@@ -4,4 +4,6 @@ let () =
     (Audit_fixture.Fix.size (Audit_fixture.Fix.make 1)
     + Audit_fixture.User.run 1
     + Audit_fixture.Fix.opt ~used:1 2
-    + g ())
+    + g ()
+    + Audit_fixture.Fix.hooked 1
+    + Audit_fixture.Fix.hooked_twice 1)

@@ -7,6 +7,8 @@ val inside : int -> int
 val tested : int -> int
 val opt : ?unused:int -> ?tested:int -> ?used:int -> int -> int
 val opt_passed_on : ?x:int -> unit -> int
+val hooked : ?hook:int -> ?probe:int -> int -> int
+val hooked_twice : int -> int
 
 module Packed : sig
   val f : int -> int
